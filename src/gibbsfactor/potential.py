@@ -24,7 +24,7 @@ from .errors import (
     EvaluationRefused,
     ModelError,
 )
-from .projection import FactorSystem, log_nu_cylinder
+from .projection import FactorSystem, _as_factor_symbols, backward_transfer
 from .projective import (
     SimplexPoint,
     apply_normalized,
@@ -149,7 +149,8 @@ class UniformConstants:
     contains such a block, gap = 2W the bound on distances between usable
     block ends, theta = tau**(1/gap) the per-symbol decay, c1 = tau**-3,
     d_const the worst projective distance between a fiber marginal and a
-    short-block image, c_total = 2 d c1 / (1-theta) the variation constant
+    short-block image, metric_scale = 2 (#B + 1) the normalization of the
+    sequence metric, c_total = 2 d c1 / (1-theta) the variation constant
     and k_gibbs = d c1 / ((1-tau)(1-theta)) the Gibbs-ratio constant.
     """
 
@@ -161,6 +162,7 @@ class UniformConstants:
     k_gibbs: float
     window: int
     gap: int
+    metric_scale: int
 
     @property
     def eq_radius_constant(self) -> float:
@@ -174,11 +176,7 @@ class UniformConstants:
         Equals log(1/tau) when certification succeeded at the pigeonhole
         window W = #B + 1; a larger window scales it by (#B+1)/W.
         """
-        # gap = 2 W and the metric scale is 2 (#B_plus_1); see uniform_constants
-        return math.log(1.0 / self.tau) * (self._metric_scale / self.gap)
-
-    # filled by uniform_constants: 2 (#B + 1), the metric normalization
-    _metric_scale: int = 0
+        return math.log(1.0 / self.tau) * (self.metric_scale / self.gap)
 
 
 @dataclass(frozen=True)
@@ -277,13 +275,7 @@ def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
 
 def _psi_backward(fs: FactorSystem, point: PointSpec, n: int) -> float:
     """psi_n via the normalized backward vector iteration (single n)."""
-    x = fs.fiber_marginal[point.symbol_at(n)]
-    x = x / x.sum()
-    for i in range(n - 1, 0, -1):
-        x = fs.weight(point.symbol_at(i), point.symbol_at(i + 1)) @ x
-        x = x / x.sum()
-    first = fs.weight(point.symbol_at(0), point.symbol_at(1))
-    return float(np.log((first @ x).sum()))
+    return float(np.log(backward_transfer(fs, point.symbols(n + 1))[1]))
 
 
 def _psi_sequence(fs: FactorSystem, point: PointSpec, n_hi: int) -> np.ndarray:
@@ -316,14 +308,13 @@ def _psi_sequence(fs: FactorSystem, point: PointSpec, n_hi: int) -> np.ndarray:
 
 
 def markov_approx(fs: FactorSystem, word) -> float:
-    """Finite-range approximation log(nu[w] / nu[w(1:)]) for len(w) >= 2."""
-    if isinstance(word, Word):
-        symbols = word.symbols
-    else:
-        symbols = Word(fs.factor_tmc, word).symbols
+    """Finite-range approximation log(nu[w] / nu[w(1:)]) for len(w) >= 2;
+    -inf when w has no preimage."""
+    symbols = _as_factor_symbols(fs, word)
     if len(symbols) < 2:
         raise AdmissibilityError("the approximation needs a word of length >= 2")
-    return log_nu_cylinder(fs, symbols) - log_nu_cylinder(fs, symbols[1:])
+    scale = backward_transfer(fs, symbols)[1]
+    return math.log(scale) if scale > 0.0 else -math.inf
 
 
 def _window_product(fs: FactorSystem, point: PointSpec, start: int, length: int) -> np.ndarray:
@@ -602,13 +593,9 @@ def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> Uni
     d_const = 0.0
     for length in range(2, s + 1):
         for word in enumerate_words(fs.factor_tmc, length):
-            symbols = word.symbols
-            x = fs.marginal_hat(symbols[-1])
-            for i in range(len(symbols) - 2, -1, -1):
-                x = apply_normalized(
-                    fs.weight(symbols[i], symbols[i + 1]), x, out_fiber=symbols[i]
-                )
-            d_const = max(d_const, projective_distance(fs.marginal_hat(symbols[0]), x))
+            b0 = word.symbols[0]
+            x = SimplexPoint(backward_transfer(fs, word.symbols)[2], fiber=b0)
+            d_const = max(d_const, projective_distance(fs.marginal_hat(b0), x))
     c_total = 2.0 * d_const * c1 / (1.0 - theta)
     k_gibbs = d_const * c1 / ((1.0 - tau) * (1.0 - theta))
     return UniformConstants(
@@ -620,7 +607,7 @@ def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> Uni
         k_gibbs=k_gibbs,
         window=chosen_w,
         gap=s,
-        _metric_scale=2 * (nb + 1),
+        metric_scale=2 * (nb + 1),
     )
 
 

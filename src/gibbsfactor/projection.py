@@ -4,9 +4,12 @@ A projection collapses the source alphabet onto a strictly smaller target
 alphabet.  Pushing a stationary Markov measure through it produces a hidden
 Markov measure: cylinder weights are computed by sandwiching products of
 weighted fiber matrices between a row of ones and the marginal vector of the
-last symbol.  The two hypotheses checked here (row-allowability of every
-fiber block, and positivity of one-period products over short cycles) are
-what later certify that this induced measure admits a regular potential.
+last symbol.  backward_transfer is the one place that formula is evaluated:
+cylinder weights, psi_n, the finite-range approximant and the d constant of
+the certification all read it off that kernel.  The two hypotheses checked
+here (row-allowability of every fiber block, and positivity of one-period
+products over short cycles) are what later certify that this induced
+measure admits a regular potential.
 """
 
 from __future__ import annotations
@@ -282,26 +285,32 @@ def _as_factor_symbols(fs: FactorSystem, word) -> tuple[int, ...]:
     return Word(fs.factor_tmc, word).symbols
 
 
-def log_nu_cylinder(fs: FactorSystem, word) -> float:
-    """log nu[w] via backward vector accumulation with l1 rescaling.
+def backward_transfer(fs: FactorSystem, symbols: Sequence[int]) -> tuple[float, float, np.ndarray]:
+    """nu[b0..bn] = 1^T W_{b0 b1} ... W_{b(n-1) bn} mu(bn), evaluated backward.
 
-    Each step multiplies by one fiber weight matrix and renormalizes, keeping
-    the running vector on the simplex; the scale is accumulated in log space.
-    Returns -inf when the word has no preimage (possible only when some fiber
-    block has an all-zero row).
+    Starts from the fiber marginal of the last symbol and applies one fiber
+    weight matrix per step, last transition first, to the l1-normalized
+    previous image.  Returns (log_mass, scale, x): log_mass is log nu[w]
+    (-inf, with scale 0, when the word has no preimage); x is the last image,
+    on the fiber of b0, and scale = |x|_1, so x / scale is the final simplex
+    vector and log(scale) = psi_n(w) for n = len(w) - 1.
     """
-    symbols = _as_factor_symbols(fs, word)
-    v = fs.fiber_marginal[symbols[-1]]
-    total = math.log(v.sum())
-    v = v / v.sum()
+    x = fs.fiber_marginal[symbols[-1]]
+    scale = x.sum()
+    log_mass = math.log(scale)
     for i in range(len(symbols) - 2, -1, -1):
-        v = fs.weight(symbols[i], symbols[i + 1]) @ v
-        scale = v.sum()
+        x = fs.weight(symbols[i], symbols[i + 1]) @ (x / scale)
+        scale = x.sum()
         if scale <= 0.0:
-            return -math.inf
-        total += math.log(scale)
-        v = v / scale
-    return total
+            return -math.inf, 0.0, x
+        log_mass += math.log(scale)
+    return log_mass, scale, x
+
+
+def log_nu_cylinder(fs: FactorSystem, word) -> float:
+    """log nu[w]; -inf when the word has no preimage (possible only when some
+    fiber block has an all-zero row)."""
+    return backward_transfer(fs, _as_factor_symbols(fs, word))[0]
 
 
 def nu_cylinder(fs: FactorSystem, word) -> float:

@@ -87,7 +87,7 @@ class Tmc:
     extends forward and backward.
     """
 
-    def __init__(self, alphabet: Alphabet, incidence, primitivity_exponent: Optional[int] = None):
+    def __init__(self, alphabet: Alphabet, incidence):
         incidence = np.asarray(incidence)
         n = alphabet.size
         if incidence.shape != (n, n):
@@ -105,7 +105,6 @@ class Tmc:
             raise ModelError(f"symbol {alphabet.labels[col]!r} has no predecessor")
         self.alphabet = alphabet
         self.incidence = incidence
-        self.primitivity_exponent = primitivity_exponent
 
     @property
     def size(self) -> int:
@@ -125,11 +124,8 @@ class Tmc:
 
 
 def check_primitivity(tmc: Tmc) -> PrimitivityResult:
-    """Primitivity of the chain's incidence matrix; caches the exponent."""
-    result = pattern_primitivity(tmc.incidence)
-    if result.primitive:
-        tmc.primitivity_exponent = result.exponent
-    return result
+    """Primitivity of the chain's incidence matrix."""
+    return pattern_primitivity(tmc.incidence)
 
 
 class Word:

@@ -128,6 +128,33 @@ def test_constants_fullshift4(fullshift4_constants):
     assert 0 < c.tau < 1
 
 
+@pytest.mark.parametrize("name", ["adhoc5", "fullshift4"])
+def test_d_const_matches_normalized_action_loop(name, request):
+    # d_const recomputed step by step with apply_normalized, the route it
+    # took before the backward-transfer kernel; the two must agree exactly
+    fs = request.getfixturevalue(name)
+    c = request.getfixturevalue(f"{name}_constants")
+    d_const = 0.0
+    for length in range(2, c.gap + 1):
+        for word in gf.enumerate_words(fs.factor_tmc, length):
+            symbols = word.symbols
+            x = fs.marginal_hat(symbols[-1])
+            for i in range(len(symbols) - 2, -1, -1):
+                x = gf.apply_normalized(
+                    fs.weight(symbols[i], symbols[i + 1]), x, out_fiber=symbols[i]
+                )
+            d_const = max(d_const, gf.projective_distance(fs.marginal_hat(symbols[0]), x))
+    assert c.d_const == d_const
+
+
+def test_constants_need_metric_scale(adhoc5_constants):
+    fields = {k: getattr(adhoc5_constants, k) for k in (
+        "tau", "theta", "c1", "d_const", "c_total", "k_gibbs", "window", "gap"
+    )}
+    with pytest.raises(TypeError):
+        gf.UniformConstants(**fields)
+
+
 def test_window_four_word_without_positive_repeat(adhoc5):
     # the word that forces the larger window: its only repeated-symbol block
     # is the phase of the three-cycle with a zero column in its product
@@ -179,6 +206,12 @@ def test_psi_matches_finite_range_approximation(adhoc5):
         assert markov_approx(adhoc5, word) == pytest.approx(
             _psi_backward(adhoc5, pt, n), abs=1e-12
         )
+
+
+def test_markov_approx_rejects_word_of_another_chain(adhoc5):
+    source_word = gf.Word(adhoc5.model.tmc, (0, 1))
+    with pytest.raises(gf.AdmissibilityError, match="does not belong"):
+        markov_approx(adhoc5, source_word)
 
 
 # -------------------------------------------------------- evaluate: adaptive

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gibbsfactor as gf
 from gibbsfactor.projection import (
+    backward_transfer,
     check_topological_markov,
     nu_preimage_sum,
     one_period_product,
@@ -159,6 +160,20 @@ def test_topological_markov_refuted_when_word_missing():
     assert gf.nu_cylinder(fs, verdict.witness) == 0.0
 
 
+def test_backward_transfer_without_preimage():
+    # the chain of test_topological_markov_refuted_when_word_missing
+    alph = gf.Alphabet(["a", "b", "c"])
+    inc = np.array([[1, 1, 0], [1, 0, 1], [1, 0, 0]], dtype=int)
+    trans = np.where(inc, inc / inc.sum(axis=1, keepdims=True), 0.0)
+    model = gf.MarkovModel(gf.Tmc(alph, inc), trans)
+    proj = gf.Projection.from_labels(alph, {"a": "0", "b": "1", "c": "1"})
+    fs = gf.build_factor_system(model, proj)
+    witness = check_topological_markov(fs, depth=8).witness
+    log_mass, scale, _ = backward_transfer(fs, witness.symbols)
+    assert (log_mass, scale) == (-math.inf, 0.0)
+    assert gf.markov_approx(fs, witness) == -math.inf
+
+
 def test_preimage_words_under_letter_map(adhoc5):
     word = adhoc5.factor_word(["a", "b"])
     lifts = preimage_words(adhoc5, word)
@@ -173,6 +188,20 @@ def test_nu_cylinder_vs_preimage_sum(adhoc5, fullshift4, converse_false, nongibb
                 got = gf.nu_cylinder(fs, word)
                 expected = nu_preimage_sum(fs, word)
                 assert got == pytest.approx(expected, rel=ORACLE_REL_TOL)
+
+
+def test_backward_transfer_parts(adhoc5):
+    for word in gf.enumerate_words(adhoc5.factor_tmc, 5):
+        w = word.symbols
+        log_mass, scale, x = backward_transfer(adhoc5, w)
+        assert log_mass == pytest.approx(math.log(nu_preimage_sum(adhoc5, w)), abs=1e-12)
+        # the last rescaling is the one-step ratio nu[w] / nu[w(1:)]
+        assert math.log(scale) == pytest.approx(
+            log_mass - backward_transfer(adhoc5, w[1:])[0], abs=1e-12
+        )
+        assert x.shape == adhoc5.fiber_marginal[w[0]].shape
+        assert x.sum() == scale
+        assert (x > 0).all()
 
 
 def test_nu_total_mass(adhoc5, converse_false):

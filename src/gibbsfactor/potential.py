@@ -26,10 +26,12 @@ from .errors import (
 )
 from .projection import FactorSystem, _as_factor_symbols, backward_transfer
 from .projective import (
+    MIN_COORDINATE,
     SimplexPoint,
     apply_normalized,
     contraction_coefficient,
     is_row_allowable,
+    normalize_rows,
     projective_distance,
 )
 from .tmc import Word, enumerate_words, pattern_primitivity
@@ -527,6 +529,27 @@ def factorization_sequence(prefix, factor_size: int) -> tuple[tuple[int, int], .
     return tuple(pairs)
 
 
+def _d_const(fs: FactorSystem, gap: int) -> float:
+    """Worst delta(mu_hat(b0), x) over the backward images x of all words
+    b0..bn of length 2..gap, level by level over suffixes: rows[b] stacks the
+    images of the current length's words that start with b, and the next
+    level applies W_{b0 b1} to rows[b1] as (W[None] @ V[:, :, None]), which
+    repeats backward_transfer's W @ v bit for bit."""
+    rows = [fs.marginal_hat(b).coords[None, :] for b in range(fs.target_size)]
+    d_const = 0.0
+    for _ in range(gap - 1):
+        parts: list[list[np.ndarray]] = [[] for _ in rows]
+        for (b0, b1), w in fs.fiber_weight.items():
+            parts[b0].append((w[None] @ rows[b1][:, :, None])[..., 0])
+        for b0, part in enumerate(parts):
+            rows[b0] = normalize_rows(np.concatenate(part))
+            if (rows[b0] < MIN_COORDINATE).any():
+                raise ModelError("coordinates below 1e-300; distance would be unreliable")
+            ratio = np.log(fs.marginal_hat(b0).coords) - np.log(rows[b0])
+            d_const = max(d_const, float((ratio.max(axis=1) - ratio.min(axis=1)).max()))
+    return d_const
+
+
 def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> UniformConstants:
     """Certification constants valid at every point of the image shift.
 
@@ -535,7 +558,8 @@ def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> Uni
     length W (starting at the pigeonhole value #B + 1) such that every
     admissible W-word contains a repeated-symbol block with strictly positive
     product; tau is the worst Birkhoff coefficient over all such positive
-    blocks and all other constants follow the closed formulas.
+    blocks and all other constants follow the closed formulas; d_const is
+    taken level by level over word suffixes.
     """
     from .projection import check_h1, check_h2  # local to avoid cycle at import
 
@@ -590,12 +614,7 @@ def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> Uni
     s = 2 * chosen_w
     theta = tau ** (1.0 / s)
     c1 = tau**-3
-    d_const = 0.0
-    for length in range(2, s + 1):
-        for word in enumerate_words(fs.factor_tmc, length):
-            b0 = word.symbols[0]
-            x = SimplexPoint(backward_transfer(fs, word.symbols)[2], fiber=b0)
-            d_const = max(d_const, projective_distance(fs.marginal_hat(b0), x))
+    d_const = _d_const(fs, s)
     c_total = 2.0 * d_const * c1 / (1.0 - theta)
     k_gibbs = d_const * c1 / ((1.0 - tau) * (1.0 - theta))
     return UniformConstants(

@@ -4,12 +4,12 @@ A projection collapses the source alphabet onto a strictly smaller target
 alphabet.  Pushing a stationary Markov measure through it produces a hidden
 Markov measure: cylinder weights are computed by sandwiching products of
 weighted fiber matrices between a row of ones and the marginal vector of the
-last symbol.  backward_transfer is the one place that formula is evaluated:
-cylinder weights, psi_n, the finite-range approximant and the d constant of
-the certification all read it off that kernel.  The two hypotheses checked
-here (row-allowability of every fiber block, and positivity of one-period
-products over short cycles) are what later certify that this induced
-measure admits a regular potential.
+last symbol.  backward_transfer evaluates that formula for one word:
+cylinder weights, psi_n and the finite-range approximant read it off that
+kernel; the d constant batches it over all words of one length.  The two
+hypotheses checked here (row-allowability of every fiber block, and
+positivity of one-period products over short cycles) are what later certify
+that this induced measure admits a regular potential.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ Phi is the minimal cross-ratio of entries over index quadruples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
@@ -21,6 +22,16 @@ from .errors import FiberMismatchError, ModelError
 MIN_COORDINATE = 1e-300
 
 
+def normalize_rows(coords: np.ndarray) -> np.ndarray:
+    """Strictly positive coordinates scaled to unit l1 norm along the last axis."""
+    if (coords <= 0).any():
+        raise ModelError("simplex point coordinates must be strictly positive")
+    total = coords.sum(axis=-1, keepdims=True)
+    if not np.isfinite(total).all():
+        raise ModelError("simplex point coordinates must be finite")
+    return coords / total
+
+
 class SimplexPoint:
     """Strictly positive probability vector tagged with the fiber it lives on."""
 
@@ -30,12 +41,7 @@ class SimplexPoint:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 1 or coords.size == 0:
             raise ModelError("simplex point needs a nonempty 1-d coordinate array")
-        if (coords <= 0).any():
-            raise ModelError("simplex point coordinates must be strictly positive")
-        total = coords.sum()
-        if not np.isfinite(total):
-            raise ModelError("simplex point coordinates must be finite")
-        self.coords = coords / total
+        self.coords = normalize_rows(coords)
         self.fiber = fiber
 
     def __len__(self) -> int:
@@ -99,24 +105,23 @@ def contraction_coefficient(matrix: np.ndarray) -> ContractionCoefficient:
     For a strictly positive matrix, Phi is the minimum over quadruples
     (e, f, e', f') of T(e',e) T(f',f) / (T(e',f) T(f',e)), evaluated in log
     space, and tau = (1 - sqrt(Phi)) / (1 + sqrt(Phi)) < 1.  Any zero entry
-    gives Phi = 0 and tau = 1 (no contraction guarantee).
+    gives Phi = 0 and tau = 1 (no contraction guarantee).  The log
+    cross-ratio is D[e', f', e] - D[e', f', f] with D[e', f', c] =
+    log T(e',c) - log T(f',c), so log Phi = min over (e', f') of
+    (min_c D - max_c D): r*r*c work and memory for an r x c matrix, not
+    (r*c)**2 (Seneta, Non-negative Matrices and Markov Chains, ch. 3).
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ModelError("contraction coefficient needs a matrix")
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ModelError("contraction coefficient needs a nonempty matrix")
+    if not np.isfinite(matrix).all():
+        raise ModelError("contraction coefficient needs finite entries")
     if (matrix < 0).any():
         raise ModelError("contraction coefficient is defined for nonnegative matrices")
     if (matrix == 0).any():
         return ContractionCoefficient(tau=1.0, phi=0.0)
     logs = np.log(matrix)
-    # log cross-ratio over all quadruples: rows e',f' and columns e,f
-    cross = (
-        logs[:, None, :, None]
-        + logs[None, :, None, :]
-        - logs[:, None, None, :]
-        - logs[None, :, :, None]
-    )
-    phi = float(np.exp(cross.min()))
-    root = np.sqrt(phi)
-    tau = (1.0 - root) / (1.0 + root)
-    return ContractionCoefficient(tau=tau, phi=phi)
+    diff = logs[:, None, :] - logs[None, :, :]
+    phi = math.exp((diff.min(axis=2) - diff.max(axis=2)).min())
+    root = math.sqrt(phi)
+    return ContractionCoefficient(tau=(1.0 - root) / (1.0 + root), phi=phi)

@@ -1,7 +1,8 @@
 """Byte-for-byte CLI transcripts on the built-in examples.
 
 golden_cli.json, next to this file, holds the expected stdout and exit code
-of every command in CASES.  Refactors must leave these bytes unchanged.  When
+of every command in CASES, run on the built-in examples and on the wide-fiber
+model below.  Refactors must leave these bytes unchanged.  When
 a change is meant to move the output, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -25,6 +26,26 @@ from gibbsfactor.models import dump_document, expand_example
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 EXAMPLES = ("adhoc5", "fullshift4", "nongibbs6", "converse_false")
 
+
+def wide12_document() -> dict:
+    """Full 12-shift onto 2 symbols with fibers of 6, in closed form.
+
+    Every built-in example has fibers of at most 2; this one makes the
+    printed tau come from 6x6 blocks.  P[i, j] is proportional to
+    1 + (7i + 3j) mod 11.
+    """
+    labels = [f"s{i}" for i in range(12)]
+    rows = [[1.0 + (7 * i + 3 * j) % 11 for j in range(12)] for i in range(12)]
+    return {
+        "alphabet": labels,
+        "incidence": [[1] * 12 for _ in range(12)],
+        "transition": [[x / sum(row) for x in row] for row in rows],
+        "projection": {lab: str(i // 6) for i, lab in enumerate(labels)},
+    }
+
+
+MODELS = {**{ex: expand_example(ex) for ex in EXAMPLES}, "wide12": wide12_document()}
+
 # argv per case; "{name}" stands for the path of that example's model file
 CASES = {
     **{f"check-{ex}": ["check", "{%s}" % ex] for ex in EXAMPLES},
@@ -38,14 +59,16 @@ CASES = {
     "gibbs-adhoc5-invariance": ["gibbs", "{adhoc5}", "--n-max", "5", "--invariance"],
     "gibbs-nongibbs6": ["gibbs", "{nongibbs6}", "--n-max", "5"],
     "obstruction-fullshift4": ["obstruction", "{fullshift4}"],
+    "check-wide12": ["check", "{wide12}"],
+    "periodic-wide12": ["periodic", "{wide12}", "--max-period", "3"],
 }
 
 
 def _write_models(root: str) -> dict[str, str]:
     paths = {}
-    for ex in EXAMPLES:
-        paths[ex] = os.path.join(root, f"{ex}.json")
-        dump_document(expand_example(ex), paths[ex])
+    for name, doc in MODELS.items():
+        paths[name] = os.path.join(root, f"{name}.json")
+        dump_document(doc, paths[name])
     return paths
 
 

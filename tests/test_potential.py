@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import gibbsfactor as gf
 from gibbsfactor.potential import (
     PointSpec,
+    _d_const,
     _psi_backward,
     _psi_sequence,
     canonical_extension,
@@ -18,7 +19,7 @@ from gibbsfactor.potential import (
     perron_data,
     tail_completions,
 )
-from gibbsfactor.projection import one_period_product
+from gibbsfactor.projection import backward_transfer, one_period_product
 
 FROZEN_ABS_TOL = 1e-9
 
@@ -145,6 +146,88 @@ def test_d_const_matches_normalized_action_loop(name, request):
                 )
             d_const = max(d_const, gf.projective_distance(fs.marginal_hat(symbols[0]), x))
     assert c.d_const == d_const
+
+
+def per_word_d_const(fs, gap):
+    """d_const the way it was taken before the suffix trie: one
+    backward_transfer per admissible word of length 2..gap."""
+    d_const = 0.0
+    for length in range(2, gap + 1):
+        for word in gf.enumerate_words(fs.factor_tmc, length):
+            b0 = word.symbols[0]
+            x = gf.SimplexPoint(backward_transfer(fs, word.symbols)[2], fiber=b0)
+            d_const = max(d_const, gf.projective_distance(fs.marginal_hat(b0), x))
+    return d_const
+
+
+def random_certified_system(seed, fibers):
+    """First seeded draw over the given fiber sizes, each source transition
+    forbidden with probability 1/5, that passes H1, H2 and the window
+    search."""
+    rng = np.random.default_rng(seed)
+    n = sum(fibers)
+    labels = [f"s{i}" for i in range(n)]
+    target = [str(b) for b, k in enumerate(fibers) for _ in range(k)]
+    while True:
+        incidence = (rng.uniform(size=(n, n)) > 0.2).astype(int)
+        p = rng.uniform(0.05, 1.0, size=(n, n)) * incidence
+        p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+        doc = {
+            "alphabet": labels,
+            "incidence": incidence.tolist(),
+            "transition": p.tolist(),
+            "projection": dict(zip(labels, target)),
+        }
+        try:
+            fs = gf.parse_model(doc)
+            return fs, gf.uniform_constants(fs)
+        except (gf.ModelError, gf.CertificationError):
+            continue
+
+
+@pytest.mark.parametrize(
+    "seed, fibers", [(1, (1, 3)), (2, (2, 3)), (3, (2, 4)), (4, (1, 2, 3)), (5, (3, 1, 2))]
+)
+def test_d_const_trie_matches_per_word_loop(seed, fibers):
+    fs, c = random_certified_system(seed, fibers)
+    # three-symbol targets are compared up to length 8 to keep the loop short
+    gap = min(c.gap, 8)
+    reference = per_word_d_const(fs, gap)
+    assert _d_const(fs, gap) == reference
+    if gap == c.gap:
+        assert c.d_const == reference
+
+
+def test_d_const_trie_on_full_four_shift_target():
+    # full 8-shift onto 4 symbols with fibers of 2: gap 10 means 4**10 words
+    # of length 10, which the per-word loop takes minutes over
+    rng = np.random.default_rng(8)
+    labels = [f"s{i}" for i in range(8)]
+    p = rng.uniform(0.01, 1.0, size=(8, 8))
+    p /= p.sum(axis=1, keepdims=True)
+    fs = gf.parse_model({
+        "alphabet": labels,
+        "incidence": [[1] * 8 for _ in range(8)],
+        "transition": p.tolist(),
+        "projection": {lab: str(i // 2) for i, lab in enumerate(labels)},
+    })
+    short = _d_const(fs, 6)
+    assert short == per_word_d_const(fs, 6)
+    c = gf.uniform_constants(fs)
+    assert (c.window, c.gap) == (5, 10)
+    assert c.d_const >= short
+
+
+@pytest.mark.parametrize(
+    "row_scale, message", [(0.0, "strictly positive"), (1e-310, "below 1e-300")]
+)
+def test_d_const_trie_refuses_boundary_images(row_scale, message):
+    # images on (or within 1e-300 of) the simplex boundary are refused, as
+    # SimplexPoint and projective_distance refuse them
+    fs = gf.example_system("fullshift4")
+    fs.fiber_weight[(0, 1)] = fs.fiber_weight[(0, 1)] * np.array([[1.0], [row_scale]])
+    with pytest.raises(gf.ModelError, match=message):
+        _d_const(fs, 3)
 
 
 def test_constants_need_metric_scale(adhoc5_constants):

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbsfactor as gf
@@ -103,11 +104,17 @@ def test_nonexpansive_row_allowable():
         assert after <= before + METRIC_SLACK
 
 
-def brute_force_tau(mat):
-    size = mat.shape[0]
+def brute_force_phi(mat):
+    rows, cols = mat.shape
     phi = math.inf
-    for i, j, k, ell in itertools.product(range(size), repeat=4):
-        phi = min(phi, (mat[i, j] * mat[k, ell]) / (mat[k, j] * mat[i, ell]))
+    for i, k in itertools.product(range(rows), repeat=2):
+        for j, ell in itertools.product(range(cols), repeat=2):
+            phi = min(phi, (mat[i, j] * mat[k, ell]) / (mat[k, j] * mat[i, ell]))
+    return phi
+
+
+def brute_force_tau(mat):
+    phi = brute_force_phi(mat)
     return (1.0 - math.sqrt(phi)) / (1.0 + math.sqrt(phi))
 
 
@@ -122,6 +129,62 @@ def test_contraction_coefficient_known_matrix():
 def test_contraction_coefficient_one_with_zero_entry():
     mat = np.array([[1.0, 0.0], [1.0, 1.0]])
     assert gf.contraction_coefficient(mat).tau == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+@example(1, 5, False, 0)
+@example(4, 1, False, 0)
+@example(3, 5, True, 0)
+def test_contraction_coefficient_matches_quadruple_minimum(rows, cols, rank_one, seed):
+    # fiber blocks are rectangular whenever fiber sizes differ
+    rng = np.random.default_rng(seed)
+    if rank_one:
+        mat = np.outer(np.exp(rng.uniform(-5, 5, rows)), np.exp(rng.uniform(-5, 5, cols)))
+    else:
+        mat = np.exp(rng.uniform(-5, 5, size=(rows, cols)))
+    coeff = gf.contraction_coefficient(mat)
+    assert coeff.phi == pytest.approx(brute_force_phi(mat), rel=1e-12)
+    # near phi = 1 (rank one) tau = (1 - sqrt(phi)) / (1 + sqrt(phi)) keeps
+    # only the absolute accuracy of phi, so it gets an absolute floor too
+    assert coeff.tau == pytest.approx(brute_force_tau(mat), rel=1e-12, abs=1e-14)
+    assert 0.0 <= coeff.tau < 1.0
+    assert coeff.phi <= 1.0
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.array([[1.0, np.nan], [1.0, 1.0]]),
+        np.array([[1.0, np.inf], [1.0, 1.0]]),
+    ],
+)
+def test_contraction_coefficient_refuses_empty_and_nonfinite(mat):
+    with pytest.raises(gf.ModelError):
+        gf.contraction_coefficient(mat)
+
+
+@pytest.mark.parametrize("mat", [[[2.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+def test_contraction_coefficient_returns_python_floats(mat):
+    coeff = gf.contraction_coefficient(np.array(mat))
+    assert type(coeff.tau) is float
+    assert type(coeff.phi) is float
+
+
+def test_contraction_coefficient_memory_is_cubic():
+    # no temporary may hold more than r*r*c entries; the quadruple array of
+    # (r*c)**2 entries would be 40 times larger here
+    rows, cols = 48, 40
+    mat = np.random.default_rng(3).uniform(0.5, 2.0, size=(rows, cols))
+    tracemalloc.start()
+    try:
+        gf.contraction_coefficient(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * rows * rows * cols
 
 
 def _segment_ratio(mat, j, ell, u, du, eps=1e-12):

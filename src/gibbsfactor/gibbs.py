@@ -18,10 +18,9 @@ from typing import Optional
 
 from .potential import (
     PointSpec,
-    PotentialEvaluation,
     UniformConstants,
     canonical_extension,
-    evaluate,
+    evaluate_many,
     markov_approx,
 )
 from .projection import FactorSystem, log_nu_cylinder
@@ -78,21 +77,27 @@ def bgi_sweep(
     constants: Optional[UniformConstants] = None,
     target_error: float = 1e-10,
 ) -> BgiReport:
-    """Gibbs-ratio table over all cylinders of depth 0 .. n_max."""
+    """Gibbs-ratio table over all cylinders of depth 0 .. n_max; the points
+    of all depths are evaluated in one batch (evaluate_many)."""
     horizon = max(PROXY_HORIZON_MIN, 2 * (n_max + 2))
-    cache: dict[tuple, PotentialEvaluation] = {}
+    levels = []
+    for n in range(n_max + 1):
+        level = []
+        for word in enumerate_words(fs.factor_tmc, n + 1):
+            ext = canonical_extension(fs, word.symbols)
+            level.append((word, [ext.shifted(fs, j) for j in range(n + 1)]))
+        levels.append(level)
+    unique = {p.key(): p for level in levels for _, pts in level for p in pts}
+    cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), target_error, constants)))
     proxy_cache: dict[tuple, float] = {}
     proxy_points = 0
     notes: list[str] = []
 
     def psi(point: PointSpec) -> tuple[float, float, bool]:
-        """(value, radius, proxied) at the point, memoized."""
+        """(value, radius, proxied) at the point."""
         nonlocal proxy_points
         k = point.key()
-        ev = cache.get(k)
-        if ev is None:
-            ev = evaluate(fs, point, target_error=target_error, constants=constants)
-            cache[k] = ev
+        ev = cache[k]
         if ev.mode == "diverged":
             if k not in proxy_cache:
                 proxy_cache[k] = _proxy_value(fs, point, horizon)
@@ -102,18 +107,17 @@ def bgi_sweep(
 
     rows = []
     any_proxy_note = False
-    for n in range(n_max + 1):
+    for n, level in enumerate(levels):
         log_r_min = math.inf
         log_r_max = -math.inf
         count = 0
         max_radius = 0.0
         level_proxied = False
-        for word in enumerate_words(fs.factor_tmc, n + 1):
+        for word, points in level:
             count += 1
-            ext = canonical_extension(fs, word.symbols)
             total = 0.0
-            for j in range(n + 1):
-                value, radius, proxied = psi(ext.shifted(fs, j))
+            for point in points:
+                value, radius, proxied = psi(point)
                 total += value
                 level_proxied = level_proxied or proxied
                 if not proxied:

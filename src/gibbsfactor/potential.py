@@ -24,7 +24,7 @@ from .errors import (
     EvaluationRefused,
     ModelError,
 )
-from .projection import FactorSystem, _as_factor_symbols, backward_transfer
+from .projection import FactorSystem, _as_factor_symbols, backward_step, backward_transfer
 from .projective import (
     MIN_COORDINATE,
     SimplexPoint,
@@ -77,6 +77,13 @@ class PointSpec:
         self.period = period
 
     @classmethod
+    def _canonical(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
+        """A point from parts already admissible and in canonical form."""
+        point = object.__new__(cls)
+        point.preperiod, point.period = preperiod, period
+        return point
+
+    @classmethod
     def from_labels(cls, fs: FactorSystem, preperiod: Sequence[str], period: Sequence[str]) -> "PointSpec":
         alph = fs.projection.target
         return cls(
@@ -95,7 +102,8 @@ class PointSpec:
         return tuple(self.symbol_at(i) for i in range(n))
 
     def shifted(self, fs: FactorSystem, j: int = 1) -> "PointSpec":
-        """The point with the first j symbols dropped."""
+        """The point with the first j symbols dropped; a shift keeps a point
+        admissible and canonical, so the result is not validated again."""
         if j < 0:
             raise AdmissibilityError("shift must be nonnegative")
         pre = self.preperiod
@@ -106,7 +114,7 @@ class PointSpec:
         if j:
             r = j % len(per)
             per = per[r:] + per[:r]
-        return PointSpec(fs, pre, per)
+        return PointSpec._canonical(pre, per)
 
     def key(self) -> tuple:
         return (self.preperiod, self.period)
@@ -338,6 +346,24 @@ def _cluster_values(values: Sequence[float], gap: float = 1e-6, spread: float = 
     return [math.fsum(c) / len(c) for c in clusters]
 
 
+def _certified_depth(c: UniformConstants, t0: int, target_error: float, n_max: int = 500000) -> int:
+    """Depth n at which the certified radius (d_const c1 / (1-tau)) theta^n of
+    a point with a preperiod of t0 symbols falls below target_error."""
+    # below this depth the closed-form radius need not dominate the
+    # window-counting bound W tau^(n/W - 2) d / (1 - tau); stay above it
+    n = max(2, t0 + 2, c.gap + 2)
+    if c.window * c.tau > 1.0:
+        n = max(n, math.ceil(2.0 * c.window * math.log(c.window * c.tau) / math.log(1.0 / c.tau)))
+    if c.eq_radius_constant > target_error:
+        n = max(n, math.ceil(math.log(target_error / c.eq_radius_constant) / math.log(c.theta)))
+    return min(n, n_max)
+
+
+def _certified(c: UniformConstants, n: int, value: float) -> PotentialEvaluation:
+    radius = c.eq_radius_constant * c.theta**n
+    return PotentialEvaluation(value, radius, terms_used=n, mode="certified", certified=True)
+
+
 def evaluate(
     fs: FactorSystem,
     point: PointSpec,
@@ -362,37 +388,8 @@ def evaluate(
     q = len(point.period)
 
     if constants is not None:
-        prefactor = constants.eq_radius_constant
-        # below this depth the closed-form radius need not dominate the
-        # window-counting bound W tau^(n/W - 2) d / (1 - tau); stay above it
-        floor = constants.gap + 2
-        if constants.window * constants.tau > 1.0:
-            floor = max(
-                floor,
-                math.ceil(
-                    2.0
-                    * constants.window
-                    * math.log(constants.window * constants.tau)
-                    / math.log(1.0 / constants.tau)
-                ),
-            )
-        n = max(2, t0 + 2, floor)
-        if prefactor > target_error:
-            n = max(
-                n,
-                math.ceil(
-                    math.log(target_error / prefactor) / math.log(constants.theta)
-                ),
-            )
-        n = min(n, n_max)
-        value = _psi_backward(fs, point, n)
-        return PotentialEvaluation(
-            value=value,
-            error_radius=prefactor * constants.theta**n,
-            terms_used=n,
-            mode="certified",
-            certified=True,
-        )
+        n = _certified_depth(constants, t0, target_error, n_max)
+        return _certified(constants, n, _psi_backward(fs, point, n))
 
     # adaptive: look for a tail phase whose whole-period window becomes
     # strictly positive after pattern-primitivity many repetitions
@@ -490,6 +487,51 @@ def evaluate(
     )
 
 
+def evaluate_many(
+    fs: FactorSystem,
+    points: Sequence[PointSpec],
+    target_error: float = DEFAULT_TARGET_ERROR,
+    constants: Optional[UniformConstants] = None,
+) -> list[PotentialEvaluation]:
+    """[evaluate(fs, p, target_error, constants) for p in points], bit for bit.
+
+    With constants, the points of one certified depth step backward in
+    lockstep, one backward_step per level instead of one matrix-vector
+    product per point and level; without, each point goes through evaluate.
+    """
+    if constants is None:
+        return [evaluate(fs, p, target_error=target_error) for p in points]
+    if target_error <= 0:
+        raise ModelError("target error must be positive")
+    groups: dict[int, list[int]] = {}
+    for i, point in enumerate(points):
+        _check_point_rows(fs, point)
+        groups.setdefault(_certified_depth(constants, len(point.preperiod), target_error), []).append(i)
+    out: list = [None] * len(points)
+    for n, members in groups.items():
+        for i, scale in zip(members, _lockstep_scales(fs, [points[i] for i in members], n)):
+            out[i] = _certified(constants, n, float(np.log(scale)))
+    return out
+
+
+def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], n: int) -> np.ndarray:
+    """backward_transfer(fs, p.symbols(n + 1))[1] for every point, all points
+    stepped back together; column(k) holds every point's symbol k."""
+    t0 = np.array([len(p.preperiod) for p in points])
+    q = np.array([len(p.period) for p in points])
+    table = np.zeros((len(points), int((t0 + q).max())), dtype=np.intp)
+    for i, p in enumerate(points):
+        table[i, : t0[i] + q[i]] = p.preperiod + p.period
+    every = np.arange(len(points))
+    column = lambda k: table[every, np.where(k < t0, k, t0 + (k - t0) % q)]
+    ids = [np.flatnonzero(column(n) == b) for b in range(fs.target_size)]
+    rows = [np.repeat(fs.fiber_marginal[b][None], len(i), axis=0) for b, i in enumerate(ids)]
+    for k in range(n - 1, -1, -1):
+        rows = [r / r.sum(axis=1, keepdims=True) for r in rows]
+        rows, ids = backward_step(fs, rows, ids, column(k))
+    return np.concatenate([r.sum(axis=1) for r in rows])[np.argsort(np.concatenate(ids))]
+
+
 def factorization_sequence(prefix, factor_size: int) -> tuple[tuple[int, int], ...]:
     """Repeated-symbol pairs (m_k, l_k) from consecutive windows of length
     factor_size + 1.
@@ -532,17 +574,14 @@ def factorization_sequence(prefix, factor_size: int) -> tuple[tuple[int, int], .
 def _d_const(fs: FactorSystem, gap: int) -> float:
     """Worst delta(mu_hat(b0), x) over the backward images x of all words
     b0..bn of length 2..gap, level by level over suffixes: rows[b] stacks the
-    images of the current length's words that start with b, and the next
-    level applies W_{b0 b1} to rows[b1] as (W[None] @ V[:, :, None]), which
-    repeats backward_transfer's W @ v bit for bit."""
+    images of the current length's words that start with b, and backward_step
+    takes the next level from all of them."""
     rows = [fs.marginal_hat(b).coords[None, :] for b in range(fs.target_size)]
     d_const = 0.0
     for _ in range(gap - 1):
-        parts: list[list[np.ndarray]] = [[] for _ in rows]
-        for (b0, b1), w in fs.fiber_weight.items():
-            parts[b0].append((w[None] @ rows[b1][:, :, None])[..., 0])
-        for b0, part in enumerate(parts):
-            rows[b0] = normalize_rows(np.concatenate(part))
+        rows = backward_step(fs, rows)[0]
+        for b0 in range(len(rows)):
+            rows[b0] = normalize_rows(rows[b0])
             if (rows[b0] < MIN_COORDINATE).any():
                 raise ModelError("coordinates below 1e-300; distance would be unreliable")
             ratio = np.log(fs.marginal_hat(b0).coords) - np.log(rows[b0])
@@ -797,24 +836,24 @@ def holder_variation(
     n_max: int,
     target_error: float = 1e-11,
 ) -> HolderReport:
-    """Sample var_n psi over all words of each length up to n_max."""
-    cache: dict[tuple, PotentialEvaluation] = {}
-
-    def psi(point: PointSpec) -> PotentialEvaluation:
-        k = point.key()
-        if k not in cache:
-            cache[k] = evaluate(fs, point, target_error=target_error, constants=constants)
-        return cache[k]
+    """Sample var_n psi over all words of each length up to n_max; the tail
+    completions of all lengths are evaluated in one batch (evaluate_many)."""
+    levels = []
+    for n in range(n_max + 1):
+        completions = (
+            tail_completions(fs, word.symbols, count=2)
+            for word in enumerate_words(fs.factor_tmc, n + 1)
+        )
+        levels.append([pts for pts in completions if len(pts) >= 2])
+    unique = {p.key(): p for pairs in levels for pts in pairs for p in pts}
+    cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), target_error, constants)))
 
     level = []
     max_radius = 0.0
-    for n in range(n_max + 1):
+    for pairs in levels:
         worst = 0.0
-        for word in enumerate_words(fs.factor_tmc, n + 1):
-            pts = tail_completions(fs, word.symbols, count=2)
-            if len(pts) < 2:
-                continue
-            ev = [psi(p) for p in pts]
+        for pts in pairs:
+            ev = [cache[p.key()] for p in pts]
             max_radius = max(max_radius, *(e.error_radius for e in ev))
             worst = max(worst, abs(ev[0].value - ev[1].value))
         level.append(worst)

@@ -6,7 +6,9 @@ Markov measure: cylinder weights are computed by sandwiching products of
 weighted fiber matrices between a row of ones and the marginal vector of the
 last symbol.  backward_transfer evaluates that formula for one word:
 cylinder weights, psi_n and the finite-range approximant read it off that
-kernel; the d constant batches it over all words of one length.  The two
+kernel.  backward_step is the same step on stacks of vectors: the d constant
+takes it over all words of one length, and the Gibbs and Holder sweeps take
+it over all their points in lockstep, one depth level at a time.  The two
 hypotheses checked here (row-allowability of every fiber block, and
 positivity of one-period products over short cycles) are what later certify
 that this induced measure admits a regular potential.
@@ -305,6 +307,28 @@ def backward_transfer(fs: FactorSystem, symbols: Sequence[int]) -> tuple[float, 
             return -math.inf, 0.0, x
         log_mass += math.log(scale)
     return log_mass, scale, x
+
+
+def backward_step(fs: FactorSystem, rows: list, ids: Optional[list] = None, column=None) -> tuple:
+    """One step of backward_transfer on rows[b], the vectors on fiber b.
+
+    Without ids, W_{b0 b1} takes all of rows[b1] (every word steps back to
+    every admissible symbol); with ids[b] the point indices of rows[b], it
+    takes the rows of points i with column[i] == b0, and the ids follow.
+    (W[None] @ V[:, :, None])[..., 0] repeats backward_transfer's W @ v bit
+    for bit.  Returns the new (rows, ids), stacked in fs.fiber_weight order.
+    """
+    parts: list[list[np.ndarray]] = [[] for _ in rows]
+    taken: list[list[np.ndarray]] = [[] for _ in rows]
+    for (b0, b1), w in fs.fiber_weight.items():
+        v = rows[b1]
+        if ids is not None:
+            pick = column[ids[b1]] == b0
+            v = v[pick]
+            taken[b0].append(ids[b1][pick])
+        parts[b0].append((w[None] @ v[:, :, None])[..., 0])
+    rows = [np.concatenate(p) for p in parts]
+    return rows, None if ids is None else [np.concatenate(t) for t in taken]
 
 
 def log_nu_cylinder(fs: FactorSystem, word) -> float:

@@ -104,8 +104,9 @@ def contraction_coefficient(matrix: np.ndarray) -> ContractionCoefficient:
 
     For a strictly positive matrix, Phi is the minimum over quadruples
     (e, f, e', f') of T(e',e) T(f',f) / (T(e',f) T(f',e)), evaluated in log
-    space, and tau = (1 - sqrt(Phi)) / (1 + sqrt(Phi)) < 1.  Any zero entry
-    gives Phi = 0 and tau = 1 (no contraction guarantee).  The log
+    space, and tau = (1 - sqrt(Phi)) / (1 + sqrt(Phi)) = tanh(-log(Phi) / 4)
+    < 1; the tanh form keeps tau's relative accuracy as Phi nears 1.  Any
+    zero entry gives Phi = 0 and tau = 1 (no contraction guarantee).  The log
     cross-ratio is D[e', f', e] - D[e', f', f] with D[e', f', c] =
     log T(e',c) - log T(f',c), so log Phi = min over (e', f') of
     (min_c D - max_c D): r*r*c work and memory for an r x c matrix, not
@@ -122,6 +123,5 @@ def contraction_coefficient(matrix: np.ndarray) -> ContractionCoefficient:
         return ContractionCoefficient(tau=1.0, phi=0.0)
     logs = np.log(matrix)
     diff = logs[:, None, :] - logs[None, :, :]
-    phi = math.exp((diff.min(axis=2) - diff.max(axis=2)).min())
-    root = math.sqrt(phi)
-    return ContractionCoefficient(tau=(1.0 - root) / (1.0 + root), phi=phi)
+    log_phi = float((diff.min(axis=2) - diff.max(axis=2)).min())
+    return ContractionCoefficient(tau=math.tanh(-log_phi / 4.0), phi=math.exp(log_phi))

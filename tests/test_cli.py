@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -206,3 +209,26 @@ def test_cli_output_is_deterministic(model_paths, capsys):
     main(["check", model_paths["adhoc5"]])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_sweeps_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma loads lazily (np.unique, for one, pulls it in) and more than
+    # triples the sweep's traced memory peak; the sweeps must not trigger it
+    import gibbsfactor
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gibbsfactor.__file__)))
+    script = (
+        "import contextlib, io, sys\n"
+        "from gibbsfactor.cli import main\n"
+        "from gibbsfactor.models import dump_document, expand_example\n"
+        "dump_document(expand_example('fullshift4'), sys.argv[1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main([cmd, sys.argv[1], '--n-max', '3']) for cmd in ('gibbs', 'holder')]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "fullshift4.json")],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.strip() == "[0, 0] False"

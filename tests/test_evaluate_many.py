@@ -1,0 +1,141 @@
+"""The lockstep batch evaluate_many against one evaluate call per point, and
+the unvalidated PointSpec.shifted against the validating constructor."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import gibbsfactor as gf
+from gibbsfactor import gibbs, potential
+from gibbsfactor.potential import PointSpec, _certified_depth, evaluate, evaluate_many
+
+from test_golden_cli import wide12_document
+from test_potential import random_certified_system
+
+TARGET = 1e-10
+
+
+def random_point(fs, rng, pre_len, per_max=4):
+    """Seeded admissible point: a random walk of pre_len + period symbols
+    whose period part closes up cyclically."""
+    tmc = fs.factor_tmc
+    while True:
+        q = int(rng.integers(1, per_max + 1))
+        walk = [int(rng.integers(fs.target_size))]
+        while len(walk) < pre_len + q:
+            walk.append(int(rng.choice(tmc.successors(walk[-1]))))
+        if tmc.allows(walk[-1], walk[pre_len]):
+            return PointSpec(fs, walk[:pre_len], walk[pre_len:])
+
+
+@pytest.fixture(scope="module", params=["adhoc5", "fullshift4", "wide12", "rand13", "rand123"])
+def certified_system(request):
+    name = request.param
+    if name == "wide12":
+        fs = gf.parse_model(wide12_document())
+        return fs, gf.uniform_constants(fs)
+    if name == "rand13":
+        return random_certified_system(1, (1, 3))
+    if name == "rand123":
+        return random_certified_system(4, (1, 2, 3))
+    fs = gf.example_system(name)
+    return fs, gf.uniform_constants(fs)
+
+
+def per_point(fs, points, target_error=TARGET, constants=None):
+    return [evaluate(fs, p, target_error=target_error, constants=constants) for p in points]
+
+
+def test_batch_equals_evaluate_on_periodic_points(certified_system):
+    fs, c = certified_system
+    rng = np.random.default_rng(21)
+    points = [random_point(fs, rng, 0) for _ in range(24)]
+    assert all(not p.preperiod for p in points)
+    assert evaluate_many(fs, points, TARGET, c) == per_point(fs, points, TARGET, c)
+
+
+def test_batch_equals_evaluate_on_preperiodic_points(certified_system):
+    fs, c = certified_system
+    rng = np.random.default_rng(22)
+    points = [random_point(fs, rng, int(rng.integers(1, 6))) for _ in range(24)]
+    assert any(p.preperiod for p in points)
+    assert evaluate_many(fs, points, TARGET, c) == per_point(fs, points, TARGET, c)
+
+
+def test_batch_equals_evaluate_across_depths(certified_system):
+    # preperiods longer than the certified depth (itself >= gap + 2) push
+    # their points to depth len(preperiod) + 2, so the batch holds several
+    # depth groups, interleaved with ordinary points and repeats
+    fs, c = certified_system
+    rng = np.random.default_rng(23)
+    depth = _certified_depth(c, 0, TARGET)
+    assert depth >= c.gap + 2
+    points = []
+    for pre_len in (0, depth + 3, 2, depth + 17, 0, depth + 3):
+        points.append(random_point(fs, rng, pre_len))
+    points.append(points[1])
+    depths = {ev.terms_used for ev in evaluate_many(fs, points, TARGET, c)}
+    assert len(depths) >= 3
+    assert evaluate_many(fs, points, TARGET, c) == per_point(fs, points, TARGET, c)
+
+
+def test_batch_without_constants_loops_over_evaluate(nongibbs6):
+    points = [PointSpec(nongibbs6, (), (0,)), PointSpec(nongibbs6, (1,), (0,)),
+              PointSpec(nongibbs6, (), (0, 1))]
+    evs = evaluate_many(nongibbs6, points, TARGET)
+    assert evs == per_point(nongibbs6, points, TARGET)
+    assert {ev.mode for ev in evs} >= {"diverged"}
+
+
+def test_batch_refuses_bad_target(adhoc5, adhoc5_constants):
+    with pytest.raises(gf.ModelError):
+        evaluate_many(adhoc5, [PointSpec(adhoc5, (), (0, 1))], 0.0, adhoc5_constants)
+
+
+def test_single_point_does_not_use_the_batch(adhoc5, adhoc5_constants, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("single points go through backward_transfer")
+
+    monkeypatch.setattr(potential, "backward_step", refuse)
+    ev = evaluate(adhoc5, PointSpec(adhoc5, (), (0, 1)), constants=adhoc5_constants)
+    assert ev.mode == "certified"
+
+
+def _with_per_point_loop(monkeypatch, run):
+    batched = run()
+    monkeypatch.setattr(gibbs, "evaluate_many", per_point)
+    monkeypatch.setattr(potential, "evaluate_many", per_point)
+    # repr compares floats bit for bit and treats the nan of uncertified rows as equal
+    return repr(batched), repr(run())
+
+
+@pytest.mark.parametrize("name, n_max", [("adhoc5", 5), ("fullshift4", 5)])
+def test_sweeps_equal_per_point_loop(name, n_max, monkeypatch):
+    fs = gf.example_system(name)
+    c = gf.uniform_constants(fs)
+    batched, looped = _with_per_point_loop(
+        monkeypatch,
+        lambda: (gf.bgi_sweep(fs, n_max, constants=c), gf.holder_variation(fs, c, n_max)),
+    )
+    assert batched == looped
+
+
+def test_bgi_sweep_without_constants_equals_per_point_loop(nongibbs6, monkeypatch):
+    batched, looped = _with_per_point_loop(monkeypatch, lambda: gf.bgi_sweep(nongibbs6, 4))
+    assert batched == looped
+    assert "uncertified" in batched
+
+
+@pytest.mark.parametrize("name", ["adhoc5", "fullshift4"])
+def test_shifted_equals_validated_point(name):
+    fs = gf.example_system(name)
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        p = random_point(fs, rng, int(rng.integers(0, 5)))
+        t0, q = len(p.preperiod), len(p.period)
+        for j in range(t0 + 2 * q):
+            # the same sequence: t0 symbols, then the period from position j + t0
+            pre = tuple(p.symbol_at(i) for i in range(j, j + t0))
+            per = tuple(p.symbol_at(i) for i in range(j + t0, j + t0 + q))
+            assert p.shifted(fs, j) == PointSpec(fs, pre, per)

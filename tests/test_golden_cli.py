@@ -56,8 +56,10 @@ CASES = {
     "periodic-adhoc5": ["periodic", "{adhoc5}", "--max-period", "4"],
     "periodic-nongibbs6": ["periodic", "{nongibbs6}", "--max-period", "4"],
     "holder-fullshift4": ["holder", "{fullshift4}", "--n-max", "6"],
+    "holder-adhoc5": ["holder", "{adhoc5}", "--n-max", "5"],
     "gibbs-adhoc5-invariance": ["gibbs", "{adhoc5}", "--n-max", "5", "--invariance"],
     "gibbs-nongibbs6": ["gibbs", "{nongibbs6}", "--n-max", "5"],
+    "gibbs-fullshift4": ["gibbs", "{fullshift4}", "--n-max", "6"],
     "obstruction-fullshift4": ["obstruction", "{fullshift4}"],
     "check-wide12": ["check", "{wide12}"],
     "periodic-wide12": ["periodic", "{wide12}", "--max-period", "3"],

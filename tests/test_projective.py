@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import tracemalloc
@@ -150,6 +151,30 @@ def test_contraction_coefficient_matches_quadruple_minimum(rows, cols, rank_one,
     assert coeff.tau == pytest.approx(brute_force_tau(mat), rel=1e-12, abs=1e-14)
     assert 0.0 <= coeff.tau < 1.0
     assert coeff.phi <= 1.0
+
+
+def test_contraction_coefficient_tau_accurate_near_rank_one():
+    # tau = (1 - sqrt(Phi)) / (1 + sqrt(Phi)) evaluated at 50 digits from the
+    # same float log Phi the function takes; the float form of that quotient
+    # cancels as Phi -> 1 and misses by about 1e-16 absolute
+    rng = np.random.default_rng(5)
+    taus = []
+    for eps in np.geomspace(1e-10, 0.5, 60):
+        rows, cols = (int(k) for k in rng.integers(2, 6, size=2))
+        mat = np.outer(np.exp(rng.uniform(-3, 3, rows)), np.exp(rng.uniform(-3, 3, cols)))
+        mat *= np.exp(eps * rng.uniform(-1.0, 1.0, size=(rows, cols)))
+        logs = np.log(mat)
+        diff = logs[:, None, :] - logs[None, :, :]
+        log_phi = float((diff.min(axis=2) - diff.max(axis=2)).min())
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            root = decimal.Decimal(log_phi).exp().sqrt()
+            exact = float((1 - root) / (1 + root))
+        coeff = gf.contraction_coefficient(mat)
+        assert abs(coeff.tau - exact) <= 4 * 2.0**-52 * exact
+        assert coeff.phi == math.exp(log_phi)
+        taus.append(coeff.tau)
+    assert min(taus) < 1e-9 and max(taus) > 0.1
 
 
 @pytest.mark.parametrize(

@@ -22,10 +22,11 @@ from .gibbs import bgi_sweep, invariance_suite
 from .potential import (
     PointSpec,
     UniformConstants,
+    eigendata_potential,
     evaluate,
+    evaluate_many,
     finite_range_obstruction,
     holder_variation,
-    periodic_potential,
     uniform_constants,
 )
 from .projection import (
@@ -158,19 +159,34 @@ def cmd_potential(args) -> int:
 
 def cmd_periodic(args) -> int:
     fs = models.load_model(args.model)
-    points = enumerate_periodic(fs.factor_tmc, args.max_period)
+    periodic = enumerate_periodic(fs.factor_tmc, args.max_period)
+    points = [PointSpec(fs, (), pp.symbols) for pp in periodic]
     if not points:
         print(f"no periodic points with period <= {args.max_period}")
         return 0
-    any_diverged = False
-    for pp in points:
-        point = PointSpec(fs, (), pp.symbols)
+    results = []
+    for point in points:
         try:
-            ev, pd = periodic_potential(fs, point, target_error=args.tol)
+            results.append(eigendata_potential(fs, point))
         except EvaluationRefused as exc:
-            print(f"{_point_str(fs, point)}: refused ({exc})")
+            results.append(exc)
+    # points whose one-period product is not primitive are evaluated
+    # iteratively, all in one batch taken at the first of them, so an error
+    # there (a bad --tol) follows the lines printed before it
+    fallback = [point for point, result in zip(points, results) if result is None]
+    iterative = None
+    any_diverged = False
+    for point, result in zip(points, results):
+        if isinstance(result, EvaluationRefused):
+            print(f"{_point_str(fs, point)}: refused ({result})")
             any_diverged = True
             continue
+        if result is None:
+            if iterative is None:
+                iterative = iter(evaluate_many(fs, fallback, target_error=args.tol))
+            ev, pd = next(iterative), None
+        else:
+            ev, pd = result
         name = _point_str(fs, point)
         if ev.mode == "diverged":
             any_diverged = True

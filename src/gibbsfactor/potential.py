@@ -13,8 +13,8 @@ step assumes otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,13 +24,18 @@ from .errors import (
     EvaluationRefused,
     ModelError,
 )
-from .projection import FactorSystem, _as_factor_symbols, backward_step, backward_transfer
+from .projection import (
+    FactorSystem,
+    _as_factor_symbols,
+    backward_step,
+    backward_transfer,
+    forward_step,
+)
 from .projective import (
     MIN_COORDINATE,
     SimplexPoint,
     apply_normalized,
     contraction_coefficient,
-    is_row_allowable,
     normalize_rows,
     projective_distance,
 )
@@ -271,12 +276,11 @@ def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
     """Refuse evaluation when a step matrix along the point has a zero row."""
     distinct = len(point.preperiod) + len(point.period)
     for i in range(distinct):
-        w = fs.weight(point.symbol_at(i), point.symbol_at(i + 1))
-        ok, row = is_row_allowable(w)
-        if not ok:
+        step = (point.symbol_at(i), point.symbol_at(i + 1))
+        if step in fs.zero_row_blocks:
             labels = fs.projection.target.labels
             raise EvaluationRefused(
-                f"step {labels[point.symbol_at(i)]}->{labels[point.symbol_at(i + 1)]} "
+                f"step {labels[step[0]]}->{labels[step[1]]} "
                 f"at position {i} has an all-zero fiber row; potential undefined "
                 "along this point",
                 window=(i, i + 1),
@@ -364,77 +368,76 @@ def _certified(c: UniformConstants, n: int, value: float) -> PotentialEvaluation
     return PotentialEvaluation(value, radius, terms_used=n, mode="certified", certified=True)
 
 
-def evaluate(
-    fs: FactorSystem,
-    point: PointSpec,
-    target_error: float = DEFAULT_TARGET_ERROR,
-    constants: Optional[UniformConstants] = None,
-    n_max: int = 500000,
-) -> PotentialEvaluation:
-    """Potential at an eventually periodic point.
+class _Route(NamedTuple):
+    """How a point is evaluated without uniform constants.  On the window
+    route (window=True) the value is psi_depth, with the given radius and
+    note; on the scan route depth is the length of the scanned sequence
+    psi_1 .. psi_depth."""
 
-    With uniform constants the depth is chosen so the certified radius
-    (d_const c1 / (1-tau)) theta^n falls below target_error.  Without them
-    the point's own tail is used: a strictly positive window spanning whole
-    periods gives an a-posteriori contraction bound; when no such window
-    exists the value sequence is examined for stabilizing subsequences and
-    either reported uncertified or declared divergent with its cluster
-    values.
+    window: bool
+    depth: int
+    radius: float = math.inf
+    note: str = ""
+
+
+def _adaptive_route(fs: FactorSystem, point: PointSpec, target_error: float, n_max: int = 500000) -> _Route:
+    """Refuse the point (zero fiber rows along it) or plan its evaluation
+    from its own tail.
+
+    A tail phase whose whole-period window becomes strictly positive after
+    pattern-primitivity many repetitions gives the window route: its
+    contraction tau_q and the distance a* of the fiber marginal from its
+    image bound the radius after k more windows by tau_q^k a* / (1 - tau_q),
+    and the depth is the first such k with radius <= target_error.  Without
+    one the value sequence is scanned instead.
     """
-    if target_error <= 0:
-        raise ModelError("target error must be positive")
     _check_point_rows(fs, point)
     t0 = len(point.preperiod)
     q = len(point.period)
-
-    if constants is not None:
-        n = _certified_depth(constants, t0, target_error, n_max)
-        return _certified(constants, n, _psi_backward(fs, point, n))
-
-    # adaptive: look for a tail phase whose whole-period window becomes
-    # strictly positive after pattern-primitivity many repetitions
     base = max(1, t0)
-    anchor = None
     for r in range(q):
-        one_period = _window_product(fs, point, base + r, q)
-        prim = pattern_primitivity(one_period)
+        prim = pattern_primitivity(_window_product(fs, point, base + r, q))
         if prim.primitive:
-            anchor = (base + r, prim.exponent)
             break
+    else:
+        return _Route(window=False, depth=min(max(150, t0 + 30 * q, 12 * q), n_max))
+    a0 = base + r
+    big_q = prim.exponent * q
+    window = _window_product(fs, point, a0, big_q)
+    tau_q = contraction_coefficient(window).tau
+    fiber = point.symbol_at(a0)
+    mu_hat = fs.marginal_hat(fiber)
+    a_star = projective_distance(mu_hat, apply_normalized(window, mu_hat, out_fiber=fiber))
+    k = 0
+    radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
+    while radius > target_error and (a0 + (k + 1) * big_q) <= n_max:
+        k += 1
+        radius = tau_q**k * a_star / (1.0 - tau_q)
+    return _Route(
+        window=True,
+        depth=max(2, a0 + k * big_q),
+        radius=max(radius, FLOAT_NOISE_FLOOR),
+        note=f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})",
+    )
 
-    if anchor is not None:
-        a0, m0 = anchor
-        big_q = m0 * q
-        window = _window_product(fs, point, a0, big_q)
-        tau_q = contraction_coefficient(window).tau
-        fiber = point.symbol_at(a0)
-        mu_hat = fs.marginal_hat(fiber)
-        image = apply_normalized(window, mu_hat, out_fiber=fiber)
-        a_star = projective_distance(mu_hat, image)
-        # radius after k whole windows past the anchor: tau_q^k a*/(1-tau_q)
-        k = 0
-        radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
-        while radius > target_error and (a0 + (k + 1) * big_q) <= n_max:
-            k += 1
-            radius = tau_q**k * a_star / (1.0 - tau_q)
-        n = max(2, a0 + k * big_q)
-        value = _psi_backward(fs, point, n)
+
+def _adaptive_result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
+    """The evaluation a route yields: on the window route values is psi_depth;
+    on the scan route it is the sequence psi_1 .. psi_depth, which is either
+    reported uncertified or declared divergent with its cluster values when
+    its subsequences mod a multiple of the period stabilize apart."""
+    if route.window:
         return PotentialEvaluation(
-            value=value,
-            error_radius=max(radius, FLOAT_NOISE_FLOOR),
-            terms_used=n,
+            value=values,
+            error_radius=route.radius,
+            terms_used=route.depth,
             mode="adaptive",
             certified=False,
-            notes=(
-                f"tail window of {big_q} steps is strictly positive "
-                f"(contraction {tau_q:.6g})",
-            ),
+            notes=(route.note,),
         )
-
-    # no positive tail window: inspect the value sequence itself
-    n_scan = max(150, t0 + 30 * q, 12 * q)
-    n_scan = min(n_scan, n_max)
-    values = _psi_sequence(fs, point, n_scan)
+    t0 = len(point.preperiod)
+    q = len(point.period)
+    n_scan = route.depth
     samples = 5
     for m in [q * k for k in range(1, 7)]:
         if m * samples * 2 > n_scan - t0:
@@ -487,6 +490,34 @@ def evaluate(
     )
 
 
+def evaluate(
+    fs: FactorSystem,
+    point: PointSpec,
+    target_error: float = DEFAULT_TARGET_ERROR,
+    constants: Optional[UniformConstants] = None,
+    n_max: int = 500000,
+) -> PotentialEvaluation:
+    """Potential at an eventually periodic point.
+
+    With uniform constants the depth is chosen so the certified radius
+    (d_const c1 / (1-tau)) theta^n falls below target_error.  Without them
+    the point's own tail is used: a strictly positive window spanning whole
+    periods gives an a-posteriori contraction bound; when no such window
+    exists the value sequence is examined for stabilizing subsequences and
+    either reported uncertified or declared divergent with its cluster
+    values.
+    """
+    if target_error <= 0:
+        raise ModelError("target error must be positive")
+    if constants is not None:
+        _check_point_rows(fs, point)
+        n = _certified_depth(constants, len(point.preperiod), target_error, n_max)
+        return _certified(constants, n, _psi_backward(fs, point, n))
+    route = _adaptive_route(fs, point, target_error, n_max)
+    kernel = _psi_backward if route.window else _psi_sequence
+    return _adaptive_result(point, route, kernel(fs, point, route.depth))
+
+
 def evaluate_many(
     fs: FactorSystem,
     points: Sequence[PointSpec],
@@ -495,41 +526,108 @@ def evaluate_many(
 ) -> list[PotentialEvaluation]:
     """[evaluate(fs, p, target_error, constants) for p in points], bit for bit.
 
-    With constants, the points of one certified depth step backward in
-    lockstep, one backward_step per level instead of one matrix-vector
-    product per point and level; without, each point goes through evaluate.
+    Every point is checked and routed first, in order, so a refusal is the
+    first refused point's.  The values are then taken in lockstep, one
+    stacked step per level for all points instead of one matrix-vector
+    product per point and level: psi_n of the certified and window-route
+    points in one staggered backward pass, the value sequences of the
+    scan-route points in one forward pass.
     """
-    if constants is None:
-        return [evaluate(fs, p, target_error=target_error) for p in points]
     if target_error <= 0:
         raise ModelError("target error must be positive")
-    groups: dict[int, list[int]] = {}
-    for i, point in enumerate(points):
-        _check_point_rows(fs, point)
-        groups.setdefault(_certified_depth(constants, len(point.preperiod), target_error), []).append(i)
-    out: list = [None] * len(points)
-    for n, members in groups.items():
-        for i, scale in zip(members, _lockstep_scales(fs, [points[i] for i in members], n)):
-            out[i] = _certified(constants, n, float(np.log(scale)))
-    return out
+    if constants is not None:
+        depths = []
+        for point in points:
+            _check_point_rows(fs, point)
+            depths.append(_certified_depth(constants, len(point.preperiod), target_error))
+        scales = _lockstep_scales(fs, points, depths)
+        return [_certified(constants, n, float(np.log(x))) for n, x in zip(depths, scales)]
+    routes = [_adaptive_route(fs, p, target_error) for p in points]
+    window = [i for i, r in enumerate(routes) if r.window]
+    scan = [i for i, r in enumerate(routes) if not r.window]
+    values: list = [None] * len(points)
+    scales = _lockstep_scales(fs, [points[i] for i in window], [routes[i].depth for i in window])
+    for i, x in zip(window, scales):
+        values[i] = float(np.log(x))
+    sequences = _lockstep_sequences(fs, [points[i] for i in scan], [routes[i].depth for i in scan])
+    for i, seq in zip(scan, sequences):
+        values[i] = seq
+    return [_adaptive_result(p, r, v) for p, r, v in zip(points, routes, values)]
 
 
-def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], n: int) -> np.ndarray:
-    """backward_transfer(fs, p.symbols(n + 1))[1] for every point, all points
-    stepped back together; column(k) holds every point's symbol k."""
+def _symbol_column(points: Sequence[PointSpec]):
+    """column(k) holds every point's symbol k, read from a padded
+    (points x (preperiod + period)) table."""
     t0 = np.array([len(p.preperiod) for p in points])
     q = np.array([len(p.period) for p in points])
     table = np.zeros((len(points), int((t0 + q).max())), dtype=np.intp)
     for i, p in enumerate(points):
         table[i, : t0[i] + q[i]] = p.preperiod + p.period
     every = np.arange(len(points))
-    column = lambda k: table[every, np.where(k < t0, k, t0 + (k - t0) % q)]
-    ids = [np.flatnonzero(column(n) == b) for b in range(fs.target_size)]
-    rows = [np.repeat(fs.fiber_marginal[b][None], len(i), axis=0) for b, i in enumerate(ids)]
-    for k in range(n - 1, -1, -1):
+    return lambda k: table[every, np.where(k < t0, k, t0 + (k - t0) % q)]
+
+
+def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequence[int]) -> np.ndarray:
+    """backward_transfer(fs, p.symbols(n + 1))[1] for every point p and its
+    depth n >= 1, in one backward pass over max(depths) levels: a point's
+    marginal row enters at level n - 1, and all rows present step back
+    together."""
+    if not points:
+        return np.empty(0)
+    column = _symbol_column(points)
+    depths = np.asarray(depths)
+    rows = [np.empty((0, len(mu))) for mu in fs.fiber_marginal]
+    ids = [np.empty(0, dtype=np.intp) for _ in rows]
+    for k in range(int(depths.max()) - 1, -1, -1):
+        entering = np.flatnonzero(depths == k + 1)
+        if entering.size:
+            fibers = column(k + 1)[entering]
+            for b, mu in enumerate(fs.fiber_marginal):
+                new = entering[fibers == b]
+                rows[b] = np.concatenate([rows[b], np.repeat(mu[None], len(new), axis=0)])
+                ids[b] = np.concatenate([ids[b], new])
         rows = [r / r.sum(axis=1, keepdims=True) for r in rows]
         rows, ids = backward_step(fs, rows, ids, column(k))
     return np.concatenate([r.sum(axis=1) for r in rows])[np.argsort(np.concatenate(ids))]
+
+
+def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: Sequence[int]) -> list[np.ndarray]:
+    """_psi_sequence(fs, p, n) for every point p and its length n, in one
+    forward pass to max(lengths): the rescaled (u, w) row pairs of all points
+    step forward together and each point's values are cut to its length.
+    Logs are taken with math.log, as _psi_sequence does, so the values agree
+    bit for bit."""
+    if not points:
+        return []
+    column = _symbol_column(points)
+    logs = np.zeros((len(points), 2))  # the accumulated log scales of u and w
+    out = np.empty((len(points), max(lengths)))
+
+    def log_each(a: np.ndarray) -> np.ndarray:
+        return np.array([math.log(x) for x in a.ravel().tolist()]).reshape(a.shape)
+
+    def advance(rows, ids, k):
+        rows, ids = forward_step(fs, rows, ids, column(k))
+        for b, r in enumerate(rows):
+            s = r.sum(axis=2)
+            logs[ids[b], : s.shape[1]] += log_each(s)
+            rows[b] = r / s[..., None]
+        return rows, ids
+
+    # u starts as 1^T W_{b0 b1} rescaled (the first advance carries u alone),
+    # w as 1^T on the fiber of b1
+    ids = [np.flatnonzero(column(0) == b) for b in range(fs.target_size)]
+    rows = [np.ones((len(i), 1, len(mu))) for i, mu in zip(ids, fs.fiber_marginal)]
+    rows, ids = advance(rows, ids, 1)
+    rows = [np.concatenate([r, np.ones_like(r)], axis=1) for r in rows]
+    for n in range(1, out.shape[1] + 1):
+        for b, mu in enumerate(fs.fiber_marginal):
+            dots = (rows[b][:, :, None, :] @ mu[:, None])[:, :, 0, 0]
+            total = logs[ids[b]] + log_each(dots)
+            out[ids[b], n - 1] = total[:, 0] - total[:, 1]
+        if n < out.shape[1]:
+            rows, ids = advance(rows, ids, n + 1)
+    return [out[i, :n] for i, n in enumerate(lengths)]
 
 
 def factorization_sequence(prefix, factor_size: int) -> tuple[tuple[int, int], ...]:
@@ -669,17 +767,14 @@ def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> Uni
     )
 
 
-def periodic_potential(
-    fs: FactorSystem, point: PointSpec, target_error: float = DEFAULT_TARGET_ERROR
-) -> tuple[PotentialEvaluation, Optional[PerronData]]:
+def eigendata_potential(fs: FactorSystem, point: PointSpec) -> Optional[tuple[PotentialEvaluation, PerronData]]:
     """Potential at a purely periodic point through dominant eigendata.
 
     For period p and one-period product T (cyclically, from the point's own
     phase), psi = log rho(T) - log |M_(1:p) d_hat|_1, which reduces to
     log rho for fixed points.  The error radius combines the min/max
     eigenvalue inclusion with an a-posteriori bound on the eigenvector.
-    Refuses when T is not pattern primitive and falls back to the iterative
-    evaluator (which may report divergence).
+    None when T is not pattern primitive.
     """
     if point.preperiod:
         raise AdmissibilityError("the eigendata route needs a purely periodic point")
@@ -688,18 +783,7 @@ def periodic_potential(
     t = _window_product(fs, point, 0, p)
     prim = pattern_primitivity(t)
     if not prim.primitive:
-        fallback = evaluate(fs, point, target_error=target_error)
-        fallback = PotentialEvaluation(
-            value=fallback.value,
-            error_radius=fallback.error_radius,
-            terms_used=fallback.terms_used,
-            mode=fallback.mode,
-            certified=fallback.certified,
-            clusters=fallback.clusters,
-            notes=fallback.notes
-            + ("one-period product is not primitive; eigendata route refused",),
-        )
-        return fallback, None
+        return None
     pd = perron_data(t)
     ratios = (t @ pd.d_hat) / pd.d_hat
     inclusion = math.log(ratios.max() / ratios.min())
@@ -729,6 +813,20 @@ def periodic_potential(
         ),
         pd,
     )
+
+
+def periodic_potential(
+    fs: FactorSystem, point: PointSpec, target_error: float = DEFAULT_TARGET_ERROR
+) -> tuple[PotentialEvaluation, Optional[PerronData]]:
+    """eigendata_potential at a purely periodic point; where the one-period
+    product is not pattern primitive, the iterative evaluator (which may
+    report divergence), noted as such, and no eigendata."""
+    route = eigendata_potential(fs, point)
+    if route is not None:
+        return route
+    fallback = evaluate(fs, point, target_error=target_error)
+    note = "one-period product is not primitive; eigendata route refused"
+    return replace(fallback, notes=fallback.notes + (note,)), None
 
 
 def _greedy_cycle_walk(fs: FactorSystem, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -7,8 +7,10 @@ weighted fiber matrices between a row of ones and the marginal vector of the
 last symbol.  backward_transfer evaluates that formula for one word:
 cylinder weights, psi_n and the finite-range approximant read it off that
 kernel.  backward_step is the same step on stacks of vectors: the d constant
-takes it over all words of one length, and the Gibbs and Holder sweeps take
-it over all their points in lockstep, one depth level at a time.  The two
+takes it over all words of one length, and evaluate_many takes it over all
+its points in lockstep, one depth level at a time.  forward_step is its
+mirror image, row vectors times a block, with which evaluate_many scans the
+value sequences of points without a positive tail window.  The two
 hypotheses checked here (row-allowability of every fiber block, and
 positivity of one-period products over short cycles) are what later certify
 that this induced measure admits a regular potential.
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ModelError
 from .markov import MarkovModel, cylinder_measure, derive_potential
-from .projective import SimplexPoint
+from .projective import SimplexPoint, is_row_allowable
 from .tmc import (
     Alphabet,
     PeriodicPoint,
@@ -87,7 +89,9 @@ class FactorSystem:
     fiber(b) x fiber(b'); fiber_weight[(b, b')] is the same block with each
     allowed entry replaced by exp(phi) = mu[a] P(a, a') / mu[a'].  Both exist
     exactly for the pairs allowed by the induced incidence.  fiber_marginal[b]
-    restricts the stationary vector to fiber(b).
+    restricts the stationary vector to fiber(b).  zero_row_blocks holds the
+    pairs whose weight block has an all-zero row: no potential is defined
+    along a point that takes such a step.
     """
 
     def __init__(self, model: MarkovModel, projection: Projection):
@@ -113,6 +117,9 @@ class FactorSystem:
                     )
                     self.fiber_incidence[(b, b2)] = block
                     self.fiber_weight[(b, b2)] = weight
+        self.zero_row_blocks = frozenset(
+            key for key, w in self.fiber_weight.items() if not is_row_allowable(w)[0]
+        )
         self.factor_tmc = Tmc(projection.target, induced)
         self.fiber_marginal = tuple(
             model.stationary[list(projection.fibers[b])] for b in range(nb)
@@ -329,6 +336,21 @@ def backward_step(fs: FactorSystem, rows: list, ids: Optional[list] = None, colu
         parts[b0].append((w[None] @ v[:, :, None])[..., 0])
     rows = [np.concatenate(p) for p in parts]
     return rows, None if ids is None else [np.concatenate(t) for t in taken]
+
+
+def forward_step(fs: FactorSystem, rows: list, ids: list, column) -> tuple:
+    """backward_step mirrored: rows[b] stacks (m, r, len(fiber b)) row vectors
+    of the points ids[b]; those of point i are multiplied by W_{b column[i]}
+    on the right and move to fiber column[i], with their ids.
+    (V[:, :, None, :] @ W)[:, :, 0] repeats the one-point v @ W bit for bit.
+    Returns the new (rows, ids), stacked in fs.fiber_weight order."""
+    parts: list[list[np.ndarray]] = [[] for _ in rows]
+    taken: list[list[np.ndarray]] = [[] for _ in rows]
+    for (b0, b1), w in fs.fiber_weight.items():
+        pick = column[ids[b0]] == b1
+        parts[b1].append((rows[b0][pick][:, :, None, :] @ w)[:, :, 0])
+        taken[b1].append(ids[b0][pick])
+    return [np.concatenate(p) for p in parts], [np.concatenate(t) for t in taken]
 
 
 def log_nu_cylinder(fs: FactorSystem, word) -> float:

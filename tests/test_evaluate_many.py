@@ -1,4 +1,5 @@
-"""The lockstep batch evaluate_many against one evaluate call per point, and
+"""The lockstep batch evaluate_many against one evaluate call per point, its
+staggered backward and forward kernels against the one-point kernels, and
 the unvalidated PointSpec.shifted against the validating constructor."""
 
 from __future__ import annotations
@@ -7,8 +8,19 @@ import numpy as np
 import pytest
 
 import gibbsfactor as gf
-from gibbsfactor import gibbs, potential
-from gibbsfactor.potential import PointSpec, _certified_depth, evaluate, evaluate_many
+from gibbsfactor import cli, gibbs, potential
+from gibbsfactor.models import expand_example
+from gibbsfactor.potential import (
+    PointSpec,
+    _adaptive_route,
+    _certified_depth,
+    _lockstep_scales,
+    _lockstep_sequences,
+    _psi_sequence,
+    evaluate,
+    evaluate_many,
+)
+from gibbsfactor.projection import backward_transfer
 
 from test_golden_cli import wide12_document
 from test_potential import random_certified_system
@@ -91,6 +103,106 @@ def test_batch_without_constants_loops_over_evaluate(nongibbs6):
 def test_batch_refuses_bad_target(adhoc5, adhoc5_constants):
     with pytest.raises(gf.ModelError):
         evaluate_many(adhoc5, [PointSpec(adhoc5, (), (0, 1))], 0.0, adhoc5_constants)
+
+
+@pytest.mark.parametrize("with_constants", [True, False])
+def test_empty_batch_refuses_bad_target(adhoc5, adhoc5_constants, with_constants):
+    c = adhoc5_constants if with_constants else None
+    assert evaluate_many(adhoc5, [], TARGET, c) == []
+    with pytest.raises(gf.ModelError):
+        evaluate_many(adhoc5, [], 0.0, c)
+
+
+def sweep_points(fs, n_max):
+    """The distinct points bgi_sweep evaluates up to depth n_max, then the
+    periodic points up to period n_max + 1."""
+    seen = {}
+    for n in range(n_max + 1):
+        for word in gf.enumerate_words(fs.factor_tmc, n + 1):
+            ext = potential.canonical_extension(fs, word.symbols)
+            for j in range(n + 1):
+                p = ext.shifted(fs, j)
+                seen[p.key()] = p
+    for pp in gf.enumerate_periodic(fs.factor_tmc, n_max + 1):
+        p = PointSpec(fs, (), pp.symbols)
+        seen[p.key()] = p
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("gamma", [0.26, 0.28, 0.30, 0.32])
+def test_uncertified_batch_equals_evaluate_on_nongibbs6(gamma):
+    fs = gf.parse_model(expand_example("nongibbs6", gamma=gamma))
+    points = sweep_points(fs, 5)
+    evs = evaluate_many(fs, points, TARGET)
+    assert evs == per_point(fs, points, TARGET)
+    routes = {_adaptive_route(fs, p, TARGET).window for p in points}
+    assert routes == {True, False}
+    diverged = sum(ev.mode == "diverged" for ev in evs)
+    assert diverged >= (2 if gamma == 0.30 else 1)
+
+
+@pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "wide12", "nongibbs6"])
+def test_uncertified_batch_equals_evaluate_on_random_points(name):
+    # preperiodic and purely periodic points, repeats included; on nongibbs6
+    # window-route and scan-route points are mixed in one batch
+    fs = gf.parse_model(wide12_document()) if name == "wide12" else gf.example_system(name)
+    rng = np.random.default_rng(25)
+    points = [random_point(fs, rng, int(rng.integers(0, 6))) for _ in range(30)]
+    points += points[:5]
+    assert any(p.preperiod for p in points) and any(not p.preperiod for p in points)
+    assert evaluate_many(fs, points, TARGET) == per_point(fs, points, TARGET)
+    if name == "nongibbs6":
+        assert {_adaptive_route(fs, p, TARGET).window for p in points} == {True, False}
+
+
+def test_batch_raises_the_first_refusal(converse_false):
+    points = [random_point(converse_false, np.random.default_rng(s), 3) for s in range(12)]
+    refusals = []
+    for p in points:
+        try:
+            evaluate(converse_false, p)
+        except gf.EvaluationRefused as exc:
+            refusals.append(exc)
+    assert len(refusals) >= 2 and len({str(e) for e in refusals}) >= 2
+    with pytest.raises(gf.EvaluationRefused) as info:
+        evaluate_many(converse_false, points, TARGET)
+    assert str(info.value) == str(refusals[0])
+    assert info.value.window == refusals[0].window
+
+
+@pytest.mark.parametrize("name", ["adhoc5", "nongibbs6", "wide12"])
+def test_staggered_scales_equal_backward_transfer(name):
+    fs = gf.parse_model(wide12_document()) if name == "wide12" else gf.example_system(name)
+    rng = np.random.default_rng(26)
+    points = [random_point(fs, rng, int(rng.integers(0, 8))) for _ in range(40)]
+    depths = [int(d) for d in rng.integers(1, 60, size=len(points))]
+    scales = _lockstep_scales(fs, points, depths)
+    expected = [backward_transfer(fs, p.symbols(n + 1))[1] for p, n in zip(points, depths)]
+    assert scales.tolist() == [float(x) for x in expected]
+
+
+@pytest.mark.parametrize("name", ["adhoc5", "nongibbs6", "wide12"])
+def test_forward_lockstep_equals_psi_sequence(name):
+    fs = gf.parse_model(wide12_document()) if name == "wide12" else gf.example_system(name)
+    rng = np.random.default_rng(27)
+    points = [random_point(fs, rng, int(rng.integers(0, 8))) for _ in range(30)]
+    lengths = [int(n) for n in rng.integers(1, 120, size=len(points))]
+    for p, n, seq in zip(points, lengths, _lockstep_sequences(fs, points, lengths)):
+        assert seq.tolist() == _psi_sequence(fs, p, n).tolist()
+
+
+def test_periodic_command_batches_its_fallback_points(tmp_path, monkeypatch):
+    path = tmp_path / "ng6.json"
+    gf.models.dump_document(expand_example("nongibbs6"), str(path))
+    calls = []
+
+    def counted(fs, points, *args, **kwargs):
+        calls.append(len(points))
+        return evaluate_many(fs, points, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_many", counted)
+    assert cli.main(["periodic", str(path), "--max-period", "5"]) == 1
+    assert len(calls) == 1 and calls[0] >= 5
 
 
 def test_single_point_does_not_use_the_batch(adhoc5, adhoc5_constants, monkeypatch):

@@ -55,10 +55,14 @@ CASES = {
     "potential-converse_false": ["potential", "{converse_false}", "--point", "/01"],
     "periodic-adhoc5": ["periodic", "{adhoc5}", "--max-period", "4"],
     "periodic-nongibbs6": ["periodic", "{nongibbs6}", "--max-period", "4"],
+    "periodic-nongibbs6-7": ["periodic", "{nongibbs6}", "--max-period", "7"],
+    "periodic-converse_false": ["periodic", "{converse_false}", "--max-period", "4"],
     "holder-fullshift4": ["holder", "{fullshift4}", "--n-max", "6"],
     "holder-adhoc5": ["holder", "{adhoc5}", "--n-max", "5"],
     "gibbs-adhoc5-invariance": ["gibbs", "{adhoc5}", "--n-max", "5", "--invariance"],
     "gibbs-nongibbs6": ["gibbs", "{nongibbs6}", "--n-max", "5"],
+    "gibbs-nongibbs6-6": ["gibbs", "{nongibbs6}", "--n-max", "6"],
+    "gibbs-converse_false": ["gibbs", "{converse_false}", "--n-max", "3"],
     "gibbs-fullshift4": ["gibbs", "{fullshift4}", "--n-max", "6"],
     "obstruction-fullshift4": ["obstruction", "{fullshift4}"],
     "check-wide12": ["check", "{wide12}"],

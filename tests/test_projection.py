@@ -101,6 +101,15 @@ def test_h1_failures_name_the_offending_rows(converse_false):
     assert report.failures == (("0", "1", "c"), ("1", "0", "d"))
 
 
+def test_zero_row_blocks_are_the_non_row_allowable_blocks(adhoc5, nongibbs6, converse_false):
+    assert adhoc5.zero_row_blocks == nongibbs6.zero_row_blocks == frozenset()
+    expected = {key for key, w in converse_false.fiber_weight.items() if not gf.is_row_allowable(w)[0]}
+    assert converse_false.zero_row_blocks == expected
+    labels = converse_false.projection.target.labels
+    h1_blocks = {(b, b2) for b, b2, _ in gf.check_h1(converse_false).failures}
+    assert {(labels[b], labels[b2]) for b, b2 in expected} == h1_blocks
+
+
 def test_h2_orbit_verdict_is_phase_aware(adhoc5):
     report = gf.check_h2(adhoc5)
     assert report.passed

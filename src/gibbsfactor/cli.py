@@ -22,7 +22,7 @@ from .gibbs import bgi_sweep, invariance_suite
 from .potential import (
     PointSpec,
     UniformConstants,
-    eigendata_potential,
+    eigendata_many,
     evaluate,
     evaluate_many,
     finite_range_obstruction,
@@ -164,12 +164,7 @@ def cmd_periodic(args) -> int:
     if not points:
         print(f"no periodic points with period <= {args.max_period}")
         return 0
-    results = []
-    for point in points:
-        try:
-            results.append(eigendata_potential(fs, point))
-        except EvaluationRefused as exc:
-            results.append(exc)
+    results = eigendata_many(fs, points)
     # points whose one-period product is not primitive are evaluated
     # iteratively, all in one batch taken at the first of them, so an error
     # there (a bad --tol) follows the lines printed before it

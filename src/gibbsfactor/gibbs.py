@@ -23,7 +23,7 @@ from .potential import (
     evaluate_many,
     markov_approx,
 )
-from .projection import FactorSystem, log_nu_cylinder
+from .projection import FactorSystem, log_nu_cylinders
 from .tmc import Word, enumerate_words
 
 # horizon floor for the finite-range stand-in at divergent points
@@ -78,7 +78,8 @@ def bgi_sweep(
     target_error: float = 1e-10,
 ) -> BgiReport:
     """Gibbs-ratio table over all cylinders of depth 0 .. n_max; the points
-    of all depths are evaluated in one batch (evaluate_many)."""
+    of all depths are evaluated in one batch (evaluate_many), the cylinder
+    masses in one backward pass (log_nu_cylinders)."""
     horizon = max(PROXY_HORIZON_MIN, 2 * (n_max + 2))
     levels = []
     for n in range(n_max + 1):
@@ -89,6 +90,7 @@ def bgi_sweep(
         levels.append(level)
     unique = {p.key(): p for level in levels for _, pts in level for p in pts}
     cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), target_error, constants)))
+    log_nu = log_nu_cylinders(fs, n_max + 1)
     proxy_cache: dict[tuple, float] = {}
     proxy_points = 0
     notes: list[str] = []
@@ -122,7 +124,7 @@ def bgi_sweep(
                 level_proxied = level_proxied or proxied
                 if not proxied:
                     max_radius = max(max_radius, radius)
-            log_r = log_nu_cylinder(fs, word.symbols) - total
+            log_r = log_nu[word.symbols] - total
             log_r_min = min(log_r_min, log_r)
             log_r_max = max(log_r_max, log_r)
         k_emp = max(abs(log_r_min), abs(log_r_max))
@@ -194,13 +196,11 @@ def invariance_suite(fs: FactorSystem, n_max: int) -> InvarianceReport:
     appended symbol reproduces the cylinder (consistency); and the one-step
     ratios nu[b0 w]/nu[w] over admissible first symbols b0 sum to 1 (the
     normalization that makes the induced potential a transition log-ratio in
-    the finite-range limit).
+    the finite-range limit).  The cylinder masses come from one backward
+    pass (log_nu_cylinders).
     """
     tmc = fs.factor_tmc
-    nu: dict[tuple[int, ...], float] = {}
-    for length in range(1, n_max + 2):
-        for word in enumerate_words(tmc, length):
-            nu[word.symbols] = math.exp(log_nu_cylinder(fs, word.symbols))
+    nu = {w: math.exp(log) for w, log in log_nu_cylinders(fs, n_max + 1).items()}
     rows = []
     for n in range(1, n_max + 1):
         words_n = [w.symbols for w in enumerate_words(tmc, n)]

@@ -61,6 +61,9 @@ class MarkovModel:
         n = tmc.size
         if transition.shape != (n, n):
             raise ModelError("transition shape does not match alphabet size")
+        # a nan entry would pass every comparison below
+        if not np.isfinite(transition).all():
+            raise ModelError("transition entries must be finite")
         row_sums = transition.sum(axis=1)
         if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
             raise ModelError("transition rows must sum to 1 within 1e-12")
@@ -73,6 +76,8 @@ class MarkovModel:
             stationary = stationary_distribution(tmc, transition)
         else:
             stationary = np.asarray(stationary, dtype=float)
+            if not np.isfinite(stationary).all():
+                raise ModelError("stationary entries must be finite")
             if (stationary <= 0).any():
                 raise ModelError("stationary vector must be strictly positive")
             if abs(stationary.sum() - 1.0) > ROW_SUM_TOL:

@@ -33,7 +33,6 @@ from .projection import (
 )
 from .projective import (
     MIN_COORDINATE,
-    SimplexPoint,
     apply_normalized,
     contraction_coefficient,
     normalize_rows,
@@ -201,7 +200,10 @@ class PerronData:
     right is l1-normalized (and equals d_hat), left is scaled so that
     left . right = 1.  residual is the larger of the two relative
     eigen-equation residuals; second_modulus estimates |lambda_2| by
-    deflated power iteration.
+    deflated power iteration.  iterations is the larger of the step counts
+    of the right and left power iterations.  _perron_stack takes these for a
+    stack of matrices at once, and each matrix stops iterating when it
+    converges, so its data do not depend on the other matrices.
     """
 
     rho: float
@@ -213,24 +215,95 @@ class PerronData:
     iterations: int
 
 
-def _power_vector(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
-    n = matrix.shape[0]
-    v = np.full(n, 1.0 / n)
-    rho = 1.0
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, n) stacks, each equal to a @ b of
+    the 1-d rows."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _power_stack(ts: np.ndarray, tol: float, max_iter: int, left: bool) -> tuple:
+    """Normalized power iteration w = T v / |T v|_1 (w = v T / |v T|_1 when
+    left) from the uniform vector, for every matrix of the (m, n, n) stack
+    ts.  A matrix leaves the live set once |w - v|_1 <= tol, keeping its own
+    step count and rho = |T v|_1; one that never converges keeps its last
+    iterate and max_iter.  Returns (vectors, rhos, steps)."""
+    m, n, _ = ts.shape
+    vectors = np.full((m, n), 1.0 / n)
+    rhos = np.ones(m)
+    steps = np.full(m, max_iter)
+    live = np.arange(m)
+    t, v = ts, vectors
     for k in range(1, max_iter + 1):
-        w = matrix @ v
-        rho = w.sum()
-        if rho <= 0:
+        w = (v[:, None, :] @ t)[:, 0] if left else (t @ v[..., None])[..., 0]
+        rho = w.sum(axis=1)
+        if (rho <= 0).any():
             raise ModelError("power iteration collapsed; matrix is not primitive")
-        w = w / rho
-        if np.abs(w - v).sum() <= tol:
-            return w, rho, k
+        w = w / rho[:, None]
+        done = np.abs(w - v).sum(axis=1) <= tol
+        vectors[live], rhos[live] = w, rho
+        if done.any():
+            steps[live[done]] = k
+            live, t, w = live[~done], t[~done], w[~done]
+            if not live.size:
+                break
         v = w
-    return v, rho, max_iter
+    return vectors, rhos, steps
+
+
+def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]:
+    """perron_data of every matrix of the (m, n, n) stack ts, without the
+    checks: the right and left power iterations, the normalization, the
+    residuals and the 60-step deflated iteration for |lambda_2| all run on
+    the whole stack, each matrix dropping out of the deflated iteration on
+    its own when the deflated image vanishes.  The stacked products
+    repeat the one-matrix products bit for bit."""
+    right, rho, it_r = _power_stack(ts, tol, max_iter, left=False)
+    left, _, it_l = _power_stack(ts, tol, max_iter, left=True)
+    left = left / _dots(left, right)[:, None]
+    res_r = np.abs((ts @ right[..., None])[..., 0] - rho[:, None] * right).sum(axis=1) / (
+        rho * right.sum(axis=1)
+    )
+    res_l = np.abs((left[:, None, :] @ ts)[:, 0] - rho[:, None] * left).sum(axis=1) / (
+        rho * np.abs(left).sum(axis=1)
+    )
+    # |lambda_2| from deflated power iteration, reporting only
+    deflated = ts - rho[:, None, None] * (right[:, :, None] * left[:, None, :])
+    u = np.zeros_like(right)
+    u[:, 0] = 1.0
+    u = u - right * _dots(left, u)[:, None]
+    norm = np.abs(u).sum(axis=1)
+    second = np.zeros(len(ts))
+    vanished = ~(norm > 1e-14)
+    live = np.flatnonzero(~vanished)
+    u, d = u[live] / norm[live, None], deflated[live]
+    for _ in range(60):
+        if not live.size:
+            break
+        w = (d @ u[..., None])[..., 0]
+        growth = np.abs(w).sum(axis=1)
+        gone = growth < 1e-250
+        vanished[live[gone]] = True
+        live, d, w, growth = live[~gone], d[~gone], w[~gone], growth[~gone]
+        second[live] = growth
+        u = w / growth[:, None]
+    return [
+        PerronData(
+            rho=rho[i],
+            right=r,
+            left=left[i],
+            d_hat=r,
+            second_modulus=0.0 if vanished[i] else second[i],
+            residual=float(max(res_r[i], res_l[i])),
+            iterations=int(max(it_r[i], it_l[i])),
+        )
+        for i, r in enumerate(right)
+    ]
 
 
 def perron_data(matrix, tol: float = 1e-13, max_iter: int = 100000) -> PerronData:
-    """Power iteration for the dominant eigenvalue pair of a primitive matrix."""
+    """Power iteration for the dominant eigenvalue pair of a primitive matrix:
+    the checks, then the one-matrix call of the stacked iteration
+    _perron_stack.  Stops at |w - v|_1 <= tol or after max_iter steps."""
     t = np.asarray(matrix, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ModelError("Perron data needs a square matrix")
@@ -238,38 +311,16 @@ def perron_data(matrix, tol: float = 1e-13, max_iter: int = 100000) -> PerronDat
         raise ModelError("Perron data needs a nonnegative matrix")
     if not pattern_primitivity(t).primitive:
         raise ModelError("Perron data needs a primitive matrix")
-    right, rho_r, it_r = _power_vector(t, tol, max_iter)
-    left, rho_l, it_l = _power_vector(t.T, tol, max_iter)
-    rho = rho_r
-    left = left / (left @ right)
-    res_r = np.abs(t @ right - rho * right).sum() / (rho * right.sum())
-    res_l = np.abs(left @ t - rho * left).sum() / (rho * np.abs(left).sum())
-    # |lambda_2| from deflated power iteration, reporting only
-    deflated = t - rho * np.outer(right, left)
-    u = np.zeros(t.shape[0])
-    u[0] = 1.0
-    u = u - right * (left @ u)
-    second = 0.0
-    norm = np.abs(u).sum()
-    if norm > 1e-14:
-        u /= norm
-        for _ in range(60):
-            w = deflated @ u
-            growth = np.abs(w).sum()
-            if growth < 1e-250:
-                second = 0.0
-                break
-            second = growth
-            u = w / growth
-    return PerronData(
-        rho=rho,
-        right=right,
-        left=left,
-        d_hat=right,
-        second_modulus=second,
-        residual=float(max(res_r, res_l)),
-        iterations=max(it_r, it_l),
-    )
+    return _perron_stack(t[None], tol, max_iter)[0]
+
+
+def _primitivity(memo: dict, matrix: np.ndarray):
+    """pattern_primitivity(matrix), tested once per zero pattern in memo."""
+    pattern = matrix != 0
+    key = (pattern.shape, pattern.tobytes())
+    if key not in memo:
+        memo[key] = pattern_primitivity(pattern)
+    return memo[key]
 
 
 def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
@@ -380,9 +431,16 @@ class _Route(NamedTuple):
     note: str = ""
 
 
-def _adaptive_route(fs: FactorSystem, point: PointSpec, target_error: float, n_max: int = 500000) -> _Route:
+def _adaptive_route(
+    fs: FactorSystem,
+    point: PointSpec,
+    target_error: float,
+    n_max: int = 500000,
+    primitivity: Optional[dict] = None,
+) -> _Route:
     """Refuse the point (zero fiber rows along it) or plan its evaluation
-    from its own tail.
+    from its own tail.  primitivity is the zero-pattern memo of
+    pattern_primitivity results, shared by the points of one batch.
 
     A tail phase whose whole-period window becomes strictly positive after
     pattern-primitivity many repetitions gives the window route: its
@@ -392,11 +450,12 @@ def _adaptive_route(fs: FactorSystem, point: PointSpec, target_error: float, n_m
     one the value sequence is scanned instead.
     """
     _check_point_rows(fs, point)
+    primitivity = {} if primitivity is None else primitivity
     t0 = len(point.preperiod)
     q = len(point.period)
     base = max(1, t0)
     for r in range(q):
-        prim = pattern_primitivity(_window_product(fs, point, base + r, q))
+        prim = _primitivity(primitivity, _window_product(fs, point, base + r, q))
         if prim.primitive:
             break
     else:
@@ -542,7 +601,8 @@ def evaluate_many(
             depths.append(_certified_depth(constants, len(point.preperiod), target_error))
         scales = _lockstep_scales(fs, points, depths)
         return [_certified(constants, n, float(np.log(x))) for n, x in zip(depths, scales)]
-    routes = [_adaptive_route(fs, p, target_error) for p in points]
+    primitivity: dict = {}
+    routes = [_adaptive_route(fs, p, target_error, primitivity=primitivity) for p in points]
     window = [i for i, r in enumerate(routes) if r.window]
     scan = [i for i, r in enumerate(routes) if not r.window]
     values: list = [None] * len(points)
@@ -767,52 +827,93 @@ def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> Uni
     )
 
 
-def eigendata_potential(fs: FactorSystem, point: PointSpec) -> Optional[tuple[PotentialEvaluation, PerronData]]:
-    """Potential at a purely periodic point through dominant eigendata.
+def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
+    """The potential at purely periodic points through dominant eigendata.
 
     For period p and one-period product T (cyclically, from the point's own
     phase), psi = log rho(T) - log |M_(1:p) d_hat|_1, which reduces to
     log rho for fixed points.  The error radius combines the min/max
     eigenvalue inclusion with an a-posteriori bound on the eigenvector.
-    None when T is not pattern primitive.
+    Slot i holds (evaluation, eigendata) for points[i], None when its T is
+    not pattern primitive, or the EvaluationRefused of a zero fiber row
+    along it; AdmissibilityError is raised when a point has a preperiod.
+
+    All points are taken in one batch, equal bit for bit to taking them one
+    at a time: the products come from one prefix memo over the closed
+    period words, each zero pattern is tested for primitivity once, and the
+    power iterations, matrix powers and normalized images run on stacks of
+    the products of one size.
     """
-    if point.preperiod:
+    if any(p.preperiod for p in points):
         raise AdmissibilityError("the eigendata route needs a purely periodic point")
-    _check_point_rows(fs, point)
-    p = len(point.period)
-    t = _window_product(fs, point, 0, p)
-    prim = pattern_primitivity(t)
-    if not prim.primitive:
-        return None
-    pd = perron_data(t)
-    ratios = (t @ pd.d_hat) / pd.d_hat
-    inclusion = math.log(ratios.max() / ratios.min())
-    if p == 1:
-        tail = 1.0
-        vector_term = 0.0
-    else:
-        rest = fs.word_product(point.period[1:] + (point.period[0],))
-        tail = float((rest @ pd.d_hat).sum())
-        power = np.linalg.matrix_power(t, prim.exponent)
-        tau_m = contraction_coefficient(power).tau
-        x = SimplexPoint(pd.d_hat, fiber=point.symbol_at(0))
-        gap = projective_distance(
-            apply_normalized(power, x, out_fiber=point.symbol_at(0)), x
-        )
-        vector_term = gap / (1.0 - tau_m)
-    value = math.log(pd.rho) - math.log(tail)
-    radius = inclusion + vector_term + FLOAT_NOISE_FLOOR
-    return (
-        PotentialEvaluation(
-            value=value,
-            error_radius=radius,
-            terms_used=pd.iterations,
-            mode="certified",
-            certified=True,
-            notes=("dominant eigendata at a periodic point",),
-        ),
-        pd,
-    )
+    products: dict[tuple[int, ...], np.ndarray] = {}
+
+    def word_product(word: tuple[int, ...]) -> np.ndarray:
+        # fs.word_product(word), left to right, sharing prefixes
+        out = fs.fiber_weight[word[:2]]
+        for j in range(3, len(word) + 1):
+            if word[:j] not in products:
+                products[word[:j]] = out @ fs.fiber_weight[word[j - 2 : j]]
+            out = products[word[:j]]
+        return out
+
+    results: list = [None] * len(points)
+    primitivity: dict = {}
+    by_size: dict[int, list] = {}
+    for i, point in enumerate(points):
+        try:
+            _check_point_rows(fs, point)
+        except EvaluationRefused as exc:
+            results[i] = exc
+            continue
+        t = word_product(point.period + point.period[:1])
+        prim = _primitivity(primitivity, t)
+        if prim.primitive:
+            by_size.setdefault(len(t), []).append((i, t, prim.exponent))
+    for group in by_size.values():
+        ts = np.stack([t for _, t, _ in group])
+        pds = _perron_stack(ts, 1e-13, 100000)
+        right = np.stack([pd.right for pd in pds])
+        ratios = (ts @ right[..., None])[..., 0] / right
+        inclusions = [math.log(r) for r in (ratios.max(axis=1) / ratios.min(axis=1)).tolist()]
+        # the vector term of a period p >= 2: SimplexPoint(d_hat), its image
+        # under T^exponent (apply_normalized), their projective_distance
+        vector_terms = [0.0] * len(group)
+        exponents = np.array([e if len(points[i].period) > 1 else 0 for i, _, e in group])
+        for e in sorted(set(exponents.tolist()) - {0}):
+            rows = np.flatnonzero(exponents == e)
+            x = normalize_rows(right[rows])
+            power = np.linalg.matrix_power(ts[rows], e)
+            y = normalize_rows((power @ x[..., None])[..., 0])
+            if (x < MIN_COORDINATE).any() or (y < MIN_COORDINATE).any():
+                raise ModelError("coordinates below 1e-300; distance would be unreliable")
+            ratio = np.log(y) - np.log(x)
+            gaps = (ratio.max(axis=1) - ratio.min(axis=1)).tolist()
+            for row, p_j, gap in zip(rows.tolist(), power, gaps):
+                vector_terms[row] = gap / (1.0 - contraction_coefficient(p_j).tau)
+        for (i, _, _), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
+            period = points[i].period
+            tail = 1.0
+            if len(period) > 1:
+                tail = float((word_product(period[1:] + period[:1]) @ pd.d_hat).sum())
+            evaluation = PotentialEvaluation(
+                value=math.log(pd.rho) - math.log(tail),
+                error_radius=inclusion + vector_term + FLOAT_NOISE_FLOOR,
+                terms_used=pd.iterations,
+                mode="certified",
+                certified=True,
+                notes=("dominant eigendata at a periodic point",),
+            )
+            results[i] = (evaluation, pd)
+    return results
+
+
+def eigendata_potential(fs: FactorSystem, point: PointSpec) -> Optional[tuple[PotentialEvaluation, PerronData]]:
+    """eigendata_many at one point; raises the point's EvaluationRefused."""
+    result = eigendata_many(fs, [point])[0]
+    if isinstance(result, EvaluationRefused):
+        raise result
+    return result
 
 
 def periodic_potential(

@@ -7,8 +7,8 @@ weighted fiber matrices between a row of ones and the marginal vector of the
 last symbol.  backward_transfer evaluates that formula for one word:
 cylinder weights, psi_n and the finite-range approximant read it off that
 kernel.  backward_step is the same step on stacks of vectors: the d constant
-takes it over all words of one length, and evaluate_many takes it over all
-its points in lockstep, one depth level at a time.  forward_step is its
+and log_nu_cylinders take it over all words of one length, and evaluate_many
+takes it over all its points in lockstep, one depth level at a time.  forward_step is its
 mirror image, row vectors times a block, with which evaluate_many scans the
 value sequences of points without a positive tail window.  The two
 hypotheses checked here (row-allowability of every fiber block, and
@@ -357,6 +357,41 @@ def log_nu_cylinder(fs: FactorSystem, word) -> float:
     """log nu[w]; -inf when the word has no preimage (possible only when some
     fiber block has an all-zero row)."""
     return backward_transfer(fs, _as_factor_symbols(fs, word))[0]
+
+
+def log_nu_cylinders(fs: FactorSystem, max_length: int) -> dict[tuple[int, ...], float]:
+    """log_nu_cylinder(fs, w) for every admissible word w of length 1 ..
+    max_length, bit for bit, from one backward pass over suffixes.
+
+    The words of one length are the words one shorter extended on the left;
+    backward_step takes the normalized images of all of them at once, and
+    each word's log mass is its suffix's plus math.log of its new scale, the
+    order in which backward_transfer adds them.  A word without preimage
+    has scale 0 and log mass -inf, and so do its extensions.
+    """
+    words = [[(b,)] for b in range(fs.target_size)]
+    logs = [[0.0] for _ in words]
+    rows = [mu[None, :] for mu in fs.fiber_marginal]
+    out: dict[tuple[int, ...], float] = {}
+    for length in range(1, max_length + 1):
+        for b, x in enumerate(rows):
+            scale = x.sum(axis=1)
+            logs[b] = [
+                -math.inf if s <= 0.0 else log + math.log(s)
+                for log, s in zip(logs[b], scale.tolist())
+            ]
+            out.update(zip(words[b], logs[b]))
+            live = ~(scale <= 0.0)[:, None]
+            rows[b] = np.divide(x, scale[:, None], out=np.zeros_like(x), where=live)
+        if length == max_length:
+            break
+        rows = backward_step(fs, rows)[0]
+        suffixes, suffix_logs = words, logs
+        words, logs = [[] for _ in rows], [[] for _ in rows]
+        for b0, b1 in fs.fiber_weight:
+            words[b0] += [(b0,) + w for w in suffixes[b1]]
+            logs[b0] += suffix_logs[b1]
+    return out
 
 
 def nu_cylinder(fs: FactorSystem, word) -> float:

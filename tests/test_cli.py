@@ -232,3 +232,18 @@ def test_sweeps_do_not_import_numpy_ma(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert out.strip() == "[0, 0] False"
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_check_non_finite_transition_is_input_error(tmp_path, capsys, bad):
+    # json writes and reads nan and infinities as these bare words
+    doc = expand_example("fullshift4")
+    doc["transition"][0][1] = float(bad.lower().replace("infinity", "inf"))
+    path = tmp_path / "bad.json"
+    dump_document(doc, str(path))
+    assert bad in path.read_text()
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "transition entries must be finite" in captured.err

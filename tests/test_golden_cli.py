@@ -67,6 +67,9 @@ CASES = {
     "obstruction-fullshift4": ["obstruction", "{fullshift4}"],
     "check-wide12": ["check", "{wide12}"],
     "periodic-wide12": ["periodic", "{wide12}", "--max-period", "3"],
+    "periodic-fullshift4-7": ["periodic", "{fullshift4}", "--max-period", "7"],
+    "periodic-adhoc5-7": ["periodic", "{adhoc5}", "--max-period", "7"],
+    "gibbs-fullshift4-invariance": ["gibbs", "{fullshift4}", "--n-max", "6", "--invariance"],
 }
 
 

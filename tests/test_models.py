@@ -116,3 +116,21 @@ def test_load_model_errors_are_wrapped(tmp_path):
     bad.write_text("{ not json")
     with pytest.raises(gf.ModelError):
         load_model(str(bad))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_transition_entry_rejected(bad):
+    # a nan entry used to pass validation: every comparison with nan is False
+    doc = expand_example("fullshift4")
+    doc["transition"][0][1] = bad
+    with pytest.raises(gf.ModelError, match="finite"):
+        parse_model(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_stationary_entry_rejected(bad):
+    fs = example_system("fullshift4")
+    stationary = fs.model.stationary.copy()
+    stationary[0] = bad
+    with pytest.raises(gf.ModelError, match="finite"):
+        gf.MarkovModel(fs.model.tmc, fs.model.transition, stationary)

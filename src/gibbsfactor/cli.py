@@ -22,11 +22,10 @@ from .gibbs import bgi_sweep, invariance_suite
 from .potential import (
     PointSpec,
     UniformConstants,
-    eigendata_many,
     evaluate,
-    evaluate_many,
     finite_range_obstruction,
     holder_variation,
+    periodic_many,
     uniform_constants,
 )
 from .projection import (
@@ -161,28 +160,18 @@ def cmd_periodic(args) -> int:
     fs = models.load_model(args.model)
     periodic = enumerate_periodic(fs.factor_tmc, args.max_period)
     points = [PointSpec(fs, (), pp.symbols) for pp in periodic]
+    results = periodic_many(fs, points, target_error=args.tol)
     if not points:
         print(f"no periodic points with period <= {args.max_period}")
         return 0
-    results = eigendata_many(fs, points)
-    # points whose one-period product is not primitive are evaluated
-    # iteratively, all in one batch taken at the first of them, so an error
-    # there (a bad --tol) follows the lines printed before it
-    fallback = [point for point, result in zip(points, results) if result is None]
-    iterative = None
     any_diverged = False
     for point, result in zip(points, results):
+        name = _point_str(fs, point)
         if isinstance(result, EvaluationRefused):
-            print(f"{_point_str(fs, point)}: refused ({result})")
+            print(f"{name}: refused ({result})")
             any_diverged = True
             continue
-        if result is None:
-            if iterative is None:
-                iterative = iter(evaluate_many(fs, fallback, target_error=args.tol))
-            ev, pd = next(iterative), None
-        else:
-            ev, pd = result
-        name = _point_str(fs, point)
+        ev, pd = result
         if ev.mode == "diverged":
             any_diverged = True
             print(

@@ -41,6 +41,8 @@ from .projective import (
 from .tmc import Word, enumerate_words, pattern_primitivity
 
 DEFAULT_TARGET_ERROR = 1e-10
+# deepest level an evaluation route goes to
+MAX_DEPTH = 500000
 # additive allowance for accumulated floating-point error in iterative values
 FLOAT_NOISE_FLOOR = 1e-13
 
@@ -197,7 +199,7 @@ class UniformConstants:
 class PerronData:
     """Dominant eigendata of a primitive nonnegative matrix.
 
-    right is l1-normalized (and equals d_hat), left is scaled so that
+    right is the l1-normalized eigenvector d_hat, left is scaled so that
     left . right = 1.  residual is the larger of the two relative
     eigen-equation residuals; second_modulus estimates |lambda_2| by
     deflated power iteration.  iterations is the larger of the step counts
@@ -209,7 +211,6 @@ class PerronData:
     rho: float
     right: np.ndarray
     left: np.ndarray
-    d_hat: np.ndarray
     second_modulus: float
     residual: float
     iterations: int
@@ -291,7 +292,6 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
             rho=rho[i],
             right=r,
             left=left[i],
-            d_hat=r,
             second_modulus=0.0 if vanished[i] else second[i],
             residual=float(max(res_r[i], res_l[i])),
             iterations=int(max(it_r[i], it_l[i])),
@@ -338,11 +338,6 @@ def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
             )
 
 
-def _psi_backward(fs: FactorSystem, point: PointSpec, n: int) -> float:
-    """psi_n via the normalized backward vector iteration (single n)."""
-    return float(np.log(backward_transfer(fs, point.symbols(n + 1))[1]))
-
-
 def _psi_sequence(fs: FactorSystem, point: PointSpec, n_hi: int) -> np.ndarray:
     """psi_1 .. psi_n_hi via forward row accumulation with rescaling.
 
@@ -382,9 +377,15 @@ def markov_approx(fs: FactorSystem, word) -> float:
     return math.log(scale) if scale > 0.0 else -math.inf
 
 
-def _window_product(fs: FactorSystem, point: PointSpec, start: int, length: int) -> np.ndarray:
-    symbols = tuple(point.symbol_at(i) for i in range(start, start + length + 1))
-    return fs.word_product(symbols)
+def _word_product(fs: FactorSystem, products: dict, word: tuple[int, ...]) -> np.ndarray:
+    """fs.word_product(word), left to right, with the products of its
+    prefixes kept in products and shared by the words of one batch."""
+    out = fs.fiber_weight[word[:2]]
+    for j in range(3, len(word) + 1):
+        if word[:j] not in products:
+            products[word[:j]] = out @ fs.fiber_weight[word[j - 2 : j]]
+        out = products[word[:j]]
+    return out
 
 
 def _cluster_values(values: Sequence[float], gap: float = 1e-6, spread: float = 1e-9) -> Optional[list[float]]:
@@ -401,7 +402,7 @@ def _cluster_values(values: Sequence[float], gap: float = 1e-6, spread: float = 
     return [math.fsum(c) / len(c) for c in clusters]
 
 
-def _certified_depth(c: UniformConstants, t0: int, target_error: float, n_max: int = 500000) -> int:
+def _certified_depth(c: UniformConstants, t0: int, target_error: float) -> int:
     """Depth n at which the certified radius (d_const c1 / (1-tau)) theta^n of
     a point with a preperiod of t0 symbols falls below target_error."""
     # below this depth the closed-form radius need not dominate the
@@ -411,7 +412,7 @@ def _certified_depth(c: UniformConstants, t0: int, target_error: float, n_max: i
         n = max(n, math.ceil(2.0 * c.window * math.log(c.window * c.tau) / math.log(1.0 / c.tau)))
     if c.eq_radius_constant > target_error:
         n = max(n, math.ceil(math.log(target_error / c.eq_radius_constant) / math.log(c.theta)))
-    return min(n, n_max)
+    return min(n, MAX_DEPTH)
 
 
 def _certified(c: UniformConstants, n: int, value: float) -> PotentialEvaluation:
@@ -435,12 +436,13 @@ def _adaptive_route(
     fs: FactorSystem,
     point: PointSpec,
     target_error: float,
-    n_max: int = 500000,
     primitivity: Optional[dict] = None,
+    products: Optional[dict] = None,
 ) -> _Route:
     """Refuse the point (zero fiber rows along it) or plan its evaluation
     from its own tail.  primitivity is the zero-pattern memo of
-    pattern_primitivity results, shared by the points of one batch.
+    pattern_primitivity results and products the prefix memo of
+    _word_product, both shared by the points of one batch.
 
     A tail phase whose whole-period window becomes strictly positive after
     pattern-primitivity many repetitions gives the window route: its
@@ -451,25 +453,27 @@ def _adaptive_route(
     """
     _check_point_rows(fs, point)
     primitivity = {} if primitivity is None else primitivity
+    products = {} if products is None else products
     t0 = len(point.preperiod)
     q = len(point.period)
     base = max(1, t0)
     for r in range(q):
-        prim = _primitivity(primitivity, _window_product(fs, point, base + r, q))
+        word = point.symbols(base + r + q + 1)[base + r :]
+        prim = _primitivity(primitivity, _word_product(fs, products, word))
         if prim.primitive:
             break
     else:
-        return _Route(window=False, depth=min(max(150, t0 + 30 * q, 12 * q), n_max))
+        return _Route(window=False, depth=min(max(150, t0 + 30 * q, 12 * q), MAX_DEPTH))
     a0 = base + r
     big_q = prim.exponent * q
-    window = _window_product(fs, point, a0, big_q)
+    window = _word_product(fs, products, point.symbols(a0 + big_q + 1)[a0:])
     tau_q = contraction_coefficient(window).tau
     fiber = point.symbol_at(a0)
     mu_hat = fs.marginal_hat(fiber)
     a_star = projective_distance(mu_hat, apply_normalized(window, mu_hat, out_fiber=fiber))
     k = 0
     radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
-    while radius > target_error and (a0 + (k + 1) * big_q) <= n_max:
+    while radius > target_error and (a0 + (k + 1) * big_q) <= MAX_DEPTH:
         k += 1
         radius = tau_q**k * a_star / (1.0 - tau_q)
     return _Route(
@@ -554,27 +558,9 @@ def evaluate(
     point: PointSpec,
     target_error: float = DEFAULT_TARGET_ERROR,
     constants: Optional[UniformConstants] = None,
-    n_max: int = 500000,
 ) -> PotentialEvaluation:
-    """Potential at an eventually periodic point.
-
-    With uniform constants the depth is chosen so the certified radius
-    (d_const c1 / (1-tau)) theta^n falls below target_error.  Without them
-    the point's own tail is used: a strictly positive window spanning whole
-    periods gives an a-posteriori contraction bound; when no such window
-    exists the value sequence is examined for stabilizing subsequences and
-    either reported uncertified or declared divergent with its cluster
-    values.
-    """
-    if target_error <= 0:
-        raise ModelError("target error must be positive")
-    if constants is not None:
-        _check_point_rows(fs, point)
-        n = _certified_depth(constants, len(point.preperiod), target_error, n_max)
-        return _certified(constants, n, _psi_backward(fs, point, n))
-    route = _adaptive_route(fs, point, target_error, n_max)
-    kernel = _psi_backward if route.window else _psi_sequence
-    return _adaptive_result(point, route, kernel(fs, point, route.depth))
+    """Potential at an eventually periodic point: evaluate_many at one point."""
+    return evaluate_many(fs, [point], target_error, constants)[0]
 
 
 def evaluate_many(
@@ -583,17 +569,26 @@ def evaluate_many(
     target_error: float = DEFAULT_TARGET_ERROR,
     constants: Optional[UniformConstants] = None,
 ) -> list[PotentialEvaluation]:
-    """[evaluate(fs, p, target_error, constants) for p in points], bit for bit.
+    """Potential at each of a list of eventually periodic points.
+
+    With uniform constants the depth is chosen so the certified radius
+    (d_const c1 / (1-tau)) theta^n falls below target_error.  Without them
+    the point's own tail is used: a strictly positive window spanning whole
+    periods gives an a-posteriori contraction bound; when no such window
+    exists the value sequence is examined for stabilizing subsequences and
+    either reported uncertified or declared divergent with its cluster
+    values.
 
     Every point is checked and routed first, in order, so a refusal is the
     first refused point's.  The values are then taken in lockstep, one
     stacked step per level for all points instead of one matrix-vector
     product per point and level: psi_n of the certified and window-route
     points in one staggered backward pass, the value sequences of the
-    scan-route points in one forward pass.
+    scan-route points in one forward pass.  Each point's evaluation is the
+    same, bit for bit, whatever else is in the batch.
     """
-    if target_error <= 0:
-        raise ModelError("target error must be positive")
+    if not (math.isfinite(target_error) and target_error > 0):
+        raise ModelError("target error must be finite and positive")
     if constants is not None:
         depths = []
         for point in points:
@@ -602,7 +597,8 @@ def evaluate_many(
         scales = _lockstep_scales(fs, points, depths)
         return [_certified(constants, n, float(np.log(x))) for n, x in zip(depths, scales)]
     primitivity: dict = {}
-    routes = [_adaptive_route(fs, p, target_error, primitivity=primitivity) for p in points]
+    products: dict = {}
+    routes = [_adaptive_route(fs, p, target_error, primitivity, products) for p in points]
     window = [i for i, r in enumerate(routes) if r.window]
     scan = [i for i, r in enumerate(routes) if not r.window]
     values: list = [None] * len(points)
@@ -631,9 +627,12 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
     """backward_transfer(fs, p.symbols(n + 1))[1] for every point p and its
     depth n >= 1, in one backward pass over max(depths) levels: a point's
     marginal row enters at level n - 1, and all rows present step back
-    together."""
+    together.  A single point takes backward_transfer itself, which is
+    cheaper than a level of one row."""
     if not points:
         return np.empty(0)
+    if len(points) == 1:
+        return np.array([backward_transfer(fs, points[0].symbols(depths[0] + 1))[1]])
     column = _symbol_column(points)
     depths = np.asarray(depths)
     rows = [np.empty((0, len(mu))) for mu in fs.fiber_marginal]
@@ -656,9 +655,11 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     forward pass to max(lengths): the rescaled (u, w) row pairs of all points
     step forward together and each point's values are cut to its length.
     Logs are taken with math.log, as _psi_sequence does, so the values agree
-    bit for bit."""
+    bit for bit.  A single point takes _psi_sequence itself."""
     if not points:
         return []
+    if len(points) == 1:
+        return [_psi_sequence(fs, points[0], lengths[0])]
     column = _symbol_column(points)
     logs = np.zeros((len(points), 2))  # the accumulated log scales of u and w
     out = np.empty((len(points), max(lengths)))
@@ -846,17 +847,7 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     """
     if any(p.preperiod for p in points):
         raise AdmissibilityError("the eigendata route needs a purely periodic point")
-    products: dict[tuple[int, ...], np.ndarray] = {}
-
-    def word_product(word: tuple[int, ...]) -> np.ndarray:
-        # fs.word_product(word), left to right, sharing prefixes
-        out = fs.fiber_weight[word[:2]]
-        for j in range(3, len(word) + 1):
-            if word[:j] not in products:
-                products[word[:j]] = out @ fs.fiber_weight[word[j - 2 : j]]
-            out = products[word[:j]]
-        return out
-
+    products: dict = {}
     results: list = [None] * len(points)
     primitivity: dict = {}
     by_size: dict[int, list] = {}
@@ -866,7 +857,7 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
         except EvaluationRefused as exc:
             results[i] = exc
             continue
-        t = word_product(point.period + point.period[:1])
+        t = _word_product(fs, products, point.period + point.period[:1])
         prim = _primitivity(primitivity, t)
         if prim.primitive:
             by_size.setdefault(len(t), []).append((i, t, prim.exponent))
@@ -895,7 +886,8 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             period = points[i].period
             tail = 1.0
             if len(period) > 1:
-                tail = float((word_product(period[1:] + period[:1]) @ pd.d_hat).sum())
+                rest = _word_product(fs, products, period[1:] + period[:1])
+                tail = float((rest @ pd.right).sum())
             evaluation = PotentialEvaluation(
                 value=math.log(pd.rho) - math.log(tail),
                 error_radius=inclusion + vector_term + FLOAT_NOISE_FLOOR,
@@ -908,26 +900,32 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     return results
 
 
-def eigendata_potential(fs: FactorSystem, point: PointSpec) -> Optional[tuple[PotentialEvaluation, PerronData]]:
-    """eigendata_many at one point; raises the point's EvaluationRefused."""
-    result = eigendata_many(fs, [point])[0]
-    if isinstance(result, EvaluationRefused):
-        raise result
-    return result
+def periodic_many(
+    fs: FactorSystem, points: Sequence[PointSpec], target_error: float = DEFAULT_TARGET_ERROR
+) -> list:
+    """The potential at purely periodic points.  Slot i holds (evaluation,
+    eigendata) for points[i], or the EvaluationRefused of a zero fiber row
+    along it.  The points go through eigendata_many; those whose one-period
+    product is not pattern primitive then go through one evaluate_many batch
+    (which may report divergence), noted as such and with eigendata None.
+    That batch checks target_error even when it is empty, so a bad target
+    is refused whatever route the points take."""
+    results = eigendata_many(fs, points)
+    fallback = [i for i, result in enumerate(results) if result is None]
+    note = "one-period product is not primitive; eigendata route refused"
+    for i, ev in zip(fallback, evaluate_many(fs, [points[i] for i in fallback], target_error)):
+        results[i] = (replace(ev, notes=ev.notes + (note,)), None)
+    return results
 
 
 def periodic_potential(
     fs: FactorSystem, point: PointSpec, target_error: float = DEFAULT_TARGET_ERROR
 ) -> tuple[PotentialEvaluation, Optional[PerronData]]:
-    """eigendata_potential at a purely periodic point; where the one-period
-    product is not pattern primitive, the iterative evaluator (which may
-    report divergence), noted as such, and no eigendata."""
-    route = eigendata_potential(fs, point)
-    if route is not None:
-        return route
-    fallback = evaluate(fs, point, target_error=target_error)
-    note = "one-period product is not primitive; eigendata route refused"
-    return replace(fallback, notes=fallback.notes + (note,)), None
+    """periodic_many at one point; raises the point's EvaluationRefused."""
+    result = periodic_many(fs, [point], target_error)[0]
+    if isinstance(result, EvaluationRefused):
+        raise result
+    return result
 
 
 def _greedy_cycle_walk(fs: FactorSystem, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -1113,8 +1111,8 @@ def finite_range_obstruction(fs: FactorSystem) -> ObstructionReport:
     if not (fs.model.tmc.incidence == 1).all():
         raise ModelError("obstruction test needs a full-shift source")
     blocks = {key: fs.fiber_weight[key] for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    v00 = perron_data(blocks[(0, 0)]).d_hat
-    v11 = perron_data(blocks[(1, 1)]).d_hat
+    v00 = perron_data(blocks[(0, 0)]).right
+    v11 = perron_data(blocks[(1, 1)]).right
     shared = bool(np.abs(v00 - v11).max() <= OBSTRUCTION_TOL)
     dets = {
         key: float(np.linalg.det(b)) / float(np.abs(b).max() ** 2)

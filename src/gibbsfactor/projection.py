@@ -179,7 +179,6 @@ def check_h1(fs: FactorSystem) -> H1Report:
 class H2Witness:
     point: PeriodicPoint
     product: np.ndarray
-    zero_pattern: np.ndarray
     positive: bool
 
 
@@ -208,8 +207,8 @@ def check_h2(fs: FactorSystem) -> H2Report:
 
     Checks every periodic point of the induced chain with period up to the
     target alphabet size.  The verdict is per orbit (some rotation positive);
-    per-rotation products and zero patterns are all reported because later
-    certification needs to know exactly which phases are usable.
+    per-rotation products are all reported because later certification
+    needs to know exactly which phases are usable.
     """
     warnings = []
     prim = pattern_primitivity(fs.factor_tmc.incidence)
@@ -220,14 +219,7 @@ def check_h2(fs: FactorSystem) -> H2Report:
     for point in enumerate_periodic(fs.factor_tmc, fs.target_size):
         product = one_period_product(fs, point)
         positive = bool((product > 0).all())
-        witnesses.append(
-            H2Witness(
-                point=point,
-                product=product,
-                zero_pattern=product == 0,
-                positive=positive,
-            )
-        )
+        witnesses.append(H2Witness(point=point, product=product, positive=positive))
         key = point.canonical_rotation()
         orbits[key] = orbits.get(key, False) or positive
     labels = fs.projection.target.labels

@@ -55,9 +55,6 @@ class Alphabet:
 class PrimitivityResult:
     primitive: bool
     exponent: Optional[int]
-    # zero pattern (boolean array, True where the entry is still zero) of the
-    # power at the search bound, for non-primitive matrices
-    failure_pattern: Optional[np.ndarray]
 
 
 def pattern_primitivity(mat: np.ndarray) -> PrimitivityResult:
@@ -75,9 +72,9 @@ def pattern_primitivity(mat: np.ndarray) -> PrimitivityResult:
     power = pattern.copy()
     for m in range(1, bound + 1):
         if power.all():
-            return PrimitivityResult(True, m, None)
+            return PrimitivityResult(True, m)
         power = (power.astype(np.uint8) @ pattern.astype(np.uint8)) > 0
-    return PrimitivityResult(False, None, ~power)
+    return PrimitivityResult(False, None)
 
 
 class Tmc:

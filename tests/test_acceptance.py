@@ -71,7 +71,7 @@ def test_criterion_2_perron_data_and_degenerate_parameter():
         two_step = w00[np.ix_([0, 1], [2, 3])] @ w00[np.ix_([2, 3], [0, 1])]
         pd = perron_data(two_step)
         rho_gap = max(rho_gap, abs(pd.rho - 1.25 * gamma))
-        vec_gap = max(vec_gap, np.abs(pd.d_hat - np.array([0.6, 0.4])).max())
+        vec_gap = max(vec_gap, np.abs(pd.right - np.array([0.6, 0.4])).max())
     # at the degenerate parameter both parity limits collapse to the same
     # value; the six-state chain stops being stochastic there, so the blocks
     # are assembled directly

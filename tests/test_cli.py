@@ -109,6 +109,29 @@ def test_periodic_lists_orbits(model_paths, capsys):
     assert "iterative uncertified" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("potential", "adhoc5", "--point", "/ab"),
+        ("potential", "nongibbs6", "--point", "/0"),
+        # every point of fullshift4 takes the eigendata route, some of
+        # nongibbs6 the iterative fallback; both must refuse the tolerance
+        ("periodic", "fullshift4", "--max-period", "3"),
+        ("periodic", "nongibbs6", "--max-period", "3"),
+        ("gibbs", "adhoc5", "--n-max", "3"),
+    ],
+    ids=["potential", "potential-divergent", "periodic-eigendata", "periodic-fallback", "gibbs"],
+)
+def test_bad_tol_is_input_error(model_paths, capsys, command, tol):
+    name, model, *rest = command
+    code = main([name, model_paths[model], *rest, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "target error must be finite and positive" in captured.err
+
+
 def test_holder_table(model_paths, capsys, tmp_path):
     csv = tmp_path / "var.csv"
     code = main(["holder", model_paths["adhoc5"], "--n-max", "5", "--csv", str(csv)])

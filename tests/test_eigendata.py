@@ -22,8 +22,8 @@ from gibbsfactor.potential import (
     _check_point_rows,
     _perron_stack,
     eigendata_many,
-    eigendata_potential,
     evaluate_many,
+    periodic_potential,
     perron_data,
 )
 from gibbsfactor.projection import log_nu_cylinder, log_nu_cylinders
@@ -40,7 +40,8 @@ from test_potential import random_certified_system
 
 # ------------------------------------------------------------------ oracle
 # The one-point perron_data and eigendata_potential as they were before the
-# eigendata route was batched, copied verbatim apart from their names.
+# eigendata route was batched, copied verbatim apart from their names and
+# the d_hat alias of right, which PerronData no longer has.
 
 
 def oracle_power_vector(matrix, tol, max_iter):
@@ -93,7 +94,6 @@ def oracle_perron_data(matrix, tol=1e-13, max_iter=100000):
         rho=rho,
         right=right,
         left=left,
-        d_hat=right,
         second_modulus=second,
         residual=float(max(res_r, res_l)),
         iterations=max(it_r, it_l),
@@ -110,17 +110,17 @@ def oracle_eigendata_potential(fs, point):
     if not prim.primitive:
         return None
     pd = oracle_perron_data(t)
-    ratios = (t @ pd.d_hat) / pd.d_hat
+    ratios = (t @ pd.right) / pd.right
     inclusion = math.log(ratios.max() / ratios.min())
     if p == 1:
         tail = 1.0
         vector_term = 0.0
     else:
         rest = fs.word_product(point.period[1:] + (point.period[0],))
-        tail = float((rest @ pd.d_hat).sum())
+        tail = float((rest @ pd.right).sum())
         power = np.linalg.matrix_power(t, prim.exponent)
         tau_m = contraction_coefficient(power).tau
-        x = SimplexPoint(pd.d_hat, fiber=point.symbol_at(0))
+        x = SimplexPoint(pd.right, fiber=point.symbol_at(0))
         gap = projective_distance(
             apply_normalized(power, x, out_fiber=point.symbol_at(0)), x
         )
@@ -155,9 +155,8 @@ def assert_same_perron(got, want):
     # against float), array_equal the vectors
     for name in ("rho", "second_modulus", "residual", "iterations"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
-    for name in ("right", "left", "d_hat"):
+    for name in ("right", "left"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.d_hat is got.right
 
 
 def assert_same_slot(got, want):
@@ -222,16 +221,16 @@ def test_batch_in_any_order_and_with_repeats(adhoc5):
 
 def test_single_point_route(adhoc5, converse_false):
     for p in periodic_points(adhoc5, 4):
-        assert_same_slot(eigendata_potential(adhoc5, p), oracle_slot(adhoc5, p))
+        assert_same_slot(eigendata_many(adhoc5, [p])[0], oracle_slot(adhoc5, p))
     with pytest.raises(gf.AdmissibilityError):
-        eigendata_potential(adhoc5, PointSpec(adhoc5, (2,), (1, 0)))
+        periodic_potential(adhoc5, PointSpec(adhoc5, (2,), (1, 0)))
     with pytest.raises(gf.AdmissibilityError):
         eigendata_many(adhoc5, [PointSpec(adhoc5, (), (0, 1)), PointSpec(adhoc5, (2,), (1, 0))])
     refused = [p for p in periodic_points(converse_false, 4)
                if isinstance(oracle_slot(converse_false, p), gf.EvaluationRefused)]
     assert refused
     with pytest.raises(gf.EvaluationRefused) as info:
-        eigendata_potential(converse_false, refused[0])
+        periodic_potential(converse_false, refused[0])
     want = oracle_slot(converse_false, refused[0])
     assert (str(info.value), info.value.window) == (str(want), want.window)
 
@@ -300,7 +299,7 @@ def test_periodic_makes_one_eigendata_call(tmp_path, monkeypatch, capsys):
         calls.append(len(points))
         return eigendata_many(fs, points)
 
-    monkeypatch.setattr(cli, "eigendata_many", counted)
+    monkeypatch.setattr(potential, "eigendata_many", counted)
     assert cli.main(["periodic", str(path), "--max-period", "5"]) == 1
     assert calls == [len(gf.enumerate_periodic(gf.example_system("nongibbs6").factor_tmc, 5))]
     assert "eigendata certified" in capsys.readouterr().out

@@ -56,7 +56,8 @@ def certified_system(request):
 
 
 def per_point(fs, points, target_error=TARGET, constants=None):
-    return [evaluate(fs, p, target_error=target_error, constants=constants) for p in points]
+    # the unpatched one-point batch, which is what evaluate calls
+    return [evaluate_many(fs, [p], target_error, constants)[0] for p in points]
 
 
 def test_batch_equals_evaluate_on_periodic_points(certified_system):
@@ -200,7 +201,7 @@ def test_periodic_command_batches_its_fallback_points(tmp_path, monkeypatch):
         calls.append(len(points))
         return evaluate_many(fs, points, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_many", counted)
+    monkeypatch.setattr(potential, "evaluate_many", counted)
     assert cli.main(["periodic", str(path), "--max-period", "5"]) == 1
     assert len(calls) == 1 and calls[0] >= 5
 
@@ -212,6 +213,18 @@ def test_single_point_does_not_use_the_batch(adhoc5, adhoc5_constants, monkeypat
     monkeypatch.setattr(potential, "backward_step", refuse)
     ev = evaluate(adhoc5, PointSpec(adhoc5, (), (0, 1)), constants=adhoc5_constants)
     assert ev.mode == "certified"
+
+
+def test_single_scan_route_point_does_not_use_the_batch(nongibbs6, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("single points go through _psi_sequence")
+
+    points = [PointSpec(nongibbs6, (), (0,)), PointSpec(nongibbs6, (), (0, 1))]
+    scan = [p for p in points if not _adaptive_route(nongibbs6, p, TARGET).window]
+    assert scan
+    monkeypatch.setattr(potential, "forward_step", refuse)
+    for p in scan:
+        assert evaluate(nongibbs6, p).terms_used >= 150
 
 
 def _with_per_point_loop(monkeypatch, run):

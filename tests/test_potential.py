@@ -11,7 +11,7 @@ import gibbsfactor as gf
 from gibbsfactor.potential import (
     PointSpec,
     _d_const,
-    _psi_backward,
+    _lockstep_scales,
     _psi_sequence,
     canonical_extension,
     factorization_sequence,
@@ -279,15 +279,17 @@ def test_backward_and_forward_engines_agree(adhoc5):
     pt = PointSpec(adhoc5, (2,), (1, 0))
     seq = _psi_sequence(adhoc5, pt, 40)
     for n in (1, 2, 5, 17, 40):
-        assert _psi_backward(adhoc5, pt, n) == pytest.approx(seq[n - 1], abs=1e-12)
+        assert markov_approx(adhoc5, pt.symbols(n + 1)) == pytest.approx(seq[n - 1], abs=1e-12)
 
 
 def test_psi_matches_finite_range_approximation(adhoc5):
     pt = PointSpec(adhoc5, (), (0, 2, 1))
-    for n in (2, 5, 9):
+    depths = (2, 5, 9)
+    scales = _lockstep_scales(adhoc5, [pt] * len(depths), depths)
+    for n, scale in zip(depths, scales):
         word = pt.symbols(n + 1)
         assert markov_approx(adhoc5, word) == pytest.approx(
-            _psi_backward(adhoc5, pt, n), abs=1e-12
+            float(np.log(scale)), abs=1e-12
         )
 
 
@@ -429,6 +431,16 @@ def test_periodic_potential_falls_back_on_imprimitive_phase(adhoc5):
     assert pd is None
     assert any("refused" in note for note in ev.notes)
     assert abs(ev.value) <= 1e-13
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
+def test_periodic_potential_refuses_bad_target_on_the_eigendata_route(fullshift4, target):
+    pt = PointSpec(fullshift4, (), (0, 1))
+    assert gf.periodic_potential(fullshift4, pt)[1] is not None
+    with pytest.raises(gf.ModelError, match="finite and positive"):
+        gf.periodic_potential(fullshift4, pt, target_error=target)
+    with pytest.raises(gf.ModelError, match="finite and positive"):
+        gf.periodic_many(fullshift4, [], target_error=target)
 
 
 def test_periodic_potential_rejects_preperiod(adhoc5):

@@ -22,6 +22,7 @@ from .gibbs import bgi_sweep, invariance_suite
 from .potential import (
     PointSpec,
     UniformConstants,
+    check_target_error,
     evaluate,
     finite_range_obstruction,
     holder_variation,
@@ -219,6 +220,8 @@ def cmd_holder(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
+    # a bad tolerance is refused before anything is printed
+    check_target_error(args.tol)
     fs = models.load_model(args.model)
     constants, reason = _try_constants(fs)
     if constants is None:

@@ -43,6 +43,10 @@ from .tmc import Word, enumerate_words, pattern_primitivity
 DEFAULT_TARGET_ERROR = 1e-10
 # deepest level an evaluation route goes to
 MAX_DEPTH = 500000
+# a backward row takes its first cycle-search checkpoint at a multiple of
+# this many levels, so that rows joining at different depths share the
+# levels at which checkpoints are taken (see _next_checkpoint)
+FIRST_WINDOW = 16
 # additive allowance for accumulated floating-point error in iterative values
 FLOAT_NOISE_FLOOR = 1e-13
 
@@ -553,6 +557,12 @@ def _adaptive_result(point: PointSpec, route: _Route, values) -> PotentialEvalua
     )
 
 
+def check_target_error(target_error: float) -> None:
+    """Refuse a target error that is not finite and positive (ModelError)."""
+    if not (math.isfinite(target_error) and target_error > 0):
+        raise ModelError("target error must be finite and positive")
+
+
 def evaluate(
     fs: FactorSystem,
     point: PointSpec,
@@ -584,11 +594,14 @@ def evaluate_many(
     stacked step per level for all points instead of one matrix-vector
     product per point and level: psi_n of the certified and window-route
     points in one staggered backward pass, the value sequences of the
-    scan-route points in one forward pass.  Each point's evaluation is the
-    same, bit for bit, whatever else is in the batch.
+    scan-route points in one forward pass.  The backward pass drops a
+    point's row once it repeats bit for bit at a lag of whole periods and
+    takes it up again at the last level of the repeat, so psi_n costs about
+    the levels before the repeat; the value and terms_used are those of the
+    full depth n.  Each point's evaluation is the same, bit for bit,
+    whatever else is in the batch.
     """
-    if not (math.isfinite(target_error) and target_error > 0):
-        raise ModelError("target error must be finite and positive")
+    check_target_error(target_error)
     if constants is not None:
         depths = []
         for point in points:
@@ -613,41 +626,180 @@ def evaluate_many(
 
 def _symbol_column(points: Sequence[PointSpec]):
     """column(k) holds every point's symbol k, read from a padded
-    (points x (preperiod + period)) table."""
+    (points x (preperiod + period)) table.  The table is indexed for a run
+    of up to 64 consecutive k at a time (and at most 65,536 entries), so a
+    pass over the levels pays for one indexing per run."""
     t0 = np.array([len(p.preperiod) for p in points])
     q = np.array([len(p.period) for p in points])
     table = np.zeros((len(points), int((t0 + q).max())), dtype=np.intp)
     for i, p in enumerate(points):
         table[i, : t0[i] + q[i]] = p.preperiod + p.period
     every = np.arange(len(points))
-    return lambda k: table[every, np.where(k < t0, k, t0 + (k - t0) % q)]
+    run = max(1, min(64, 65536 // len(points)))
+    start, block = -run, table[:0]
+
+    def column(k: int) -> np.ndarray:
+        nonlocal start, block
+        if not start <= k < start + run:
+            start = k - k % run
+            ks = np.arange(start, start + run)[:, None]
+            block = table[every, np.where(ks < t0, ks, t0 + (ks - t0) % q)]
+        return block[k - start]
+
+    return column
+
+
+def _cycle_exit(t0: int, q: int, level: int, lag: int) -> int:
+    """Level at which a backward iteration may resume when its unnormalized
+    row at level equals, bit for bit, its row lag levels up.  From level t0
+    on the step matrices repeat with the period q, so when level >= t0 and
+    lag is a multiple of q every row from level down to t0 equals the row
+    lag levels up, and the iteration may go on from t0 + (level - t0) % lag
+    with the same row; otherwise it stays at level."""
+    if level >= t0 and lag % q == 0:
+        return t0 + (level - t0) % lag
+    return level
+
+
+def _next_checkpoint(level, window):
+    """The largest multiple of window below level (elementwise over arrays):
+    where a row takes its next cycle-search checkpoint.  A row joining at
+    depth n takes its first at _next_checkpoint(n + 1, FIRST_WINDOW), and
+    each checkpoint doubles the window, as in Brent's cycle search."""
+    return (level - 1) // window * window
+
+
+def _scale(fs: FactorSystem, point: PointSpec, n: int) -> float:
+    """backward_transfer(fs, point.symbols(n + 1))[1]: _lockstep_scales for
+    one row, with the same checkpoints and cycle exit, and without the log
+    masses."""
+    t0, q = len(point.preperiod), len(point.period)
+    symbol = point.symbol_at
+    b = symbol(n)
+    x = fs.fiber_marginal[b]
+    level, window = n, FIRST_WINDOW
+    due = _next_checkpoint(n + 1, window)
+    mark_level, mark_scale, mark = n, math.nan, b""
+    while True:
+        scale = x.sum()
+        if scale <= 0.0:
+            return 0.0
+        if scale == mark_scale and x.tobytes() == mark:
+            resume = _cycle_exit(t0, q, level, mark_level - level)
+            if resume < level:
+                # a lag of whole periods keeps the symbol b at the new level
+                level, due, mark_scale = resume, -1, math.nan
+        if level == 0:
+            return scale
+        if level == due:
+            mark_level, mark_scale, mark = level, scale, x.tobytes()
+            window *= 2
+            due = _next_checkpoint(level, window)
+        level -= 1
+        b, after = symbol(level), b
+        x = fs.weight(b, after) @ (x / scale)
 
 
 def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequence[int]) -> np.ndarray:
     """backward_transfer(fs, p.symbols(n + 1))[1] for every point p and its
-    depth n >= 1, in one backward pass over max(depths) levels: a point's
-    marginal row enters at level n - 1, and all rows present step back
-    together.  A single point takes backward_transfer itself, which is
-    cheaper than a level of one row."""
+    depth n >= 1, bit for bit, in one countdown over the levels: a point's
+    marginal row joins at level n and all rows present step back together.
+    A single point takes _scale, which is cheaper than a level of one row.
+
+    The unnormalized row x_k at level k fixes every later step, and its sum
+    is the answer at level 0.  In floating point the contraction of the
+    backward maps makes the row of an eventually periodic point repeat,
+    bit for bit, long before the certified depth, so each row keeps one
+    checkpoint (row, scale and level; see _next_checkpoint for when).  A row
+    whose scale equals its checkpoint's, at a lag for which _cycle_exit
+    allows a jump, is compared bit for bit; if equal, it leaves the stacks
+    and joins again at the level _cycle_exit gives, as marginal rows join
+    at their depth, and the countdown skips the levels with no row."""
     if not points:
         return np.empty(0)
     if len(points) == 1:
-        return np.array([backward_transfer(fs, points[0].symbols(depths[0] + 1))[1]])
+        return np.array([_scale(fs, points[0], depths[0])])
     column = _symbol_column(points)
-    depths = np.asarray(depths)
-    rows = [np.empty((0, len(mu))) for mu in fs.fiber_marginal]
+    count = len(points)
+    t0 = [len(p.preperiod) for p in points]
+    q = [len(p.period) for p in points]
+    marginal = fs.fiber_marginal
+    # entries[k]: the (fiber, ids, rows) that join at level k + 1, before
+    # the step to level k
+    entries: dict[int, list] = {}
+    joining: dict[tuple[int, int], list] = {}
+    for i, (p, n) in enumerate(zip(points, depths)):
+        joining.setdefault((n, p.symbol_at(n)), []).append(i)
+    for (n, b), members in joining.items():
+        stack = np.repeat(marginal[b][None], len(members), axis=0)
+        entries.setdefault(n - 1, []).append((b, np.array(members), stack))
+    # per point: the checkpoint, the window and the level of the next
+    # checkpoint (-1 once the point has left)
+    mark_scale = np.full(count, math.nan)
+    mark_level = np.zeros(count, dtype=np.intp)
+    mark = np.zeros((count, max(len(mu) for mu in marginal)))
+    window = np.full(count, FIRST_WINDOW)
+    due = _next_checkpoint(np.asarray(depths, dtype=np.intp) + 1, FIRST_WINDOW)
+    next_due = int(due.max())
+    out = np.empty(count)
+    rows = [np.empty((0, len(mu))) for mu in marginal]
     ids = [np.empty(0, dtype=np.intp) for _ in rows]
-    for k in range(int(depths.max()) - 1, -1, -1):
-        entering = np.flatnonzero(depths == k + 1)
-        if entering.size:
-            fibers = column(k + 1)[entering]
-            for b, mu in enumerate(fs.fiber_marginal):
-                new = entering[fibers == b]
-                rows[b] = np.concatenate([rows[b], np.repeat(mu[None], len(new), axis=0)])
-                ids[b] = np.concatenate([ids[b], new])
-        rows = [r / r.sum(axis=1, keepdims=True) for r in rows]
+    k, live = max(entries), 0
+    while True:
+        for b, new_ids, new_rows in entries.pop(k, ()):
+            rows[b] = np.concatenate([rows[b], new_rows])
+            ids[b] = np.concatenate([ids[b], new_ids])
+            live += len(new_ids)
+        level = k + 1
+        sums = [np.add.reduce(r, axis=1) for r in rows]
+        for b, (r, who, s) in enumerate(zip(rows, ids, sums)):
+            repeats = (s == mark_scale[who]).nonzero()[0]
+            if not repeats.size:
+                continue
+            exits: dict[int, list] = {}
+            for pos in repeats.tolist():
+                i = int(who[pos])
+                m = _cycle_exit(t0[i], q[i], level, int(mark_level[i]) - level)
+                if m < level and r[pos].tobytes() == mark[i, : r.shape[1]].tobytes():
+                    exits.setdefault(m, []).append(pos)
+            if not exits:
+                continue
+            for m, at in exits.items():
+                if m == 0:
+                    out[who[at]] = s[at]
+                else:
+                    entries.setdefault(m - 1, []).append((b, who[at], r[at]))
+            gone = [pos for at in exits.values() for pos in at]
+            mark_scale[who[gone]] = math.nan
+            due[who[gone]] = -1
+            next_due = int(due.max())
+            live -= len(gone)
+            keep = np.ones(len(r), dtype=bool)
+            keep[gone] = False
+            rows[b], ids[b], sums[b] = r[keep], who[keep], s[keep]
+        if not live:
+            if not entries:
+                return out
+            k = max(entries)
+            continue
+        if level == next_due:
+            for r, who, s in zip(rows, ids, sums):
+                at = np.flatnonzero(due[who] == level)
+                mark[who[at], : r.shape[1]] = r[at]
+                mark_scale[who[at]] = s[at]
+            taken = np.flatnonzero(due == level)
+            mark_level[taken] = level
+            window[taken] *= 2
+            due[taken] = _next_checkpoint(level, window[taken])
+            next_due = int(due.max())
+        rows = [r / s[:, None] for r, s in zip(rows, sums)]
         rows, ids = backward_step(fs, rows, ids, column(k))
-    return np.concatenate([r.sum(axis=1) for r in rows])[np.argsort(np.concatenate(ids))]
+        if k == 0:
+            break
+        k -= 1
+    for i, r in zip(ids, rows):
+        out[i] = r.sum(axis=1)
+    return out
 
 
 def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: Sequence[int]) -> list[np.ndarray]:

@@ -5,15 +5,18 @@ alphabet.  Pushing a stationary Markov measure through it produces a hidden
 Markov measure: cylinder weights are computed by sandwiching products of
 weighted fiber matrices between a row of ones and the marginal vector of the
 last symbol.  backward_transfer evaluates that formula for one word:
-cylinder weights, psi_n and the finite-range approximant read it off that
-kernel.  backward_step is the same step on stacks of vectors: the d constant
-and log_nu_cylinders take it over all words of one length, and evaluate_many
-takes it over all its points in lockstep, one depth level at a time.  forward_step is its
-mirror image, row vectors times a block, with which evaluate_many scans the
-value sequences of points without a positive tail window.  The two
-hypotheses checked here (row-allowability of every fiber block, and
-positivity of one-period products over short cycles) are what later certify
-that this induced measure admits a regular potential.
+cylinder weights and the finite-range approximant read it off that kernel,
+and psi_n at one point repeats its steps.  backward_step is the same step
+on stacks of vectors: the d constant and log_nu_cylinders take it over all
+words of one length, and evaluate_many takes it over all its points in
+lockstep, one depth level at a time.  Both skip the levels over which a
+point's row repeats bit for bit, so their values equal backward_transfer's
+at the full depth.  forward_step is its mirror image,
+row vectors times a block, with which evaluate_many scans the value
+sequences of points without a positive tail window.  The two hypotheses
+checked here (row-allowability of every fiber block, and positivity of
+one-period products over short cycles) are what later certify that this
+induced measure admits a regular potential.
 """
 
 from __future__ import annotations

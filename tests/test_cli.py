@@ -120,8 +120,17 @@ def test_periodic_lists_orbits(model_paths, capsys):
         ("periodic", "fullshift4", "--max-period", "3"),
         ("periodic", "nongibbs6", "--max-period", "3"),
         ("gibbs", "adhoc5", "--n-max", "3"),
+        # without constants the sweep prints a line first; the tolerance is refused before it
+        ("gibbs", "nongibbs6", "--n-max", "2"),
     ],
-    ids=["potential", "potential-divergent", "periodic-eigendata", "periodic-fallback", "gibbs"],
+    ids=[
+        "potential",
+        "potential-divergent",
+        "periodic-eigendata",
+        "periodic-fallback",
+        "gibbs",
+        "gibbs-uncertified",
+    ],
 )
 def test_bad_tol_is_input_error(model_paths, capsys, command, tol):
     name, model, *rest = command

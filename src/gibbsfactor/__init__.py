@@ -86,72 +86,41 @@ from .tmc import (
 
 __version__ = "0.1.0"
 
+# the README's Library entry points, then the classes a caller names to use
+# them, then the error classes; every other name above stays importable
 __all__ = [
-    "Alphabet",
-    "AdmissibilityError",
-    "BgiReport",
-    "BgiRow",
-    "CertificationError",
-    "EXAMPLES",
-    "EvaluationRefused",
-    "FactorSystem",
-    "FiberMismatchError",
-    "GibbsFactorError",
-    "H1Report",
-    "H2Report",
-    "HolderReport",
-    "InvarianceReport",
-    "MarkovModel",
-    "ModelError",
-    "ObstructionReport",
-    "PeriodicPoint",
-    "PerronData",
-    "PointSpec",
-    "PotentialEvaluation",
-    "Projection",
-    "RangeTwoPotential",
-    "SimplexPoint",
-    "Tmc",
-    "UniformConstants",
-    "Word",
-    "apply_normalized",
-    "bgi_sweep",
+    "load_model",
+    "example_system",
     "build_factor_system",
-    "canonical_extension",
     "check_h1",
     "check_h2",
-    "check_primitivity",
     "check_topological_markov",
-    "contraction_coefficient",
-    "cylinder_measure",
-    "derive_potential",
-    "eigendata_many",
-    "enumerate_periodic",
-    "enumerate_words",
-    "evaluate",
-    "evaluate_many",
-    "example_system",
-    "expand_example",
-    "factorization_sequence",
-    "finite_range_obstruction",
-    "holder_variation",
-    "invariance_suite",
-    "is_row_allowable",
-    "load_model",
-    "log_cylinder_measure",
-    "log_nu_cylinder",
-    "markov_approx",
     "nu_cylinder",
-    "nu_preimage_sum",
-    "parse_model",
-    "pattern_primitivity",
+    "markov_approx",
+    "evaluate_many",
+    "evaluate",
+    "eigendata_many",
     "periodic_many",
     "periodic_potential",
-    "perron_data",
-    "preimage_words",
-    "projective_distance",
-    "sequence_metric",
-    "stationary_distribution",
-    "tail_completions",
     "uniform_constants",
+    "holder_variation",
+    "finite_range_obstruction",
+    "bgi_sweep",
+    "invariance_suite",
+    "projective_distance",
+    "contraction_coefficient",
+    "Alphabet",
+    "Tmc",
+    "MarkovModel",
+    "Projection",
+    "FactorSystem",
+    "PointSpec",
+    "UniformConstants",
+    "SimplexPoint",
+    "GibbsFactorError",
+    "ModelError",
+    "AdmissibilityError",
+    "FiberMismatchError",
+    "CertificationError",
+    "EvaluationRefused",
 ]

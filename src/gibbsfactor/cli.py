@@ -22,6 +22,7 @@ from .gibbs import bgi_sweep, invariance_suite
 from .potential import (
     PointSpec,
     UniformConstants,
+    check_sweep_depth,
     check_target_error,
     evaluate,
     finite_range_obstruction,
@@ -190,6 +191,7 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_holder(args) -> int:
+    check_sweep_depth(args.n_max)
     fs = models.load_model(args.model)
     constants, reason = _try_constants(fs)
     if constants is None:
@@ -220,8 +222,9 @@ def cmd_holder(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    # a bad tolerance is refused before anything is printed
+    # a bad tolerance or depth is refused before anything is printed
     check_target_error(args.tol)
+    check_sweep_depth(args.n_max, least=1 if args.invariance else 0)
     fs = models.load_model(args.model)
     constants, reason = _try_constants(fs)
     if constants is None:

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .potential import (
-    PointSpec,
     UniformConstants,
     canonical_extension,
+    check_sweep_depth,
     evaluate_many,
     markov_approx,
 )
 from .projection import FactorSystem, log_nu_cylinders
-from .tmc import Word, enumerate_words
+from .tmc import enumerate_words
 
 # horizon floor for the finite-range stand-in at divergent points
 PROXY_HORIZON_MIN = 40
@@ -60,17 +60,6 @@ class BgiReport:
         return buf.getvalue()
 
 
-def _proxy_value(fs: FactorSystem, point: PointSpec, horizon: int) -> float:
-    """Finite-range stand-in psi_m at a fixed even horizon.
-
-    Used only when the potential diverges at the point; the fixed parity
-    keeps the stand-in on a single subsequence cluster, so the sweep still
-    sees the unbounded correction.
-    """
-    word = point.symbols(horizon + 1)
-    return markov_approx(fs, Word(fs.factor_tmc, word))
-
-
 def bgi_sweep(
     fs: FactorSystem,
     n_max: int,
@@ -79,7 +68,14 @@ def bgi_sweep(
 ) -> BgiReport:
     """Gibbs-ratio table over all cylinders of depth 0 .. n_max; the points
     of all depths are evaluated in one batch (evaluate_many), the cylinder
-    masses in one backward pass (log_nu_cylinders)."""
+    masses in one backward pass (log_nu_cylinders).
+
+    Where the potential diverges, the finite-range stand-in psi_m at a fixed
+    even horizon m (markov_approx) takes its place; the fixed parity keeps
+    the stand-in on a single subsequence cluster, so the sweep still sees
+    the unbounded correction.
+    """
+    check_sweep_depth(n_max)
     horizon = max(PROXY_HORIZON_MIN, 2 * (n_max + 2))
     levels = []
     for n in range(n_max + 1):
@@ -90,40 +86,28 @@ def bgi_sweep(
         levels.append(level)
     unique = {p.key(): p for level in levels for _, pts in level for p in pts}
     cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), target_error, constants)))
+    proxies = {
+        k: markov_approx(fs, unique[k].symbols(horizon + 1))
+        for k, ev in cache.items()
+        if ev.mode == "diverged"
+    }
     log_nu = log_nu_cylinders(fs, n_max + 1)
-    proxy_cache: dict[tuple, float] = {}
-    proxy_points = 0
-    notes: list[str] = []
-
-    def psi(point: PointSpec) -> tuple[float, float, bool]:
-        """(value, radius, proxied) at the point."""
-        nonlocal proxy_points
-        k = point.key()
-        ev = cache[k]
-        if ev.mode == "diverged":
-            if k not in proxy_cache:
-                proxy_cache[k] = _proxy_value(fs, point, horizon)
-                proxy_points += 1
-            return proxy_cache[k], math.inf, True
-        return ev.value, ev.error_radius, False
-
     rows = []
-    any_proxy_note = False
     for n, level in enumerate(levels):
         log_r_min = math.inf
         log_r_max = -math.inf
-        count = 0
         max_radius = 0.0
         level_proxied = False
         for word, points in level:
-            count += 1
             total = 0.0
             for point in points:
-                value, radius, proxied = psi(point)
-                total += value
-                level_proxied = level_proxied or proxied
-                if not proxied:
-                    max_radius = max(max_radius, radius)
+                k = point.key()
+                if k in proxies:
+                    total += proxies[k]
+                    level_proxied = True
+                else:
+                    total += cache[k].value
+                    max_radius = max(max_radius, cache[k].error_radius)
             log_r = log_nu[word.symbols] - total
             log_r_min = min(log_r_min, log_r)
             log_r_max = max(log_r_max, log_r)
@@ -136,16 +120,10 @@ def bgi_sweep(
             slack = math.nan
             k_cert = math.nan
             verdict = "uncertified"
-        if level_proxied and not any_proxy_note:
-            notes.append(
-                f"potential diverges at some points; a depth-{horizon} "
-                "finite-range stand-in was used there"
-            )
-            any_proxy_note = True
         rows.append(
             BgiRow(
                 n=n,
-                cylinder_count=count,
+                cylinder_count=len(level),
                 r_min=math.exp(log_r_min),
                 r_max=math.exp(log_r_max),
                 k_emp=k_emp,
@@ -154,11 +132,15 @@ def bgi_sweep(
                 verdict=verdict,
             )
         )
+    stand_in = (
+        f"potential diverges at some points; a depth-{horizon} "
+        "finite-range stand-in was used there"
+    )
     return BgiReport(
         rows=tuple(rows),
         certified=constants is not None and all(r.verdict != "uncertified" for r in rows),
-        proxy_points=proxy_points,
-        notes=tuple(notes),
+        proxy_points=len(proxies),
+        notes=(stand_in,) if proxies else (),
     )
 
 
@@ -199,6 +181,7 @@ def invariance_suite(fs: FactorSystem, n_max: int) -> InvarianceReport:
     the finite-range limit).  The cylinder masses come from one backward
     pass (log_nu_cylinders).
     """
+    check_sweep_depth(n_max, least=1)
     tmc = fs.factor_tmc
     nu = {w: math.exp(log) for w, log in log_nu_cylinders(fs, n_max + 1).items()}
     rows = []
@@ -209,17 +192,12 @@ def invariance_suite(fs: FactorSystem, n_max: int) -> InvarianceReport:
         consistency = 0.0
         cocycle = 0.0
         for w in words_n:
-            front = math.fsum(
-                nu[(b0,) + w] for b0 in range(fs.target_size) if tmc.allows(b0, w[0])
-            )
+            heads = [(b0,) + w for b0 in range(fs.target_size) if tmc.allows(b0, w[0])]
+            front = math.fsum(nu[u] for u in heads)
             shift = max(shift, abs(front - nu[w]))
             back = math.fsum(nu[w + (b2,)] for b2 in tmc.successors(w[-1]))
             consistency = max(consistency, abs(back - nu[w]))
-            ratio = math.fsum(
-                nu[(b0,) + w] / nu[w]
-                for b0 in range(fs.target_size)
-                if tmc.allows(b0, w[0])
-            )
+            ratio = math.fsum(nu[u] / nu[w] for u in heads)
             cocycle = max(cocycle, abs(ratio - 1.0))
         rows.append(
             InvarianceRow(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ModelError
-from .tmc import Tmc, Word, check_primitivity
+from .errors import ModelError
+from .tmc import Tmc, check_primitivity, word_symbols
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-13
@@ -117,17 +117,9 @@ def derive_potential(model: MarkovModel) -> RangeTwoPotential:
     return RangeTwoPotential(values)
 
 
-def _as_symbols(model: MarkovModel, word) -> tuple[int, ...]:
-    if isinstance(word, Word):
-        if word.tmc is not model.tmc:
-            raise AdmissibilityError("word belongs to a different chain")
-        return word.symbols
-    return Word(model.tmc, word).symbols
-
-
 def log_cylinder_measure(model: MarkovModel, word) -> float:
     """log mu[w], accumulated in log space."""
-    symbols = _as_symbols(model, word)
+    symbols = word_symbols(model.tmc, word)
     total = float(np.log(model.stationary[symbols[0]]))
     for a, b in zip(symbols, symbols[1:]):
         total += float(np.log(model.transition[a, b]))

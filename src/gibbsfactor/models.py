@@ -34,8 +34,11 @@ GAMMA_LO = 0.25
 GAMMA_HI = 1.0 / 3.0
 
 
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
+def _check_gamma(gamma) -> float:
+    try:
+        gamma = float(gamma)
+    except (TypeError, ValueError):
+        raise ModelError(f"gamma must be a number, got {gamma!r}") from None
     if not (GAMMA_LO < gamma < GAMMA_HI):
         raise ModelError(
             f"gamma must lie strictly between 1/4 and 1/3, got {gamma!r}"
@@ -182,8 +185,8 @@ def parse_model(doc: dict) -> FactorSystem:
     if extra:
         raise ModelError(f"projection names unknown source symbols {extra}")
     projection = Projection.from_labels(tmc.alphabet, {k: str(v) for k, v in mapping.items()})
-    options = doc.get("options", {})
-    if options and not isinstance(options, dict):
+    options = doc.get("options") or {}
+    if not isinstance(options, dict):
         raise ModelError("options must be an object")
     if "gamma" in options:
         _check_gamma(options["gamma"])

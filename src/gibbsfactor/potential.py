@@ -26,19 +26,18 @@ from .errors import (
 )
 from .projection import (
     FactorSystem,
-    _as_factor_symbols,
     backward_step,
     backward_transfer,
     forward_step,
 )
 from .projective import (
-    MIN_COORDINATE,
     apply_normalized,
     contraction_coefficient,
     normalize_rows,
     projective_distance,
+    projective_distances,
 )
-from .tmc import Word, enumerate_words, pattern_primitivity
+from .tmc import Word, enumerate_words, pattern_primitivity, primitive_root, word_symbols
 
 DEFAULT_TARGET_ERROR = 1e-10
 # deepest level an evaluation route goes to
@@ -75,11 +74,7 @@ class PointSpec:
             if not tmc.allows(preperiod[-1], period[0]):
                 raise AdmissibilityError("preperiod does not connect to the period")
         # canonical form: primitive period root, then absorb repeating suffix
-        p = len(period)
-        for q in range(1, p):
-            if p % q == 0 and period == period[q:] + period[:q]:
-                period = period[:q]
-                break
+        period = primitive_root(period)
         while preperiod and preperiod[-1] == period[-1]:
             preperiod = preperiod[:-1]
             period = period[-1:] + period[:-1]
@@ -374,22 +369,11 @@ def _psi_sequence(fs: FactorSystem, point: PointSpec, n_hi: int) -> np.ndarray:
 def markov_approx(fs: FactorSystem, word) -> float:
     """Finite-range approximation log(nu[w] / nu[w(1:)]) for len(w) >= 2;
     -inf when w has no preimage."""
-    symbols = _as_factor_symbols(fs, word)
+    symbols = word_symbols(fs.factor_tmc, word)
     if len(symbols) < 2:
         raise AdmissibilityError("the approximation needs a word of length >= 2")
     scale = backward_transfer(fs, symbols)[1]
     return math.log(scale) if scale > 0.0 else -math.inf
-
-
-def _word_product(fs: FactorSystem, products: dict, word: tuple[int, ...]) -> np.ndarray:
-    """fs.word_product(word), left to right, with the products of its
-    prefixes kept in products and shared by the words of one batch."""
-    out = fs.fiber_weight[word[:2]]
-    for j in range(3, len(word) + 1):
-        if word[:j] not in products:
-            products[word[:j]] = out @ fs.fiber_weight[word[j - 2 : j]]
-        out = products[word[:j]]
-    return out
 
 
 def _cluster_values(values: Sequence[float], gap: float = 1e-6, spread: float = 1e-9) -> Optional[list[float]]:
@@ -446,7 +430,7 @@ def _adaptive_route(
     """Refuse the point (zero fiber rows along it) or plan its evaluation
     from its own tail.  primitivity is the zero-pattern memo of
     pattern_primitivity results and products the prefix memo of
-    _word_product, both shared by the points of one batch.
+    fs.word_product, both shared by the points of one batch.
 
     A tail phase whose whole-period window becomes strictly positive after
     pattern-primitivity many repetitions gives the window route: its
@@ -457,20 +441,19 @@ def _adaptive_route(
     """
     _check_point_rows(fs, point)
     primitivity = {} if primitivity is None else primitivity
-    products = {} if products is None else products
     t0 = len(point.preperiod)
     q = len(point.period)
     base = max(1, t0)
     for r in range(q):
         word = point.symbols(base + r + q + 1)[base + r :]
-        prim = _primitivity(primitivity, _word_product(fs, products, word))
+        prim = _primitivity(primitivity, fs.word_product(word, products))
         if prim.primitive:
             break
     else:
         return _Route(window=False, depth=min(max(150, t0 + 30 * q, 12 * q), MAX_DEPTH))
     a0 = base + r
     big_q = prim.exponent * q
-    window = _word_product(fs, products, point.symbols(a0 + big_q + 1)[a0:])
+    window = fs.word_product(point.symbols(a0 + big_q + 1)[a0:], products)
     tau_q = contraction_coefficient(window).tau
     fiber = point.symbol_at(a0)
     mu_hat = fs.marginal_hat(fiber)
@@ -561,6 +544,12 @@ def check_target_error(target_error: float) -> None:
     """Refuse a target error that is not finite and positive (ModelError)."""
     if not (math.isfinite(target_error) and target_error > 0):
         raise ModelError("target error must be finite and positive")
+
+
+def check_sweep_depth(n_max: int, least: int = 0) -> None:
+    """Refuse a sweep depth n_max below least (ModelError)."""
+    if n_max < least:
+        raise ModelError(f"sweep depth n_max must be >= {least}, got {n_max}")
 
 
 def evaluate(
@@ -893,10 +882,8 @@ def _d_const(fs: FactorSystem, gap: int) -> float:
         rows = backward_step(fs, rows)[0]
         for b0 in range(len(rows)):
             rows[b0] = normalize_rows(rows[b0])
-            if (rows[b0] < MIN_COORDINATE).any():
-                raise ModelError("coordinates below 1e-300; distance would be unreliable")
-            ratio = np.log(fs.marginal_hat(b0).coords) - np.log(rows[b0])
-            d_const = max(d_const, float((ratio.max(axis=1) - ratio.min(axis=1)).max()))
+            distances = projective_distances(fs.marginal_hat(b0).coords, rows[b0])
+            d_const = max(d_const, float(distances.max()))
     return d_const
 
 
@@ -1009,7 +996,7 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
         except EvaluationRefused as exc:
             results[i] = exc
             continue
-        t = _word_product(fs, products, point.period + point.period[:1])
+        t = fs.word_product(point.period + point.period[:1], products)
         prim = _primitivity(primitivity, t)
         if prim.primitive:
             by_size.setdefault(len(t), []).append((i, t, prim.exponent))
@@ -1028,17 +1015,14 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             x = normalize_rows(right[rows])
             power = np.linalg.matrix_power(ts[rows], e)
             y = normalize_rows((power @ x[..., None])[..., 0])
-            if (x < MIN_COORDINATE).any() or (y < MIN_COORDINATE).any():
-                raise ModelError("coordinates below 1e-300; distance would be unreliable")
-            ratio = np.log(y) - np.log(x)
-            gaps = (ratio.max(axis=1) - ratio.min(axis=1)).tolist()
+            gaps = projective_distances(x, y).tolist()
             for row, p_j, gap in zip(rows.tolist(), power, gaps):
                 vector_terms[row] = gap / (1.0 - contraction_coefficient(p_j).tau)
         for (i, _, _), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
             period = points[i].period
             tail = 1.0
             if len(period) > 1:
-                rest = _word_product(fs, products, period[1:] + period[:1])
+                rest = fs.word_product(period[1:] + period[:1], products)
                 tail = float((rest @ pd.right).sum())
             evaluation = PotentialEvaluation(
                 value=math.log(pd.rho) - math.log(tail),
@@ -1119,8 +1103,7 @@ def canonical_extension(fs: FactorSystem, symbols: Sequence[int]) -> PointSpec:
     path from the last symbol to the first (at most #B steps); otherwise
     extends greedily into the lexicographically first reachable cycle.
     """
-    symbols = tuple(int(s) for s in symbols)
-    Word(fs.factor_tmc, symbols)
+    symbols = word_symbols(fs.factor_tmc, symbols)
     path = _shortest_return_path(fs, symbols[-1], symbols[0], fs.target_size)
     if path is not None:
         return PointSpec(fs, (), symbols + path[1:-1])
@@ -1134,8 +1117,7 @@ def tail_completions(fs: FactorSystem, symbols: Sequence[int], count: int = 2) -
     Explores admissible continuations of bounded depth in lexicographic
     order and closes each into a cycle greedily, deduplicating the results.
     """
-    symbols = tuple(int(s) for s in symbols)
-    Word(fs.factor_tmc, symbols)
+    symbols = word_symbols(fs.factor_tmc, symbols)
     tmc = fs.factor_tmc
     depth = fs.target_size + 1
     out: list[PointSpec] = []
@@ -1187,6 +1169,7 @@ def holder_variation(
 ) -> HolderReport:
     """Sample var_n psi over all words of each length up to n_max; the tail
     completions of all lengths are evaluated in one batch (evaluate_many)."""
+    check_sweep_depth(n_max)
     levels = []
     for n in range(n_max + 1):
         completions = (

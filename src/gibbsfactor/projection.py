@@ -37,6 +37,7 @@ from .tmc import (
     Word,
     enumerate_periodic,
     pattern_primitivity,
+    word_symbols,
 )
 
 
@@ -88,10 +89,10 @@ class Projection:
 class FactorSystem:
     """Everything derived from (model, projection) that later stages consume.
 
-    fiber_incidence[(b, b')] is the 0/1 block of the source incidence over
-    fiber(b) x fiber(b'); fiber_weight[(b, b')] is the same block with each
-    allowed entry replaced by exp(phi) = mu[a] P(a, a') / mu[a'].  Both exist
-    exactly for the pairs allowed by the induced incidence.  fiber_marginal[b]
+    fiber_weight[(b, b')] is the block of the source incidence over
+    fiber(b) x fiber(b') with each allowed entry replaced by
+    exp(phi) = mu[a] P(a, a') / mu[a']; it exists exactly for the pairs
+    allowed by the induced incidence.  fiber_marginal[b]
     restricts the stationary vector to fiber(b).  zero_row_blocks holds the
     pairs whose weight block has an all-zero row: no potential is defined
     along a point that takes such a step.
@@ -106,20 +107,14 @@ class FactorSystem:
         m = model.tmc.incidence
         nb = projection.target.size
         induced = np.zeros((nb, nb), dtype=np.int8)
-        self.fiber_incidence: dict[tuple[int, int], np.ndarray] = {}
         self.fiber_weight: dict[tuple[int, int], np.ndarray] = {}
         for b in range(nb):
             for b2 in range(nb):
-                block = m[np.ix_(projection.fibers[b], projection.fibers[b2])]
+                ix = np.ix_(projection.fibers[b], projection.fibers[b2])
+                block = m[ix]
                 if block.any():
                     induced[b, b2] = 1
-                    weight = np.where(
-                        block == 1,
-                        np.exp(phi[np.ix_(projection.fibers[b], projection.fibers[b2])]),
-                        0.0,
-                    )
-                    self.fiber_incidence[(b, b2)] = block
-                    self.fiber_weight[(b, b2)] = weight
+                    self.fiber_weight[(b, b2)] = np.where(block == 1, np.exp(phi[ix]), 0.0)
         self.zero_row_blocks = frozenset(
             key for key, w in self.fiber_weight.items() if not is_row_allowable(w)[0]
         )
@@ -147,11 +142,17 @@ class FactorSystem:
     def factor_word(self, labels: Sequence[str]) -> Word:
         return self.factor_tmc.word(labels)
 
-    def word_product(self, symbols: Sequence[int]) -> np.ndarray:
-        """Product of fiber weight matrices along a factor word (length >= 2)."""
+    def word_product(self, symbols: Sequence[int], products: Optional[dict] = None) -> np.ndarray:
+        """Product of fiber weight matrices along a factor word (length >= 2),
+        left to right.  products, when given, keeps the products of the
+        word's prefixes, shared by the words of one batch."""
+        products = {} if products is None else products
         out = self.fiber_weight[(symbols[0], symbols[1])]
-        for a, b in zip(symbols[1:], symbols[2:]):
-            out = out @ self.fiber_weight[(a, b)]
+        for j in range(2, len(symbols)):
+            key = tuple(symbols[: j + 1])
+            if key not in products:
+                products[key] = out @ self.fiber_weight[(symbols[j - 1], symbols[j])]
+            out = products[key]
         return out
 
 
@@ -167,13 +168,13 @@ class H1Report:
 
 
 def check_h1(fs: FactorSystem) -> H1Report:
-    """Row-allowability of every fiber block allowed by the induced incidence."""
+    """Row-allowability of every fiber block allowed by the induced incidence:
+    the all-zero rows of the weight blocks, as in fs.zero_row_blocks."""
     failures = []
     target = fs.projection.target.labels
     source = fs.projection.source.labels
-    for (b, b2), block in sorted(fs.fiber_incidence.items()):
-        rows_without = np.flatnonzero(~(block == 1).any(axis=1))
-        for r in rows_without:
+    for (b, b2), block in sorted(fs.fiber_weight.items()):
+        for r in np.flatnonzero(~(block > 0).any(axis=1)):
             failures.append((target[b], target[b2], source[fs.projection.fibers[b][r]]))
     return H1Report(passed=not failures, failures=tuple(failures))
 
@@ -257,12 +258,11 @@ def check_topological_markov(fs: FactorSystem, depth: int = 12) -> TopologicalMa
         return TopologicalMarkovVerdict("markov_certified", None, depth)
     m = fs.model.tmc.incidence
     fibers = fs.projection.fibers
-    succ = {b: fs.factor_tmc.successors(b) for b in range(fs.target_size)}
 
     def search(prefix: list[int], reach: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         if len(prefix) >= depth:
             return None
-        for b2 in succ[prefix[-1]]:
+        for b2 in fs.factor_tmc.successors(prefix[-1]):
             nxt = tuple(
                 a2 for a2 in fibers[b2] if any(m[a, a2] for a in reach)
             )
@@ -279,14 +279,6 @@ def check_topological_markov(fs: FactorSystem, depth: int = 12) -> TopologicalMa
             witness = Word(fs.factor_tmc, hit)
             return TopologicalMarkovVerdict("markov_refuted", witness, depth)
     return TopologicalMarkovVerdict("undecided_at_depth", None, depth)
-
-
-def _as_factor_symbols(fs: FactorSystem, word) -> tuple[int, ...]:
-    if isinstance(word, Word):
-        if word.tmc is not fs.factor_tmc:
-            raise AdmissibilityError("word does not belong to this factor chain")
-        return word.symbols
-    return Word(fs.factor_tmc, word).symbols
 
 
 def backward_transfer(fs: FactorSystem, symbols: Sequence[int]) -> tuple[float, float, np.ndarray]:
@@ -351,7 +343,7 @@ def forward_step(fs: FactorSystem, rows: list, ids: list, column) -> tuple:
 def log_nu_cylinder(fs: FactorSystem, word) -> float:
     """log nu[w]; -inf when the word has no preimage (possible only when some
     fiber block has an all-zero row)."""
-    return backward_transfer(fs, _as_factor_symbols(fs, word))[0]
+    return backward_transfer(fs, word_symbols(fs.factor_tmc, word))[0]
 
 
 def log_nu_cylinders(fs: FactorSystem, max_length: int) -> dict[tuple[int, ...], float]:
@@ -396,7 +388,7 @@ def nu_cylinder(fs: FactorSystem, word) -> float:
 
 def preimage_words(fs: FactorSystem, word) -> list[Word]:
     """All admissible source words projecting letter-by-letter onto the word."""
-    symbols = _as_factor_symbols(fs, word)
+    symbols = word_symbols(fs.factor_tmc, word)
     m = fs.model.tmc.incidence
     fibers = fs.projection.fibers
     found: list[Word] = []

@@ -51,16 +51,22 @@ class SimplexPoint:
         return f"SimplexPoint({self.coords!r}, fiber={self.fiber!r})"
 
 
+def projective_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """delta between the rows of x and y, stacked along the last axis and
+    broadcast against each other; refuses coordinates below MIN_COORDINATE."""
+    if (x < MIN_COORDINATE).any() or (y < MIN_COORDINATE).any():
+        raise ModelError("coordinates below 1e-300; distance would be unreliable")
+    ratio = np.log(x) - np.log(y)
+    return ratio.max(axis=-1) - ratio.min(axis=-1)
+
+
 def projective_distance(x: SimplexPoint, y: SimplexPoint) -> float:
     """delta(x, y); 0 exactly on proportional inputs."""
     if x.fiber != y.fiber or len(x) != len(y):
         raise FiberMismatchError(
             f"cannot compare points on fibers {x.fiber!r} and {y.fiber!r}"
         )
-    if (x.coords < MIN_COORDINATE).any() or (y.coords < MIN_COORDINATE).any():
-        raise ModelError("coordinates below 1e-300; distance would be unreliable")
-    ratio = np.log(x.coords) - np.log(y.coords)
-    return float(ratio.max() - ratio.min())
+    return float(projective_distances(x.coords, y.coords))
 
 
 def is_row_allowable(matrix: np.ndarray) -> tuple[bool, Optional[int]]:

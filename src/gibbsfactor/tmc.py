@@ -102,6 +102,7 @@ class Tmc:
             raise ModelError(f"symbol {alphabet.labels[col]!r} has no predecessor")
         self.alphabet = alphabet
         self.incidence = incidence
+        self._successors: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def size(self) -> int:
@@ -111,7 +112,11 @@ class Tmc:
         return self.incidence[a, b] == 1
 
     def successors(self, a: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.incidence[a]))
+        """The symbols that may follow a, ascending, from one table built on
+        first use, not with the chain: wide source chains need none."""
+        if self._successors is None:
+            self._successors = tuple(tuple(np.flatnonzero(r).tolist()) for r in self.incidence)
+        return self._successors[a]
 
     def word(self, labels: Sequence[str]) -> "Word":
         return Word(self, tuple(self.alphabet.index(x) for x in labels))
@@ -123,6 +128,16 @@ class Tmc:
 def check_primitivity(tmc: Tmc) -> PrimitivityResult:
     """Primitivity of the chain's incidence matrix."""
     return pattern_primitivity(tmc.incidence)
+
+
+def primitive_root(symbols: tuple) -> tuple:
+    """The shortest word of which symbols is a power (symbols itself when
+    it is primitive)."""
+    p = len(symbols)
+    for q in range(1, p):
+        if p % q == 0 and symbols == symbols[q:] + symbols[:q]:
+            return symbols[:q]
+    return symbols
 
 
 class Word:
@@ -168,6 +183,16 @@ class Word:
         return "Word(" + "".join(self.labels) + ")"
 
 
+def word_symbols(tmc: Tmc, word) -> tuple[int, ...]:
+    """The symbol indices of a Word over tmc, or of a sequence of indices
+    admissible in tmc; anything else raises AdmissibilityError."""
+    if isinstance(word, Word):
+        if word.tmc is not tmc:
+            raise AdmissibilityError("word does not belong to this chain")
+        return word.symbols
+    return Word(tmc, word).symbols
+
+
 class PeriodicPoint:
     """Periodic point given by one period of symbols.
 
@@ -179,14 +204,11 @@ class PeriodicPoint:
     __slots__ = ("tmc", "symbols")
 
     def __init__(self, tmc: Tmc, symbols: Sequence[int]):
-        word = Word(tmc, symbols)
-        symbols = word.symbols
+        symbols = Word(tmc, symbols).symbols
         if not tmc.allows(symbols[-1], symbols[0]):
             raise AdmissibilityError("period word does not close up cyclically")
-        p = len(symbols)
-        for q in range(1, p):
-            if p % q == 0 and symbols == symbols[q:] + symbols[:q]:
-                raise AdmissibilityError("period word is a power of a shorter word")
+        if primitive_root(symbols) != symbols:
+            raise AdmissibilityError("period word is a power of a shorter word")
         self.tmc = tmc
         self.symbols = symbols
 
@@ -227,26 +249,17 @@ def enumerate_words(tmc: Tmc, n: int) -> list[Word]:
     """
     if n < 1:
         raise AdmissibilityError("word length must be >= 1")
+    # extending each word of one length by its successors, in ascending
+    # order, keeps the words of the next length in lexicographic order
+    level = [(a,) for a in range(tmc.size)]
+    for _ in range(n - 1):
+        level = [w + (b,) for w in level for b in tmc.successors(w[-1])]
     words: list[Word] = []
-    out: list[int] = []
-
-    def extend():
-        if len(out) == n:
-            w = Word.__new__(Word)
-            w.tmc = tmc
-            w.symbols = tuple(out)
-            words.append(w)
-            return
-        if not out:
-            candidates = range(tmc.size)
-        else:
-            candidates = tmc.successors(out[-1])
-        for s in candidates:
-            out.append(s)
-            extend()
-            out.pop()
-
-    extend()
+    for symbols in level:
+        w = Word.__new__(Word)
+        w.tmc = tmc
+        w.symbols = symbols
+        words.append(w)
     return words
 
 
@@ -264,10 +277,7 @@ def enumerate_periodic(tmc: Tmc, p_max: int) -> list[PeriodicPoint]:
             symbols = word.symbols
             if not tmc.allows(symbols[-1], symbols[0]):
                 continue
-            if any(
-                p % q == 0 and symbols == symbols[q:] + symbols[:q]
-                for q in range(1, p)
-            ):
+            if primitive_root(symbols) != symbols:
                 continue
             pt = PeriodicPoint.__new__(PeriodicPoint)
             pt.tmc = tmc

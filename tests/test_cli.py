@@ -141,6 +141,52 @@ def test_bad_tol_is_input_error(model_paths, capsys, command, tol):
     assert "target error must be finite and positive" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("gibbs", "adhoc5", "--n-max", "-1"),
+        # without constants the sweep prints a line first; the depth is refused before it
+        ("gibbs", "nongibbs6", "--n-max", "-2"),
+        ("gibbs", "adhoc5", "--n-max", "-1", "--invariance"),
+        ("gibbs", "adhoc5", "--n-max", "0", "--invariance"),
+        ("gibbs", "nongibbs6", "--n-max", "0", "--invariance"),
+        ("holder", "adhoc5", "--n-max", "-1"),
+        # without constants holder prints a line first; the depth is refused before it
+        ("holder", "converse_false", "--n-max", "-1"),
+    ],
+    ids=[
+        "gibbs",
+        "gibbs-uncertified",
+        "gibbs-invariance-negative",
+        "gibbs-invariance-zero",
+        "gibbs-invariance-zero-uncertified",
+        "holder",
+        "holder-no-constants",
+    ],
+)
+def test_bad_n_max_is_input_error(model_paths, capsys, command):
+    name, model, *rest = command
+    code = main([name, model_paths[model], *rest])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "sweep depth n_max must be >=" in captured.err
+
+
+def test_n_max_zero_is_one_row(model_paths, capsys):
+    assert main(["gibbs", model_paths["adhoc5"], "--n-max", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "n,cylinder_count,K_emp,K_cert,slack,verdict"
+    assert out[1].startswith("0,3,")
+    assert main(["gibbs", model_paths["adhoc5"], "--n-max", "1", "--invariance"]) == 0
+    assert "invariance residuals (max over n <= 1)" in capsys.readouterr().out
+    assert main(["holder", model_paths["adhoc5"], "--n-max", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3] == "n,var_n,bound_n"
+    assert out[-2].startswith("0,")
+    assert out[-1] == "bound satisfied: yes"
+
+
 def test_holder_table(model_paths, capsys, tmp_path):
     csv = tmp_path / "var.csv"
     code = main(["holder", model_paths["adhoc5"], "--n-max", "5", "--csv", str(csv)])

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 import gibbsfactor as gf
 
 INVARIANCE_TOL = 1e-12
@@ -82,3 +84,38 @@ def test_invariance_identities_hold_without_h1(converse_false):
 def test_invariance_identities_nongibbs(nongibbs6):
     report = gf.invariance_suite(nongibbs6, n_max=5)
     assert report.max_residual < INVARIANCE_TOL
+
+
+def test_bgi_proxies_are_the_diverged_points(nongibbs6):
+    n_max = 4
+    report = gf.bgi_sweep(nongibbs6, n_max=n_max)
+    points = {
+        p
+        for n in range(n_max + 1)
+        for w in gf.enumerate_words(nongibbs6.factor_tmc, n + 1)
+        for p in (
+            gf.canonical_extension(nongibbs6, w.symbols).shifted(nongibbs6, j)
+            for j in range(n + 1)
+        )
+    }
+    diverged = [p for p in points if gf.evaluate(nongibbs6, p).mode == "diverged"]
+    assert report.proxy_points == len(diverged) > 0
+    assert len(report.notes) == 1
+
+
+def test_bgi_sweep_without_divergence_has_no_note(adhoc5):
+    report = gf.bgi_sweep(adhoc5, n_max=3)
+    assert report.proxy_points == 0
+    assert report.notes == ()
+
+
+def test_sweeps_refuse_depths_below_their_least(adhoc5, adhoc5_constants):
+    with pytest.raises(gf.ModelError, match="n_max"):
+        gf.bgi_sweep(adhoc5, n_max=-1)
+    with pytest.raises(gf.ModelError, match="n_max"):
+        gf.holder_variation(adhoc5, adhoc5_constants, n_max=-1)
+    with pytest.raises(gf.ModelError, match="n_max"):
+        gf.invariance_suite(adhoc5, n_max=0)
+    assert len(gf.bgi_sweep(adhoc5, n_max=0).rows) == 1
+    assert len(gf.holder_variation(adhoc5, adhoc5_constants, n_max=0).var) == 1
+    assert len(gf.invariance_suite(adhoc5, n_max=1).rows) == 1

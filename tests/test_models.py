@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gibbsfactor as gf
+from gibbsfactor.cli import main
 from gibbsfactor.models import (
     EXAMPLES,
     dump_document,
@@ -107,6 +108,35 @@ def test_parse_rejects_bad_gamma_option():
     doc["options"] = {"gamma": 0.7}
     with pytest.raises(gf.ModelError):
         parse_model(doc)
+
+
+@pytest.mark.parametrize("gamma", ["x", None, [0.3], {}])
+def test_parse_rejects_non_numeric_gamma_option(gamma):
+    # float() of these raised a bare ValueError or TypeError
+    doc = expand_example("nongibbs6")
+    doc["options"] = {"gamma": gamma}
+    with pytest.raises(gf.ModelError, match="gamma must be a number"):
+        parse_model(doc)
+
+
+def test_parse_accepts_null_options():
+    doc = expand_example("nongibbs6")
+    doc["options"] = None
+    assert parse_model(doc).target_size == 2
+    doc["options"] = [1]
+    with pytest.raises(gf.ModelError, match="options must be an object"):
+        parse_model(doc)
+
+
+def test_non_numeric_gamma_is_input_error_in_the_cli(tmp_path, capsys):
+    doc = expand_example("nongibbs6")
+    doc["options"] = {"gamma": "x"}
+    path = tmp_path / "bad_gamma.json"
+    dump_document(doc, str(path))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma must be a number" in captured.err
 
 
 def test_load_model_errors_are_wrapped(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import gibbsfactor as gf
 from gibbsfactor.projection import (
     backward_transfer,
+    check_h1,
     check_topological_markov,
     nu_preimage_sum,
     one_period_product,
@@ -249,3 +250,21 @@ def test_nu_engine_agrees_with_oracle_randomized(fs, data):
     got = gf.nu_cylinder(fs, word)
     expected = nu_preimage_sum(fs, word)
     assert got == pytest.approx(expected, rel=ORACLE_REL_TOL)
+
+
+@pytest.mark.parametrize("example", ["adhoc5", "fullshift4", "nongibbs6", "converse_false"])
+def test_check_h1_failures_are_the_zero_row_blocks(example):
+    fs = gf.example_system(example)
+    target = fs.projection.target.labels
+    failures = check_h1(fs).failures
+    blocks = {(target.index(b), target.index(b2)) for b, b2, _ in failures}
+    assert blocks == set(fs.zero_row_blocks)
+    assert check_h1(fs).passed == (not fs.zero_row_blocks)
+
+
+def test_word_product_shares_prefixes_bit_for_bit(adhoc5):
+    products: dict = {}
+    words = [w.symbols for n in (2, 3, 5) for w in gf.enumerate_words(adhoc5.factor_tmc, n)]
+    for word in words + words:
+        assert np.array_equal(adhoc5.word_product(word, products), adhoc5.word_product(word))
+    assert set(products) == {w[:j] for w in words for j in range(3, len(w) + 1)}

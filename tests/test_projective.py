@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbsfactor as gf
+from gibbsfactor.projective import projective_distances
 
 METRIC_SLACK = 1e-12
 
@@ -298,3 +299,23 @@ def test_contraction_bound_holds_for_positive_matrices(seed, size):
             gf.apply_normalized(mat, x), gf.apply_normalized(mat, y)
         )
         assert d1 <= tau * d0 + 1e-12
+
+
+def test_stacked_distances_equal_the_one_row_distance():
+    rng = np.random.default_rng(11)
+    xs = [gf.SimplexPoint(p) for p in simplex_points(rng, 5, 40)]
+    ys = [gf.SimplexPoint(p) for p in simplex_points(rng, 5, 40)]
+    x = np.stack([p.coords for p in xs])
+    y = np.stack([p.coords for p in ys])
+    stacked = projective_distances(x, y)
+    assert stacked.tolist() == [gf.projective_distance(a, b) for a, b in zip(xs, ys)]
+    # one row against a stack broadcasts
+    assert np.array_equal(projective_distances(x[0], y), projective_distances(x[:1].repeat(40, 0), y))
+
+
+def test_stacked_distances_refuse_tiny_coordinates():
+    x = np.array([[0.5, 0.5], [1.0 - 1e-301, 1e-301]])
+    with pytest.raises(gf.ModelError, match="1e-300"):
+        projective_distances(x, np.full((2, 2), 0.5))
+    with pytest.raises(gf.ModelError, match="1e-300"):
+        projective_distances(np.full((2, 2), 0.5), x)

@@ -1,0 +1,37 @@
+from __future__ import annotations
+
+import os
+import re
+
+import gibbsfactor as gf
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def test_every_all_name_resolves():
+    for name in gf.__all__:
+        assert getattr(gf, name) is not None, name
+    assert len(set(gf.__all__)) == len(gf.__all__)
+
+
+def readme_public_names() -> list[str]:
+    """The backticked names of the three README paragraphs that list the
+    public names (entry points, classes, errors)."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    names: list[str] = []
+    for head in ("Main entry points:", "Classes a caller names to use them:", "Errors:"):
+        paragraph = text[text.index(head) :].split("\n\n", 1)[0]
+        names += re.findall(r"`(\w+)`", paragraph)
+    return names
+
+
+def test_readme_lists_exactly_all():
+    assert sorted(readme_public_names()) == sorted(gf.__all__)
+
+
+def test_names_left_out_of_all_stay_importable():
+    for name in ("Word", "PeriodicPoint", "enumerate_words", "apply_normalized",
+                 "perron_data", "log_nu_cylinder", "RangeTwoPotential", "derive_potential"):
+        assert name not in gf.__all__
+        assert hasattr(gf, name)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbsfactor as gf
-from gibbsfactor.tmc import PeriodicPoint, sequence_metric
+from gibbsfactor.tmc import PeriodicPoint, primitive_root, sequence_metric, word_symbols
 
 
 def golden_mean_tmc():
@@ -132,3 +134,87 @@ def test_random_tmc_word_counts_match_matrix(size, data):
     n = data.draw(st.integers(1, 5))
     expected = int(np.linalg.matrix_power(inc, n - 1).sum())
     assert len(gf.enumerate_words(tmc, n)) == expected
+
+
+def seeded_random_tmc(rng, size):
+    """A random incidence with no dead rows or columns."""
+    while True:
+        inc = (rng.random((size, size)) < 0.4).astype(int)
+        if (inc.sum(axis=1) > 0).all() and (inc.sum(axis=0) > 0).all():
+            return gf.Tmc(gf.Alphabet([str(i) for i in range(size)]), inc)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_successors_are_the_nonzero_incidence_columns(seed):
+    rng = np.random.default_rng(seed)
+    tmc = seeded_random_tmc(rng, int(rng.integers(2, 9)))
+    for a in range(tmc.size):
+        expected = tuple(int(j) for j in np.flatnonzero(tmc.incidence[a]))
+        assert tmc.successors(a) == expected
+        assert all(type(b) is int for b in tmc.successors(a))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_enumerate_words_count_order_and_content(seed):
+    rng = np.random.default_rng(100 + seed)
+    tmc = seeded_random_tmc(rng, int(rng.integers(2, 6)))
+    for n in range(1, 6):
+        words = [w.symbols for w in gf.enumerate_words(tmc, n)]
+        ones = np.ones(tmc.size, dtype=np.int64)
+        power = np.linalg.matrix_power(tmc.incidence.astype(np.int64), n - 1)
+        assert len(words) == int(ones @ power @ ones)
+        # the same words as a brute-force filter of all n-tuples, in order
+        brute = [
+            w
+            for w in itertools.product(range(tmc.size), repeat=n)
+            if all(tmc.allows(a, b) for a, b in zip(w, w[1:]))
+        ]
+        assert words == brute
+
+
+@pytest.mark.parametrize(
+    "symbols, root",
+    [
+        ((0,), (0,)),
+        ((0, 0), (0,)),
+        ((0, 0, 0, 0), (0,)),
+        ((0, 1), (0, 1)),
+        ((0, 1, 0, 1), (0, 1)),
+        ((0, 1, 0, 1, 0, 1), (0, 1)),
+        ((0, 0, 1, 0, 0, 1), (0, 0, 1)),
+        ((0, 1, 0), (0, 1, 0)),
+        ((0, 1, 1, 0), (0, 1, 1, 0)),
+        ((1, 0, 1, 0, 1), (1, 0, 1, 0, 1)),
+        ((), ()),
+    ],
+)
+def test_primitive_root(symbols, root):
+    assert primitive_root(symbols) == root
+    reps = len(symbols) // len(root) if root else 0
+    assert root * reps == symbols
+
+
+def test_enumerate_periodic_lists_exactly_the_primitive_cycles():
+    tmc = golden_mean_tmc()
+    listed = {p.symbols for p in gf.enumerate_periodic(tmc, 6)}
+    cyclic = {
+        w.symbols
+        for n in range(1, 7)
+        for w in gf.enumerate_words(tmc, n)
+        if tmc.allows(w.symbols[-1], w.symbols[0])
+    }
+    assert listed == {w for w in cyclic if primitive_root(w) == w}
+    for w in cyclic - listed:
+        with pytest.raises(gf.AdmissibilityError, match="power of a shorter word"):
+            PeriodicPoint(tmc, w)
+
+
+def test_word_symbols_coerces_and_refuses():
+    tmc = golden_mean_tmc()
+    assert word_symbols(tmc, [0, 1, 0]) == (0, 1, 0)
+    assert word_symbols(tmc, gf.Word(tmc, (1, 0))) == (1, 0)
+    with pytest.raises(gf.AdmissibilityError):
+        word_symbols(tmc, (1, 1))
+    other = golden_mean_tmc()
+    with pytest.raises(gf.AdmissibilityError, match="does not belong"):
+        word_symbols(tmc, gf.Word(other, (0, 1)))

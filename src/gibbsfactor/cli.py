@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success (or a passing check), 1 when a mathematical check
-fails (hypotheses violated, divergent potential, bound exceeded), 2 on input
-or usage errors.  Output is deterministic for fixed inputs.
+fails (hypotheses violated, divergent potential, bound exceeded), 2 on input,
+usage or output-file errors.  Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def _try_constants(fs: FactorSystem) -> tuple[Optional[UniformConstants], Option
 
 def cmd_check(args) -> int:
     fs = models.load_model(args.model)
+    # a bad depth is refused before anything is printed
+    tm = check_topological_markov(fs, depth=args.depth)
     src = check_primitivity(fs.model.tmc)
     fac = check_primitivity(fs.factor_tmc)
     print(
@@ -106,7 +108,6 @@ def cmd_check(args) -> int:
             print(f"  cycle {orbit}: no rotation has a positive product")
     for w in h2.warnings:
         print(f"  note: {w}")
-    tm = check_topological_markov(fs, depth=args.depth)
     if tm.status == "markov_certified":
         print("image subshift: Markov (certified by fiber rows)")
     elif tm.status == "markov_refuted":
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
     except (EvaluationRefused, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GibbsFactorError as exc:
+    except (GibbsFactorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

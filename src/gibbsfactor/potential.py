@@ -324,9 +324,8 @@ def _primitivity(memo: dict, matrix: np.ndarray):
 
 def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
     """Refuse evaluation when a step matrix along the point has a zero row."""
-    distinct = len(point.preperiod) + len(point.period)
-    for i in range(distinct):
-        step = (point.symbol_at(i), point.symbol_at(i + 1))
+    word = point.preperiod + point.period + point.period[:1]
+    for i, step in enumerate(zip(word, word[1:])):
         if step in fs.zero_row_blocks:
             labels = fs.projection.target.labels
             raise EvaluationRefused(
@@ -887,7 +886,7 @@ def _d_const(fs: FactorSystem, gap: int) -> float:
     return d_const
 
 
-def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> UniformConstants:
+def uniform_constants(fs: FactorSystem) -> UniformConstants:
     """Certification constants valid at every point of the image shift.
 
     Requires row-allowable fiber blocks and orbit-level positivity of short
@@ -911,8 +910,7 @@ def uniform_constants(fs: FactorSystem, max_window: Optional[int] = None) -> Uni
             f"cycles without a positive rotation: {h2.orbit_failures}"
         )
     nb = fs.target_size
-    if max_window is None:
-        max_window = 3 * (nb + 1)
+    max_window = 3 * (nb + 1)
     block_tau: dict[tuple[int, ...], float] = {}
     chosen_w = None
     for w_len in range(nb + 1, max_window + 1):

@@ -254,9 +254,11 @@ def check_topological_markov(fs: FactorSystem, depth: int = 12) -> TopologicalMa
     given length for one with empty preimage (tracked by a reachable-fiber
     set); finding one refutes equality, exhausting the depth leaves it open.
     """
-    if check_h1(fs).passed:
+    if depth < 1:
+        raise ModelError(f"search depth must be >= 1, got {depth}")
+    if not fs.zero_row_blocks:
         return TopologicalMarkovVerdict("markov_certified", None, depth)
-    m = fs.model.tmc.incidence
+    allows = fs.model.tmc.allows
     fibers = fs.projection.fibers
 
     def search(prefix: list[int], reach: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -264,7 +266,7 @@ def check_topological_markov(fs: FactorSystem, depth: int = 12) -> TopologicalMa
             return None
         for b2 in fs.factor_tmc.successors(prefix[-1]):
             nxt = tuple(
-                a2 for a2 in fibers[b2] if any(m[a, a2] for a in reach)
+                a2 for a2 in fibers[b2] if any(allows(a, a2) for a in reach)
             )
             if not nxt:
                 return tuple(prefix) + (b2,)
@@ -389,7 +391,7 @@ def nu_cylinder(fs: FactorSystem, word) -> float:
 def preimage_words(fs: FactorSystem, word) -> list[Word]:
     """All admissible source words projecting letter-by-letter onto the word."""
     symbols = word_symbols(fs.factor_tmc, word)
-    m = fs.model.tmc.incidence
+    allows = fs.model.tmc.allows
     fibers = fs.projection.fibers
     found: list[Word] = []
     path: list[int] = []
@@ -399,7 +401,7 @@ def preimage_words(fs: FactorSystem, word) -> list[Word]:
             found.append(Word(fs.model.tmc, tuple(path)))
             return
         for a in fibers[symbols[i]]:
-            if path and not m[path[-1], a]:
+            if path and not allows(path[-1], a):
                 continue
             path.append(a)
             extend(i + 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,21 +103,23 @@ class Tmc:
             raise ModelError(f"symbol {alphabet.labels[col]!r} has no predecessor")
         self.alphabet = alphabet
         self.incidence = incidence
-        self._successors: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def size(self) -> int:
         return self.alphabet.size
 
+    @cached_property
+    def successor_table(self) -> tuple[tuple[int, ...], ...]:
+        """The symbols that may follow each symbol, ascending: one table for every
+        admissibility question, built on first use (wide chains need none)."""
+        return tuple(tuple(np.flatnonzero(r).tolist()) for r in self.incidence)
+
     def allows(self, a: int, b: int) -> bool:
-        return self.incidence[a, b] == 1
+        return b in self.successor_table[a]
 
     def successors(self, a: int) -> tuple[int, ...]:
-        """The symbols that may follow a, ascending, from one table built on
-        first use, not with the chain: wide source chains need none."""
-        if self._successors is None:
-            self._successors = tuple(tuple(np.flatnonzero(r).tolist()) for r in self.incidence)
-        return self._successors[a]
+        """The symbols that may follow a, ascending."""
+        return self.successor_table[a]
 
     def word(self, labels: Sequence[str]) -> "Word":
         return Word(self, tuple(self.alphabet.index(x) for x in labels))
@@ -146,15 +149,16 @@ class Word:
     __slots__ = ("tmc", "symbols")
 
     def __init__(self, tmc: Tmc, symbols: Sequence[int]):
-        symbols = tuple(int(s) for s in symbols)
+        symbols = tuple(map(int, symbols))
         if len(symbols) == 0:
             raise AdmissibilityError("words must be nonempty")
         n = tmc.size
         for s in symbols:
             if not 0 <= s < n:
                 raise AdmissibilityError(f"symbol index {s} out of range")
+        table = tmc.successor_table
         for a, b in zip(symbols, symbols[1:]):
-            if not tmc.allows(a, b):
+            if b not in table[a]:
                 raise AdmissibilityError(
                     f"transition {tmc.alphabet.labels[a]!r} -> "
                     f"{tmc.alphabet.labels[b]!r} is not allowed"
@@ -170,8 +174,9 @@ class Word:
         return len(self.symbols)
 
     def __eq__(self, other) -> bool:
+        # the exact type: a word and a periodic point are never equal
         return (
-            isinstance(other, Word)
+            type(other) is type(self)
             and self.tmc is other.tmc
             and self.symbols == other.symbols
         )
@@ -193,32 +198,26 @@ def word_symbols(tmc: Tmc, word) -> tuple[int, ...]:
     return Word(tmc, word).symbols
 
 
-class PeriodicPoint:
-    """Periodic point given by one period of symbols.
+class PeriodicPoint(Word):
+    """Periodic point given by one period of symbols: the period word.
 
     The period word must be cyclically admissible and primitive (not a power
     of a shorter word).  Rotations are distinct points; positivity checks on
     one-period matrix products are phase dependent, so each rotation matters.
     """
 
-    __slots__ = ("tmc", "symbols")
+    __slots__ = ()
 
     def __init__(self, tmc: Tmc, symbols: Sequence[int]):
-        symbols = Word(tmc, symbols).symbols
-        if not tmc.allows(symbols[-1], symbols[0]):
+        super().__init__(tmc, symbols)
+        if not tmc.allows(self.symbols[-1], self.symbols[0]):
             raise AdmissibilityError("period word does not close up cyclically")
-        if primitive_root(symbols) != symbols:
+        if primitive_root(self.symbols) != self.symbols:
             raise AdmissibilityError("period word is a power of a shorter word")
-        self.tmc = tmc
-        self.symbols = symbols
 
     @property
     def period(self) -> int:
         return len(self.symbols)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.tmc.alphabet.labels[s] for s in self.symbols)
 
     def symbol_at(self, i: int) -> int:
         return self.symbols[i % len(self.symbols)]
@@ -227,16 +226,6 @@ class PeriodicPoint:
         """Lexicographically least rotation; identifies the orbit."""
         p = len(self.symbols)
         return min(self.symbols[k:] + self.symbols[:k] for k in range(p))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PeriodicPoint)
-            and self.tmc is other.tmc
-            and self.symbols == other.symbols
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.tmc), self.symbols, "periodic"))
 
     def __repr__(self) -> str:
         return "PeriodicPoint((" + "".join(self.labels) + ")^inf)"

@@ -173,6 +173,45 @@ def test_bad_n_max_is_input_error(model_paths, capsys, command):
     assert "sweep depth n_max must be >=" in captured.err
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+@pytest.mark.parametrize("model", ["converse_false", "adhoc5"])
+def test_bad_check_depth_is_input_error(model_paths, capsys, model, depth):
+    # the depth is refused before the first line is printed, also where H1
+    # passes and the search would not run
+    code = main(["check", model_paths[model], "--depth", depth])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: search depth must be >= 1, got {depth}\n"
+
+
+def test_check_depth_one_is_accepted(model_paths, capsys):
+    assert main(["check", model_paths["converse_false"], "--depth", "1"]) == 1
+    assert "no missing word up to depth 1 (undecided)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("holder", "adhoc5", "--n-max", "2", "--csv"),
+        ("gibbs", "adhoc5", "--n-max", "2", "--csv"),
+        ("example", None, "adhoc5", "--out"),
+    ],
+    ids=["holder-csv", "gibbs-csv", "example-out"],
+)
+def test_unwritable_output_path_is_input_error(model_paths, capsys, tmp_path, command):
+    name, model, *rest = command
+    target = tmp_path / "missing-dir" / "out.file"
+    argv = [name] + ([model_paths[model]] if model else []) + rest + [str(target)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
+    assert not target.exists()
+
+
 def test_n_max_zero_is_one_row(model_paths, capsys):
     assert main(["gibbs", model_paths["adhoc5"], "--n-max", "0"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -356,6 +356,56 @@ def test_evaluation_refused_on_zero_row_step(converse_false):
     assert err.value.window == (0, 1)
 
 
+def _first_zero_row_step(fs, point):
+    """(message, window) of the first zero-row step along the point, taken
+    one symbol_at pair at a time, or None."""
+    labels = fs.projection.target.labels
+    for i in range(len(point.preperiod) + len(point.period)):
+        a, b = point.symbol_at(i), point.symbol_at(i + 1)
+        if (a, b) in fs.zero_row_blocks:
+            return (
+                f"step {labels[a]}->{labels[b]} at position {i} has an all-zero "
+                "fiber row; potential undefined along this point",
+                (i, i + 1),
+            )
+    return None
+
+
+def missing_word_system():
+    # a, b, c onto 0, 1, 1: the 1 -> 1 block has the zero row c, so along
+    # (101)* only the closing step 1 -> 1 is refused
+    alph = gf.Alphabet(["a", "b", "c"])
+    inc = np.array([[1, 1, 0], [1, 0, 1], [1, 0, 0]], dtype=int)
+    trans = np.where(inc, inc / inc.sum(axis=1, keepdims=True), 0.0)
+    proj = gf.Projection.from_labels(alph, {"a": "0", "b": "1", "c": "1"})
+    return gf.build_factor_system(gf.MarkovModel(gf.Tmc(alph, inc), trans), proj)
+
+
+@pytest.mark.parametrize("model", ["converse_false", "missing_word"])
+def test_refusals_match_a_symbol_at_walk(request, model):
+    fs = missing_word_system() if model == "missing_word" else request.getfixturevalue(model)
+    tmc = fs.factor_tmc
+    preperiods = [()] + [w.symbols for t0 in (1, 2, 3) for w in gf.enumerate_words(tmc, t0)]
+    periods = [w.symbols for q in range(1, 5) for w in gf.enumerate_words(tmc, q)]
+    refused = 0
+    for period in periods:
+        if not tmc.allows(period[-1], period[0]):
+            continue
+        for pre in preperiods:
+            if pre and not tmc.allows(pre[-1], period[0]):
+                continue
+            point = PointSpec(fs, pre, period)
+            expected = _first_zero_row_step(fs, point)
+            if expected is None:
+                gf.evaluate(fs, point)  # not refused
+                continue
+            with pytest.raises(gf.EvaluationRefused) as err:
+                gf.evaluate(fs, point)
+            assert (str(err.value), err.value.window) == expected
+            refused += 1
+    assert refused > 20
+
+
 def test_rank_one_fixed_point_value(converse_false):
     # the 0 -> 0 fiber block has a single nonzero column, so the backward
     # vector is a fixed point from the first step and psi is log P(a, a)

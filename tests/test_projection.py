@@ -170,6 +170,78 @@ def test_topological_markov_refuted_when_word_missing():
     assert gf.nu_cylinder(fs, verdict.witness) == 0.0
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_topological_markov_refuses_depth_below_one(adhoc5, converse_false, depth):
+    for fs in (adhoc5, converse_false):
+        with pytest.raises(gf.ModelError, match=f"search depth must be >= 1, got {depth}"):
+            check_topological_markov(fs, depth=depth)
+
+
+def incidence_search(fs, depth):
+    """(status, witness symbols) by the depth-first search over
+    reachable-fiber sets, reading the source incidence matrix directly."""
+    if check_h1(fs).passed:
+        return "markov_certified", None
+    m = fs.model.tmc.incidence
+    fibers = fs.projection.fibers
+
+    def search(prefix, reach):
+        if len(prefix) >= depth:
+            return None
+        for b2 in np.flatnonzero(fs.factor_tmc.incidence[prefix[-1]]):
+            nxt = tuple(a2 for a2 in fibers[b2] if any(m[a, a2] for a in reach))
+            if not nxt:
+                return tuple(prefix) + (int(b2),)
+            hit = search(prefix + [int(b2)], nxt)
+            if hit is not None:
+                return hit
+        return None
+
+    for b in range(fs.target_size):
+        hit = search([b], fibers[b])
+        if hit is not None:
+            return "markov_refuted", hit
+    return "undecided_at_depth", None
+
+
+def seeded_h1_failures(count):
+    """The first count seeded sparse models (4 to 7 source symbols onto 2 or
+    3) that load and whose H1 fails."""
+    rng = np.random.default_rng(2024)
+    systems = []
+    while len(systems) < count:
+        n = int(rng.integers(4, 8))
+        labels = [f"s{i}" for i in range(n)]
+        incidence = (rng.uniform(size=(n, n)) < 0.45).astype(int)
+        p = rng.uniform(0.05, 1.0, size=(n, n)) * incidence
+        p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+        nb = int(rng.integers(2, 4))
+        mapping = list(range(nb)) + [int(x) for x in rng.integers(0, nb, size=n - nb)]
+        try:
+            fs = gf.parse_model({
+                "alphabet": labels,
+                "incidence": incidence.tolist(),
+                "transition": p.tolist(),
+                "projection": {lab: str(b) for lab, b in zip(labels, mapping)},
+            })
+        except gf.ModelError:
+            continue
+        if not check_h1(fs).passed:
+            systems.append(fs)
+    return systems
+
+
+def test_topological_markov_matches_incidence_search():
+    statuses = set()
+    for fs in seeded_h1_failures(20):
+        verdict = check_topological_markov(fs, depth=8)
+        witness = None if verdict.witness is None else verdict.witness.symbols
+        assert (verdict.status, witness) == incidence_search(fs, 8)
+        assert verdict.depth == 8
+        statuses.add(verdict.status)
+    assert statuses == {"markov_refuted", "undecided_at_depth"}
+
+
 def test_backward_transfer_without_preimage():
     # the chain of test_topological_markov_refuted_when_word_missing
     alph = gf.Alphabet(["a", "b", "c"])

@@ -95,6 +95,64 @@ def test_periodic_point_rejects_open_cycle():
         PeriodicPoint(tmc, (1,))
 
 
+def test_periodic_point_is_a_word_of_its_own_type():
+    tmc = golden_mean_tmc()
+    assert issubclass(PeriodicPoint, gf.Word)
+    assert PeriodicPoint.__slots__ == ()
+    for name in ("labels", "__len__", "__eq__", "__hash__"):
+        assert name not in vars(PeriodicPoint)
+    word, point = gf.Word(tmc, (0, 1)), PeriodicPoint(tmc, (0, 1))
+    assert word != point and point != word
+    assert not (word == point) and not (point == word)
+    assert len({word, point, gf.Word(tmc, (0, 1)), PeriodicPoint(tmc, (0, 1))}) == 2
+    assert point == gf.enumerate_periodic(tmc, 2)[1]
+    for pp in gf.enumerate_periodic(tmc, 5):
+        assert len(pp) == pp.period
+        assert pp.labels == tuple(str(s) for s in pp.symbols)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda t, fs: gf.Word(t, (0, 2)), "symbol index 2 out of range"),
+        (lambda t, fs: PeriodicPoint(t, (2, 0)), "symbol index 2 out of range"),
+        (lambda t, fs: gf.PointSpec(fs, (), (0, 5)), "symbol index 5 out of range"),
+        (lambda t, fs: gf.Word(t, (0, 1, 1)), "transition '1' -> '1' is not allowed"),
+        (lambda t, fs: PeriodicPoint(t, (1, 1, 0)), "transition '1' -> '1' is not allowed"),
+        (lambda t, fs: gf.PointSpec(fs, (), (0, 0, 1)), "transition 'a' -> 'a' is not allowed"),
+        (lambda t, fs: PeriodicPoint(t, (1,)), "period word does not close up cyclically"),
+        (lambda t, fs: PeriodicPoint(t, (1, 0, 1)), "period word does not close up cyclically"),
+        (lambda t, fs: gf.PointSpec(fs, (), (0, 2)), "period does not close up cyclically"),
+        (lambda t, fs: PeriodicPoint(t, (0, 1, 0, 1)), "period word is a power of a shorter word"),
+        (lambda t, fs: gf.PointSpec(fs, (2,), (0, 1)), "preperiod does not connect to the period"),
+    ],
+    ids=[
+        "word-range", "periodic-range", "pointspec-range",
+        "word-transition", "periodic-transition", "pointspec-transition",
+        "periodic-closure", "periodic-closure-long", "pointspec-closure",
+        "periodic-power", "pointspec-preperiod",
+    ],
+)
+def test_refusals_keep_their_messages(adhoc5, build, message):
+    # golden mean chain for Word / PeriodicPoint, adhoc5 (a->b,c  b->a  c->b)
+    # for PointSpec; the checks run in the same order as before
+    with pytest.raises(gf.AdmissibilityError) as err:
+        build(golden_mean_tmc(), adhoc5)
+    assert str(err.value) == message
+
+
+def test_allows_is_the_incidence_entry():
+    rng = np.random.default_rng(7)
+    chains = [seeded_random_tmc(rng, int(rng.integers(2, 12))) for _ in range(10)]
+    chains.append(gf.Tmc(gf.Alphabet([str(i) for i in range(80)]), np.ones((80, 80), dtype=int)))
+    for tmc in chains:
+        for a in range(tmc.size):
+            for b in range(tmc.size):
+                allowed = tmc.allows(a, b)
+                assert type(allowed) is bool
+                assert allowed == bool(tmc.incidence[a, b])
+
+
 def test_sequence_metric_basics():
     assert sequence_metric((0, 1), (1, 1), 2) == 1.0
     d1 = sequence_metric((0, 1, 0), (0, 1, 1), 2)

@@ -30,12 +30,7 @@ from .potential import (
     periodic_many,
     uniform_constants,
 )
-from .projection import (
-    FactorSystem,
-    check_h1,
-    check_h2,
-    check_topological_markov,
-)
+from .projection import FactorSystem, check_topological_markov
 from .tmc import check_primitivity, enumerate_periodic
 
 
@@ -91,14 +86,14 @@ def cmd_check(args) -> int:
         f"factor: {fs.target_size} symbols, "
         f"{'primitive (exponent ' + str(fac.exponent) + ')' if fac.primitive else 'not primitive'}"
     )
-    h1 = check_h1(fs)
+    h1 = fs.h1
     if h1.passed:
         print("fiber rows (H1): pass")
     else:
         print("fiber rows (H1): FAIL")
         for b, b2, row in h1.failures:
             print(f"  block {b}->{b2}: source row {row} is all zero")
-    h2 = check_h2(fs)
+    h2 = fs.h2
     if h2.passed:
         scope = "pointwise" if h2.pointwise else "orbit level only"
         print(f"cycle positivity (H2): pass ({scope})")

@@ -64,7 +64,9 @@ class MarkovModel:
         # a nan entry would pass every comparison below
         if not np.isfinite(transition).all():
             raise ModelError("transition entries must be finite")
-        row_sums = transition.sum(axis=1)
+        # finite entries near 1e308 may still sum to inf, which fails below
+        with np.errstate(over="ignore"):
+            row_sums = transition.sum(axis=1)
         if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
             raise ModelError("transition rows must sum to 1 within 1e-12")
         on = tmc.incidence == 1

@@ -31,10 +31,9 @@ from .projection import (
     forward_step,
 )
 from .projective import (
-    apply_normalized,
     contraction_coefficient,
+    contraction_coefficients,
     normalize_rows,
-    projective_distance,
     projective_distances,
 )
 from .tmc import Word, enumerate_words, pattern_primitivity, primitive_root, word_symbols
@@ -104,7 +103,8 @@ class PointSpec:
 
     def symbols(self, n: int) -> tuple[int, ...]:
         """First n symbols of the point."""
-        return tuple(self.symbol_at(i) for i in range(n))
+        reps = max(0, n - len(self.preperiod)) // len(self.period) + 1
+        return (self.preperiod + self.period * reps)[:n]
 
     def shifted(self, fs: FactorSystem, j: int = 1) -> "PointSpec":
         """The point with the first j symbols dropped; a shift keeps a point
@@ -419,17 +419,9 @@ class _Route(NamedTuple):
     note: str = ""
 
 
-def _adaptive_route(
-    fs: FactorSystem,
-    point: PointSpec,
-    target_error: float,
-    primitivity: Optional[dict] = None,
-    products: Optional[dict] = None,
-) -> _Route:
-    """Refuse the point (zero fiber rows along it) or plan its evaluation
-    from its own tail.  primitivity is the zero-pattern memo of
-    pattern_primitivity results and products the prefix memo of
-    fs.word_product, both shared by the points of one batch.
+def _adaptive_routes(fs: FactorSystem, points: Sequence[PointSpec], target_error: float) -> list[_Route]:
+    """Refuse the first point with zero fiber rows along it, or plan each
+    point's evaluation from its own tail.
 
     A tail phase whose whole-period window becomes strictly positive after
     pattern-primitivity many repetitions gives the window route: its
@@ -437,37 +429,53 @@ def _adaptive_route(
     image bound the radius after k more windows by tau_q^k a* / (1 - tau_q),
     and the depth is the first such k with radius <= target_error.  Without
     one the value sequence is scanned instead.
+
+    The phase search slices each point's closed word and shares a
+    pattern_primitivity memo and a word_product prefix memo over the batch.
+    Windows of one shape then take tau_q from one contraction_coefficients
+    call and a* from one stacked image (with apply_normalized's zero-row
+    refusal) and one projective_distances call: bit for bit the one-matrix
+    forms, so a route does not depend on the rest of the batch.
     """
-    _check_point_rows(fs, point)
-    primitivity = {} if primitivity is None else primitivity
-    t0 = len(point.preperiod)
-    q = len(point.period)
-    base = max(1, t0)
-    for r in range(q):
-        word = point.symbols(base + r + q + 1)[base + r :]
-        prim = _primitivity(primitivity, fs.word_product(word, products))
-        if prim.primitive:
-            break
-    else:
-        return _Route(window=False, depth=min(max(150, t0 + 30 * q, 12 * q), MAX_DEPTH))
-    a0 = base + r
-    big_q = prim.exponent * q
-    window = fs.word_product(point.symbols(a0 + big_q + 1)[a0:], products)
-    tau_q = contraction_coefficient(window).tau
-    fiber = point.symbol_at(a0)
-    mu_hat = fs.marginal_hat(fiber)
-    a_star = projective_distance(mu_hat, apply_normalized(window, mu_hat, out_fiber=fiber))
-    k = 0
-    radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
-    while radius > target_error and (a0 + (k + 1) * big_q) <= MAX_DEPTH:
-        k += 1
-        radius = tau_q**k * a_star / (1.0 - tau_q)
-    return _Route(
-        window=True,
-        depth=max(2, a0 + k * big_q),
-        radius=max(radius, FLOAT_NOISE_FLOOR),
-        note=f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})",
-    )
+    primitivity: dict = {}
+    products: dict = {}
+    routes: list = []
+    groups: dict[tuple, list] = {}
+    for i, point in enumerate(points):
+        _check_point_rows(fs, point)
+        t0, q = len(point.preperiod), len(point.period)
+        base = max(1, t0)
+        closed = point.symbols(base + 2 * q)
+        for a0 in range(base, base + q):
+            prim = _primitivity(primitivity, fs.word_product(closed[a0 : a0 + q + 1], products))
+            if prim.primitive:
+                break
+        else:
+            routes.append(_Route(window=False, depth=min(max(150, t0 + 30 * q, 12 * q), MAX_DEPTH)))
+            continue
+        big_q = prim.exponent * q
+        window = fs.word_product(point.symbols(a0 + big_q + 1)[a0:], products)
+        groups.setdefault(window.shape, []).append((i, a0, big_q, window, closed[a0]))
+        routes.append(None)
+    hats = [fs.marginal_hat(b).coords for b in range(fs.target_size)]
+    for group in groups.values():
+        stack = np.stack([window for _, _, _, window, _ in group])
+        coefficients = contraction_coefficients(stack)
+        zero_rows = np.argwhere(~(stack > 0).any(axis=2))
+        if zero_rows.size:
+            raise ModelError(f"matrix row {zero_rows[0, 1]} is identically zero; action refused")
+        mu = np.stack([hats[fiber] for *_, fiber in group])
+        a_stars = projective_distances(mu, normalize_rows((stack @ mu[..., None])[..., 0]))
+        for (i, a0, big_q, _, _), coefficient, a_star in zip(group, coefficients, a_stars.tolist()):
+            tau_q = coefficient.tau
+            k = 0
+            radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
+            while radius > target_error and (a0 + (k + 1) * big_q) <= MAX_DEPTH:
+                k += 1
+                radius = tau_q**k * a_star / (1.0 - tau_q)
+            note = f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})"
+            routes[i] = _Route(True, max(2, a0 + k * big_q), max(radius, FLOAT_NOISE_FLOOR), note)
+    return routes
 
 
 def _adaptive_result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
@@ -578,11 +586,14 @@ def evaluate_many(
     values.
 
     Every point is checked and routed first, in order, so a refusal is the
-    first refused point's.  The values are then taken in lockstep, one
+    first refused point's; the routes are planned together, with one
+    stacked Birkhoff coefficient and one stacked image per window shape
+    (_adaptive_routes).  The values are then taken in lockstep, one
     stacked step per level for all points instead of one matrix-vector
     product per point and level: psi_n of the certified and window-route
     points in one staggered backward pass, the value sequences of the
-    scan-route points in one forward pass.  The backward pass drops a
+    scan-route points in one forward pass whose logs are taken once at
+    the end (_lockstep_sequences).  The backward pass drops a
     point's row once it repeats bit for bit at a lag of whole periods and
     takes it up again at the last level of the repeat, so psi_n costs about
     the levels before the repeat; the value and terms_used are those of the
@@ -597,9 +608,7 @@ def evaluate_many(
             depths.append(_certified_depth(constants, len(point.preperiod), target_error))
         scales = _lockstep_scales(fs, points, depths)
         return [_certified(constants, n, float(np.log(x))) for n, x in zip(depths, scales)]
-    primitivity: dict = {}
-    products: dict = {}
-    routes = [_adaptive_route(fs, p, target_error, primitivity, products) for p in points]
+    routes = _adaptive_routes(fs, points, target_error)
     window = [i for i, r in enumerate(routes) if r.window]
     scan = [i for i, r in enumerate(routes) if not r.window]
     values: list = [None] * len(points)
@@ -794,24 +803,25 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     """_psi_sequence(fs, p, n) for every point p and its length n, in one
     forward pass to max(lengths): the rescaled (u, w) row pairs of all points
     step forward together and each point's values are cut to its length.
-    Logs are taken with math.log, as _psi_sequence does, so the values agree
-    bit for bit.  A single point takes _psi_sequence itself."""
+    The logs are deferred: the pass writes each level's (u, w) row sums (1.0,
+    log 0.0, where w is not rescaled) and marginal dots into (levels, points,
+    2) arrays, then takes math.log per entry, as _psi_sequence does, and
+    np.add.accumulate adds the log scales along the levels in _psi_sequence's
+    order, so the values agree bit for bit.  One point takes _psi_sequence."""
     if not points:
         return []
     if len(points) == 1:
         return [_psi_sequence(fs, points[0], lengths[0])]
     column = _symbol_column(points)
-    logs = np.zeros((len(points), 2))  # the accumulated log scales of u and w
-    out = np.empty((len(points), max(lengths)))
-
-    def log_each(a: np.ndarray) -> np.ndarray:
-        return np.array([math.log(x) for x in a.ravel().tolist()]).reshape(a.shape)
+    levels = max(lengths)
+    sums = np.ones((levels, len(points), 2))
+    dots = np.empty((levels, len(points), 2))
 
     def advance(rows, ids, k):
         rows, ids = forward_step(fs, rows, ids, column(k))
         for b, r in enumerate(rows):
             s = r.sum(axis=2)
-            logs[ids[b], : s.shape[1]] += log_each(s)
+            sums[k - 1, ids[b], : s.shape[1]] = s
             rows[b] = r / s[..., None]
         return rows, ids
 
@@ -821,13 +831,14 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     rows = [np.ones((len(i), 1, len(mu))) for i, mu in zip(ids, fs.fiber_marginal)]
     rows, ids = advance(rows, ids, 1)
     rows = [np.concatenate([r, np.ones_like(r)], axis=1) for r in rows]
-    for n in range(1, out.shape[1] + 1):
+    for n in range(1, levels + 1):
         for b, mu in enumerate(fs.fiber_marginal):
-            dots = (rows[b][:, :, None, :] @ mu[:, None])[:, :, 0, 0]
-            total = logs[ids[b]] + log_each(dots)
-            out[ids[b], n - 1] = total[:, 0] - total[:, 1]
-        if n < out.shape[1]:
+            dots[n - 1, ids[b]] = (rows[b][:, :, None, :] @ mu[:, None])[:, :, 0, 0]
+        if n < levels:
             rows, ids = advance(rows, ids, n + 1)
+    logs = [np.fromiter(map(math.log, a.ravel().tolist()), float, a.size).reshape(a.shape) for a in (sums, dots)]
+    total = np.add.accumulate(logs[0], axis=0) + logs[1]
+    out = np.ascontiguousarray((total[..., 0] - total[..., 1]).T)
     return [out[i, :n] for i, n in enumerate(lengths)]
 
 
@@ -897,14 +908,12 @@ def uniform_constants(fs: FactorSystem) -> UniformConstants:
     blocks and all other constants follow the closed formulas; d_const is
     taken level by level over word suffixes.
     """
-    from .projection import check_h1, check_h2  # local to avoid cycle at import
-
-    h1 = check_h1(fs)
+    h1 = fs.h1
     if not h1.passed:
         raise CertificationError(
             f"fiber blocks have all-zero rows: {h1.failures[:3]}"
         )
-    h2 = check_h2(fs)
+    h2 = fs.h2
     if not h2.passed:
         raise CertificationError(
             f"cycles without a positive rotation: {h2.orbit_failures}"
@@ -979,8 +988,9 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     All points are taken in one batch, equal bit for bit to taking them one
     at a time: the products come from one prefix memo over the closed
     period words, each zero pattern is tested for primitivity once, and the
-    power iterations, matrix powers and normalized images run on stacks of
-    the products of one size.
+    power iterations, matrix powers, normalized images and Birkhoff
+    coefficients (contraction_coefficients) run on stacks of the products
+    of one size.
     """
     if any(p.preperiod for p in points):
         raise AdmissibilityError("the eigendata route needs a purely periodic point")
@@ -1014,8 +1024,8 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             power = np.linalg.matrix_power(ts[rows], e)
             y = normalize_rows((power @ x[..., None])[..., 0])
             gaps = projective_distances(x, y).tolist()
-            for row, p_j, gap in zip(rows.tolist(), power, gaps):
-                vector_terms[row] = gap / (1.0 - contraction_coefficient(p_j).tau)
+            for row, coefficient, gap in zip(rows.tolist(), contraction_coefficients(power), gaps):
+                vector_terms[row] = gap / (1.0 - coefficient.tau)
         for (i, _, _), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
             period = points[i].period
             tail = 1.0

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,6 +123,16 @@ class FactorSystem:
         self.fiber_marginal = tuple(
             model.stationary[list(projection.fibers[b])] for b in range(nb)
         )
+
+    @cached_property
+    def h1(self) -> "H1Report":
+        """check_h1(self), taken once and shared by its readers."""
+        return check_h1(self)
+
+    @cached_property
+    def h2(self) -> "H2Report":
+        """check_h2(self), taken once and shared by its readers."""
+        return check_h2(self)
 
     @property
     def target_size(self) -> int:

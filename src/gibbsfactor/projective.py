@@ -20,6 +20,8 @@ from .errors import FiberMismatchError, ModelError
 
 # coordinates this small cannot be trusted in ratio computations
 MIN_COORDINATE = 1e-300
+# doubles in one chunk's log cross-ratio array in contraction_coefficients
+STACK_DOUBLES = 1 << 16
 
 
 def normalize_rows(coords: np.ndarray) -> np.ndarray:
@@ -105,8 +107,40 @@ class ContractionCoefficient:
     phi: float
 
 
+def contraction_coefficients(stack: np.ndarray) -> list[ContractionCoefficient]:
+    """contraction_coefficient of every matrix of an (m, r, c) stack, each
+    the same bit for bit whatever else is in the stack: the logs are
+    elementwise and the minima and maxima exact.  The matrices are taken in
+    chunks whose log cross-ratio array holds at most
+    max(r*r*c, STACK_DOUBLES) doubles."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.size == 0:
+        raise ModelError("contraction coefficient needs a nonempty matrix")
+    if not np.isfinite(stack).all():
+        raise ModelError("contraction coefficient needs finite entries")
+    if (stack < 0).any():
+        raise ModelError("contraction coefficient is defined for nonnegative matrices")
+    m, r, c = stack.shape
+    chunk = max(1, STACK_DOUBLES // (r * r * c))
+    log_phi: list[float] = []
+    # a zero entry T(e', c) makes D[e', e', c] = -inf - -inf, so log Phi is
+    # nan exactly for the matrices with a zero entry, which get tau 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, m, chunk):
+            logs = np.log(stack[start : start + chunk])
+            diff = logs[:, :, None, :] - logs[:, None, :, :]
+            log_phi += (diff.min(axis=3) - diff.max(axis=3)).reshape(len(logs), -1).min(axis=1).tolist()
+            del diff  # before the next chunk's is made
+    tau_one = ContractionCoefficient(tau=1.0, phi=0.0)
+    return [
+        tau_one if math.isnan(lp) else ContractionCoefficient(tau=math.tanh(-lp / 4.0), phi=math.exp(lp))
+        for lp in log_phi
+    ]
+
+
 def contraction_coefficient(matrix: np.ndarray) -> ContractionCoefficient:
-    """Birkhoff coefficient of a nonnegative matrix.
+    """Birkhoff coefficient of a nonnegative matrix: the one-matrix call of
+    contraction_coefficients.
 
     For a strictly positive matrix, Phi is the minimum over quadruples
     (e, f, e', f') of T(e',e) T(f',f) / (T(e',f) T(f',e)), evaluated in log
@@ -118,16 +152,4 @@ def contraction_coefficient(matrix: np.ndarray) -> ContractionCoefficient:
     (min_c D - max_c D): r*r*c work and memory for an r x c matrix, not
     (r*c)**2 (Seneta, Non-negative Matrices and Markov Chains, ch. 3).
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ModelError("contraction coefficient needs a nonempty matrix")
-    if not np.isfinite(matrix).all():
-        raise ModelError("contraction coefficient needs finite entries")
-    if (matrix < 0).any():
-        raise ModelError("contraction coefficient is defined for nonnegative matrices")
-    if (matrix == 0).any():
-        return ContractionCoefficient(tau=1.0, phi=0.0)
-    logs = np.log(matrix)
-    diff = logs[:, None, :] - logs[None, :, :]
-    log_phi = float((diff.min(axis=2) - diff.max(axis=2)).min())
-    return ContractionCoefficient(tau=math.tanh(-log_phi / 4.0), phi=math.exp(log_phi))
+    return contraction_coefficients(np.asarray(matrix, dtype=float)[None])[0]

@@ -364,3 +364,26 @@ def test_check_non_finite_transition_is_input_error(tmp_path, capsys, bad):
     assert code == 2
     assert captured.out == ""
     assert "transition entries must be finite" in captured.err
+
+
+def test_check_overflowing_row_sum_is_one_clean_input_error(tmp_path):
+    # every entry is finite, but the row sums to inf; a subprocess shows
+    # whatever reaches stderr, numpy warnings included
+    import gibbsfactor
+
+    doc = expand_example("fullshift4")
+    doc["transition"][0] = [1e308] * len(doc["transition"][0])
+    path = tmp_path / "huge.json"
+    dump_document(doc, str(path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gibbsfactor.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-c",
+         "import sys; from gibbsfactor.cli import main; sys.exit(main(sys.argv[1:]))",
+         "check", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: transition rows must sum to 1 within 1e-12\n"
+    assert "Warning" not in result.stderr

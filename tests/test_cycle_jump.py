@@ -10,7 +10,7 @@ import pytest
 import gibbsfactor as gf
 from gibbsfactor import cli, potential, projection
 from gibbsfactor.models import dump_document, expand_example
-from gibbsfactor.potential import _adaptive_route, _cycle_exit, _lockstep_scales
+from gibbsfactor.potential import _adaptive_routes, _cycle_exit, _lockstep_scales
 from gibbsfactor.projection import backward_transfer
 
 from test_evaluate_many import random_point, sweep_points
@@ -116,7 +116,8 @@ def test_exits_cover_multiples_of_the_period_and_level_zero(exits):
 
 def test_batch_mixes_cycling_and_non_cycling_rows(nongibbs6, monkeypatch):
     fs = nongibbs6
-    routes = [(p, _adaptive_route(fs, p, 1e-10)) for p in sweep_points(fs, 5)]
+    points = sweep_points(fs, 5)
+    routes = list(zip(points, _adaptive_routes(fs, points, 1e-10)))
     points = [p for p, r in routes if r.window]
     depths = [r.depth for _, r in routes if r.window]
     weights = []

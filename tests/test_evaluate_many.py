@@ -12,7 +12,7 @@ from gibbsfactor import cli, gibbs, potential
 from gibbsfactor.models import expand_example
 from gibbsfactor.potential import (
     PointSpec,
-    _adaptive_route,
+    _adaptive_routes,
     _certified_depth,
     _lockstep_scales,
     _lockstep_sequences,
@@ -136,7 +136,7 @@ def test_uncertified_batch_equals_evaluate_on_nongibbs6(gamma):
     points = sweep_points(fs, 5)
     evs = evaluate_many(fs, points, TARGET)
     assert evs == per_point(fs, points, TARGET)
-    routes = {_adaptive_route(fs, p, TARGET).window for p in points}
+    routes = {r.window for r in _adaptive_routes(fs, points, TARGET)}
     assert routes == {True, False}
     diverged = sum(ev.mode == "diverged" for ev in evs)
     assert diverged >= (2 if gamma == 0.30 else 1)
@@ -153,7 +153,7 @@ def test_uncertified_batch_equals_evaluate_on_random_points(name):
     assert any(p.preperiod for p in points) and any(not p.preperiod for p in points)
     assert evaluate_many(fs, points, TARGET) == per_point(fs, points, TARGET)
     if name == "nongibbs6":
-        assert {_adaptive_route(fs, p, TARGET).window for p in points} == {True, False}
+        assert {r.window for r in _adaptive_routes(fs, points, TARGET)} == {True, False}
 
 
 def test_batch_raises_the_first_refusal(converse_false):
@@ -192,6 +192,78 @@ def test_forward_lockstep_equals_psi_sequence(name):
         assert seq.tolist() == _psi_sequence(fs, p, n).tolist()
 
 
+@pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "nongibbs6", "converse_false"])
+def test_forward_lockstep_equals_psi_sequence_at_short_and_mixed_lengths(name):
+    # lengths 1 and 2 read the first one or two levels of the deferred logs
+    # only; mixed lengths cut one pass at different levels
+    fs = gf.example_system(name)
+    rng = np.random.default_rng(28)
+    points = [random_point(fs, rng, int(rng.integers(0, 6))) for _ in range(40)]
+    points = [p for p in points if _refusal(fs, p) is None]
+    assert len(points) >= 5
+    mixed = [int(n) for n in rng.integers(1, 90, size=len(points))]
+    for lengths in ([1] * len(points), [2] * len(points), mixed):
+        sequences = _lockstep_sequences(fs, points, lengths)
+        for p, n, seq in zip(points, lengths, sequences):
+            expected = _psi_sequence(fs, p, n)
+            assert seq.shape == expected.shape
+            assert (seq == expected).all()
+
+
+def _refusal(fs, point):
+    try:
+        potential._check_point_rows(fs, point)
+    except gf.EvaluationRefused as exc:
+        return exc
+    return None
+
+
+def one_point_route(fs, point, target_error):
+    """The route of one point planned with the one-matrix forms, symbol by
+    symbol: pattern_primitivity per phase, contraction_coefficient of the
+    window, and apply_normalized plus projective_distance for a*."""
+    t0, q = len(point.preperiod), len(point.period)
+    base = max(1, t0)
+    for a0 in range(base, base + q):
+        prim = gf.pattern_primitivity(fs.word_product([point.symbol_at(i) for i in range(a0, a0 + q + 1)]))
+        if prim.primitive:
+            break
+    else:
+        return potential._Route(False, min(max(150, t0 + 30 * q, 12 * q), potential.MAX_DEPTH))
+    big_q = prim.exponent * q
+    window = fs.word_product([point.symbol_at(i) for i in range(a0, a0 + big_q + 1)])
+    tau_q = gf.contraction_coefficient(window).tau
+    mu_hat = fs.marginal_hat(point.symbol_at(a0))
+    a_star = gf.projective_distance(mu_hat, gf.apply_normalized(window, mu_hat, out_fiber=mu_hat.fiber))
+    k = 0
+    radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
+    while radius > target_error and a0 + (k + 1) * big_q <= potential.MAX_DEPTH:
+        k += 1
+        radius = tau_q**k * a_star / (1.0 - tau_q)
+    note = f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})"
+    return potential._Route(True, max(2, a0 + k * big_q), max(radius, potential.FLOAT_NOISE_FLOOR), note)
+
+
+@pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "nongibbs6", "converse_false", "wide12"])
+def test_batched_route_plan_equals_the_one_point_plan(name):
+    # adhoc5 and nongibbs6 have fibers of different sizes, so their windows
+    # fall into several stacks; converse_false has refused points
+    fs = gf.parse_model(wide12_document()) if name == "wide12" else gf.example_system(name)
+    points = sweep_points(fs, 4)
+    refused = [p for p in points if _refusal(fs, p) is not None]
+    points = [p for p in points if _refusal(fs, p) is None]
+    expected = [one_point_route(fs, p, TARGET) for p in points]
+    assert _adaptive_routes(fs, points, TARGET) == expected
+    assert [_adaptive_routes(fs, [p], TARGET)[0] for p in points] == expected
+    assert any(r.window for r in expected) == (name != "converse_false")
+    if name == "nongibbs6":
+        assert len({r.window for r in expected}) == 2
+    if refused:
+        with pytest.raises(gf.EvaluationRefused) as info:
+            _adaptive_routes(fs, points + refused, TARGET)
+        assert str(info.value) == str(_refusal(fs, refused[0]))
+
+
 def test_periodic_command_batches_its_fallback_points(tmp_path, monkeypatch):
     path = tmp_path / "ng6.json"
     gf.models.dump_document(expand_example("nongibbs6"), str(path))
@@ -220,7 +292,7 @@ def test_single_scan_route_point_does_not_use_the_batch(nongibbs6, monkeypatch):
         raise AssertionError("single points go through _psi_sequence")
 
     points = [PointSpec(nongibbs6, (), (0,)), PointSpec(nongibbs6, (), (0, 1))]
-    scan = [p for p in points if not _adaptive_route(nongibbs6, p, TARGET).window]
+    scan = [p for p, r in zip(points, _adaptive_routes(nongibbs6, points, TARGET)) if not r.window]
     assert scan
     monkeypatch.setattr(potential, "forward_step", refuse)
     for p in scan:

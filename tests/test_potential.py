@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gibbsfactor as gf
@@ -45,6 +45,34 @@ def test_point_spec_symbols(adhoc5):
     assert pt.symbols(6) == (2, 1, 0, 1, 0, 1)
     assert pt.symbol_at(0) == 2
     assert pt.symbol_at(5) == 1
+
+
+SYMBOL_SYSTEMS = {name: gf.example_system(name) for name in ("adhoc5", "fullshift4", "nongibbs6")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(SYMBOL_SYSTEMS)), st.integers(0, 6), st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_point_spec_symbols_equal_a_symbol_at_walk(name, pre_len, per_len, seed):
+    # an admissible walk of pre_len + per_len symbols, its period part
+    # closing up; the point is whatever canonical form it reduces to
+    fs = SYMBOL_SYSTEMS[name]
+    tmc = fs.factor_tmc
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        walk = [int(rng.integers(fs.target_size))]
+        while len(walk) < pre_len + per_len:
+            walk.append(int(rng.choice(tmc.successors(walk[-1]))))
+        if tmc.allows(walk[-1], walk[pre_len]):
+            break
+    # adhoc5 has no cycle of length 1
+    assume(tmc.allows(walk[-1], walk[pre_len]))
+    pt = PointSpec(fs, walk[:pre_len], walk[pre_len:])
+    t0, q = len(pt.preperiod), len(pt.period)
+    for n in range(3 * (t0 + q) + 1):
+        assert pt.symbols(n) == tuple(pt.symbol_at(i) for i in range(n))
 
 
 def test_point_spec_shift(adhoc5):

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbsfactor as gf
-from gibbsfactor.projective import projective_distances
+from gibbsfactor import projective
+from gibbsfactor.projective import contraction_coefficients, projective_distances
 
 METRIC_SLACK = 1e-12
 
@@ -319,3 +320,79 @@ def test_stacked_distances_refuse_tiny_coordinates():
         projective_distances(x, np.full((2, 2), 0.5))
     with pytest.raises(gf.ModelError, match="1e-300"):
         projective_distances(np.full((2, 2), 0.5), x)
+
+
+def one_matrix_coefficient(mat):
+    """The Birkhoff coefficient as one matrix at a time takes it: the same
+    log cross-ratio minimum, without a stack."""
+    if (mat == 0).any():
+        return projective.ContractionCoefficient(tau=1.0, phi=0.0)
+    logs = np.log(mat)
+    diff = logs[:, None, :] - logs[None, :, :]
+    log_phi = float((diff.min(axis=2) - diff.max(axis=2)).min())
+    return projective.ContractionCoefficient(tau=math.tanh(-log_phi / 4.0), phi=math.exp(log_phi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8), st.integers(1, 8), st.integers(1, 12),
+    st.floats(0.0, 0.5), st.integers(0, 2**32 - 1),
+)
+def test_stacked_coefficients_equal_the_one_matrix_coefficient(rows, cols, count, zeros, seed):
+    # some matrices get zero entries, which give tau 1 whatever the others are
+    rng = np.random.default_rng(seed)
+    stack = np.exp(rng.uniform(-5, 5, size=(count, rows, cols)))
+    stack[rng.uniform(size=stack.shape) < zeros * (rng.uniform(size=(count, 1, 1)) < 0.5)] = 0.0
+    stacked = contraction_coefficients(stack)
+    assert stacked == [gf.contraction_coefficient(m) for m in stack]
+    assert stacked == [one_matrix_coefficient(m) for m in stack]
+    assert all(type(c.tau) is float and type(c.phi) is float for c in stacked)
+    assert [c.tau == 1.0 and c.phi == 0.0 for c in stacked] == [bool((m == 0).any()) for m in stack]
+
+
+def test_stacked_coefficients_cross_chunk_boundaries(monkeypatch):
+    # 2x3 matrices hold 12 log cross-ratios each: 5 fit a 64-double chunk, so
+    # 23 matrices, two with zero entries, take five chunks
+    monkeypatch.setattr(projective, "STACK_DOUBLES", 64)
+    rng = np.random.default_rng(12)
+    stack = np.exp(rng.uniform(-3, 3, size=(23, 2, 3)))
+    stack[4, 1, 2] = stack[5, 0, 0] = 0.0
+    expected = [one_matrix_coefficient(m) for m in stack]
+    assert contraction_coefficients(stack) == expected
+    # a matrix larger than the chunk bound is taken alone
+    monkeypatch.setattr(projective, "STACK_DOUBLES", 4)
+    assert contraction_coefficients(stack) == expected
+
+
+def test_stacked_coefficient_chunks_are_bounded(monkeypatch):
+    # 20x20 matrices hold 8,000 log cross-ratios each, so a 40,000-double
+    # bound takes them five at a time; all 40 at once would be 320,000
+    monkeypatch.setattr(projective, "STACK_DOUBLES", 40000)
+    stack = np.exp(np.random.default_rng(13).uniform(-3, 3, size=(40, 20, 20)))
+    tracemalloc.start()
+    try:
+        stacked = contraction_coefficients(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 40000
+    assert stacked == [one_matrix_coefficient(m) for m in stack]
+
+
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        (np.zeros((0, 2, 2)), "nonempty"),
+        (np.zeros((3, 0, 2)), "nonempty"),
+        (np.ones((2, 2)), "nonempty"),
+        (np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, np.nan], [1.0, 1.0]]]), "finite"),
+        (np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, np.inf], [1.0, 1.0]]]), "finite"),
+        (np.array([[[1.0, 0.0], [1.0, 1.0]], [[1.0, -1.0], [1.0, 1.0]]]), "nonnegative"),
+    ],
+)
+def test_stacked_coefficients_keep_the_refusals(stack, message):
+    with pytest.raises(gf.ModelError, match=message):
+        contraction_coefficients(stack)
+    if stack.ndim == 3 and stack.size:
+        with pytest.raises(gf.ModelError, match=message):
+            gf.contraction_coefficient(stack[-1])

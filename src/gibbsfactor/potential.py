@@ -29,6 +29,7 @@ from .projection import (
     backward_step,
     backward_transfer,
     forward_step,
+    gathered_step,
 )
 from .projective import (
     contraction_coefficient,
@@ -419,6 +420,28 @@ class _Route(NamedTuple):
     note: str = ""
 
 
+def _window_count(tau_q: float, a_star: float, target_error: float, most: int) -> tuple[int, float]:
+    """The least k <= most (or most) with radius tau_q**k a_star / (1 - tau_q)
+    <= target_error, and that radius.  The radius falls as k grows, so a log
+    ratio and one corrective step give the k that counting up finds."""
+    if not a_star > 0:
+        return 0, 0.0
+
+    def radius(k: int) -> float:
+        return tau_q**k * a_star / (1.0 - tau_q)
+
+    k = 0
+    if radius(0) > target_error and most > 0:
+        # a rank-one window (tau_q 0) takes the radius to 0 in one step
+        logs = math.log(target_error) + math.log(1.0 - tau_q) - math.log(a_star)
+        k = min(max(math.ceil(logs / math.log(tau_q)) if tau_q else 1, 1), most)
+        if k > 1 and radius(k - 1) <= target_error:
+            k -= 1
+        elif k < most and radius(k) > target_error:
+            k += 1
+    return k, radius(k)
+
+
 def _adaptive_routes(fs: FactorSystem, points: Sequence[PointSpec], target_error: float) -> list[_Route]:
     """Refuse the first point with zero fiber rows along it, or plan each
     point's evaluation from its own tail.
@@ -427,8 +450,10 @@ def _adaptive_routes(fs: FactorSystem, points: Sequence[PointSpec], target_error
     pattern-primitivity many repetitions gives the window route: its
     contraction tau_q and the distance a* of the fiber marginal from its
     image bound the radius after k more windows by tau_q^k a* / (1 - tau_q),
-    and the depth is the first such k with radius <= target_error.  Without
-    one the value sequence is scanned instead.
+    and the depth is the first such k with radius <= target_error
+    (_window_count); a window with a* > 0 whose tau_q rounds to 1 bounds
+    nothing and is refused.  Without one the value sequence is scanned
+    instead.
 
     The phase search slices each point's closed word and shares a
     pattern_primitivity memo and a word_product prefix memo over the batch.
@@ -468,11 +493,10 @@ def _adaptive_routes(fs: FactorSystem, points: Sequence[PointSpec], target_error
         a_stars = projective_distances(mu, normalize_rows((stack @ mu[..., None])[..., 0]))
         for (i, a0, big_q, _, _), coefficient, a_star in zip(group, coefficients, a_stars.tolist()):
             tau_q = coefficient.tau
-            k = 0
-            radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
-            while radius > target_error and (a0 + (k + 1) * big_q) <= MAX_DEPTH:
-                k += 1
-                radius = tau_q**k * a_star / (1.0 - tau_q)
+            if tau_q == 1.0 and a_star > 0:
+                message = f"tail window of {big_q} steps from position {a0} has contraction 1 in double precision"
+                raise EvaluationRefused(message + ", so it bounds no radius")
+            k, radius = _window_count(tau_q, a_star, target_error, (MAX_DEPTH - a0) // big_q)
             note = f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})"
             routes[i] = _Route(True, max(2, a0 + k * big_q), max(radius, FLOAT_NOISE_FLOOR), note)
     return routes
@@ -586,26 +610,28 @@ def evaluate_many(
     values.
 
     Every point is checked and routed first, in order, so a refusal is the
-    first refused point's; the routes are planned together, with one
-    stacked Birkhoff coefficient and one stacked image per window shape
-    (_adaptive_routes).  The values are then taken in lockstep, one
-    stacked step per level for all points instead of one matrix-vector
-    product per point and level: psi_n of the certified and window-route
-    points in one staggered backward pass, the value sequences of the
-    scan-route points in one forward pass whose logs are taken once at
-    the end (_lockstep_sequences).  The backward pass drops a
-    point's row once it repeats bit for bit at a lag of whole periods and
-    takes it up again at the last level of the repeat, so psi_n costs about
-    the levels before the repeat; the value and terms_used are those of the
-    full depth n.  Each point's evaluation is the same, bit for bit,
-    whatever else is in the batch.
+    first refused point's; the certified depth is taken once per preperiod
+    length, and the routes are planned together, with one stacked Birkhoff
+    coefficient and one stacked image per window shape (_adaptive_routes).
+    The values are then taken in lockstep, one stacked step per level for
+    all points instead of one matrix-vector product per point and level:
+    psi_n of the certified and window-route points in one staggered
+    backward pass (_lockstep_scales, one gathered product per pair of
+    fiber-size classes and one row per shared tail), the value sequences of
+    the scan-route points in one forward pass whose logs are taken once at
+    the end (_lockstep_sequences).  The backward pass drops a point's row
+    once it repeats bit for bit at a lag of whole periods and takes it up
+    again at the last level of the repeat, so psi_n costs about the levels
+    before the repeat; the value and terms_used are those of the full depth
+    n.  Each point's evaluation is the same, bit for bit, whatever else is
+    in the batch.
     """
     check_target_error(target_error)
     if constants is not None:
-        depths = []
         for point in points:
             _check_point_rows(fs, point)
-            depths.append(_certified_depth(constants, len(point.preperiod), target_error))
+        depth = {t: _certified_depth(constants, t, target_error) for t in {len(p.preperiod) for p in points}}
+        depths = [depth[len(p.preperiod)] for p in points]
         scales = _lockstep_scales(fs, points, depths)
         return [_certified(constants, n, float(np.log(x))) for n, x in zip(depths, scales)]
     routes = _adaptive_routes(fs, points, target_error)
@@ -624,8 +650,9 @@ def evaluate_many(
 def _symbol_column(points: Sequence[PointSpec]):
     """column(k) holds every point's symbol k, read from a padded
     (points x (preperiod + period)) table.  The table is indexed for a run
-    of up to 64 consecutive k at a time (and at most 65,536 entries), so a
-    pass over the levels pays for one indexing per run."""
+    of up to 64 consecutive k and the first k of the next run at a time
+    (about 65,536 entries at most), so a pass over the levels that reads
+    column(k) and column(k + 1) pays for one indexing per run."""
     t0 = np.array([len(p.preperiod) for p in points])
     q = np.array([len(p.period) for p in points])
     table = np.zeros((len(points), int((t0 + q).max())), dtype=np.intp)
@@ -633,13 +660,13 @@ def _symbol_column(points: Sequence[PointSpec]):
         table[i, : t0[i] + q[i]] = p.preperiod + p.period
     every = np.arange(len(points))
     run = max(1, min(64, 65536 // len(points)))
-    start, block = -run, table[:0]
+    start, block = -run - 1, table[:0]
 
     def column(k: int) -> np.ndarray:
         nonlocal start, block
-        if not start <= k < start + run:
+        if not start <= k <= start + run:
             start = k - k % run
-            ks = np.arange(start, start + run)[:, None]
+            ks = np.arange(start, start + run + 1)[:, None]
             block = table[every, np.where(ks < t0, ks, t0 + (ks - t0) % q)]
         return block[k - start]
 
@@ -700,8 +727,11 @@ def _scale(fs: FactorSystem, point: PointSpec, n: int) -> float:
 def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequence[int]) -> np.ndarray:
     """backward_transfer(fs, p.symbols(n + 1))[1] for every point p and its
     depth n >= 1, bit for bit, in one countdown over the levels: a point's
-    marginal row joins at level n and all rows present step back together.
-    A single point takes _scale, which is cheaper than a level of one row.
+    marginal row joins at level n and all rows present take one
+    gathered_step per level.  A single point takes _scale, which is cheaper
+    than a level of one row.  Points with one depth, preperiod length t0
+    and period share one row down to level t0, on which it depends alone,
+    and the others take copies of it there.
 
     The unnormalized row x_k at level k fixes every later step, and its sum
     is the answer at level 0.  In floating point the contraction of the
@@ -709,47 +739,68 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
     bit for bit, long before the certified depth, so each row keeps one
     checkpoint (row, scale and level; see _next_checkpoint for when).  A row
     whose scale equals its checkpoint's, at a lag for which _cycle_exit
-    allows a jump, is compared bit for bit; if equal, it leaves the stacks
-    and joins again at the level _cycle_exit gives, as marginal rows join
-    at their depth, and the countdown skips the levels with no row."""
+    allows a jump (only at levels >= t0), is compared bit for bit; if
+    equal, it leaves the stacks and joins again at the level _cycle_exit
+    gives, as marginal rows join at their depth, and the countdown skips
+    the levels with no row."""
     if not points:
         return np.empty(0)
     if len(points) == 1:
         return np.array([_scale(fs, points[0], depths[0])])
-    column = _symbol_column(points)
-    count = len(points)
     t0 = [len(p.preperiod) for p in points]
     q = [len(p.period) for p in points]
+    # a point whose depth lies in its preperiod shares no row
+    tails: dict = {}
+    for i, (p, n) in enumerate(zip(points, depths)):
+        tails.setdefault((n, t0[i], p.period) if n >= t0[i] else i, []).append(i)
+    # the first point of a tail carries its row; splits[t0][i] holds the
+    # other points of point i's tail
+    splits: dict[int, dict] = {}
+    for lead, *rest in tails.values():
+        if rest:
+            splits.setdefault(t0[lead], {})[lead] = np.array(rest)
+    column = _symbol_column(points)
+    class_of, _, stacks = fs.size_classes
     marginal = fs.fiber_marginal
-    # entries[k]: the (fiber, ids, rows) that join at level k + 1, before
+    # entries[k]: the (class, ids, rows) that join at level k + 1, before
     # the step to level k
     entries: dict[int, list] = {}
     joining: dict[tuple[int, int], list] = {}
-    for i, (p, n) in enumerate(zip(points, depths)):
-        joining.setdefault((n, p.symbol_at(n)), []).append(i)
+    for lead, *_ in tails.values():
+        joining.setdefault((depths[lead], points[lead].symbol_at(depths[lead])), []).append(lead)
     for (n, b), members in joining.items():
         stack = np.repeat(marginal[b][None], len(members), axis=0)
-        entries.setdefault(n - 1, []).append((b, np.array(members), stack))
+        entries.setdefault(n - 1, []).append((class_of[b], np.array(members), stack))
     # per point: the checkpoint, the window and the level of the next
-    # checkpoint (-1 once the point has left)
+    # checkpoint (-1 once the point has left, and for the copied points,
+    # which join below the levels of any cycle exit)
+    count = len(points)
     mark_scale = np.full(count, math.nan)
     mark_level = np.zeros(count, dtype=np.intp)
     mark = np.zeros((count, max(len(mu) for mu in marginal)))
     window = np.full(count, FIRST_WINDOW)
     due = _next_checkpoint(np.asarray(depths, dtype=np.intp) + 1, FIRST_WINDOW)
+    for rest in splits.values():
+        due[np.concatenate(list(rest.values()))] = -1
     next_due = int(due.max())
     out = np.empty(count)
-    rows = [np.empty((0, len(mu))) for mu in marginal]
+    rows = [np.empty((0, into[0].shape[2])) for into in stacks]
     ids = [np.empty(0, dtype=np.intp) for _ in rows]
     k, live = max(entries), 0
     while True:
-        for b, new_ids, new_rows in entries.pop(k, ()):
-            rows[b] = np.concatenate([rows[b], new_rows])
-            ids[b] = np.concatenate([ids[b], new_ids])
+        for c, new_ids, new_rows in entries.pop(k, ()):
+            rows[c] = np.concatenate([rows[c], new_rows])
+            ids[c] = np.concatenate([ids[c], new_ids])
             live += len(new_ids)
         level = k + 1
+        copies = splits.pop(level, {})
+        for c, who in enumerate(ids if copies else ()):
+            at = [(pos, copies[i]) for pos, i in enumerate(who.tolist()) if i in copies]
+            rows[c] = np.concatenate([rows[c]] + [np.repeat(rows[c][pos : pos + 1], len(rest), axis=0) for pos, rest in at])
+            ids[c] = np.concatenate([who] + [rest for _, rest in at])
+            live += sum(len(rest) for _, rest in at)
         sums = [np.add.reduce(r, axis=1) for r in rows]
-        for b, (r, who, s) in enumerate(zip(rows, ids, sums)):
+        for c, (r, who, s) in enumerate(zip(rows, ids, sums)):
             repeats = (s == mark_scale[who]).nonzero()[0]
             if not repeats.size:
                 continue
@@ -765,7 +816,7 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
                 if m == 0:
                     out[who[at]] = s[at]
                 else:
-                    entries.setdefault(m - 1, []).append((b, who[at], r[at]))
+                    entries.setdefault(m - 1, []).append((c, who[at], r[at]))
             gone = [pos for at in exits.values() for pos in at]
             mark_scale[who[gone]] = math.nan
             due[who[gone]] = -1
@@ -773,10 +824,10 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
             live -= len(gone)
             keep = np.ones(len(r), dtype=bool)
             keep[gone] = False
-            rows[b], ids[b], sums[b] = r[keep], who[keep], s[keep]
+            rows[c], ids[c], sums[c] = r[keep], who[keep], s[keep]
         if not live:
             if not entries:
-                return out
+                break
             k = max(entries)
             continue
         if level == next_due:
@@ -790,12 +841,14 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
             due[taken] = _next_checkpoint(level, window[taken])
             next_due = int(due.max())
         rows = [r / s[:, None] for r, s in zip(rows, sums)]
-        rows, ids = backward_step(fs, rows, ids, column(k))
+        rows, ids = gathered_step(fs, rows, ids, column(k), column(k + 1))
         if k == 0:
             break
         k -= 1
     for i, r in zip(ids, rows):
         out[i] = r.sum(axis=1)
+    for lead, rest in splits.pop(0, {}).items():
+        out[rest] = out[lead]
     return out
 
 
@@ -889,7 +942,7 @@ def _d_const(fs: FactorSystem, gap: int) -> float:
     rows = [fs.marginal_hat(b).coords[None, :] for b in range(fs.target_size)]
     d_const = 0.0
     for _ in range(gap - 1):
-        rows = backward_step(fs, rows)[0]
+        rows = backward_step(fs, rows)
         for b0 in range(len(rows)):
             rows[b0] = normalize_rows(rows[b0])
             distances = projective_distances(fs.marginal_hat(b0).coords, rows[b0])

@@ -124,7 +124,8 @@ def contraction_coefficients(stack: np.ndarray) -> list[ContractionCoefficient]:
     chunk = max(1, STACK_DOUBLES // (r * r * c))
     log_phi: list[float] = []
     # a zero entry T(e', c) makes D[e', e', c] = -inf - -inf, so log Phi is
-    # nan exactly for the matrices with a zero entry, which get tau 1
+    # nan exactly for the matrices with a zero entry, which get tau 1; + 0.0
+    # turns the tau -0.0 of a rank-one matrix (log Phi 0.0) into 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, m, chunk):
             logs = np.log(stack[start : start + chunk])
@@ -133,7 +134,7 @@ def contraction_coefficients(stack: np.ndarray) -> list[ContractionCoefficient]:
             del diff  # before the next chunk's is made
     tau_one = ContractionCoefficient(tau=1.0, phi=0.0)
     return [
-        tau_one if math.isnan(lp) else ContractionCoefficient(tau=math.tanh(-lp / 4.0), phi=math.exp(lp))
+        tau_one if math.isnan(lp) else ContractionCoefficient(tau=math.tanh(-lp / 4.0) + 0.0, phi=math.exp(lp))
         for lp in log_phi
     ]
 

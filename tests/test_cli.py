@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gibbsfactor.cli import main
@@ -387,3 +388,35 @@ def test_check_overflowing_row_sum_is_one_clean_input_error(tmp_path):
     assert result.stdout == ""
     assert result.stderr == "error: transition rows must sum to 1 within 1e-12\n"
     assert "Warning" not in result.stderr
+
+
+def log_uniform_fullshift4(tmp_path, draw):
+    """fullshift4 with transition rows drawn log-uniform over [1e-25, 1]:
+    the given draw of np.random.default_rng(5), written to a file."""
+    rng = np.random.default_rng(5)
+    for _ in range(draw):
+        p = np.exp(rng.uniform(np.log(1e-25), 0.0, size=(4, 4)))
+    p /= p.sum(axis=1, keepdims=True)
+    path = tmp_path / f"fullshift4-draw{draw}.json"
+    dump_document(dict(expand_example("fullshift4"), transition=p.tolist()), str(path))
+    return str(path)
+
+
+def test_window_contraction_rounding_to_one_is_refused(tmp_path, capsys):
+    # the window of (1) is strictly positive, but its tau_q rounds to 1.0
+    # while a* > 0: it bounds no radius (it was a ZeroDivisionError)
+    code = main(["potential", log_uniform_fullshift4(tmp_path, 2), "--point", "1", "--adaptive"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "refused: tail window of 1 steps from position 1 has contraction 1 in double "
+        "precision, so it bounds no radius"
+    ]
+
+
+def test_rank_one_window_note_reads_contraction_0(tmp_path, capsys):
+    code = main(["potential", log_uniform_fullshift4(tmp_path, 1), "--point", "01", "--adaptive"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "note: tail window of 2 steps is strictly positive (contraction 0)\n" in out

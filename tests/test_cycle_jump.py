@@ -85,12 +85,12 @@ def test_batch_equals_backward_transfer(system, monkeypatch):
 
     def counted(*args):
         levels.append(1)
-        return projection.backward_step(*args)
+        return projection.gathered_step(*args)
 
-    monkeypatch.setattr(potential, "backward_step", counted)
+    monkeypatch.setattr(potential, "gathered_step", counted)
     assert _lockstep_scales(system, points, depths).tolist() == expected(system, points, depths)
     # without cycle exits the countdown would step through all max(depths) levels
-    assert len(levels) < max(depths)
+    assert 0 < len(levels) < max(depths)
 
 
 def test_single_points_equal_backward_transfer(system, exits):

@@ -4,8 +4,12 @@ the unvalidated PointSpec.shifted against the validating constructor."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import gibbsfactor as gf
 from gibbsfactor import cli, gibbs, potential
@@ -17,6 +21,7 @@ from gibbsfactor.potential import (
     _lockstep_scales,
     _lockstep_sequences,
     _psi_sequence,
+    _window_count,
     evaluate,
     evaluate_many,
 )
@@ -282,7 +287,7 @@ def test_single_point_does_not_use_the_batch(adhoc5, adhoc5_constants, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("single points go through backward_transfer")
 
-    monkeypatch.setattr(potential, "backward_step", refuse)
+    monkeypatch.setattr(potential, "gathered_step", refuse)
     ev = evaluate(adhoc5, PointSpec(adhoc5, (), (0, 1)), constants=adhoc5_constants)
     assert ev.mode == "certified"
 
@@ -336,3 +341,72 @@ def test_shifted_equals_validated_point(name):
             pre = tuple(p.symbol_at(i) for i in range(j, j + t0))
             per = tuple(p.symbol_at(i) for i in range(j + t0, j + t0 + q))
             assert p.shifted(fs, j) == PointSpec(fs, pre, per)
+
+
+def counted_windows(tau_q, a_star, target_error, a0, big_q):
+    """The radius loop that _window_count replaced: k counts up one window
+    at a time while the radius is above target_error and the depth stays
+    within MAX_DEPTH."""
+    k = 0
+    radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
+    while radius > target_error and (a0 + (k + 1) * big_q) <= potential.MAX_DEPTH:
+        k += 1
+        radius = tau_q**k * a_star / (1.0 - tau_q)
+    return k, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.9999, 1.0, exclude_max=True)),
+    st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+    st.one_of(st.floats(1e-300, 1.0), st.sampled_from([1e-10, 1e-11, 1e-300])),
+    st.integers(1, 40),
+    st.one_of(st.integers(1, 12), st.sampled_from([97, 5000, 499999, 600000])),
+)
+@example(0.999998, 1.3, 1e-10, 1, 1)  # capped at MAX_DEPTH
+@example(0.740743, 0.5, 1e-10, 1, 2)
+def test_window_count_equals_counting_up(tau_q, a_star, target_error, a0, big_q):
+    expected = counted_windows(tau_q, a_star, target_error, a0, big_q)
+    assert _window_count(tau_q, a_star, target_error, (potential.MAX_DEPTH - a0) // big_q) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.01, 0.999), st.floats(1e-3, 1e3), st.integers(1, 300), st.booleans())
+def test_window_count_at_a_radius_boundary(tau_q, a_star, k, below):
+    # target_error equal to a radius of the loop, or the double below it,
+    # where the log ratio lands next to an integer
+    target = tau_q**k * a_star / (1.0 - tau_q)
+    target = float(np.nextafter(target, 0.0)) if below else target
+    assume(target > 0)
+    assert _window_count(tau_q, a_star, target, potential.MAX_DEPTH - 1) == counted_windows(tau_q, a_star, target, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "tau_q, a_star, target, off",
+    [
+        (0.3431215648898563, 0.3467038735465146, 1.7801889200613385e-14, 1),
+        (0.33500313953414623, 0.5260019290542263, 1.9173384394339735e-93, -1),
+    ],
+)
+def test_window_count_corrects_the_log_ratio_by_one(tau_q, a_star, target, off):
+    ratio = (math.log(target) + math.log(1.0 - tau_q) - math.log(a_star)) / math.log(tau_q)
+    k, radius = _window_count(tau_q, a_star, target, potential.MAX_DEPTH - 1)
+    assert math.ceil(ratio) - k == off
+    assert (k, radius) == counted_windows(tau_q, a_star, target, 1, 1)
+
+
+def test_certified_depth_is_taken_once_per_preperiod_length(monkeypatch):
+    fs = gf.example_system("adhoc5")
+    constants = gf.uniform_constants(fs)
+    points = sweep_points(fs, 4)
+    expected = per_point(fs, points, TARGET, constants)
+    calls = []
+
+    def counted(c, t0, target_error):
+        calls.append(t0)
+        return _certified_depth(c, t0, target_error)
+
+    monkeypatch.setattr(potential, "_certified_depth", counted)
+    assert evaluate_many(fs, points, TARGET, constants) == expected
+    assert sorted(calls) == sorted({len(p.preperiod) for p in points})
+    assert len(calls) < len(points)

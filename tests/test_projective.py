@@ -396,3 +396,11 @@ def test_stacked_coefficients_keep_the_refusals(stack, message):
     if stack.ndim == 3 and stack.size:
         with pytest.raises(gf.ModelError, match=message):
             gf.contraction_coefficient(stack[-1])
+
+
+@pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 4.0]], [[3.0]], [[0.5, 0.25, 2.0]]])
+def test_rank_one_coefficient_is_plus_zero(mat):
+    # log Phi is exactly 0.0 here, and tanh(-0.0 / 4) alone would be -0.0
+    coeff = gf.contraction_coefficient(np.array(mat))
+    assert coeff.tau == 0.0 and math.copysign(1.0, coeff.tau) == 1.0
+    assert f"{coeff.tau:.6g}" == "0"

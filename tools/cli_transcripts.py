@@ -5,9 +5,15 @@
 Each workload of bench/workloads.py is generated for each seed in a temporary
 directory, and every command of its script runs in process through
 gibbsfactor.cli.main.  OUT.json holds, per command, the argument list without
-the model path, the exit code, stdout and stderr, with sorted keys, so the
-output of two commits compares with cmp.  The gibbsfactor under test is the
-one on PYTHONPATH; the workloads come from this tree's bench/.
+the model path, the exit code, stdout and stderr, and every evaluation the
+command made: evaluate_many and eigendata_many are wrapped where the potential
+and gibbs modules look them up, and each call's results are recorded in order
+with value, radius, terms, mode and clusters as JSON floats (which read back
+bit for bit), None for a point eigendata_many leaves to evaluate_many, and
+the message of a refusal.  Keys are sorted, so the output of two commits
+compares with cmp, bit for bit in every evaluation and not only in the
+printed digits.  The gibbsfactor under test is the one on PYTHONPATH; the
+workloads come from this tree's bench/.
 """
 
 from __future__ import annotations
@@ -31,18 +37,63 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 sys.path.append(os.path.join(ROOT, "src"))
 
 import workloads  # noqa: E402
-from gibbsfactor import cli  # noqa: E402
+from gibbsfactor import cli, gibbs, potential  # noqa: E402
+
+EVALUATE_MANY, EIGENDATA_MANY = potential.evaluate_many, potential.eigendata_many
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process CLI call."""
+def evaluation(result) -> object:
+    """One slot of an evaluate_many or eigendata_many result as JSON."""
+    if isinstance(result, tuple):  # eigendata_many: (evaluation, eigendata)
+        result = result[0]
+    if result is None:
+        return None
+    if isinstance(result, Exception):
+        return {"refused": str(result)}
+    return {
+        "value": result.value,
+        "radius": result.error_radius,
+        "terms": result.terms_used,
+        "mode": result.mode,
+        "clusters": list(result.clusters),
+    }
+
+
+@contextlib.contextmanager
+def recording(calls: list):
+    """Append the results of every evaluate_many and eigendata_many call to calls."""
+
+    def recorded(function):
+        def call(*args, **kwargs):
+            results = function(*args, **kwargs)
+            calls.append([evaluation(r) for r in results])
+            return results
+
+        return call
+
+    patches = [
+        (potential, "evaluate_many", EVALUATE_MANY),
+        (gibbs, "evaluate_many", EVALUATE_MANY),
+        (potential, "eigendata_many", EIGENDATA_MANY),
+    ]
+    try:
+        for module, name, function in patches:
+            setattr(module, name, recorded(function))
+        yield calls
+    finally:
+        for module, name, function in patches:
+            setattr(module, name, function)
+
+
+def run(argv: list[str]) -> tuple[int, str, str, list]:
+    """Exit code, stdout, stderr and evaluations of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), recording([]) as calls:
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), calls
 
 
 def transcripts(seeds: list[int], smoke: bool) -> dict:
@@ -52,12 +103,13 @@ def transcripts(seeds: list[int], smoke: bool) -> dict:
             with tempfile.TemporaryDirectory() as tmp:
                 manifest = workloads.generate(name, seed, tmp, smoke=smoke)
                 for i, argv in enumerate(manifest["script"]):
-                    code, stdout, stderr = run(argv)
+                    code, stdout, stderr, calls = run(argv)
                     records[f"{name}/seed{seed}/{i:02d}"] = {
                         "argv": [a for a in argv if a != manifest["model"]],
                         "exit": code,
                         "stdout": stdout,
                         "stderr": stderr,
+                        "evaluations": calls,
                     }
     return records
 

@@ -618,8 +618,9 @@ def evaluate_many(
     psi_n of the certified and window-route points in one staggered
     backward pass (_lockstep_scales, one gathered product per pair of
     fiber-size classes and one row per shared tail), the value sequences of
-    the scan-route points in one forward pass whose logs are taken once at
-    the end (_lockstep_sequences).  The backward pass drops a point's row
+    the scan-route points in one forward pass with one row per distinct
+    point of the batch and of its shifts, whose logs are taken once at the
+    end (_lockstep_sequences).  The backward pass drops a point's row
     once it repeats bit for bit at a lag of whole periods and takes it up
     again at the last level of the repeat, so psi_n costs about the levels
     before the repeat; the value and terms_used are those of the full depth
@@ -854,45 +855,39 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
 
 def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: Sequence[int]) -> list[np.ndarray]:
     """_psi_sequence(fs, p, n) for every point p and its length n, in one
-    forward pass to max(lengths): the rescaled (u, w) row pairs of all points
-    step forward together and each point's values are cut to its length.
-    The logs are deferred: the pass writes each level's (u, w) row sums (1.0,
-    log 0.0, where w is not rescaled) and marginal dots into (levels, points,
-    2) arrays, then takes math.log per entry, as _psi_sequence does, and
-    np.add.accumulate adds the log scales along the levels in _psi_sequence's
+    forward pass to max(lengths) with one row per distinct point y of the
+    batch and of its shifts: ones on the fiber of y0 at level 0, stepped and
+    rescaled at each level.  With A(y, k) = log nu[y0..yk] read off level k,
+    psi_n(x) = A(x, n) - A(sx, n - 1) for the shift sx, whose row at level
+    n - 1 is _psi_sequence's w row of x at level n, from the same steps.
+    The logs are deferred: the row sums (1.0 at level 0) and marginal dots
+    go into (levels + 1, rows) arrays, math.log is taken per entry and
+    np.add.accumulate adds along the levels from 0.0 in _psi_sequence's
     order, so the values agree bit for bit.  One point takes _psi_sequence."""
     if not points:
         return []
     if len(points) == 1:
         return [_psi_sequence(fs, points[0], lengths[0])]
-    column = _symbol_column(points)
+    shifted = [p.shifted(fs) for p in points]
+    row_of = {p: i for i, p in enumerate(dict.fromkeys([*points, *shifted]))}
+    column = _symbol_column(list(row_of))
     levels = max(lengths)
-    sums = np.ones((levels, len(points), 2))
-    dots = np.empty((levels, len(points), 2))
-
-    def advance(rows, ids, k):
-        rows, ids = forward_step(fs, rows, ids, column(k))
-        for b, r in enumerate(rows):
-            s = r.sum(axis=2)
-            sums[k - 1, ids[b], : s.shape[1]] = s
-            rows[b] = r / s[..., None]
-        return rows, ids
-
-    # u starts as 1^T W_{b0 b1} rescaled (the first advance carries u alone),
-    # w as 1^T on the fiber of b1
+    sums = np.ones((levels + 1, len(row_of)))
+    dots = np.empty((levels + 1, len(row_of)))
     ids = [np.flatnonzero(column(0) == b) for b in range(fs.target_size)]
-    rows = [np.ones((len(i), 1, len(mu))) for i, mu in zip(ids, fs.fiber_marginal)]
-    rows, ids = advance(rows, ids, 1)
-    rows = [np.concatenate([r, np.ones_like(r)], axis=1) for r in rows]
-    for n in range(1, levels + 1):
+    rows = [np.ones((len(i), len(mu))) for i, mu in zip(ids, fs.fiber_marginal)]
+    for k in range(levels + 1):
+        if k:
+            rows, ids = forward_step(fs, rows, ids, column(k))
+            for b, r in enumerate(rows):
+                s = r.sum(axis=1)
+                sums[k, ids[b]] = s
+                rows[b] = r / s[:, None]
         for b, mu in enumerate(fs.fiber_marginal):
-            dots[n - 1, ids[b]] = (rows[b][:, :, None, :] @ mu[:, None])[:, :, 0, 0]
-        if n < levels:
-            rows, ids = advance(rows, ids, n + 1)
+            dots[k, ids[b]] = (rows[b][:, None, :] @ mu[:, None])[:, 0, 0]
     logs = [np.fromiter(map(math.log, a.ravel().tolist()), float, a.size).reshape(a.shape) for a in (sums, dots)]
     total = np.add.accumulate(logs[0], axis=0) + logs[1]
-    out = np.ascontiguousarray((total[..., 0] - total[..., 1]).T)
-    return [out[i, :n] for i, n in enumerate(lengths)]
+    return [total[1 : n + 1, row_of[p]] - total[:n, row_of[sp]] for p, sp, n in zip(points, shifted, lengths)]
 
 
 def factorization_sequence(prefix, factor_size: int) -> tuple[tuple[int, int], ...]:
@@ -1010,6 +1005,9 @@ def uniform_constants(fs: FactorSystem) -> UniformConstants:
     tau = max(tau, 1e-12)
     s = 2 * chosen_w
     theta = tau ** (1.0 / s)
+    if theta == 1.0:
+        message = f"decay rate tau**(1/gap) is 1 in double precision (tau {tau!r}, gap {s})"
+        raise CertificationError(message + ", so it bounds no radius")
     c1 = tau**-3
     d_const = _d_const(fs, s)
     c_total = 2.0 * d_const * c1 / (1.0 - theta)

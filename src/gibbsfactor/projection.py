@@ -13,8 +13,8 @@ evaluate_many in lockstep, one depth level at a time and one stacked
 product per pair of fiber-size classes.  Both skip the levels over which a
 point's row repeats bit for bit, so their values equal backward_transfer's
 at the full depth.  forward_step is its mirror image,
-row vectors times a block, with which evaluate_many scans the value
-sequences of points without a positive tail window.  The two hypotheses
+one row vector per point times a block, with which evaluate_many scans the
+value sequences of points without a positive tail window.  The two hypotheses
 checked here (row-allowability of every fiber block, and positivity of
 one-period products over short cycles) are what later certify that this
 induced measure admits a regular potential.
@@ -377,16 +377,17 @@ def gathered_step(fs: FactorSystem, rows: list, ids: list, before, after) -> tup
 
 
 def forward_step(fs: FactorSystem, rows: list, ids: list, column) -> tuple:
-    """backward_step mirrored: rows[b] stacks (m, r, len(fiber b)) row vectors
-    of the points ids[b]; those of point i are multiplied by W_{b column[i]}
-    on the right and move to fiber column[i], with their ids.
-    (V[:, :, None, :] @ W)[:, :, 0] repeats the one-point v @ W bit for bit.
-    Returns the new (rows, ids), stacked in fs.fiber_weight order."""
+    """backward_step mirrored: rows[b] stacks the (m, len(fiber b)) row
+    vectors of the points ids[b], one row per point; the row of point i is
+    multiplied by W_{b column[i]} on the right and moves to fiber column[i],
+    with its id.  (V[:, None, :] @ W)[:, 0], one (1, s) @ (s, t) product per
+    row, repeats the one-point v @ W bit for bit.  Returns the new
+    (rows, ids), stacked in fs.fiber_weight order."""
     parts: list[list[np.ndarray]] = [[] for _ in rows]
     taken: list[list[np.ndarray]] = [[] for _ in rows]
     for (b0, b1), w in fs.fiber_weight.items():
         pick = column[ids[b0]] == b1
-        parts[b1].append((rows[b0][pick][:, :, None, :] @ w)[:, :, 0])
+        parts[b1].append((rows[b0][pick][:, None, :] @ w)[:, 0])
         taken[b1].append(ids[b0][pick])
     return [np.concatenate(p) for p in parts], [np.concatenate(t) for t in taken]
 

@@ -420,3 +420,36 @@ def test_rank_one_window_note_reads_contraction_0(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "note: tail window of 2 steps is strictly positive (contraction 0)\n" in out
+
+
+@pytest.mark.parametrize(
+    "draw, tau, gap",
+    [(43, "0.9999999999999999", 16), (50, "0.9999999999999999", 6), (64, "0.9999999999999998", 6)],
+)
+def test_decay_rate_rounding_to_one_is_not_certified(tmp_path, capsys, draw, tau, gap):
+    # the worst positive block's tau is within an ulp or two of 1, so
+    # theta = tau**(1/gap) rounds to 1.0 and bounds no radius (it was a
+    # ZeroDivisionError); check reports it and potential falls back
+    path = log_uniform_fullshift4(tmp_path, draw)
+    reason = f"decay rate tau**(1/gap) is 1 in double precision (tau {tau}, gap {gap}), so it bounds no radius"
+    code = main(["check", path])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == f"certification: unavailable ({reason})"
+    code = main(["potential", path, "--point", "01"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert f"constants unavailable: {reason}\n" in captured.out
+    assert "mode: adaptive (uncertified)\n" in captured.out
+
+
+def test_gibbs_sweep_with_a_decay_rate_of_one_ends_in_one_error_line(tmp_path, capsys):
+    code = main(["gibbs", log_uniform_fullshift4(tmp_path, 43), "--n-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("constants unavailable (decay rate tau**(1/gap) is 1 in double precision")
+    assert captured.err.count("error:") == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

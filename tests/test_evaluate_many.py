@@ -25,7 +25,7 @@ from gibbsfactor.potential import (
     evaluate,
     evaluate_many,
 )
-from gibbsfactor.projection import backward_transfer
+from gibbsfactor.projection import backward_transfer, forward_step
 
 from test_golden_cli import wide12_document
 from test_potential import random_certified_system
@@ -200,19 +200,75 @@ def test_forward_lockstep_equals_psi_sequence(name):
 @pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "nongibbs6", "converse_false"])
 def test_forward_lockstep_equals_psi_sequence_at_short_and_mixed_lengths(name):
     # lengths 1 and 2 read the first one or two levels of the deferred logs
-    # only; mixed lengths cut one pass at different levels
+    # only; mixed lengths cut one pass at different levels.  The random
+    # points lack most of their shifts, which take rows of their own; every
+    # periodic point up to period 6 is a batch closed under the shift, in
+    # which each point's denominator is read from another point's row
     fs = gf.example_system(name)
     rng = np.random.default_rng(28)
     points = [random_point(fs, rng, int(rng.integers(0, 6))) for _ in range(40)]
     points = [p for p in points if _refusal(fs, p) is None]
     assert len(points) >= 5
-    mixed = [int(n) for n in rng.integers(1, 90, size=len(points))]
-    for lengths in ([1] * len(points), [2] * len(points), mixed):
-        sequences = _lockstep_sequences(fs, points, lengths)
-        for p, n, seq in zip(points, lengths, sequences):
-            expected = _psi_sequence(fs, p, n)
-            assert seq.shape == expected.shape
-            assert (seq == expected).all()
+    # converse_false refuses every point but its two fixed points
+    assert ({p.shifted(fs) for p in points} <= set(points)) == (name == "converse_false")
+    # a refused point's shifts are refused too, so the kept ones stay closed
+    closed = [p for p in periodic_batch(fs, 6) if _refusal(fs, p) is None]
+    assert len(closed) >= 2
+    assert {p.shifted(fs) for p in closed} == set(closed)
+    for batch in (points, closed):
+        mixed = [int(n) for n in rng.integers(1, 90, size=len(batch))]
+        for lengths in ([1] * len(batch), [2] * len(batch), mixed):
+            assert_lockstep_equals_psi_sequence(fs, batch, lengths)
+
+
+def periodic_batch(fs, p_max):
+    """Every periodic point of period <= p_max, every rotation included: a
+    batch closed under the shift."""
+    return [PointSpec(fs, (), pp.symbols) for pp in gf.enumerate_periodic(fs.factor_tmc, p_max)]
+
+
+def assert_lockstep_equals_psi_sequence(fs, points, lengths):
+    sequences = _lockstep_sequences(fs, points, lengths)
+    assert len(sequences) == len(points)
+    for p, n, seq in zip(points, lengths, sequences):
+        expected = _psi_sequence(fs, p, n)
+        assert seq.shape == expected.shape
+        assert (seq == expected).all()
+
+
+def test_forward_lockstep_with_duplicate_points():
+    # a repeated point shares one row, at the same or at another length
+    fs = gf.example_system("nongibbs6")
+    batch = periodic_batch(fs, 3)
+    points = batch + batch + [batch[1]] * 3
+    lengths = [7] * len(batch) + list(range(1, len(batch) + 1)) + [1, 2, 50]
+    assert_lockstep_equals_psi_sequence(fs, points, lengths)
+
+
+@pytest.mark.parametrize("name", ["nongibbs6", "adhoc5"])
+def test_forward_lockstep_when_the_shift_is_much_shorter_or_longer(name):
+    # chain[j + 1] is the shift of chain[j], so one row serves the values of
+    # one point and the denominators of another, at lengths far apart
+    fs = gf.example_system(name)
+    x = random_point(fs, np.random.default_rng(31), 4)
+    chain = [x.shifted(fs, j) for j in range(4)]
+    for lengths in ([150, 1, 2, 1], [1, 150, 1, 2], [2, 1, 150, 3]):
+        assert_lockstep_equals_psi_sequence(fs, chain, lengths)
+
+
+def test_shift_closed_batch_steps_one_row_per_point(monkeypatch):
+    fs = gf.example_system("nongibbs6")
+    points = periodic_batch(fs, 5)
+    stepped = []
+
+    def counted(fs, rows, ids, column):
+        # row vectors, whatever the stacking
+        stepped.append(sum(r.size // r.shape[-1] for r in rows))
+        return forward_step(fs, rows, ids, column)
+
+    monkeypatch.setattr(potential, "forward_step", counted)
+    _lockstep_sequences(fs, points, [40] * len(points))
+    assert stepped == [len(points)] * 40
 
 
 def _refusal(fs, point):

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success (or a passing check), 1 when a mathematical check
-fails (hypotheses violated, divergent potential, bound exceeded), 2 on input,
-usage or output-file errors.  Output is deterministic for fixed inputs.
+fails (hypotheses violated, divergent potential, bound exceeded, evaluation
+refused), 2 on input, usage or output-file errors.  Output is deterministic
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -65,6 +66,14 @@ def _point_str(fs: FactorSystem, point: PointSpec) -> str:
     return f"{pre}({per})*" if pre else f"({per})*"
 
 
+def _write_csv(path: Optional[str], table: list[str]) -> None:
+    """Write the printed table lines to path, when one is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in table))
+        print(f"wrote {path}")
+
+
 def _try_constants(fs: FactorSystem) -> tuple[Optional[UniformConstants], Optional[str]]:
     try:
         return uniform_constants(fs), None
@@ -125,33 +134,22 @@ def cmd_check(args) -> int:
 def cmd_potential(args) -> int:
     fs = models.load_model(args.model)
     point = _parse_point(fs, args.point)
-    constants = None
-    note = None
-    if not args.adaptive:
-        constants, note = _try_constants(fs)
-    try:
-        ev = evaluate(fs, point, target_error=args.tol, constants=constants)
-    except EvaluationRefused as exc:
-        print(f"refused: {exc}")
-        if exc.window is not None:
-            print(f"  offending step: positions {exc.window[0]}..{exc.window[1]}")
-        return 1
+    constants, note = (None, None) if args.adaptive else _try_constants(fs)
+    ev = evaluate(fs, point, target_error=args.tol, constants=constants)
     print(f"point: {_point_str(fs, point)}")
     if note:
         print(f"constants unavailable: {note}")
     if ev.mode == "diverged":
         print(f"diverged after {ev.terms_used} terms")
         print("subsequence clusters: " + ", ".join(_fmt(c) for c in ev.clusters))
-        for n in ev.notes:
-            print(f"note: {n}")
-        return 1
-    print(f"value: {_fmt(ev.value)}")
-    print(f"error radius: {_fmt(ev.error_radius)}")
-    print(f"terms: {ev.terms_used}")
-    print(f"mode: {ev.mode}{' (certified)' if ev.certified else ' (uncertified)'}")
+    else:
+        print(f"value: {_fmt(ev.value)}")
+        print(f"error radius: {_fmt(ev.error_radius)}")
+        print(f"terms: {ev.terms_used}")
+        print(f"mode: {ev.mode}{' (certified)' if ev.certified else ' (uncertified)'}")
     for n in ev.notes:
         print(f"note: {n}")
-    return 0
+    return 1 if ev.mode == "diverged" else 0
 
 
 def cmd_periodic(args) -> int:
@@ -202,18 +200,13 @@ def cmd_holder(args) -> int:
         f"metric exponent: {_fmt(report.exponent)} "
         f"(decay rate {_fmt(report.theta)} per symbol)"
     )
-    print("n,var_n,bound_n")
-    for n, (v, b) in enumerate(zip(report.var, report.bound)):
-        print(f"{n},{_fmt(v)},{_fmt(b)}")
+    table = ["n,var_n,bound_n"]
+    table += [f"{n},{_fmt(v)},{_fmt(b)}" for n, (v, b) in enumerate(zip(report.var, report.bound))]
+    print("\n".join(table))
     if report.fitted_rate is not None:
         print(f"fitted decay rate: {_fmt(report.fitted_rate)}")
     print(f"bound satisfied: {'yes' if report.bound_ok else 'NO'}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("n,var_n,bound_n\n")
-            for n, (v, b) in enumerate(zip(report.var, report.bound)):
-                fh.write(f"{n},{v:.12g},{b:.12g}\n")
-        print(f"wrote {args.csv}")
+    _write_csv(args.csv, table)
     return 0 if report.bound_ok else 1
 
 
@@ -226,22 +219,19 @@ def cmd_gibbs(args) -> int:
     if constants is None:
         print(f"constants unavailable ({reason}); sweep is uncertified")
     report = bgi_sweep(fs, args.n_max, constants=constants, target_error=args.tol)
-    print("n,cylinder_count,K_emp,K_cert,slack,verdict")
-    for r in report.rows:
-        print(
-            f"{r.n},{r.cylinder_count},{_fmt(r.k_emp)},{_fmt(r.k_cert)},"
-            f"{_fmt(r.slack)},{r.verdict}"
-        )
+    table = ["n,cylinder_count,K_emp,K_cert,slack,verdict"]
+    table += [
+        f"{r.n},{r.cylinder_count},{_fmt(r.k_emp)},{_fmt(r.k_cert)},{_fmt(r.slack)},{r.verdict}"
+        for r in report.rows
+    ]
+    print("\n".join(table))
     for n in report.notes:
         print(f"note: {n}")
     if args.invariance:
         inv = invariance_suite(fs, min(args.n_max, 10))
         print(f"invariance residuals (max over n <= {min(args.n_max, 10)}): "
               f"{_fmt(inv.max_residual)}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
-        print(f"wrote {args.csv}")
+    _write_csv(args.csv, table)
     return 1 if any(r.verdict == "fail" for r in report.rows) else 0
 
 
@@ -338,12 +328,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EvaluationRefused, CertificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (GibbsFactorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (EvaluationRefused, CertificationError)) else 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ growth of K_emp is meaningful rather than an artifact).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -49,16 +48,6 @@ class BgiReport:
     proxy_points: int
     notes: tuple[str, ...] = ()
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,cylinder_count,K_emp,K_cert,slack,verdict\n")
-        for r in self.rows:
-            buf.write(
-                f"{r.n},{r.cylinder_count},{r.k_emp:.12g},{r.k_cert:.12g},"
-                f"{r.slack:.12g},{r.verdict}\n"
-            )
-        return buf.getvalue()
-
 
 def bgi_sweep(
     fs: FactorSystem,
@@ -81,7 +70,7 @@ def bgi_sweep(
     for n in range(n_max + 1):
         level = []
         for word in enumerate_words(fs.factor_tmc, n + 1):
-            ext = canonical_extension(fs, word.symbols)
+            ext = canonical_extension(fs, word)
             level.append((word, [ext.shifted(fs, j) for j in range(n + 1)]))
         levels.append(level)
     unique = {p.key(): p for level in levels for _, pts in level for p in pts}

@@ -392,7 +392,8 @@ def _cluster_values(values: Sequence[float], gap: float = 1e-6, spread: float = 
 
 def _certified_depth(c: UniformConstants, t0: int, target_error: float) -> int:
     """Depth n at which the certified radius (d_const c1 / (1-tau)) theta^n of
-    a point with a preperiod of t0 symbols falls below target_error."""
+    a point with a preperiod of t0 symbols falls below target_error; a depth
+    beyond MAX_DEPTH is refused (EvaluationRefused)."""
     # below this depth the closed-form radius need not dominate the
     # window-counting bound W tau^(n/W - 2) d / (1 - tau); stay above it
     n = max(2, t0 + 2, c.gap + 2)
@@ -400,24 +401,22 @@ def _certified_depth(c: UniformConstants, t0: int, target_error: float) -> int:
         n = max(n, math.ceil(2.0 * c.window * math.log(c.window * c.tau) / math.log(1.0 / c.tau)))
     if c.eq_radius_constant > target_error:
         n = max(n, math.ceil(math.log(target_error / c.eq_radius_constant) / math.log(c.theta)))
-    return min(n, MAX_DEPTH)
-
-
-def _certified(c: UniformConstants, n: int, value: float) -> PotentialEvaluation:
-    radius = c.eq_radius_constant * c.theta**n
-    return PotentialEvaluation(value, radius, terms_used=n, mode="certified", certified=True)
+    if n > MAX_DEPTH:
+        raise EvaluationRefused(f"a certified radius of {target_error:g} needs depth {n}, beyond MAX_DEPTH {MAX_DEPTH}")
+    return n
 
 
 class _Route(NamedTuple):
-    """How a point is evaluated without uniform constants.  On the window
-    route (window=True) the value is psi_depth, with the given radius and
-    note; on the scan route depth is the length of the scanned sequence
-    psi_1 .. psi_depth."""
+    """How a point is evaluated.  On a backward route (window=True) the
+    value is psi_depth, with the given radius and note, certified when the
+    radius comes from uniform constants; on the scan route depth is the
+    length of the scanned sequence psi_1 .. psi_depth."""
 
     window: bool
     depth: int
     radius: float = math.inf
     note: str = ""
+    certified: bool = False
 
 
 def _window_count(tau_q: float, a_star: float, target_error: float, most: int) -> tuple[int, float]:
@@ -442,11 +441,20 @@ def _window_count(tau_q: float, a_star: float, target_error: float, most: int) -
     return k, radius(k)
 
 
-def _adaptive_routes(fs: FactorSystem, points: Sequence[PointSpec], target_error: float) -> list[_Route]:
-    """Refuse the first point with zero fiber rows along it, or plan each
-    point's evaluation from its own tail.
+def _routes(
+    fs: FactorSystem,
+    points: Sequence[PointSpec],
+    target_error: float,
+    constants: Optional[UniformConstants],
+) -> list[_Route]:
+    """Refuse the first point with zero fiber rows along it, then plan each
+    point's evaluation.
 
-    A tail phase whose whole-period window becomes strictly positive after
+    With uniform constants every point takes the certified backward route:
+    its depth is _certified_depth (refused beyond MAX_DEPTH), taken once per
+    preperiod length, and its radius (d_const c1 / (1-tau)) theta^depth.
+    Without them the route comes from the point's own tail.  A tail phase
+    whose whole-period window becomes strictly positive after
     pattern-primitivity many repetitions gives the window route: its
     contraction tau_q and the distance a* of the fiber marginal from its
     image bound the radius after k more windows by tau_q^k a* / (1 - tau_q),
@@ -462,12 +470,18 @@ def _adaptive_routes(fs: FactorSystem, points: Sequence[PointSpec], target_error
     refusal) and one projective_distances call: bit for bit the one-matrix
     forms, so a route does not depend on the rest of the batch.
     """
+    for point in points:
+        _check_point_rows(fs, point)
+    if constants is not None:
+        t0s = [len(p.preperiod) for p in points]
+        depth = {t0: _certified_depth(constants, t0, target_error) for t0 in dict.fromkeys(t0s)}
+        prefactor = constants.eq_radius_constant
+        return [_Route(True, depth[t0], prefactor * constants.theta ** depth[t0], certified=True) for t0 in t0s]
     primitivity: dict = {}
     products: dict = {}
     routes: list = []
     groups: dict[tuple, list] = {}
     for i, point in enumerate(points):
-        _check_point_rows(fs, point)
         t0, q = len(point.preperiod), len(point.period)
         base = max(1, t0)
         closed = point.symbols(base + 2 * q)
@@ -502,19 +516,20 @@ def _adaptive_routes(fs: FactorSystem, points: Sequence[PointSpec], target_error
     return routes
 
 
-def _adaptive_result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
-    """The evaluation a route yields: on the window route values is psi_depth;
-    on the scan route it is the sequence psi_1 .. psi_depth, which is either
-    reported uncertified or declared divergent with its cluster values when
-    its subsequences mod a multiple of the period stabilize apart."""
+def _result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
+    """The evaluation a route yields: on a backward route values is
+    psi_depth; on the scan route it is the sequence psi_1 .. psi_depth, which
+    is either reported uncertified or declared divergent with its cluster
+    values when its subsequences mod a multiple of the period stabilize
+    apart."""
     if route.window:
         return PotentialEvaluation(
             value=values,
             error_radius=route.radius,
             terms_used=route.depth,
-            mode="adaptive",
-            certified=False,
-            notes=(route.note,),
+            mode="certified" if route.certified else "adaptive",
+            certified=route.certified,
+            notes=(route.note,) if route.note else (),
         )
     t0 = len(point.preperiod)
     q = len(point.period)
@@ -602,7 +617,8 @@ def evaluate_many(
     """Potential at each of a list of eventually periodic points.
 
     With uniform constants the depth is chosen so the certified radius
-    (d_const c1 / (1-tau)) theta^n falls below target_error.  Without them
+    (d_const c1 / (1-tau)) theta^n falls below target_error, and a target
+    that needs a depth beyond MAX_DEPTH is refused.  Without them
     the point's own tail is used: a strictly positive window spanning whole
     periods gives an a-posteriori contraction bound; when no such window
     exists the value sequence is examined for stabilizing subsequences and
@@ -610,9 +626,9 @@ def evaluate_many(
     values.
 
     Every point is checked and routed first, in order, so a refusal is the
-    first refused point's; the certified depth is taken once per preperiod
-    length, and the routes are planned together, with one stacked Birkhoff
-    coefficient and one stacked image per window shape (_adaptive_routes).
+    first refused point's; one planner gives every route (_routes), with the
+    certified depth taken once per preperiod length and one stacked
+    Birkhoff coefficient and one stacked image per window shape.
     The values are then taken in lockstep, one stacked step per level for
     all points instead of one matrix-vector product per point and level:
     psi_n of the certified and window-route points in one staggered
@@ -628,24 +644,13 @@ def evaluate_many(
     in the batch.
     """
     check_target_error(target_error)
-    if constants is not None:
-        for point in points:
-            _check_point_rows(fs, point)
-        depth = {t: _certified_depth(constants, t, target_error) for t in {len(p.preperiod) for p in points}}
-        depths = [depth[len(p.preperiod)] for p in points]
-        scales = _lockstep_scales(fs, points, depths)
-        return [_certified(constants, n, float(np.log(x))) for n, x in zip(depths, scales)]
-    routes = _adaptive_routes(fs, points, target_error)
-    window = [i for i, r in enumerate(routes) if r.window]
+    routes = _routes(fs, points, target_error, constants)
+    backward = [i for i, r in enumerate(routes) if r.window]
     scan = [i for i, r in enumerate(routes) if not r.window]
-    values: list = [None] * len(points)
-    scales = _lockstep_scales(fs, [points[i] for i in window], [routes[i].depth for i in window])
-    for i, x in zip(window, scales):
-        values[i] = float(np.log(x))
-    sequences = _lockstep_sequences(fs, [points[i] for i in scan], [routes[i].depth for i in scan])
-    for i, seq in zip(scan, sequences):
-        values[i] = seq
-    return [_adaptive_result(p, r, v) for p, r, v in zip(points, routes, values)]
+    scales = _lockstep_scales(fs, [points[i] for i in backward], [routes[i].depth for i in backward])
+    values = {i: float(np.log(x)) for i, x in zip(backward, scales)}
+    values.update(zip(scan, _lockstep_sequences(fs, [points[i] for i in scan], [routes[i].depth for i in scan])))
+    return [_result(points[i], r, values[i]) for i, r in enumerate(routes)]
 
 
 def _symbol_column(points: Sequence[PointSpec]):
@@ -1155,7 +1160,7 @@ def _shortest_return_path(fs: FactorSystem, src: int, dst: int, max_len: int) ->
     return None
 
 
-def canonical_extension(fs: FactorSystem, symbols: Sequence[int]) -> PointSpec:
+def canonical_extension(fs: FactorSystem, symbols: Word | Sequence[int]) -> PointSpec:
     """Deterministic eventually periodic point with the given prefix.
 
     Prefers the periodic completion through the shortest admissible return
@@ -1170,7 +1175,7 @@ def canonical_extension(fs: FactorSystem, symbols: Sequence[int]) -> PointSpec:
     return PointSpec(fs, symbols[:-1] + transient, cycle)
 
 
-def tail_completions(fs: FactorSystem, symbols: Sequence[int], count: int = 2) -> list[PointSpec]:
+def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int = 2) -> list[PointSpec]:
     """Up to count distinct eventually periodic points sharing the prefix.
 
     Explores admissible continuations of bounded depth in lexicographic
@@ -1232,7 +1237,7 @@ def holder_variation(
     levels = []
     for n in range(n_max + 1):
         completions = (
-            tail_completions(fs, word.symbols, count=2)
+            tail_completions(fs, word, count=2)
             for word in enumerate_words(fs.factor_tmc, n + 1)
         )
         levels.append([pts for pts in completions if len(pts) >= 2])

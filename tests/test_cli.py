@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from gibbsfactor import potential
 from gibbsfactor.cli import main
 from gibbsfactor.models import dump_document, expand_example
 
@@ -87,10 +88,12 @@ def test_potential_divergence_exit_code(model_paths, capsys):
 
 def test_potential_refusal_exit_code(model_paths, capsys):
     code = main(["potential", model_paths["converse_false"], "--point", "/01"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 1
-    assert "refused:" in out
-    assert "offending step: positions 0..1" in out
+    assert captured.out == ""
+    assert captured.err == (
+        "error: step 0->1 at position 0 has an all-zero fiber row; potential undefined along this point\n"
+    )
 
 
 def test_potential_rejects_bad_point(model_paths, capsys):
@@ -408,9 +411,9 @@ def test_window_contraction_rounding_to_one_is_refused(tmp_path, capsys):
     code = main(["potential", log_uniform_fullshift4(tmp_path, 2), "--point", "1", "--adaptive"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == ""
-    assert captured.out.splitlines() == [
-        "refused: tail window of 1 steps from position 1 has contraction 1 in double "
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: tail window of 1 steps from position 1 has contraction 1 in double "
         "precision, so it bounds no radius"
     ]
 
@@ -453,3 +456,61 @@ def test_gibbs_sweep_with_a_decay_rate_of_one_ends_in_one_error_line(tmp_path, c
     assert captured.err.count("error:") == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("draw", [2, 5, 18, 30])
+def test_certified_depth_beyond_the_cap_is_refused(tmp_path, capsys, draw):
+    # tau is within about 1e-15 of 1, so theta = tau**(1/gap) is just below
+    # 1 and the certified radius meets the target only some 1e17 levels
+    # deep; the route used to stop at MAX_DEPTH and print a radius of about
+    # 1e16 as certified
+    path = log_uniform_fullshift4(tmp_path, draw)
+    code = main(["check", path])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[-1].startswith("certification: window ")
+    commands = [["potential", path, "--point", "01"]]
+    if draw == 2:
+        commands += [["gibbs", path, "--n-max", "2"], ["holder", path, "--n-max", "2"]]
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: a certified radius of ")
+        assert f", beyond MAX_DEPTH {potential.MAX_DEPTH}" in line
+        depth = int(line.split(" needs depth ")[1].split(",")[0])
+        assert depth > 10**16
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("holder", "adhoc5", "--n-max", "4"),
+        ("gibbs", "adhoc5", "--n-max", "4"),
+        ("gibbs", "nongibbs6", "--n-max", "4"),
+    ],
+    ids=["holder-certified", "gibbs-certified", "gibbs-uncertified"],
+)
+def test_csv_file_holds_the_printed_table(model_paths, tmp_path, capsys, argv):
+    command, name, *rest = argv
+    csv = tmp_path / "table.csv"
+    main([command, model_paths[name], *rest, "--csv", str(csv)])
+    out = capsys.readouterr().out.splitlines()
+    table = csv.read_text(encoding="utf-8").splitlines()
+    assert len(table) == 4 + 2
+    start = out.index(table[0])
+    assert out[start : start + len(table)] == table
+    assert out[-1] == f"wrote {csv}"
+    assert ("n/a" in "".join(table)) == (name == "nongibbs6")
+
+
+def test_a_refusal_reads_the_same_from_every_command(model_paths, capsys):
+    lines = []
+    for argv in (["potential", model_paths["converse_false"], "--point", "/01"],
+                 ["gibbs", model_paths["converse_false"], "--n-max", "2"]):
+        assert main(argv) == 1
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1]
+    assert lines[0] == "error: step 0->1 at position 0 has an all-zero fiber row; potential undefined along this point\n"

@@ -10,7 +10,7 @@ import pytest
 import gibbsfactor as gf
 from gibbsfactor import cli, potential, projection
 from gibbsfactor.models import dump_document, expand_example
-from gibbsfactor.potential import _adaptive_routes, _cycle_exit, _lockstep_scales
+from gibbsfactor.potential import _cycle_exit, _lockstep_scales, _routes
 from gibbsfactor.projection import backward_transfer
 
 from test_evaluate_many import random_point, sweep_points
@@ -117,7 +117,7 @@ def test_exits_cover_multiples_of_the_period_and_level_zero(exits):
 def test_batch_mixes_cycling_and_non_cycling_rows(nongibbs6, monkeypatch):
     fs = nongibbs6
     points = sweep_points(fs, 5)
-    routes = list(zip(points, _adaptive_routes(fs, points, 1e-10)))
+    routes = list(zip(points, _routes(fs, points, 1e-10, None)))
     points = [p for p, r in routes if r.window]
     depths = [r.depth for _, r in routes if r.window]
     weights = []

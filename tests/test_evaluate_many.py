@@ -5,6 +5,7 @@ the unvalidated PointSpec.shifted against the validating constructor."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from gibbsfactor import cli, gibbs, potential
 from gibbsfactor.models import expand_example
 from gibbsfactor.potential import (
     PointSpec,
-    _adaptive_routes,
     _certified_depth,
     _lockstep_scales,
     _lockstep_sequences,
     _psi_sequence,
+    _routes,
     _window_count,
     evaluate,
     evaluate_many,
@@ -141,7 +142,7 @@ def test_uncertified_batch_equals_evaluate_on_nongibbs6(gamma):
     points = sweep_points(fs, 5)
     evs = evaluate_many(fs, points, TARGET)
     assert evs == per_point(fs, points, TARGET)
-    routes = {r.window for r in _adaptive_routes(fs, points, TARGET)}
+    routes = {r.window for r in _routes(fs, points, TARGET, None)}
     assert routes == {True, False}
     diverged = sum(ev.mode == "diverged" for ev in evs)
     assert diverged >= (2 if gamma == 0.30 else 1)
@@ -158,7 +159,7 @@ def test_uncertified_batch_equals_evaluate_on_random_points(name):
     assert any(p.preperiod for p in points) and any(not p.preperiod for p in points)
     assert evaluate_many(fs, points, TARGET) == per_point(fs, points, TARGET)
     if name == "nongibbs6":
-        assert {r.window for r in _adaptive_routes(fs, points, TARGET)} == {True, False}
+        assert {r.window for r in _routes(fs, points, TARGET, None)} == {True, False}
 
 
 def test_batch_raises_the_first_refusal(converse_false):
@@ -314,14 +315,14 @@ def test_batched_route_plan_equals_the_one_point_plan(name):
     refused = [p for p in points if _refusal(fs, p) is not None]
     points = [p for p in points if _refusal(fs, p) is None]
     expected = [one_point_route(fs, p, TARGET) for p in points]
-    assert _adaptive_routes(fs, points, TARGET) == expected
-    assert [_adaptive_routes(fs, [p], TARGET)[0] for p in points] == expected
+    assert _routes(fs, points, TARGET, None) == expected
+    assert [_routes(fs, [p], TARGET, None)[0] for p in points] == expected
     assert any(r.window for r in expected) == (name != "converse_false")
     if name == "nongibbs6":
         assert len({r.window for r in expected}) == 2
     if refused:
         with pytest.raises(gf.EvaluationRefused) as info:
-            _adaptive_routes(fs, points + refused, TARGET)
+            _routes(fs, points + refused, TARGET, None)
         assert str(info.value) == str(_refusal(fs, refused[0]))
 
 
@@ -353,7 +354,7 @@ def test_single_scan_route_point_does_not_use_the_batch(nongibbs6, monkeypatch):
         raise AssertionError("single points go through _psi_sequence")
 
     points = [PointSpec(nongibbs6, (), (0,)), PointSpec(nongibbs6, (), (0, 1))]
-    scan = [p for p, r in zip(points, _adaptive_routes(nongibbs6, points, TARGET)) if not r.window]
+    scan = [p for p, r in zip(points, _routes(nongibbs6, points, TARGET, None)) if not r.window]
     assert scan
     monkeypatch.setattr(potential, "forward_step", refuse)
     for p in scan:
@@ -466,3 +467,39 @@ def test_certified_depth_is_taken_once_per_preperiod_length(monkeypatch):
     assert evaluate_many(fs, points, TARGET, constants) == expected
     assert sorted(calls) == sorted({len(p.preperiod) for p in points})
     assert len(calls) < len(points)
+
+
+def test_routes_with_constants_are_certified(certified_system):
+    fs, c = certified_system
+    rng = np.random.default_rng(26)
+    points = [random_point(fs, rng, int(rng.integers(0, 6))) for _ in range(20)]
+    assert len({len(p.preperiod) for p in points}) >= 3
+    routes = _routes(fs, points, TARGET, c)
+    for p, route in zip(points, routes):
+        n = _certified_depth(c, len(p.preperiod), TARGET)
+        assert route == (True, n, c.eq_radius_constant * c.theta**n, "", True)
+    evs = evaluate_many(fs, points, TARGET, c)
+    assert evs == [evaluate(fs, p, TARGET, c) for p in points]
+    for ev, route in zip(evs, routes):
+        assert (ev.mode, ev.certified, ev.notes) == ("certified", True, ())
+        assert (ev.terms_used, ev.error_radius) == (route.depth, route.radius)
+
+
+@pytest.mark.parametrize("theta", [1.0 - 2.0**-52, 1.0 - 1e-15, 1.0 - 1e-9])
+def test_decay_rate_close_to_one_is_refused(adhoc5, adhoc5_constants, theta):
+    # the certified radius would reach the target only beyond MAX_DEPTH
+    c = replace(adhoc5_constants, theta=theta)
+    points = [PointSpec(adhoc5, (), (0, 1)), PointSpec(adhoc5, (2,), (1, 0))]
+    for batch in (points, points[:1]):
+        with pytest.raises(gf.EvaluationRefused, match=f", beyond MAX_DEPTH {potential.MAX_DEPTH}$"):
+            evaluate_many(adhoc5, batch, TARGET, c)
+    with pytest.raises(gf.EvaluationRefused, match=r"^a certified radius of 1e-10 needs depth \d+, "):
+        _certified_depth(c, 0, TARGET)
+
+
+def test_certified_depth_up_to_the_cap_is_kept(adhoc5_constants):
+    # theta with the target met near MAX_DEPTH / 2 is not refused
+    c = adhoc5_constants
+    theta = math.exp(math.log(TARGET / c.eq_radius_constant) / (potential.MAX_DEPTH // 2))
+    n = _certified_depth(replace(c, theta=theta), 0, TARGET)
+    assert abs(n - potential.MAX_DEPTH // 2) <= 1

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import gibbsfactor as gf
+from gibbsfactor.cli import main
 
 INVARIANCE_TOL = 1e-12
 
@@ -53,9 +54,12 @@ def test_bgi_sweep_flags_divergent_points(nongibbs6):
     assert k[-1] > k[0] + 0.5
 
 
-def test_bgi_csv_format(adhoc5, adhoc5_constants):
-    report = gf.bgi_sweep(adhoc5, n_max=2, constants=adhoc5_constants)
-    lines = report.to_csv().strip().split("\n")
+def test_bgi_csv_format(tmp_path, capsys):
+    model, csv = tmp_path / "adhoc5.json", tmp_path / "sweep.csv"
+    gf.models.dump_document(gf.models.expand_example("adhoc5"), str(model))
+    assert main(["gibbs", str(model), "--n-max", "2", "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    lines = csv.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "n,cylinder_count,K_emp,K_cert,slack,verdict"
     assert len(lines) == 4
     for i, line in enumerate(lines[1:]):

@@ -32,7 +32,6 @@ from .projection import (
     gathered_step,
 )
 from .projective import (
-    contraction_coefficient,
     contraction_coefficients,
     normalize_rows,
     projective_distances,
@@ -42,6 +41,8 @@ from .tmc import Word, enumerate_words, pattern_primitivity, primitive_root, wor
 DEFAULT_TARGET_ERROR = 1e-10
 # deepest level an evaluation route goes to
 MAX_DEPTH = 500000
+# most admissible words (of lengths 2 to twice the window) d_const may visit
+WORD_BUDGET = 1 << 22
 # a backward row takes its first cycle-search checkpoint at a multiple of
 # this many levels, so that rows joining at different depths share the
 # levels at which checkpoints are taken (see _next_checkpoint)
@@ -934,20 +935,69 @@ def factorization_sequence(prefix, factor_size: int) -> tuple[tuple[int, int], .
     return tuple(pairs)
 
 
+def _check_word_budget(fs: FactorSystem, gap: int) -> None:
+    """Refuse a window whose d_const would take more than WORD_BUDGET
+    admissible words of lengths 2..gap, counted exactly as 1^T M^(n-1) 1 in
+    integers before any word is built; the window's own words are fewer."""
+    table = fs.factor_tmc.successor_table
+    starts, total = [len(row) for row in table], 0  # the words of length n by first symbol
+    for _ in range(gap - 1):
+        total += sum(starts)
+        starts = [sum(starts[b] for b in row) for row in table]
+    if total > WORD_BUDGET:
+        message = f"d_const up to length {gap} would take {total:,} admissible words"
+        raise CertificationError(message + f", beyond the word budget of {WORD_BUDGET:,}")
+
+
 def _d_const(fs: FactorSystem, gap: int) -> float:
     """Worst delta(mu_hat(b0), x) over the backward images x of all words
     b0..bn of length 2..gap, level by level over suffixes: rows[b] stacks the
     images of the current length's words that start with b, and backward_step
     takes the next level from all of them."""
-    rows = [fs.marginal_hat(b).coords[None, :] for b in range(fs.target_size)]
+    hats = [fs.marginal_hat(b).coords for b in range(fs.target_size)]
+    rows = [hat[None, :] for hat in hats]
     d_const = 0.0
     for _ in range(gap - 1):
-        rows = backward_step(fs, rows)
-        for b0 in range(len(rows)):
-            rows[b0] = normalize_rows(rows[b0])
-            distances = projective_distances(fs.marginal_hat(b0).coords, rows[b0])
-            d_const = max(d_const, float(distances.max()))
+        rows = [normalize_rows(level) for level in backward_step(fs, rows)]
+        for hat, level in zip(hats, rows):
+            d_const = max(d_const, float(projective_distances(hat, level).max()))
     return d_const
+
+
+def _window_search(fs: FactorSystem) -> tuple[int, dict]:
+    """The smallest window length W, from the pigeonhole value #B + 1 on,
+    such that every admissible W-word holds a repeated-symbol block whose
+    product is strictly positive (tau < 1), and the tau of every block of
+    the W-words: the blocks a word-by-word search visits, as each block met
+    at a shorter length is a block of a W-word too (words extend to the
+    right).  Each length takes the products of its new blocks through one
+    word_product prefix memo and their tau from one contraction_coefficients
+    stack per shape; a zero entry gives tau 1.  A length is only tried when
+    the d_const it would need passes _check_word_budget.
+    """
+    nb = fs.target_size
+    max_window = 3 * (nb + 1)
+    taus: dict[tuple[int, ...], float] = {}
+    products: dict = {}
+    for w_len in range(nb + 1, max_window + 1):
+        _check_word_budget(fs, 2 * w_len)
+        word_blocks = [
+            [symbols[m : l + 1] for l in range(1, w_len) for m in range(l) if symbols[m] == symbols[l]]
+            for symbols in (word.symbols for word in enumerate_words(fs.factor_tmc, w_len))
+        ]
+        by_shape: dict[tuple, list] = {}
+        for block in dict.fromkeys(b for blocks in word_blocks for b in blocks if b not in taus):
+            product = fs.word_product(block, products)
+            by_shape.setdefault(product.shape, []).append((block, product))
+        for group in by_shape.values():
+            coefficients = contraction_coefficients(np.stack([product for _, product in group]))
+            taus.update((block, coefficient.tau) for (block, _), coefficient in zip(group, coefficients))
+        if all(any(taus[block] < 1.0 for block in blocks) for blocks in word_blocks):
+            return w_len, taus
+    raise CertificationError(
+        f"no window length up to {max_window} guarantees a positive "
+        "repeated block in every admissible word"
+    )
 
 
 def uniform_constants(fs: FactorSystem) -> UniformConstants:
@@ -955,11 +1005,9 @@ def uniform_constants(fs: FactorSystem) -> UniformConstants:
 
     Requires row-allowable fiber blocks and orbit-level positivity of short
     cycle products.  Certification then searches for the smallest window
-    length W (starting at the pigeonhole value #B + 1) such that every
-    admissible W-word contains a repeated-symbol block with strictly positive
-    product; tau is the worst Birkhoff coefficient over all such positive
-    blocks and all other constants follow the closed formulas; d_const is
-    taken level by level over word suffixes.
+    length W (_window_search); tau is the worst Birkhoff coefficient over
+    its positive blocks and all other constants follow the closed formulas;
+    d_const is taken level by level over word suffixes.
     """
     h1 = fs.h1
     if not h1.passed:
@@ -971,39 +1019,7 @@ def uniform_constants(fs: FactorSystem) -> UniformConstants:
         raise CertificationError(
             f"cycles without a positive rotation: {h2.orbit_failures}"
         )
-    nb = fs.target_size
-    max_window = 3 * (nb + 1)
-    block_tau: dict[tuple[int, ...], float] = {}
-    chosen_w = None
-    for w_len in range(nb + 1, max_window + 1):
-        all_good = True
-        for word in enumerate_words(fs.factor_tmc, w_len):
-            symbols = word.symbols
-            word_good = False
-            for l in range(1, w_len):
-                for m in range(l):
-                    if symbols[m] != symbols[l]:
-                        continue
-                    block = symbols[m : l + 1]
-                    if block not in block_tau:
-                        product = fs.word_product(block)
-                        if (product > 0).all():
-                            block_tau[block] = contraction_coefficient(product).tau
-                        else:
-                            block_tau[block] = 1.0
-                    if block_tau[block] < 1.0:
-                        word_good = True
-            if not word_good:
-                all_good = False
-                break
-        if all_good:
-            chosen_w = w_len
-            break
-    if chosen_w is None:
-        raise CertificationError(
-            f"no window length up to {max_window} guarantees a positive "
-            "repeated block in every admissible word"
-        )
+    chosen_w, block_tau = _window_search(fs)
     tau = max(t for t in block_tau.values() if t < 1.0)
     # rank-one blocks contract instantly (tau ~ 0); keep tau away from zero
     # so the c1 = tau**-3 prefactor stays finite
@@ -1026,7 +1042,7 @@ def uniform_constants(fs: FactorSystem) -> UniformConstants:
         k_gibbs=k_gibbs,
         window=chosen_w,
         gap=s,
-        metric_scale=2 * (nb + 1),
+        metric_scale=2 * (fs.target_size + 1),
     )
 
 
@@ -1039,7 +1055,8 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     eigenvalue inclusion with an a-posteriori bound on the eigenvector.
     Slot i holds (evaluation, eigendata) for points[i], None when its T is
     not pattern primitive, or the EvaluationRefused of a zero fiber row
-    along it; AdmissibilityError is raised when a point has a preperiod.
+    along it or of a power of T with contraction 1 (no vector term);
+    AdmissibilityError is raised when a point has a preperiod.
 
     All points are taken in one batch, equal bit for bit to taking them one
     at a time: the products come from one prefix memo over the closed
@@ -1081,8 +1098,12 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             y = normalize_rows((power @ x[..., None])[..., 0])
             gaps = projective_distances(x, y).tolist()
             for row, coefficient, gap in zip(rows.tolist(), contraction_coefficients(power), gaps):
-                vector_terms[row] = gap / (1.0 - coefficient.tau)
-        for (i, _, _), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
+                vector_terms[row] = gap / (1.0 - coefficient.tau) if coefficient.tau < 1.0 else None
+        for (i, _, exponent), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
+            if vector_term is None:
+                message = f"power {exponent} of the one-period product has contraction 1 in double precision"
+                results[i] = EvaluationRefused(message + ", so it bounds no radius")
+                continue
             period = points[i].period
             tail = 1.0
             if len(period) > 1:
@@ -1104,8 +1125,8 @@ def periodic_many(
     fs: FactorSystem, points: Sequence[PointSpec], target_error: float = DEFAULT_TARGET_ERROR
 ) -> list:
     """The potential at purely periodic points.  Slot i holds (evaluation,
-    eigendata) for points[i], or the EvaluationRefused of a zero fiber row
-    along it.  The points go through eigendata_many; those whose one-period
+    eigendata) for points[i], or the EvaluationRefused that eigendata_many
+    puts there.  The points go through eigendata_many; those whose one-period
     product is not pattern primitive then go through one evaluate_many batch
     (which may report divergence), noted as such and with eigendata None.
     That batch checks target_error even when it is empty, so a bad target

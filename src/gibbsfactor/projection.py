@@ -283,6 +283,9 @@ def check_topological_markov(fs: FactorSystem, depth: int = 12) -> TopologicalMa
     to lift, which settles the question.  Otherwise search words up to the
     given length for one with empty preimage (tracked by a reachable-fiber
     set); finding one refutes equality, exhausting the depth leaves it open.
+    A state (last symbol, reach) that held no witness with some steps left
+    is skipped when it comes back with no more, so the first witness in
+    lexicographic order is found at a cost linear in the depth.
     """
     if depth < 1:
         raise ModelError(f"search depth must be >= 1, got {depth}")
@@ -290,26 +293,29 @@ def check_topological_markov(fs: FactorSystem, depth: int = 12) -> TopologicalMa
         return TopologicalMarkovVerdict("markov_certified", None, depth)
     allows = fs.model.tmc.allows
     fibers = fs.projection.fibers
+    successors = fs.factor_tmc.successors
+    barren: dict = {}  # state -> the most steps left from which it held no witness
+    # depth first on an explicit stack, so deep searches need no recursion:
+    # one frame per symbol of the current word, with its untried successors
+    frames: list = []
 
-    def search(prefix: list[int], reach: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if len(prefix) >= depth:
-            return None
-        for b2 in fs.factor_tmc.successors(prefix[-1]):
-            nxt = tuple(
-                a2 for a2 in fibers[b2] if any(allows(a, a2) for a in reach)
-            )
-            if not nxt:
-                return tuple(prefix) + (b2,)
-            hit = search(prefix + [b2], nxt)
-            if hit is not None:
-                return hit
-        return None
+    def enter(b: int, reach: tuple, left: int) -> None:
+        if left > 0 and barren.get((b, reach), 0) < left:
+            frames.append(((b, reach), left, iter(successors(b))))
 
     for b in range(fs.target_size):
-        hit = search([b], fibers[b])
-        if hit is not None:
-            witness = Word(fs.factor_tmc, hit)
-            return TopologicalMarkovVerdict("markov_refuted", witness, depth)
+        enter(b, fibers[b], depth - 1)
+        while frames:
+            state, left, untried = frames[-1]
+            b2 = next(untried, None)
+            if b2 is None:
+                barren[state] = frames.pop()[1]
+                continue
+            nxt = tuple(a2 for a2 in fibers[b2] if any(allows(a, a2) for a in state[1]))
+            if not nxt:
+                witness = Word(fs.factor_tmc, tuple(frame[0][0] for frame in frames) + (b2,))
+                return TopologicalMarkovVerdict("markov_refuted", witness, depth)
+            enter(b2, nxt, left - 1)
     return TopologicalMarkovVerdict("undecided_at_depth", None, depth)
 
 

@@ -58,8 +58,10 @@ def projective_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     broadcast against each other; refuses coordinates below MIN_COORDINATE."""
     if (x < MIN_COORDINATE).any() or (y < MIN_COORDINATE).any():
         raise ModelError("coordinates below 1e-300; distance would be unreliable")
-    ratio = np.log(x) - np.log(y)
-    return ratio.max(axis=-1) - ratio.min(axis=-1)
+    # the coordinates on the first axis: max and min then run across rows,
+    # elementwise, instead of along each short row (exact in any order)
+    ratio = np.ascontiguousarray((np.log(x) - np.log(y)).T)
+    return (ratio.max(axis=0) - ratio.min(axis=0)).T
 
 
 def projective_distance(x: SimplexPoint, y: SimplexPoint) -> float:
@@ -123,15 +125,15 @@ def contraction_coefficients(stack: np.ndarray) -> list[ContractionCoefficient]:
     m, r, c = stack.shape
     chunk = max(1, STACK_DOUBLES // (r * r * c))
     log_phi: list[float] = []
-    # a zero entry T(e', c) makes D[e', e', c] = -inf - -inf, so log Phi is
+    # a zero entry T(e, c) makes M[e, e] = min_c (-inf - -inf), so log Phi is
     # nan exactly for the matrices with a zero entry, which get tau 1; + 0.0
     # turns the tau -0.0 of a rank-one matrix (log Phi 0.0) into 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, m, chunk):
-            logs = np.log(stack[start : start + chunk])
-            diff = logs[:, :, None, :] - logs[:, None, :, :]
-            log_phi += (diff.min(axis=3) - diff.max(axis=3)).reshape(len(logs), -1).min(axis=1).tolist()
-            del diff  # before the next chunk's is made
+            logs = np.log(stack[start : start + chunk]).transpose(0, 2, 1)
+            # M[e, f] = min_c (L[e, c] - L[f, c]), c the outer axis
+            mins = (logs[:, :, :, None] - logs[:, :, None, :]).min(axis=1)
+            log_phi += (mins + mins.transpose(0, 2, 1)).reshape(len(logs), -1).min(axis=1).tolist()
     tau_one = ContractionCoefficient(tau=1.0, phi=0.0)
     return [
         tau_one if math.isnan(lp) else ContractionCoefficient(tau=math.tanh(-lp / 4.0) + 0.0, phi=math.exp(lp))
@@ -150,7 +152,11 @@ def contraction_coefficient(matrix: np.ndarray) -> ContractionCoefficient:
     zero entry gives Phi = 0 and tau = 1 (no contraction guarantee).  The log
     cross-ratio is D[e', f', e] - D[e', f', f] with D[e', f', c] =
     log T(e',c) - log T(f',c), so log Phi = min over (e', f') of
-    (min_c D - max_c D): r*r*c work and memory for an r x c matrix, not
-    (r*c)**2 (Seneta, Non-negative Matrices and Markov Chains, ch. 3).
+    (min_c D - max_c D) = min over (e', f') of (M[e', f'] + M[f', e']) with
+    M[e', f'] = min_c D[e', f', c], the min-plus form (Seneta, Non-negative
+    Matrices and Markov Chains, ch. 3): r*r*c work and memory for an r x c
+    matrix, not (r*c)**2.  The two forms agree bit for bit: a - b = -(b - a)
+    in IEEE arithmetic, so max_c D[e', f', c] = -M[f', e'] exactly, x - (-y)
+    is x + y, and a minimum is exact in any order.
     """
     return contraction_coefficients(np.asarray(matrix, dtype=float)[None])[0]

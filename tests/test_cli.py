@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import gibbsfactor as gf
 from gibbsfactor import potential
 from gibbsfactor.cli import main
 from gibbsfactor.models import dump_document, expand_example
@@ -393,12 +395,12 @@ def test_check_overflowing_row_sum_is_one_clean_input_error(tmp_path):
     assert "Warning" not in result.stderr
 
 
-def log_uniform_fullshift4(tmp_path, draw):
-    """fullshift4 with transition rows drawn log-uniform over [1e-25, 1]:
+def log_uniform_fullshift4(tmp_path, draw, low=1e-25):
+    """fullshift4 with transition rows drawn log-uniform over [low, 1]:
     the given draw of np.random.default_rng(5), written to a file."""
     rng = np.random.default_rng(5)
     for _ in range(draw):
-        p = np.exp(rng.uniform(np.log(1e-25), 0.0, size=(4, 4)))
+        p = np.exp(rng.uniform(np.log(low), 0.0, size=(4, 4)))
     p /= p.sum(axis=1, keepdims=True)
     path = tmp_path / f"fullshift4-draw{draw}.json"
     dump_document(dict(expand_example("fullshift4"), transition=p.tolist()), str(path))
@@ -514,3 +516,76 @@ def test_a_refusal_reads_the_same_from_every_command(model_paths, capsys):
         lines.append(capsys.readouterr().err)
     assert lines[0] == lines[1]
     assert lines[0] == "error: step 0->1 at position 0 has an all-zero fiber row; potential undefined along this point\n"
+
+
+def test_periodic_power_contraction_rounding_to_one_is_refused(tmp_path, capsys):
+    # with rows log-uniform over [1e-60, 1] (draw 5; also 14, 37 and 46) the
+    # strictly positive one-period product of (10) has a Birkhoff coefficient
+    # that rounds to 1.0, so its vector term bounds nothing (it was a
+    # ZeroDivisionError); the other points print as before
+    code = main(["periodic", log_uniform_fullshift4(tmp_path, 5, low=1e-60), "--max-period", "2"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1
+    assert captured.err == ""
+    assert [line.split(":")[0] for line in lines] == ["(0)*", "(1)*", "(01)*", "(10)*"]
+    assert lines[3] == (
+        "(10)*: refused (power 1 of the one-period product has contraction 1 in double "
+        "precision, so it bounds no radius)"
+    )
+    assert all("eigendata" in line or "refused (power 1 " in line for line in lines)
+
+
+def full_shift_document(n_src, n_tgt, seed=1):
+    """Seeded full n_src-shift onto n_tgt symbols with equal fibers."""
+    rng = np.random.default_rng(seed)
+    labels = [f"s{i}" for i in range(n_src)]
+    p = rng.uniform(0.01, 1.0, size=(n_src, n_src))
+    p /= p.sum(axis=1, keepdims=True)
+    return {
+        "alphabet": labels,
+        "incidence": [[1] * n_src for _ in range(n_src)],
+        "transition": p.tolist(),
+        "projection": {lab: str(i // (n_src // n_tgt)) for i, lab in enumerate(labels)},
+    }
+
+
+def test_constants_beyond_the_word_budget_are_unavailable(tmp_path, capsys):
+    # d_const of the full 10-shift onto 5 symbols at the first window, 6,
+    # needs every word of length 2..12, 5**2 + ... + 5**12 of them: refused
+    # before any is built (it ran out of memory), so check reports no
+    # constants and potential goes on uncertified
+    path = str(tmp_path / "fullshift10to5.json")
+    dump_document(full_shift_document(10, 5), path)
+    budget = (
+        "d_const up to length 12 would take 305,175,775 admissible words, "
+        f"beyond the word budget of {potential.WORD_BUDGET:,}"
+    )
+    assert main(["check", path]) == 0
+    assert f"certification: unavailable ({budget})\n" in capsys.readouterr().out
+    assert main(["potential", path, "--point", "01/2"]) == 0
+    out = capsys.readouterr().out
+    assert f"constants unavailable: {budget}\n" in out
+    assert "mode: adaptive (uncertified)\n" in out
+
+
+def test_constants_of_the_full_eight_shift_stay_under_the_word_budget(tmp_path):
+    # 4**2 + ... + 4**10 = 1,398,096 words: the largest target certified here
+    fs = gf.parse_model(full_shift_document(8, 4))
+    potential._check_word_budget(fs, 10)
+    assert 1_398_096 <= potential.WORD_BUDGET < 305_175_775
+
+
+def test_deep_image_subshift_search_is_linear(model_paths, capsys):
+    # the search keeps the witness-free states it has left, so depth 40 (an
+    # exponential search would take hours) ends as fast as depth 12 and with
+    # the same verdict
+    verdicts = []
+    for depth in ("12", "40", "200"):
+        start = time.perf_counter()
+        assert main(["check", model_paths["converse_false"], "--depth", depth]) == 1
+        assert time.perf_counter() - start < 2.0
+        out = capsys.readouterr().out
+        verdicts.append(out.replace(f"depth {depth} ", "depth D "))
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert "image subshift: no missing word up to depth D (undecided)" in verdicts[0]

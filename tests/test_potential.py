@@ -12,6 +12,7 @@ from gibbsfactor.potential import (
     PointSpec,
     _d_const,
     _lockstep_scales,
+    _window_search,
     _psi_sequence,
     canonical_extension,
     factorization_sequence,
@@ -19,7 +20,8 @@ from gibbsfactor.potential import (
     perron_data,
     tail_completions,
 )
-from gibbsfactor.projection import backward_transfer, one_period_product
+from gibbsfactor.projection import backward_step, backward_transfer, one_period_product
+from gibbsfactor.projective import normalize_rows
 
 FROZEN_ABS_TOL = 1e-9
 
@@ -272,6 +274,136 @@ def test_window_four_word_without_positive_repeat(adhoc5):
     word = adhoc5.factor_word(["b", "a", "c", "b"])
     product = adhoc5.word_product(word.symbols)
     assert (product == 0).any()
+
+
+def word_by_word_window_search(fs):
+    """The window search as one loop over words: each block's coefficient is
+    taken when the block is first met, and a length stops at its first word
+    without a contracting block.  Returns (window, block_tau)."""
+    nb = fs.target_size
+    block_tau = {}
+    for w_len in range(nb + 1, 3 * (nb + 1) + 1):
+        for word in gf.enumerate_words(fs.factor_tmc, w_len):
+            symbols = word.symbols
+            word_good = False
+            for l in range(1, w_len):
+                for m in range(l):
+                    if symbols[m] != symbols[l]:
+                        continue
+                    block = symbols[m : l + 1]
+                    if block not in block_tau:
+                        product = fs.word_product(block)
+                        positive = (product > 0).all()
+                        block_tau[block] = gf.contraction_coefficient(product).tau if positive else 1.0
+                    if block_tau[block] < 1.0:
+                        word_good = True
+            if not word_good:
+                break
+        else:
+            return w_len, block_tau
+    raise gf.CertificationError(
+        f"no window length up to {3 * (nb + 1)} guarantees a positive "
+        "repeated block in every admissible word"
+    )
+
+
+def per_level_d_const(fs, gap):
+    """d_const with one SimplexPoint per fiber per level, as the trie took
+    the marginals before it read them once."""
+    rows = [fs.marginal_hat(b).coords[None, :] for b in range(fs.target_size)]
+    d_const = 0.0
+    for _ in range(gap - 1):
+        rows = backward_step(fs, rows)
+        for b0 in range(len(rows)):
+            rows[b0] = normalize_rows(rows[b0])
+            ratio = np.log(fs.marginal_hat(b0).coords) - np.log(rows[b0])
+            d_const = max(d_const, float((ratio.max(axis=-1) - ratio.min(axis=-1)).max()))
+    return d_const
+
+
+def word_by_word_constants(fs):
+    """(window, gap, tau, d_const, block_tau) the way uniform_constants took
+    them word by word, or the CertificationError it raised."""
+    window, block_tau = word_by_word_window_search(fs)
+    tau = max(max(t for t in block_tau.values() if t < 1.0), 1e-12)
+    gap = 2 * window
+    if tau ** (1.0 / gap) == 1.0:
+        message = f"decay rate tau**(1/gap) is 1 in double precision (tau {tau!r}, gap {gap})"
+        raise gf.CertificationError(message + ", so it bounds no radius")
+    return window, gap, tau, per_level_d_const(fs, gap), block_tau
+
+
+def sparse_model(seed):
+    """First seeded draw (3 to 7 source symbols onto 2 or 3, about 40 % of
+    the transitions forbidden) that loads and passes H1 and H2."""
+    rng = np.random.default_rng([seed, 15])
+    while True:
+        n, nb = int(rng.integers(3, 8)), int(rng.integers(2, 4))
+        labels = [f"s{i}" for i in range(n)]
+        incidence = (rng.uniform(size=(n, n)) < 0.6).astype(int)
+        p = rng.uniform(0.05, 1.0, size=(n, n)) * incidence
+        p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+        mapping = list(range(nb)) + [int(x) for x in rng.integers(0, nb, size=n - nb)]
+        try:
+            fs = gf.parse_model({
+                "alphabet": labels,
+                "incidence": incidence.tolist(),
+                "transition": p.tolist(),
+                "projection": {lab: str(b) for lab, b in zip(labels, mapping)},
+            })
+        except gf.ModelError:
+            continue
+        if fs.h1.passed and fs.h2.passed:
+            return fs
+
+
+def log_uniform_fullshift4(draw):
+    """fullshift4 with transition rows log-uniform over [1e-25, 1]: the given
+    draw of np.random.default_rng(5)."""
+    rng = np.random.default_rng(5)
+    for _ in range(draw):
+        p = np.exp(rng.uniform(np.log(1e-25), 0.0, size=(4, 4)))
+    p /= p.sum(axis=1, keepdims=True)
+    return gf.parse_model(dict(gf.expand_example("fullshift4"), transition=p.tolist()))
+
+
+def constants_or_refusal(fs):
+    try:
+        c = gf.uniform_constants(fs)
+    except gf.CertificationError as exc:
+        return str(exc)
+    return c.window, c.gap, c.tau, c.d_const, _window_search(fs)[1]
+
+
+def reference_or_refusal(fs):
+    try:
+        return word_by_word_constants(fs)
+    except gf.CertificationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [("example", name) for name in ("adhoc5", "fullshift4", "nongibbs6", "converse_false")]
+    + [("sparse", seed) for seed in range(40)]
+    + [("log-uniform", draw) for draw in (2, 5, 18, 30, 43)],
+)
+def test_constants_equal_the_word_by_word_search(model):
+    kind, key = model
+    fs = {"example": gf.example_system, "sparse": sparse_model, "log-uniform": log_uniform_fullshift4}[kind](key)
+    if not (fs.h1.passed and fs.h2.passed):
+        # refused before any window is searched
+        with pytest.raises(gf.CertificationError):
+            gf.uniform_constants(fs)
+        return
+    got = constants_or_refusal(fs)
+    assert got == reference_or_refusal(fs)
+    if kind == "example" and key == "adhoc5":
+        # the window-5 case: length 4 stops at its first word without a
+        # contracting block, whose blocks are kept
+        assert got[0] == 5 and got[4][(1, 0, 2, 1)] == 1.0
+    if kind == "log-uniform" and key == 43:
+        assert got.startswith("decay rate tau**(1/gap) is 1")
 
 
 def test_constants_refused_without_h2(nongibbs6):

@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -377,6 +378,70 @@ def test_stacked_coefficient_chunks_are_bounded(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 * 8 * 40000
     assert stacked == [one_matrix_coefficient(m) for m in stack]
+
+
+def max_min_coefficients(stack, chunk_doubles):
+    """The coefficients the way the stacked kernel took them before its
+    min-plus form: log Phi = min over (e', f') of (min_c D - max_c D) with
+    D[e', f', c] = log T(e', c) - log T(f', c), chunked and with the same
+    nan rule for zero entries."""
+    m, r, c = stack.shape
+    chunk = max(1, chunk_doubles // (r * r * c))
+    log_phi = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, m, chunk):
+            logs = np.log(stack[start : start + chunk])
+            diff = logs[:, :, None, :] - logs[:, None, :, :]
+            log_phi += (diff.min(axis=3) - diff.max(axis=3)).reshape(len(logs), -1).min(axis=1).tolist()
+    return [
+        projective.ContractionCoefficient(tau=1.0, phi=0.0) if math.isnan(lp)
+        else projective.ContractionCoefficient(tau=math.tanh(-lp / 4.0) + 0.0, phi=math.exp(lp))
+        for lp in log_phi
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), st.sampled_from([-5.0, -60.0, -690.0]),
+    st.sampled_from(["plain", "zeros", "rank one"]), st.sampled_from([4, 64, 1 << 16]),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 2, 3, -690.0, "plain", 1 << 16, 0)
+def test_min_plus_coefficients_equal_the_max_min_form(rows, cols, count, low, kind, doubles, seed):
+    # entries down to 1e-300 (log -690) give Birkhoff coefficients that round
+    # to 1; small chunk bounds split the stack across chunk boundaries
+    rng = np.random.default_rng(seed)
+    if kind == "rank one":
+        stack = np.exp(rng.uniform(low, 0, (count, rows, 1)) + rng.uniform(low, 0, (count, 1, cols)))
+    else:
+        stack = np.exp(rng.uniform(low, 0, size=(count, rows, cols)))
+    if kind == "zeros":
+        stack[rng.uniform(size=stack.shape) < 0.1] = 0.0
+    with mock.patch.object(projective, "STACK_DOUBLES", doubles):
+        stacked = contraction_coefficients(stack)
+    expected = max_min_coefficients(stack, doubles)
+    assert [c.tau for c in stacked] == [c.tau for c in expected]
+    assert [c.phi for c in stacked] == [c.phi for c in expected]
+
+
+def test_min_plus_coefficient_rounds_to_one_on_tiny_entries():
+    # strictly positive, yet tau = tanh(-log(1e-40) / 4) is 1.0 in doubles
+    coeff = gf.contraction_coefficient(np.array([[1.0, 1e-20], [1e-20, 1.0]]))
+    assert coeff.tau == 1.0 and coeff.phi == pytest.approx(1e-40)
+
+
+@pytest.mark.parametrize(
+    "x_shape, y_shape", [((5,), (5,)), ((7, 3), (7, 3)), ((3,), (7, 3)), ((7, 3), (3,)), ((4, 7, 2), (7, 2)), ((1,), (1,))]
+)
+def test_distances_across_rows_equal_the_per_row_extremes(x_shape, y_shape):
+    rng = np.random.default_rng(len(x_shape) * 10 + len(y_shape))
+    x = rng.uniform(1e-3, 1.0, size=x_shape)
+    y = rng.uniform(1e-3, 1.0, size=y_shape)
+    ratio = np.log(x) - np.log(y)
+    expected = ratio.max(axis=-1) - ratio.min(axis=-1)
+    got = projective_distances(x, y)
+    assert np.shape(got) == np.shape(expected)
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize(

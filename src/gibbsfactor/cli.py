@@ -9,6 +9,7 @@ for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
@@ -258,6 +259,7 @@ def cmd_example(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gibbsfactor",
@@ -269,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify hypotheses and report certification constants")
     p.add_argument("model", help="path to a model JSON file")
     p.add_argument("--depth", type=int, default=12, help="search depth for the image subshift")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("potential", help="evaluate the induced potential at a point")
     p.add_argument("model")
@@ -284,19 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip uniform constants and use the point's own tail",
     )
-    p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("periodic", help="potential at all periodic points up to a period")
     p.add_argument("model")
     p.add_argument("--max-period", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("holder", help="sampled variation of the potential with certified bound")
     p.add_argument("model")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--csv", help="write the variation table to a CSV file")
-    p.set_defaults(func=cmd_holder)
 
     p = sub.add_parser("gibbs", help="empirical Gibbs-ratio sweep over cylinders")
     p.add_argument("model")
@@ -308,26 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the exact invariance residuals of the image measure",
     )
-    p.set_defaults(func=cmd_gibbs)
 
     p = sub.add_parser("obstruction", help="finite-range obstruction for 2+2 full-shift factors")
     p.add_argument("model")
-    p.set_defaults(func=cmd_obstruction)
 
     p = sub.add_parser("example", help="write a built-in example model file")
     p.add_argument("id", choices=list(models.EXAMPLES))
     p.add_argument("--gamma", type=float, default=None, help="parameter for nongibbs6")
     p.add_argument("--out", help="output path (stdout when omitted)")
-    p.set_defaults(func=cmd_example)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (GibbsFactorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (EvaluationRefused, CertificationError)) else 2

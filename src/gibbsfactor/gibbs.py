@@ -12,8 +12,7 @@ growth of K_emp is meaningful rather than an artifact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .potential import (
     UniformConstants,
@@ -29,8 +28,7 @@ from .tmc import enumerate_words
 PROXY_HORIZON_MIN = 40
 
 
-@dataclass(frozen=True)
-class BgiRow:
+class BgiRow(NamedTuple):
     n: int
     cylinder_count: int
     r_min: float
@@ -41,8 +39,7 @@ class BgiRow:
     verdict: str
 
 
-@dataclass(frozen=True)
-class BgiReport:
+class BgiReport(NamedTuple):
     rows: tuple[BgiRow, ...]
     certified: bool
     proxy_points: int
@@ -133,8 +130,7 @@ def bgi_sweep(
     )
 
 
-@dataclass(frozen=True)
-class InvarianceRow:
+class InvarianceRow(NamedTuple):
     n: int
     mass_residual: float
     shift_residual: float
@@ -142,8 +138,7 @@ class InvarianceRow:
     cocycle_residual: float
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     rows: tuple[InvarianceRow, ...]
 
     @property

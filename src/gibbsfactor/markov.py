@@ -9,7 +9,7 @@ exactly, which is what every fiber-matrix construction downstream relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,7 @@ class MarkovModel:
         return self.tmc.size
 
 
-@dataclass(frozen=True)
-class RangeTwoPotential:
+class RangeTwoPotential(NamedTuple):
     """Matrix of phi(a, a') over allowed transitions, -inf elsewhere."""
 
     values: np.ndarray

@@ -201,6 +201,8 @@ def load_model(path: str) -> FactorSystem:
         raise ModelError(f"cannot read model file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelError(f"model file {path!r} nests too deeply to read") from None
     return parse_model(doc)
 
 

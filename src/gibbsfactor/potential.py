@@ -13,7 +13,6 @@ step assumes otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,17 +73,17 @@ class PointSpec:
             Word(tmc, preperiod)
             if not tmc.allows(preperiod[-1], period[0]):
                 raise AdmissibilityError("preperiod does not connect to the period")
-        # canonical form: primitive period root, then absorb repeating suffix
+        self.preperiod, self.period = PointSpec._canonical(preperiod, period).key()
+
+    @classmethod
+    def _canonical(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
+        """The point of admissible parts, not validated again, in canonical
+        form: the primitive period root, then any preperiod suffix that
+        repeats the tail absorbed into a rotation."""
         period = primitive_root(period)
         while preperiod and preperiod[-1] == period[-1]:
             preperiod = preperiod[:-1]
             period = period[-1:] + period[:-1]
-        self.preperiod = preperiod
-        self.period = period
-
-    @classmethod
-    def _canonical(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
-        """A point from parts already admissible and in canonical form."""
         point = object.__new__(cls)
         point.preperiod, point.period = preperiod, period
         return point
@@ -110,7 +109,7 @@ class PointSpec:
 
     def shifted(self, fs: FactorSystem, j: int = 1) -> "PointSpec":
         """The point with the first j symbols dropped; a shift keeps a point
-        admissible and canonical, so the result is not validated again."""
+        admissible, so the result is not validated again."""
         if j < 0:
             raise AdmissibilityError("shift must be nonnegative")
         pre = self.preperiod
@@ -138,8 +137,7 @@ class PointSpec:
         return f"PointSpec({pre!r} + ({per!r})^inf)"
 
 
-@dataclass(frozen=True)
-class PotentialEvaluation:
+class PotentialEvaluation(NamedTuple):
     """Outcome of a potential evaluation at one point.
 
     mode is one of "certified" (radius from uniform constants), "adaptive"
@@ -157,8 +155,7 @@ class PotentialEvaluation:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class UniformConstants:
+class UniformConstants(NamedTuple):
     """Global certification constants of a factor system.
 
     tau is the worst Birkhoff coefficient over strictly positive repeated
@@ -196,8 +193,7 @@ class UniformConstants:
         return math.log(1.0 / self.tau) * (self.metric_scale / self.gap)
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(NamedTuple):
     """Dominant eigendata of a primitive nonnegative matrix.
 
     right is the l1-normalized eigenvector d_hat, left is scaled so that
@@ -524,9 +520,14 @@ def _result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
     values when its subsequences mod a multiple of the period stabilize
     apart."""
     if route.window:
+        radius = route.radius
+        if route.certified:
+            # a certified radius never sits below what double precision
+            # resolves at the value (the window route's is floored already)
+            radius = max(radius, FLOAT_NOISE_FLOOR * max(1.0, abs(values)))
         return PotentialEvaluation(
             value=values,
-            error_radius=route.radius,
+            error_radius=radius,
             terms_used=route.depth,
             mode="certified" if route.certified else "adaptive",
             certified=route.certified,
@@ -1135,7 +1136,7 @@ def periodic_many(
     fallback = [i for i, result in enumerate(results) if result is None]
     note = "one-period product is not primitive; eigendata route refused"
     for i, ev in zip(fallback, evaluate_many(fs, [points[i] for i in fallback], target_error)):
-        results[i] = (replace(ev, notes=ev.notes + (note,)), None)
+        results[i] = (ev._replace(notes=ev.notes + (note,)), None)
     return results
 
 
@@ -1191,9 +1192,9 @@ def canonical_extension(fs: FactorSystem, symbols: Word | Sequence[int]) -> Poin
     symbols = word_symbols(fs.factor_tmc, symbols)
     path = _shortest_return_path(fs, symbols[-1], symbols[0], fs.target_size)
     if path is not None:
-        return PointSpec(fs, (), symbols + path[1:-1])
+        return PointSpec._canonical((), symbols + path[1:-1])
     transient, cycle = _greedy_cycle_walk(fs, symbols[-1])
-    return PointSpec(fs, symbols[:-1] + transient, cycle)
+    return PointSpec._canonical(symbols[:-1] + transient, cycle)
 
 
 def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int = 2) -> list[PointSpec]:
@@ -1209,7 +1210,7 @@ def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int
 
     def close(path: tuple[int, ...]) -> PointSpec:
         transient, cycle = _greedy_cycle_walk(fs, path[-1])
-        return PointSpec(fs, path[:-1] + transient, cycle)
+        return PointSpec._canonical(path[:-1] + transient, cycle)
 
     def walk(path: tuple[int, ...], d: int) -> bool:
         if d == depth:
@@ -1226,8 +1227,7 @@ def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int
     return out
 
 
-@dataclass(frozen=True)
-class HolderReport:
+class HolderReport(NamedTuple):
     """Sampled variation table of the potential.
 
     var[n] is the largest observed |psi(b) - psi(b')| over sampled pairs
@@ -1302,8 +1302,7 @@ def holder_variation(
     )
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Finite-range obstruction for a two-fiber full-shift factor.
 
     A potential of finite range forces at least one of: the two diagonal
@@ -1316,7 +1315,7 @@ class ObstructionReport:
     rank_one_block: bool
     ones_left_eigenvector: bool
     excluded: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 OBSTRUCTION_TOL = 1e-10

@@ -23,9 +23,8 @@ induced measure admits a regular potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -190,8 +189,7 @@ def build_factor_system(model: MarkovModel, projection: Projection) -> FactorSys
     return FactorSystem(model, projection)
 
 
-@dataclass(frozen=True)
-class H1Report:
+class H1Report(NamedTuple):
     passed: bool
     # (b label, b' label, offending source row label)
     failures: tuple[tuple[str, str, str], ...]
@@ -209,15 +207,13 @@ def check_h1(fs: FactorSystem) -> H1Report:
     return H1Report(passed=not failures, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class H2Witness:
+class H2Witness(NamedTuple):
     point: PeriodicPoint
     product: np.ndarray
     positive: bool
 
 
-@dataclass(frozen=True)
-class H2Report:
+class H2Report(NamedTuple):
     # orbit-level verdict: every cycle of period <= target size has at least
     # one rotation whose one-period product is strictly positive
     passed: bool
@@ -227,7 +223,7 @@ class H2Report:
     witnesses: tuple[H2Witness, ...]
     # canonical rotations of orbits with no positive rotation at all
     orbit_failures: tuple[tuple[str, ...], ...]
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
 def one_period_product(fs: FactorSystem, point: PeriodicPoint) -> np.ndarray:
@@ -269,8 +265,7 @@ def check_h2(fs: FactorSystem) -> H2Report:
     )
 
 
-@dataclass(frozen=True)
-class TopologicalMarkovVerdict:
+class TopologicalMarkovVerdict(NamedTuple):
     status: str  # markov_certified | markov_refuted | undecided_at_depth
     witness: Optional[Word]
     depth: int

@@ -11,8 +11,7 @@ Phi is the minimal cross-ratio of entries over index quadruples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, NamedTuple, Optional
 
 import numpy as np
 
@@ -103,8 +102,7 @@ def apply_normalized(matrix: np.ndarray, x: SimplexPoint, out_fiber: Optional[Ha
     return SimplexPoint(image, fiber=out_fiber)
 
 
-@dataclass(frozen=True)
-class ContractionCoefficient:
+class ContractionCoefficient(NamedTuple):
     tau: float
     phi: float
 

@@ -8,9 +8,8 @@ integer indices internally; labels only appear at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +51,7 @@ class Alphabet:
         return f"Alphabet({list(self.labels)!r})"
 
 
-@dataclass(frozen=True)
-class PrimitivityResult:
+class PrimitivityResult(NamedTuple):
     primitive: bool
     exponent: Optional[int]
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gibbsfactor as gf
-from gibbsfactor import potential
+from gibbsfactor import cli, potential
 from gibbsfactor.cli import main
 from gibbsfactor.models import dump_document, expand_example
 
@@ -96,6 +96,16 @@ def test_potential_refusal_exit_code(model_paths, capsys):
     assert captured.err == (
         "error: step 0->1 at position 0 has an all-zero fiber row; potential undefined along this point\n"
     )
+
+
+@pytest.mark.parametrize("model, point", [("fullshift4", "1/0"), ("adhoc5", "/ab")])
+def test_certified_radius_never_sits_below_double_precision(model_paths, capsys, model, point):
+    # the truncation radius at this tolerance is about 1e-20, far below the
+    # roundoff of a value near 1; the reported radius is held at 1e-13
+    assert main(["potential", model_paths[model], "--point", point, "--tol", "1e-20"]) == 0
+    out = capsys.readouterr().out
+    assert "error radius: 1e-13\n" in out
+    assert "mode: certified (certified)" in out
 
 
 def test_potential_rejects_bad_point(model_paths, capsys):
@@ -324,6 +334,32 @@ def test_missing_model_file_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["potential", "--point", "0"], ["periodic"], ["holder"], ["gibbs"], ["obstruction"]],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_model_file_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: model file {str(path)!r} nests too deeply to read\n"
+
+
+def test_command_is_looked_up_when_main_runs(model_paths, capsys, monkeypatch):
+    # the parser is built once; a cmd_* rebound after that is the one called
+    assert main(["check", model_paths["adhoc5"]]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.model) or 7)
+    assert main(["check", model_paths["fullshift4"]]) == 7
+    assert seen == [model_paths["fullshift4"]]
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_output_is_deterministic(model_paths, capsys):

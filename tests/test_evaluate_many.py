@@ -5,7 +5,6 @@ the unvalidated PointSpec.shifted against the validating constructor."""
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -488,7 +487,7 @@ def test_routes_with_constants_are_certified(certified_system):
 @pytest.mark.parametrize("theta", [1.0 - 2.0**-52, 1.0 - 1e-15, 1.0 - 1e-9])
 def test_decay_rate_close_to_one_is_refused(adhoc5, adhoc5_constants, theta):
     # the certified radius would reach the target only beyond MAX_DEPTH
-    c = replace(adhoc5_constants, theta=theta)
+    c = adhoc5_constants._replace(theta=theta)
     points = [PointSpec(adhoc5, (), (0, 1)), PointSpec(adhoc5, (2,), (1, 0))]
     for batch in (points, points[:1]):
         with pytest.raises(gf.EvaluationRefused, match=f", beyond MAX_DEPTH {potential.MAX_DEPTH}$"):
@@ -501,5 +500,5 @@ def test_certified_depth_up_to_the_cap_is_kept(adhoc5_constants):
     # theta with the target met near MAX_DEPTH / 2 is not refused
     c = adhoc5_constants
     theta = math.exp(math.log(TARGET / c.eq_radius_constant) / (potential.MAX_DEPTH // 2))
-    n = _certified_depth(replace(c, theta=theta), 0, TARGET)
+    n = _certified_depth(c._replace(theta=theta), 0, TARGET)
     assert abs(n - potential.MAX_DEPTH // 2) <= 1

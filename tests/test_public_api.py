@@ -35,3 +35,23 @@ def test_names_left_out_of_all_stay_importable():
                  "perron_data", "log_nu_cylinder", "RangeTwoPotential", "derive_potential"):
         assert name not in gf.__all__
         assert hasattr(gf, name)
+
+
+def test_every_record_is_a_named_tuple():
+    from gibbsfactor import gibbs, markov, potential, projection, projective, tmc
+
+    records = [
+        tmc.PrimitivityResult, markov.RangeTwoPotential, projective.ContractionCoefficient,
+        projection.H1Report, projection.H2Witness, projection.H2Report,
+        projection.TopologicalMarkovVerdict, potential.PotentialEvaluation,
+        potential.UniformConstants, potential.PerronData, potential.HolderReport,
+        potential.ObstructionReport, gibbs.BgiRow, gibbs.BgiReport,
+        gibbs.InvarianceRow, gibbs.InvarianceReport,
+    ]
+    for cls in records:
+        assert issubclass(cls, tuple), cls
+        assert cls._fields and cls._fields == tuple(cls.__annotations__), cls
+    assert potential.PotentialEvaluation._fields == (
+        "value", "error_radius", "terms_used", "mode", "certified", "clusters", "notes")
+    assert potential.PotentialEvaluation._field_defaults == {"clusters": (), "notes": ()}
+    assert projection.H2Report._field_defaults == {"warnings": ()}

@@ -44,7 +44,7 @@ EVALUATE_MANY, EIGENDATA_MANY = potential.evaluate_many, potential.eigendata_man
 
 def evaluation(result) -> object:
     """One slot of an evaluate_many or eigendata_many result as JSON."""
-    if isinstance(result, tuple):  # eigendata_many: (evaluation, eigendata)
+    if type(result) is tuple:  # eigendata_many: (evaluation, eigendata)
         result = result[0]
     if result is None:
         return None

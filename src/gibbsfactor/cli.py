@@ -22,6 +22,7 @@ from .errors import (
 )
 from .gibbs import bgi_sweep, invariance_suite
 from .potential import (
+    MAX_POWER_STEPS,
     PointSpec,
     UniformConstants,
     check_sweep_depth,
@@ -86,16 +87,10 @@ def cmd_check(args) -> int:
     fs = models.load_model(args.model)
     # a bad depth is refused before anything is printed
     tm = check_topological_markov(fs, depth=args.depth)
-    src = check_primitivity(fs.model.tmc)
-    fac = check_primitivity(fs.factor_tmc)
-    print(
-        f"source: {fs.model.tmc.alphabet.size} symbols, "
-        f"{'primitive (exponent ' + str(src.exponent) + ')' if src.primitive else 'not primitive'}"
-    )
-    print(
-        f"factor: {fs.target_size} symbols, "
-        f"{'primitive (exponent ' + str(fac.exponent) + ')' if fac.primitive else 'not primitive'}"
-    )
+    for name, tmc in (("source", fs.model.tmc), ("factor", fs.factor_tmc)):
+        prim = check_primitivity(tmc)
+        state = f"primitive (exponent {prim.exponent})" if prim.primitive else "not primitive"
+        print(f"{name}: {tmc.size} symbols, {state}")
     h1 = fs.h1
     if h1.passed:
         print("fiber rows (H1): pass")
@@ -156,7 +151,8 @@ def cmd_potential(args) -> int:
 def cmd_periodic(args) -> int:
     fs = models.load_model(args.model)
     periodic = enumerate_periodic(fs.factor_tmc, args.max_period)
-    points = [PointSpec(fs, (), pp.symbols) for pp in periodic]
+    # enumerate_periodic yields admissible, cyclically closed, primitive words
+    points = [PointSpec._canonical((), pp.symbols) for pp in periodic]
     results = periodic_many(fs, points, target_error=args.tol)
     if not points:
         print(f"no periodic points with period <= {args.max_period}")
@@ -177,7 +173,9 @@ def cmd_periodic(args) -> int:
             )
             continue
         route = "eigendata" if pd is not None else "iterative"
-        extra = f", spectral gap |l2|/rho {_fmt(pd.second_modulus / pd.rho)}" if pd else ""
+        # n/a unless the power iteration converged and the ratio is below 1
+        gap = pd.second_modulus / pd.rho if pd and pd.iterations < MAX_POWER_STEPS else math.nan
+        extra = f", spectral gap |l2|/rho {_fmt(gap if gap < 1.0 else math.nan)}" if pd else ""
         print(
             f"{name}: value {_fmt(ev.value)}, radius {_fmt(ev.error_radius)}, "
             f"{route}{' certified' if ev.certified else ' uncertified'}{extra}"

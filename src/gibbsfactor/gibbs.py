@@ -15,14 +15,15 @@ import math
 from typing import NamedTuple, Optional
 
 from .potential import (
+    PointSpec,
     UniformConstants,
-    canonical_extension,
+    _return_path,
     check_sweep_depth,
     evaluate_many,
     markov_approx,
 )
 from .projection import FactorSystem, log_nu_cylinders
-from .tmc import enumerate_words
+from .tmc import enumerate_words, primitive_root
 
 # horizon floor for the finite-range stand-in at divergent points
 PROXY_HORIZON_MIN = 40
@@ -46,15 +47,38 @@ class BgiReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
+def _extension_shifts(fs: FactorSystem, n_max: int) -> list:
+    """Per depth n, (word, keys) for each word of length n + 1: the keys
+    (preperiod, period) of the shifts j = 0 .. n of its canonical_extension,
+    the rotations of a primitive period.  Each (last, first) pair's return
+    path is searched once."""
+    returns: dict = {}
+    levels = []
+    for n in range(n_max + 1):
+        level = []
+        for word in enumerate_words(fs.factor_tmc, n + 1):
+            w = word.symbols
+            ends = (w[-1], w[0])
+            if ends not in returns:
+                returns[ends] = _return_path(fs, *ends)
+            period = primitive_root(w + returns[ends])
+            rotations = [((), period[r:] + period[:r]) for r in range(min(len(period), n + 1))]
+            level.append((word, [rotations[j % len(period)] for j in range(n + 1)]))
+        levels.append(level)
+    return levels
+
+
 def bgi_sweep(
     fs: FactorSystem,
     n_max: int,
     constants: Optional[UniformConstants] = None,
     target_error: float = 1e-10,
 ) -> BgiReport:
-    """Gibbs-ratio table over all cylinders of depth 0 .. n_max; the points
-    of all depths are evaluated in one batch (evaluate_many), the cylinder
-    masses in one backward pass (log_nu_cylinders).
+    """Gibbs-ratio table over all cylinders of depth 0 .. n_max, along the
+    shifts of each word's canonical_extension: built as keys
+    (_extension_shifts), one PointSpec per distinct key in first-seen order,
+    all evaluated in one batch (evaluate_many); the cylinder masses come
+    from one backward pass (log_nu_cylinders).
 
     Where the potential diverges, the finite-range stand-in psi_m at a fixed
     even horizon m (markov_approx) takes its place; the fixed parity keeps
@@ -63,31 +87,21 @@ def bgi_sweep(
     """
     check_sweep_depth(n_max)
     horizon = max(PROXY_HORIZON_MIN, 2 * (n_max + 2))
-    levels = []
-    for n in range(n_max + 1):
-        level = []
-        for word in enumerate_words(fs.factor_tmc, n + 1):
-            ext = canonical_extension(fs, word)
-            level.append((word, [ext.shifted(fs, j) for j in range(n + 1)]))
-        levels.append(level)
-    unique = {p.key(): p for level in levels for _, pts in level for p in pts}
+    levels = _extension_shifts(fs, n_max)
+    distinct = dict.fromkeys(k for level in levels for _, keys in level for k in keys)
+    unique = {k: PointSpec._absorbed(*k) for k in distinct}
     cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), target_error, constants)))
-    proxies = {
-        k: markov_approx(fs, unique[k].symbols(horizon + 1))
-        for k, ev in cache.items()
-        if ev.mode == "diverged"
-    }
+    diverged = [k for k, ev in cache.items() if ev.mode == "diverged"]
+    proxies = {k: markov_approx(fs, unique[k].symbols(horizon + 1)) for k in diverged}
     log_nu = log_nu_cylinders(fs, n_max + 1)
     rows = []
     for n, level in enumerate(levels):
-        log_r_min = math.inf
-        log_r_max = -math.inf
+        log_r_min, log_r_max = math.inf, -math.inf
         max_radius = 0.0
         level_proxied = False
-        for word, points in level:
+        for word, keys in level:
             total = 0.0
-            for point in points:
-                k = point.key()
+            for k in keys:
                 if k in proxies:
                     total += proxies[k]
                     level_proxied = True
@@ -103,8 +117,7 @@ def bgi_sweep(
             k_cert = constants.k_gibbs
             verdict = "pass" if k_emp <= k_cert + slack else "fail"
         else:
-            slack = math.nan
-            k_cert = math.nan
+            slack = k_cert = math.nan
             verdict = "uncertified"
         rows.append(
             BgiRow(

@@ -48,6 +48,8 @@ WORD_BUDGET = 1 << 22
 FIRST_WINDOW = 16
 # additive allowance for accumulated floating-point error in iterative values
 FLOAT_NOISE_FLOOR = 1e-13
+# most steps of each power iteration of the eigendata route and perron_data
+MAX_POWER_STEPS = 100000
 
 
 class PointSpec:
@@ -80,7 +82,11 @@ class PointSpec:
         """The point of admissible parts, not validated again, in canonical
         form: the primitive period root, then any preperiod suffix that
         repeats the tail absorbed into a rotation."""
-        period = primitive_root(period)
+        return cls._absorbed(preperiod, primitive_root(period))
+
+    @classmethod
+    def _absorbed(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
+        """_canonical of admissible parts whose period is already primitive."""
         while preperiod and preperiod[-1] == period[-1]:
             preperiod = preperiod[:-1]
             period = period[-1:] + period[:-1]
@@ -109,7 +115,8 @@ class PointSpec:
 
     def shifted(self, fs: FactorSystem, j: int = 1) -> "PointSpec":
         """The point with the first j symbols dropped; a shift keeps a point
-        admissible, so the result is not validated again."""
+        admissible and a rotation of a primitive period primitive, so the
+        result is neither validated nor root-searched again."""
         if j < 0:
             raise AdmissibilityError("shift must be nonnegative")
         pre = self.preperiod
@@ -120,7 +127,7 @@ class PointSpec:
         if j:
             r = j % len(per)
             per = per[r:] + per[:r]
-        return PointSpec._canonical(pre, per)
+        return PointSpec._absorbed(pre, per)
 
     def key(self) -> tuple:
         return (self.preperiod, self.period)
@@ -222,9 +229,9 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _power_stack(ts: np.ndarray, tol: float, max_iter: int, left: bool) -> tuple:
     """Normalized power iteration w = T v / |T v|_1 (w = v T / |v T|_1 when
     left) from the uniform vector, for every matrix of the (m, n, n) stack
-    ts.  A matrix leaves the live set once |w - v|_1 <= tol, keeping its own
-    step count and rho = |T v|_1; one that never converges keeps its last
-    iterate and max_iter.  Returns (vectors, rhos, steps)."""
+    ts.  A matrix's iterate w, rho = |T v|_1 and step count are written once:
+    when |w - v|_1 <= tol takes it out of the live set, or with its last
+    iterate and max_iter when max_iter runs out.  Returns (vectors, rhos, steps)."""
     m, n, _ = ts.shape
     vectors = np.full((m, n), 1.0 / n)
     rhos = np.ones(m)
@@ -238,9 +245,11 @@ def _power_stack(ts: np.ndarray, tol: float, max_iter: int, left: bool) -> tuple
             raise ModelError("power iteration collapsed; matrix is not primitive")
         w = w / rho[:, None]
         done = np.abs(w - v).sum(axis=1) <= tol
-        vectors[live], rhos[live] = w, rho
+        if k == max_iter:
+            done[:] = True
         if done.any():
-            steps[live[done]] = k
+            ended = live[done]
+            vectors[ended], rhos[ended], steps[ended] = w[done], rho[done], k
             live, t, w = live[~done], t[~done], w[~done]
             if not live.size:
                 break
@@ -252,9 +261,10 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
     """perron_data of every matrix of the (m, n, n) stack ts, without the
     checks: the right and left power iterations, the normalization, the
     residuals and the 60-step deflated iteration for |lambda_2| all run on
-    the whole stack, each matrix dropping out of the deflated iteration on
-    its own when the deflated image vanishes.  The stacked products
-    repeat the one-matrix products bit for bit."""
+    the whole stack.  A matrix leaves the deflated iteration on the step its
+    image vanishes (the only steps that filter the stack); the last growth
+    of the others is written after the loop.  The stacked products repeat
+    the one-matrix products bit for bit."""
     right, rho, it_r = _power_stack(ts, tol, max_iter, left=False)
     left, _, it_l = _power_stack(ts, tol, max_iter, left=True)
     left = left / _dots(left, right)[:, None]
@@ -273,17 +283,18 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
     second = np.zeros(len(ts))
     vanished = ~(norm > 1e-14)
     live = np.flatnonzero(~vanished)
-    u, d = u[live] / norm[live, None], deflated[live]
+    u, d, growth = u[live] / norm[live, None], deflated[live], second[live]
     for _ in range(60):
         if not live.size:
             break
         w = (d @ u[..., None])[..., 0]
         growth = np.abs(w).sum(axis=1)
         gone = growth < 1e-250
-        vanished[live[gone]] = True
-        live, d, w, growth = live[~gone], d[~gone], w[~gone], growth[~gone]
-        second[live] = growth
+        if gone.any():
+            vanished[live[gone]] = True
+            live, d, w, growth = live[~gone], d[~gone], w[~gone], growth[~gone]
         u = w / growth[:, None]
+    second[live] = growth
     return [
         PerronData(
             rho=rho[i],
@@ -297,7 +308,7 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
     ]
 
 
-def perron_data(matrix, tol: float = 1e-13, max_iter: int = 100000) -> PerronData:
+def perron_data(matrix, tol: float = 1e-13, max_iter: int = MAX_POWER_STEPS) -> PerronData:
     """Power iteration for the dominant eigenvalue pair of a primitive matrix:
     the checks, then the one-matrix call of the stacked iteration
     _perron_stack.  Stops at |w - v|_1 <= tol or after max_iter steps."""
@@ -322,6 +333,8 @@ def _primitivity(memo: dict, matrix: np.ndarray):
 
 def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
     """Refuse evaluation when a step matrix along the point has a zero row."""
+    if not fs.zero_row_blocks:
+        return
     word = point.preperiod + point.period + point.period[:1]
     for i, step in enumerate(zip(word, word[1:])):
         if step in fs.zero_row_blocks:
@@ -540,17 +553,10 @@ def _result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
     for m in [q * k for k in range(1, 7)]:
         if m * samples * 2 > n_scan - t0:
             break
-        stable = True
-        residue_values = []
-        for r in range(m):
-            sub = values[t0 + r :: m][-samples:]
-            if len(sub) < samples or sub.max() - sub.min() > 1e-9:
-                stable = False
-                break
-            residue_values.append(float(sub[-1]))
-        if not stable:
+        subs = [values[t0 + r :: m][-samples:] for r in range(m)]
+        if any(len(sub) < samples or sub.max() - sub.min() > 1e-9 for sub in subs):
             continue
-        clusters = _cluster_values(residue_values)
+        clusters = _cluster_values([float(sub[-1]) for sub in subs])
         if clusters is None:
             continue
         if len(clusters) >= 2:
@@ -909,30 +915,18 @@ def factorization_sequence(prefix, factor_size: int) -> tuple[tuple[int, int], .
     if isinstance(prefix, Word):
         prefix = prefix.symbols
     w = factor_size + 1
-    n = len(prefix)
-    if n < w:
-        raise AdmissibilityError(
-            f"prefix of length {n} is shorter than one window ({w})"
-        )
+    if len(prefix) < w:
+        raise AdmissibilityError(f"prefix of length {len(prefix)} is shorter than one window ({w})")
     pairs: list[tuple[int, int]] = []
-    k = 0
-    while (k + 1) * w <= n:
-        start = k * w
-        found = None
-        for l in range(start + 1, start + w):
-            for m in range(start, l):
-                if prefix[m] == prefix[l]:
-                    found = (m, l)
-                    break
-            if found:
-                break
+    for start in range(0, len(prefix) - w + 1, w):
+        repeats = ((m, l) for l in range(start + 1, start + w) for m in range(start, l) if prefix[m] == prefix[l])
+        found = next(repeats, None)
         if found is None:
             raise AdmissibilityError(
                 f"window at {start} has no repeated symbol; prefix uses more "
                 f"than {factor_size} symbols"
             )
         pairs.append(found)
-        k += 1
     return tuple(pairs)
 
 
@@ -1064,7 +1058,7 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     period words, each zero pattern is tested for primitivity once, and the
     power iterations, matrix powers, normalized images and Birkhoff
     coefficients (contraction_coefficients) run on stacks of the products
-    of one size.
+    of one size, and the tails |M_(1:p) d_hat|_1 on one stack per shape.
     """
     if any(p.preperiod for p in points):
         raise AdmissibilityError("the eigendata route needs a purely periodic point")
@@ -1084,7 +1078,7 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             by_size.setdefault(len(t), []).append((i, t, prim.exponent))
     for group in by_size.values():
         ts = np.stack([t for _, t, _ in group])
-        pds = _perron_stack(ts, 1e-13, 100000)
+        pds = _perron_stack(ts, 1e-13, MAX_POWER_STEPS)
         right = np.stack([pd.right for pd in pds])
         ratios = (ts @ right[..., None])[..., 0] / right
         inclusions = [math.log(r) for r in (ratios.max(axis=1) / ratios.min(axis=1)).tolist()]
@@ -1100,16 +1094,24 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             gaps = projective_distances(x, y).tolist()
             for row, coefficient, gap in zip(rows.tolist(), contraction_coefficients(power), gaps):
                 vector_terms[row] = gap / (1.0 - coefficient.tau) if coefficient.tau < 1.0 else None
-        for (i, _, exponent), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
+        # the tails |M_(1:p) d_hat|_1 of periods p >= 2, one product per shape
+        tails = np.ones(len(group))
+        rests: dict = {}
+        for row, (i, _, _) in enumerate(group):
+            period = points[i].period
+            if len(period) > 1 and vector_terms[row] is not None:
+                rest = fs.word_product(period[1:] + period[:1], products)
+                rests.setdefault(rest.shape, []).append((row, rest))
+        for pairs in rests.values():
+            rows, stack = [row for row, _ in pairs], np.stack([rest for _, rest in pairs])
+            tails[rows] = (stack @ right[rows][..., None])[..., 0].sum(axis=1)
+        for (i, _, exponent), pd, inclusion, vector_term, tail in zip(
+            group, pds, inclusions, vector_terms, tails.tolist()
+        ):
             if vector_term is None:
                 message = f"power {exponent} of the one-period product has contraction 1 in double precision"
                 results[i] = EvaluationRefused(message + ", so it bounds no radius")
                 continue
-            period = points[i].period
-            tail = 1.0
-            if len(period) > 1:
-                rest = fs.word_product(period[1:] + period[:1], products)
-                tail = float((rest @ pd.right).sum())
             evaluation = PotentialEvaluation(
                 value=math.log(pd.rho) - math.log(tail),
                 error_radius=inclusion + vector_term + FLOAT_NOISE_FLOOR,
@@ -1155,76 +1157,66 @@ def _greedy_cycle_walk(fs: FactorSystem, start: int) -> tuple[tuple[int, ...], t
 
     Returns (transient, cycle): the walk is start, ..., then cycles.
     """
-    tmc = fs.factor_tmc
     walk = [start]
-    seen = {start: 0}
-    while True:
-        nxt = tmc.successors(walk[-1])[0]
-        if nxt in seen:
-            i = seen[nxt]
-            return tuple(walk[:i]), tuple(walk[i:])
-        seen[nxt] = len(walk)
+    while (nxt := fs.factor_tmc.successors(walk[-1])[0]) not in walk:
         walk.append(nxt)
+    i = walk.index(nxt)
+    return tuple(walk[:i]), tuple(walk[i:])
 
 
-def _shortest_return_path(fs: FactorSystem, src: int, dst: int, max_len: int) -> Optional[tuple[int, ...]]:
-    """Shortest path src -> dst of length in [1, max_len]; lexicographic ties."""
-    tmc = fs.factor_tmc
+def _return_path(fs: FactorSystem, src: int, dst: int) -> tuple[int, ...]:
+    """The symbols strictly between src and dst on the shortest admissible
+    path src -> dst of 1 to #B steps, with lexicographic ties."""
+    successors = fs.factor_tmc.successors
     frontier: list[tuple[int, ...]] = [(src,)]
-    for _ in range(max_len):
+    for _ in range(fs.target_size):
         nxt: list[tuple[int, ...]] = []
         for path in frontier:
-            for s in tmc.successors(path[-1]):
+            for s in successors(path[-1]):
                 if s == dst:
-                    return path + (s,)
+                    return path[1:]
                 nxt.append(path + (s,))
         frontier = nxt
-    return None
+    raise ModelError(f"no return path from symbol {src} to symbol {dst}")
 
 
 def canonical_extension(fs: FactorSystem, symbols: Word | Sequence[int]) -> PointSpec:
-    """Deterministic eventually periodic point with the given prefix.
-
-    Prefers the periodic completion through the shortest admissible return
-    path from the last symbol to the first (at most #B steps); otherwise
-    extends greedily into the lexicographically first reachable cycle.
-    """
+    """Deterministic eventually periodic point with the given prefix: the
+    periodic completion through the shortest admissible return path from
+    the last symbol to the first (_return_path), which depends only on that
+    pair.  The path always exists: MarkovModel requires a strictly positive
+    stationary vector, so every source state is recurrent, every source edge
+    and hence every image edge lies on a cycle, and the last symbol of an
+    admissible word leads back to its first in at most #B steps."""
     symbols = word_symbols(fs.factor_tmc, symbols)
-    path = _shortest_return_path(fs, symbols[-1], symbols[0], fs.target_size)
-    if path is not None:
-        return PointSpec._canonical((), symbols + path[1:-1])
-    transient, cycle = _greedy_cycle_walk(fs, symbols[-1])
-    return PointSpec._canonical(symbols[:-1] + transient, cycle)
+    return PointSpec._canonical((), symbols + _return_path(fs, symbols[-1], symbols[0]))
 
 
 def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int = 2) -> list[PointSpec]:
     """Up to count distinct eventually periodic points sharing the prefix.
 
-    Explores admissible continuations of bounded depth in lexicographic
+    Explores admissible continuations of #B + 1 symbols in lexicographic
     order and closes each into a cycle greedily, deduplicating the results.
+    The walk starts from the last symbol alone: two completions are
+    distinct exactly when their continuations from it are, so the points
+    are symbols[:-1] joined to the completions of (symbols[-1],), which
+    holder_variation takes once per symbol.
     """
     symbols = word_symbols(fs.factor_tmc, symbols)
-    tmc = fs.factor_tmc
     depth = fs.target_size + 1
-    out: list[PointSpec] = []
-
-    def close(path: tuple[int, ...]) -> PointSpec:
-        transient, cycle = _greedy_cycle_walk(fs, path[-1])
-        return PointSpec._canonical(path[:-1] + transient, cycle)
+    tails: list[PointSpec] = []
 
     def walk(path: tuple[int, ...], d: int) -> bool:
         if d == depth:
-            pt = close(path)
-            if pt not in out:
-                out.append(pt)
-            return len(out) >= count
-        for s in tmc.successors(path[-1]):
-            if walk(path + (s,), d + 1):
-                return True
-        return False
+            transient, cycle = _greedy_cycle_walk(fs, path[-1])
+            point = PointSpec._absorbed(path[:-1] + transient, cycle)
+            if point not in tails:
+                tails.append(point)
+            return len(tails) >= count
+        return any(walk(path + (s,), d + 1) for s in fs.factor_tmc.successors(path[-1]))
 
-    walk(symbols, 0)
-    return out
+    walk(symbols[-1:], 0)
+    return [PointSpec._absorbed(symbols[:-1] + t.preperiod, t.period) for t in tails]
 
 
 class HolderReport(NamedTuple):
@@ -1252,16 +1244,16 @@ def holder_variation(
     n_max: int,
     target_error: float = 1e-11,
 ) -> HolderReport:
-    """Sample var_n psi over all words of each length up to n_max; the tail
-    completions of all lengths are evaluated in one batch (evaluate_many)."""
+    """Sample var_n psi over all words of each length up to n_max, at their
+    tail_completions, joined from the completions of each one-symbol word
+    and evaluated in one batch (evaluate_many)."""
     check_sweep_depth(n_max)
+    tails = {b: tail_completions(fs, (b,), 2) for b in range(fs.target_size)}
     levels = []
     for n in range(n_max + 1):
-        completions = (
-            tail_completions(fs, word, count=2)
-            for word in enumerate_words(fs.factor_tmc, n + 1)
-        )
-        levels.append([pts for pts in completions if len(pts) >= 2])
+        words = (word.symbols for word in enumerate_words(fs.factor_tmc, n + 1))
+        pairs = ([PointSpec._absorbed(w[:-1] + t.preperiod, t.period) for t in tails[w[-1]]] for w in words)
+        levels.append([pts for pts in pairs if len(pts) >= 2])
     unique = {p.key(): p for pairs in levels for pts in pairs for p in pts}
     cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), target_error, constants)))
 
@@ -1338,14 +1330,11 @@ def finite_range_obstruction(fs: FactorSystem) -> ObstructionReport:
         for key, b in blocks.items()
     }
     rank_one = bool(any(abs(d) <= OBSTRUCTION_TOL for d in dets.values()))
-    ones_left = True
     col_gaps = {}
     for key, b in blocks.items():
         sums = b.sum(axis=0)
-        gap = float(np.abs(sums - sums.mean()).max() / sums.max())
-        col_gaps[key] = gap
-        if gap > OBSTRUCTION_TOL:
-            ones_left = False
+        col_gaps[key] = float(np.abs(sums - sums.mean()).max() / sums.max())
+    ones_left = not any(gap > OBSTRUCTION_TOL for gap in col_gaps.values())
     return ObstructionReport(
         shared_eigenvector=shared,
         rank_one_block=rank_one,

@@ -570,6 +570,11 @@ def test_periodic_power_contraction_rounding_to_one_is_refused(tmp_path, capsys)
         "precision, so it bounds no radius)"
     )
     assert all("eigendata" in line or "refused (power 1 " in line for line in lines)
+    # the power iterations of the other three ran all their MAX_POWER_STEPS
+    # steps, so no spectral gap is printed (it read 1, 1.0005654082 and
+    # 30.4815740775, and a ratio above 1 no dominant eigenvalue has)
+    for line in lines[:3]:
+        assert line.endswith(", eigendata certified, spectral gap |l2|/rho n/a")
 
 
 def full_shift_document(n_src, n_tgt, seed=1):

@@ -287,6 +287,45 @@ def test_deflation_exits_early_on_rank_one():
         assert_same_perron(g, oracle_perron_data(m))
 
 
+def deflated_vanishing_step(t, max_iter):
+    """The step of the oracle's 60-step deflated iteration at which the image
+    of t vanishes, or None when it never does."""
+    pd = oracle_perron_data(t, max_iter=max_iter)
+    deflated = t - pd.rho * np.outer(pd.right, pd.left)
+    u = np.zeros(t.shape[0])
+    u[0] = 1.0
+    u = u - pd.right * (pd.left @ u)
+    u /= np.abs(u).sum()
+    for step in range(1, 61):
+        w = deflated @ u
+        growth = np.abs(w).sum()
+        if growth < 1e-250:
+            return step
+        u = w / growth
+    return None
+
+
+def test_stack_mixes_vanishing_live_and_unconverged_matrices():
+    # two deflated images vanish part-way through the loop, at different
+    # steps, between matrices that run all 60 deflated steps; one matrix
+    # (spectral ratio about 0.9986) runs out of max_iter
+    max_iter = 200
+    vanishing = [np.array([[1.0, 1.0, 0.0], [3.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
+                 np.array([[3.0, 3.0, 3.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])]
+    stalled = np.array([[1.0, 1e-3, 0.0], [1e-3, 1.0, 1e-3], [0.0, 1e-3, 1.0]])
+    rng = np.random.default_rng(34)
+    live = [rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(3)]
+    mats = [live[0], vanishing[0], live[1], stalled, vanishing[1], live[2]]
+    steps = [deflated_vanishing_step(t, max_iter) for t in mats]
+    assert steps[0] is steps[2] is steps[3] is steps[5] is None
+    assert 1 < steps[4] < steps[1] < 60
+    got = _perron_stack(np.stack(mats), 1e-13, max_iter)
+    for g, m in zip(got, mats):
+        assert_same_perron(g, oracle_perron_data(m, max_iter=max_iter))
+    assert [g.iterations == max_iter for g in got] == [False, False, False, True, False, False]
+    assert [g.second_modulus == 0.0 for g in got] == [False, True, False, False, True, False]
+
+
 # ------------------------------------------------------------ the CLI and memo
 
 

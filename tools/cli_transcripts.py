@@ -10,7 +10,8 @@ command made: evaluate_many and eigendata_many are wrapped where the potential
 and gibbs modules look them up, and each call's results are recorded in order
 with value, radius, terms, mode and clusters as JSON floats (which read back
 bit for bit), None for a point eigendata_many leaves to evaluate_many, and
-the message of a refusal.  Keys are sorted, so the output of two commits
+the message of a refusal; an eigendata_many slot also records its Perron
+data's rho, second_modulus, residual and iterations as JSON numbers.  Keys are sorted, so the output of two commits
 compares with cmp, bit for bit in every evaluation and not only in the
 printed digits.  The gibbsfactor under test is the one on PYTHONPATH; the
 workloads come from this tree's bench/.
@@ -44,19 +45,28 @@ EVALUATE_MANY, EIGENDATA_MANY = potential.evaluate_many, potential.eigendata_man
 
 def evaluation(result) -> object:
     """One slot of an evaluate_many or eigendata_many result as JSON."""
+    eigendata = None
     if type(result) is tuple:  # eigendata_many: (evaluation, eigendata)
-        result = result[0]
+        result, eigendata = result
     if result is None:
         return None
     if isinstance(result, Exception):
         return {"refused": str(result)}
-    return {
+    record = {
         "value": result.value,
         "radius": result.error_radius,
         "terms": result.terms_used,
         "mode": result.mode,
         "clusters": list(result.clusters),
     }
+    if eigendata is not None:
+        record["eigendata"] = {
+            "rho": float(eigendata.rho),
+            "second_modulus": float(eigendata.second_modulus),
+            "residual": float(eigendata.residual),
+            "iterations": int(eigendata.iterations),
+        }
+    return record
 
 
 @contextlib.contextmanager

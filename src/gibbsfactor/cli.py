@@ -22,7 +22,7 @@ from .errors import (
 )
 from .gibbs import bgi_sweep, invariance_suite
 from .potential import (
-    MAX_POWER_STEPS,
+    DEFAULT_TARGET_ERROR,
     PointSpec,
     UniformConstants,
     check_sweep_depth,
@@ -33,7 +33,7 @@ from .potential import (
     periodic_many,
     uniform_constants,
 )
-from .projection import FactorSystem, check_topological_markov
+from .projection import MARKOV_SEARCH_DEPTH, FactorSystem, check_topological_markov
 from .tmc import check_primitivity, enumerate_periodic
 
 
@@ -45,20 +45,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _split_labels(text: str) -> list[str]:
-    if "," in text:
-        return [t for t in text.split(",") if t]
-    return list(text)
-
-
 def _parse_point(fs: FactorSystem, text: str) -> PointSpec:
-    if "/" in text:
-        pre_text, per_text = text.split("/", 1)
-    else:
-        pre_text, per_text = "", text
-    return PointSpec.from_labels(
-        fs, _split_labels(pre_text), _split_labels(per_text)
-    )
+    """PRE/PERIOD (or PERIOD) over target labels: one label per character,
+    or, when the text holds a comma anywhere, comma-separated labels in
+    both parts."""
+    pre_text, per_text = text.split("/", 1) if "/" in text else ("", text)
+    split = (lambda part: [t for t in part.split(",") if t]) if "," in text else list
+    return PointSpec.from_labels(fs, split(pre_text), split(per_text))
 
 
 def _point_str(fs: FactorSystem, point: PointSpec) -> str:
@@ -152,7 +145,7 @@ def cmd_periodic(args) -> int:
     fs = models.load_model(args.model)
     periodic = enumerate_periodic(fs.factor_tmc, args.max_period)
     # enumerate_periodic yields admissible, cyclically closed, primitive words
-    points = [PointSpec._canonical((), pp.symbols) for pp in periodic]
+    points = [PointSpec._absorbed((), pp.symbols) for pp in periodic]
     results = periodic_many(fs, points, target_error=args.tol)
     if not points:
         print(f"no periodic points with period <= {args.max_period}")
@@ -173,9 +166,7 @@ def cmd_periodic(args) -> int:
             )
             continue
         route = "eigendata" if pd is not None else "iterative"
-        # n/a unless the power iteration converged and the ratio is below 1
-        gap = pd.second_modulus / pd.rho if pd and pd.iterations < MAX_POWER_STEPS else math.nan
-        extra = f", spectral gap |l2|/rho {_fmt(gap if gap < 1.0 else math.nan)}" if pd else ""
+        extra = f", spectral gap |l2|/rho {_fmt(pd.spectral_gap)}" if pd else ""
         print(
             f"{name}: value {_fmt(ev.value)}, radius {_fmt(ev.error_radius)}, "
             f"{route}{' certified' if ev.certified else ' uncertified'}{extra}"
@@ -227,9 +218,9 @@ def cmd_gibbs(args) -> int:
     for n in report.notes:
         print(f"note: {n}")
     if args.invariance:
-        inv = invariance_suite(fs, min(args.n_max, 10))
-        print(f"invariance residuals (max over n <= {min(args.n_max, 10)}): "
-              f"{_fmt(inv.max_residual)}")
+        n_inv = min(args.n_max, 10)
+        print(f"invariance residuals (max over n <= {n_inv}): "
+              f"{_fmt(invariance_suite(fs, n_inv).max_residual)}")
     _write_csv(args.csv, table)
     return 1 if any(r.verdict == "fail" for r in report.rows) else 0
 
@@ -268,16 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify hypotheses and report certification constants")
     p.add_argument("model", help="path to a model JSON file")
-    p.add_argument("--depth", type=int, default=12, help="search depth for the image subshift")
+    p.add_argument("--depth", type=int, default=MARKOV_SEARCH_DEPTH, help="search depth for the image subshift")
 
     p = sub.add_parser("potential", help="evaluate the induced potential at a point")
     p.add_argument("model")
     p.add_argument(
         "--point",
         required=True,
-        help="eventually periodic point PRE/PERIOD over target labels, e.g. b/ac or /ab",
+        help="eventually periodic point PRE/PERIOD over target labels, e.g. b/ac or /ab; "
+        "labels longer than one character are separated by commas, e.g. left/right,left",
     )
-    p.add_argument("--tol", type=float, default=1e-10, help="target error radius")
+    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_ERROR, help="target error radius")
     p.add_argument(
         "--adaptive",
         action="store_true",
@@ -287,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodic", help="potential at all periodic points up to a period")
     p.add_argument("model")
     p.add_argument("--max-period", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_ERROR)
 
     p = sub.add_parser("holder", help="sampled variation of the potential with certified bound")
     p.add_argument("model")
@@ -297,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gibbs", help="empirical Gibbs-ratio sweep over cylinders")
     p.add_argument("model")
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_ERROR)
     p.add_argument("--csv", help="write the sweep to a CSV file")
     p.add_argument(
         "--invariance",

@@ -15,6 +15,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .potential import (
+    DEFAULT_TARGET_ERROR,
     PointSpec,
     UniformConstants,
     _return_path,
@@ -72,7 +73,7 @@ def bgi_sweep(
     fs: FactorSystem,
     n_max: int,
     constants: Optional[UniformConstants] = None,
-    target_error: float = 1e-10,
+    target_error: float = DEFAULT_TARGET_ERROR,
 ) -> BgiReport:
     """Gibbs-ratio table over all cylinders of depth 0 .. n_max, along the
     shifts of each word's canonical_extension: built as keys

@@ -90,10 +90,6 @@ class MarkovModel:
         self.transition = transition
         self.stationary = stationary
 
-    @property
-    def size(self) -> int:
-        return self.tmc.size
-
 
 class RangeTwoPotential(NamedTuple):
     """Matrix of phi(a, a') over allowed transitions, -inf elsewhere."""

@@ -4,9 +4,9 @@ Schema (one JSON object):
 
     {
       "alphabet":   ["a", "b", ...],          source symbols, distinct strings
-      "incidence":  [[0, 1, ...], ...],       0/1 square matrix
+      "incidence":  [[0, 1, ...], ...],       0/1 square matrix (numbers, not booleans)
       "transition": [[0.0, 0.5, ...], ...],   stochastic, supported on incidence
-      "projection": {"a": "x", "b": "x", ...} source label -> target label
+      "projection": {"a": "x", "b": "x", ...} every source label -> target label
       "options":    {...}                     optional, free-form parameters
     }
 
@@ -17,6 +17,7 @@ validated when they are recognized (currently "gamma").
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Optional
 
@@ -173,18 +174,19 @@ def parse_model(doc: dict) -> FactorSystem:
         transition = np.asarray(doc["transition"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"matrices must be numeric arrays: {exc}") from exc
+    # JSON true and false would otherwise read as 1.0 and 0.0, so only a
+    # matrix holding a 0 or a 1 is scanned; one that is not two-dimensional
+    # is refused below
+    for key, matrix in (("incidence", incidence), ("transition", transition)):
+        unit = (matrix == 0.0) | (matrix == 1.0)
+        if matrix.ndim == 2 and unit.any() and bool in set(map(type, itertools.chain.from_iterable(doc[key]))):
+            raise ModelError(f"{key} entries must be numbers, not true or false")
     tmc = Tmc(alphabet, incidence)
     model = MarkovModel(tmc, transition)
     mapping = doc["projection"]
     if not isinstance(mapping, dict):
         raise ModelError("projection must map source labels to target labels")
-    missing = [x for x in labels if x not in mapping]
-    if missing:
-        raise ModelError(f"projection misses source symbols {missing}")
-    extra = [x for x in mapping if x not in labels]
-    if extra:
-        raise ModelError(f"projection names unknown source symbols {extra}")
-    projection = Projection.from_labels(tmc.alphabet, {k: str(v) for k, v in mapping.items()})
+    projection = Projection.from_labels(tmc.alphabet, mapping)
     options = doc.get("options") or {}
     if not isinstance(options, dict):
         raise ModelError("options must be an object")

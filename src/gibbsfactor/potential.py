@@ -50,6 +50,8 @@ FIRST_WINDOW = 16
 FLOAT_NOISE_FLOOR = 1e-13
 # most steps of each power iteration of the eigendata route and perron_data
 MAX_POWER_STEPS = 100000
+# the l1 step |w - v|_1 at which those power iterations stop
+PERRON_TOL = 1e-13
 
 
 class PointSpec:
@@ -75,18 +77,14 @@ class PointSpec:
             Word(tmc, preperiod)
             if not tmc.allows(preperiod[-1], period[0]):
                 raise AdmissibilityError("preperiod does not connect to the period")
-        self.preperiod, self.period = PointSpec._canonical(preperiod, period).key()
-
-    @classmethod
-    def _canonical(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
-        """The point of admissible parts, not validated again, in canonical
-        form: the primitive period root, then any preperiod suffix that
-        repeats the tail absorbed into a rotation."""
-        return cls._absorbed(preperiod, primitive_root(period))
+        self.preperiod, self.period = PointSpec._absorbed(preperiod, primitive_root(period)).key()
 
     @classmethod
     def _absorbed(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
-        """_canonical of admissible parts whose period is already primitive."""
+        """The point of admissible parts with a primitive period, not
+        validated again, in canonical form: any preperiod suffix that repeats
+        the tail absorbed into a rotation.  The one canonical-form routine:
+        callers with a period that may be a power pass its primitive_root."""
         while preperiod and preperiod[-1] == period[-1]:
             preperiod = preperiod[:-1]
             period = period[-1:] + period[:-1]
@@ -219,6 +217,15 @@ class PerronData(NamedTuple):
     residual: float
     iterations: int
 
+    @property
+    def spectral_gap(self) -> float:
+        """|lambda_2| / rho, or nan unless the power iteration converged in
+        fewer than MAX_POWER_STEPS steps (the module cap, not a caller's
+        max_iter) and the ratio is below 1: the rule by which the periodic
+        command prints n/a."""
+        gap = self.second_modulus / self.rho
+        return gap if self.iterations < MAX_POWER_STEPS and gap < 1.0 else math.nan
+
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (m, n) stacks, each equal to a @ b of
@@ -308,10 +315,11 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
     ]
 
 
-def perron_data(matrix, tol: float = 1e-13, max_iter: int = MAX_POWER_STEPS) -> PerronData:
+def perron_data(matrix, tol: float = PERRON_TOL, max_iter: int = MAX_POWER_STEPS) -> PerronData:
     """Power iteration for the dominant eigenvalue pair of a primitive matrix:
     the checks, then the one-matrix call of the stacked iteration
-    _perron_stack.  Stops at |w - v|_1 <= tol or after max_iter steps."""
+    _perron_stack.  Stops at |w - v|_1 <= tol or after max_iter steps; the
+    record's spectral_gap is nan when it ran MAX_POWER_STEPS steps."""
     t = np.asarray(matrix, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ModelError("Perron data needs a square matrix")
@@ -386,16 +394,18 @@ def markov_approx(fs: FactorSystem, word) -> float:
     return math.log(scale) if scale > 0.0 else -math.inf
 
 
-def _cluster_values(values: Sequence[float], gap: float = 1e-6, spread: float = 1e-9) -> Optional[list[float]]:
-    """Group values into clusters; None when the grouping is ambiguous."""
+def _cluster_values(values: Sequence[float]) -> Optional[list[float]]:
+    """Group values into clusters, split where consecutive sorted values are
+    more than 1e-6 apart; None when the grouping is ambiguous (a cluster
+    spreads over more than 1e-9)."""
     vals = sorted(values)
     clusters: list[list[float]] = [[vals[0]]]
     for v in vals[1:]:
-        if v - clusters[-1][-1] > gap:
+        if v - clusters[-1][-1] > 1e-6:
             clusters.append([v])
         else:
             clusters[-1].append(v)
-    if any(c[-1] - c[0] > spread for c in clusters):
+    if any(c[-1] - c[0] > 1e-9 for c in clusters):
         return None
     return [math.fsum(c) / len(c) for c in clusters]
 
@@ -451,6 +461,16 @@ def _window_count(tau_q: float, a_star: float, target_error: float, most: int) -
     return k, radius(k)
 
 
+def _window_certificate(stack: np.ndarray, x: np.ndarray) -> tuple[list[float], list[float]]:
+    """The two numbers from which a strictly positive window bounds a radius,
+    for each matrix T of the (m, n, n) stack and its row of x (simplex
+    coordinates): the Birkhoff coefficient tau of T
+    (contraction_coefficients), and the projective distance of x from its
+    normalized image T x.  Each caller refuses what it cannot bound."""
+    image = normalize_rows((stack @ x[..., None])[..., 0])
+    return [c.tau for c in contraction_coefficients(stack)], projective_distances(x, image).tolist()
+
+
 def _routes(
     fs: FactorSystem,
     points: Sequence[PointSpec],
@@ -475,10 +495,10 @@ def _routes(
 
     The phase search slices each point's closed word and shares a
     pattern_primitivity memo and a word_product prefix memo over the batch.
-    Windows of one shape then take tau_q from one contraction_coefficients
-    call and a* from one stacked image (with apply_normalized's zero-row
-    refusal) and one projective_distances call: bit for bit the one-matrix
-    forms, so a route does not depend on the rest of the batch.
+    Windows of one shape then take tau_q and a* from one stacked
+    _window_certificate, after the zero-row refusal of apply_normalized:
+    bit for bit the one-matrix forms, so a route does not depend on the
+    rest of the batch.
     """
     for point in points:
         _check_point_rows(fs, point)
@@ -509,14 +529,11 @@ def _routes(
     hats = [fs.marginal_hat(b).coords for b in range(fs.target_size)]
     for group in groups.values():
         stack = np.stack([window for _, _, _, window, _ in group])
-        coefficients = contraction_coefficients(stack)
         zero_rows = np.argwhere(~(stack > 0).any(axis=2))
         if zero_rows.size:
             raise ModelError(f"matrix row {zero_rows[0, 1]} is identically zero; action refused")
-        mu = np.stack([hats[fiber] for *_, fiber in group])
-        a_stars = projective_distances(mu, normalize_rows((stack @ mu[..., None])[..., 0]))
-        for (i, a0, big_q, _, _), coefficient, a_star in zip(group, coefficients, a_stars.tolist()):
-            tau_q = coefficient.tau
+        taus, a_stars = _window_certificate(stack, np.stack([hats[fiber] for *_, fiber in group]))
+        for (i, a0, big_q, _, _), tau_q, a_star in zip(group, taus, a_stars):
             if tau_q == 1.0 and a_star > 0:
                 message = f"tail window of {big_q} steps from position {a0} has contraction 1 in double precision"
                 raise EvaluationRefused(message + ", so it bounds no radius")
@@ -1056,9 +1073,9 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     All points are taken in one batch, equal bit for bit to taking them one
     at a time: the products come from one prefix memo over the closed
     period words, each zero pattern is tested for primitivity once, and the
-    power iterations, matrix powers, normalized images and Birkhoff
-    coefficients (contraction_coefficients) run on stacks of the products
-    of one size, and the tails |M_(1:p) d_hat|_1 on one stack per shape.
+    power iterations, the matrix powers and their _window_certificate run
+    on stacks of the products of one size, and the tails |M_(1:p) d_hat|_1
+    on one stack per shape.
     """
     if any(p.preperiod for p in points):
         raise AdmissibilityError("the eigendata route needs a purely periodic point")
@@ -1078,22 +1095,19 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             by_size.setdefault(len(t), []).append((i, t, prim.exponent))
     for group in by_size.values():
         ts = np.stack([t for _, t, _ in group])
-        pds = _perron_stack(ts, 1e-13, MAX_POWER_STEPS)
+        pds = _perron_stack(ts, PERRON_TOL, MAX_POWER_STEPS)
         right = np.stack([pd.right for pd in pds])
         ratios = (ts @ right[..., None])[..., 0] / right
         inclusions = [math.log(r) for r in (ratios.max(axis=1) / ratios.min(axis=1)).tolist()]
-        # the vector term of a period p >= 2: SimplexPoint(d_hat), its image
-        # under T^exponent (apply_normalized), their projective_distance
+        # the vector term of a period p >= 2: the _window_certificate of
+        # T^exponent at d_hat
         vector_terms = [0.0] * len(group)
         exponents = np.array([e if len(points[i].period) > 1 else 0 for i, _, e in group])
         for e in sorted(set(exponents.tolist()) - {0}):
             rows = np.flatnonzero(exponents == e)
-            x = normalize_rows(right[rows])
             power = np.linalg.matrix_power(ts[rows], e)
-            y = normalize_rows((power @ x[..., None])[..., 0])
-            gaps = projective_distances(x, y).tolist()
-            for row, coefficient, gap in zip(rows.tolist(), contraction_coefficients(power), gaps):
-                vector_terms[row] = gap / (1.0 - coefficient.tau) if coefficient.tau < 1.0 else None
+            for row, tau, gap in zip(rows.tolist(), *_window_certificate(power, normalize_rows(right[rows]))):
+                vector_terms[row] = gap / (1.0 - tau) if tau < 1.0 else None
         # the tails |M_(1:p) d_hat|_1 of periods p >= 2, one product per shape
         tails = np.ones(len(group))
         rests: dict = {}
@@ -1189,7 +1203,7 @@ def canonical_extension(fs: FactorSystem, symbols: Word | Sequence[int]) -> Poin
     and hence every image edge lies on a cycle, and the last symbol of an
     admissible word leads back to its first in at most #B steps."""
     symbols = word_symbols(fs.factor_tmc, symbols)
-    return PointSpec._canonical((), symbols + _return_path(fs, symbols[-1], symbols[0]))
+    return PointSpec._absorbed((), primitive_root(symbols + _return_path(fs, symbols[-1], symbols[0])))
 
 
 def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int = 2) -> list[PointSpec]:
@@ -1242,11 +1256,10 @@ def holder_variation(
     fs: FactorSystem,
     constants: UniformConstants,
     n_max: int,
-    target_error: float = 1e-11,
 ) -> HolderReport:
     """Sample var_n psi over all words of each length up to n_max, at their
     tail_completions, joined from the completions of each one-symbol word
-    and evaluated in one batch (evaluate_many)."""
+    and evaluated in one batch (evaluate_many) to a target error of 1e-11."""
     check_sweep_depth(n_max)
     tails = {b: tail_completions(fs, (b,), 2) for b in range(fs.target_size)}
     levels = []
@@ -1255,7 +1268,7 @@ def holder_variation(
         pairs = ([PointSpec._absorbed(w[:-1] + t.preperiod, t.period) for t in tails[w[-1]]] for w in words)
         levels.append([pts for pts in pairs if len(pts) >= 2])
     unique = {p.key(): p for pairs in levels for pts in pairs for p in pts}
-    cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), target_error, constants)))
+    cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), 1e-11, constants)))
 
     level = []
     max_radius = 0.0

@@ -41,6 +41,9 @@ from .tmc import (
     word_symbols,
 )
 
+# default word length up to which check_topological_markov searches
+MARKOV_SEARCH_DEPTH = 12
+
 
 class Projection:
     """Onto map from source symbols to a strictly smaller target alphabet."""
@@ -67,17 +70,18 @@ class Projection:
 
     @classmethod
     def from_labels(cls, source: Alphabet, label_map: dict) -> "Projection":
-        """Build from {source label: target label}; target ordered by first use."""
-        target_labels: list[str] = []
-        for lab in source.labels:
-            if lab not in label_map:
-                raise ModelError(f"projection missing source symbol {lab!r}")
-            t = str(label_map[lab])
-            if t not in target_labels:
-                target_labels.append(t)
-        target = Alphabet(target_labels)
-        mapping = [target.index(str(label_map[lab])) for lab in source.labels]
-        return cls(source, target, mapping)
+        """Build from {source label: target label}, which must name every
+        source label and no other (all missing, then all unknown labels are
+        listed); target labels are str()ed and ordered by first use."""
+        missing = [x for x in source.labels if x not in label_map]
+        if missing:
+            raise ModelError(f"projection misses source symbols {missing}")
+        extra = [x for x in label_map if x not in source.labels]
+        if extra:
+            raise ModelError(f"projection names unknown source symbols {extra}")
+        targets = [str(label_map[x]) for x in source.labels]
+        target = Alphabet(list(dict.fromkeys(targets)))
+        return cls(source, target, [target.index(t) for t in targets])
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -271,7 +275,7 @@ class TopologicalMarkovVerdict(NamedTuple):
     depth: int
 
 
-def check_topological_markov(fs: FactorSystem, depth: int = 12) -> TopologicalMarkovVerdict:
+def check_topological_markov(fs: FactorSystem, depth: int = MARKOV_SEARCH_DEPTH) -> TopologicalMarkovVerdict:
     """Is the image subshift exactly the chain of the induced incidence?
 
     Row-allowable fiber blocks force every finite word of the induced chain

@@ -38,9 +38,6 @@ class Alphabet:
         except KeyError:
             raise ModelError(f"unknown symbol label {label!r}") from None
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.labels == other.labels
 
@@ -216,9 +213,6 @@ class PeriodicPoint(Word):
     @property
     def period(self) -> int:
         return len(self.symbols)
-
-    def symbol_at(self, i: int) -> int:
-        return self.symbols[i % len(self.symbols)]
 
     def canonical_rotation(self) -> tuple[int, ...]:
         """Lexicographically least rotation; identifies the orbit."""

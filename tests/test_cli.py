@@ -630,3 +630,88 @@ def test_deep_image_subshift_search_is_linear(model_paths, capsys):
         verdicts.append(out.replace(f"depth {depth} ", "depth D "))
     assert verdicts[0] == verdicts[1] == verdicts[2]
     assert "image subshift: no missing word up to depth D (undecided)" in verdicts[0]
+
+
+@pytest.mark.parametrize("key", ["incidence", "transition"])
+def test_boolean_model_matrices_are_input_errors(tmp_path, capsys, key):
+    # json reads true and false as bools, which would pass as 1.0 and 0.0
+    doc = expand_example("fullshift4")
+    if key == "incidence":
+        doc["incidence"] = [[True] * 4 for _ in range(4)]
+    else:
+        doc["transition"][0] = [True, False, False, False]
+    path = tmp_path / "bool.json"
+    dump_document(doc, str(path))
+    assert "true" in path.read_text()
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {key} entries must be numbers, not true or false\n"
+
+
+def uniform_document(edges: dict, projection: dict) -> dict:
+    """A model with uniform rows over the given successor strings."""
+    labels = list(edges)
+    return {
+        "alphabet": labels,
+        "incidence": [[int(b in edges[a]) for b in labels] for a in labels],
+        "transition": [[1.0 / len(edges[a]) if b in edges[a] else 0.0 for b in labels] for a in labels],
+        "projection": projection,
+    }
+
+
+@pytest.fixture
+def left_right_path(tmp_path):
+    """fullshift4 onto the target labels left and right."""
+    doc = expand_example("fullshift4")
+    doc["projection"] = {"a": "left", "b": "left", "c": "right", "d": "right"}
+    path = tmp_path / "left_right.json"
+    dump_document(doc, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("point", ["left/right,left", "left,/right,left", "left/,right,,left,"])
+def test_a_comma_anywhere_separates_the_labels_of_the_whole_point(left_right_path, capsys, point):
+    assert main(["potential", left_right_path, "--point", point]) == 0
+    assert capsys.readouterr().out.startswith("point: (leftright)*\n")
+
+
+def test_comma_and_character_forms_give_one_point(model_paths, capsys):
+    outputs = []
+    for point in ("c/ba", "c,/b,a", "c/b,a"):
+        assert main(["potential", model_paths["adhoc5"], "--point", point]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("point: c(ba)*\n")
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_multicharacter_labels_without_commas_are_refused(left_right_path, capsys):
+    assert main(["potential", left_right_path, "--point", "left/right"]) == 2
+    assert capsys.readouterr().err == "error: unknown symbol label 'l'\n"
+
+
+def test_check_prints_the_witness_of_a_non_markov_image(tmp_path, capsys):
+    # a -> {a, c}, b -> {a}, c -> {b}, with a, b |-> 0 and c |-> 1: block
+    # 0 -> 1 has the all-zero row b, and some image word has no preimage
+    path = str(tmp_path / "not_markov.json")
+    dump_document(uniform_document({"a": "ac", "b": "a", "c": "b"}, {"a": "0", "b": "0", "c": "1"}), path)
+    assert main(["check", path, "--depth", "12"]) == 1
+    witness = ("0",) * 9 + ("1", "0", "1")
+    assert f"image subshift: not Markov at depth 12 (witness {witness})\n" in capsys.readouterr().out
+
+
+def test_periodic_without_points_up_to_the_period(tmp_path, capsys):
+    # the image x -> y -> {x, z}, z -> x has no fixed point
+    edges = {"a": "b", "b": "ac", "c": "d", "d": "e", "e": "a"}
+    path = str(tmp_path / "no_fixed_point.json")
+    dump_document(uniform_document(edges, {"a": "x", "c": "x", "b": "y", "d": "y", "e": "z"}), path)
+    assert main(["periodic", path, "--max-period", "1"]) == 0
+    assert capsys.readouterr().out == "no periodic points with period <= 1\n"
+
+
+def test_obstruction_does_not_exclude_uniform_rows(tmp_path, capsys):
+    path = str(tmp_path / "uniform4.json")
+    dump_document(uniform_document({s: "abcd" for s in "abcd"}, {"a": "0", "b": "0", "c": "1", "d": "1"}), path)
+    assert main(["obstruction", path]) == 0
+    assert capsys.readouterr().out.endswith("verdict: finite range not excluded by this test\n")

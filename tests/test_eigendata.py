@@ -404,3 +404,30 @@ def test_cylinder_masses_equal_log_nu_cylinder(name):
         assert repr(masses[w]) == repr(log_nu_cylinder(fs, w)), w
     if name == "missing":
         assert any(masses[w] == -math.inf for w in words)
+
+
+def perron_record(second_modulus, iterations, rho=2.0):
+    return PerronData(
+        rho=np.float64(rho),
+        right=np.array([0.5, 0.5]),
+        left=np.array([1.0, 1.0]),
+        second_modulus=second_modulus,
+        residual=0.0,
+        iterations=iterations,
+    )
+
+
+def test_spectral_gap_is_the_ratio_only_after_convergence_and_below_one():
+    assert perron_record(0.5, 10).spectral_gap == 0.25
+    assert perron_record(0.0, potential.MAX_POWER_STEPS - 1).spectral_gap == 0.0
+    assert math.isnan(perron_record(0.5, potential.MAX_POWER_STEPS).spectral_gap)
+    assert math.isnan(perron_record(2.0, 10).spectral_gap)
+    assert math.isnan(perron_record(3.0, 10).spectral_gap)
+
+
+def test_spectral_gap_checks_the_module_cap_and_not_max_iter():
+    # three steps do not converge here, yet 3 < MAX_POWER_STEPS
+    t = np.array([[2.0, 1.0], [1.0, 3.0]])
+    pd = perron_data(t, max_iter=3)
+    assert pd.iterations == 3
+    assert pd.spectral_gap == pd.second_modulus / pd.rho < 1.0

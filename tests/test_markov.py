@@ -109,3 +109,20 @@ def test_cylinder_additivity(model, data):
         for b in model.tmc.successors(w.symbols[-1])
     )
     assert parts == pytest.approx(gf.cylinder_measure(model, w), rel=1e-12)
+
+
+def test_stationary_solve_is_refined_when_its_residual_is_large(monkeypatch):
+    # a solve that misses by 1e-9 leaves the refinement pass to converge
+    p, q = 0.3, 0.8
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + np.array([1e-9, -1e-9]))
+    stationary = two_state_model(p, q).stationary
+    assert np.abs(stationary - np.array([q, p]) / (p + q)).max() < 1e-14
+
+
+def test_stationary_solve_is_refused_when_refinement_fails(monkeypatch):
+    # a slowly mixing chain (|lambda_2| = 0.998) keeps most of a wrong start
+    # through the 64 refinement steps
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([1.0, 0.0]))
+    with pytest.raises(gf.ModelError, match=r"^stationary solve residual \S+ too large$"):
+        two_state_model(0.001, 0.001)

@@ -17,6 +17,7 @@ from gibbsfactor.potential import (
     canonical_extension,
     factorization_sequence,
     markov_approx,
+    _cluster_values,
     perron_data,
     tail_completions,
 )
@@ -39,6 +40,11 @@ def test_point_spec_absorbs_repeating_preperiod(adhoc5):
     pt = PointSpec(adhoc5, (0, 1), (0, 1))
     assert pt == PointSpec(adhoc5, (), (0, 1))
     assert hash(pt) == hash(PointSpec(adhoc5, (), (0, 1)))
+
+
+def test_point_spec_refuses_a_negative_shift(adhoc5):
+    with pytest.raises(gf.AdmissibilityError, match="^shift must be nonnegative$"):
+        PointSpec(adhoc5, (2,), (1, 0)).shifted(adhoc5, -1)
 
 
 def test_point_spec_symbols(adhoc5):
@@ -591,6 +597,12 @@ def test_divergence_detected_with_cluster_values(nongibbs6):
     gamma = 0.3
     assert lo == pytest.approx(math.log(5 * gamma / (5 * gamma + 1)), abs=FROZEN_ABS_TOL)
     assert hi == pytest.approx(math.log((5 * gamma + 1) / 4.0), abs=FROZEN_ABS_TOL)
+
+
+def test_cluster_values_groups_within_1e_6_and_refuses_a_spread_beyond_1e_9():
+    assert _cluster_values([1.0, 0.0, 1.0 + 5e-10]) == [0.0, 1.0 + 2.5e-10]
+    # each step is within 1e-6, so the chain forms one cluster 1.8e-6 wide
+    assert _cluster_values([0.0, 9e-7, 1.8e-6]) is None
 
 
 def test_uncertified_convergence_on_alternating_point(nongibbs6):

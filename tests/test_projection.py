@@ -340,3 +340,11 @@ def test_word_product_shares_prefixes_bit_for_bit(adhoc5):
     for word in words + words:
         assert np.array_equal(adhoc5.word_product(word, products), adhoc5.word_product(word))
     assert set(products) == {w[:j] for w in words for j in range(3, len(w) + 1)}
+
+
+def test_from_labels_refuses_missing_and_unknown_source_labels():
+    source = gf.Alphabet(["a", "b", "c"])
+    with pytest.raises(gf.ModelError, match=r"^projection misses source symbols \['a', 'c'\]$"):
+        gf.Projection.from_labels(source, {"b": "0"})
+    with pytest.raises(gf.ModelError, match=r"^projection names unknown source symbols \['z', 'y'\]$"):
+        gf.Projection.from_labels(source, {"a": "0", "z": "1", "b": "1", "c": "1", "y": "0"})

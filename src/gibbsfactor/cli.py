@@ -55,9 +55,14 @@ def _parse_point(fs: FactorSystem, text: str) -> PointSpec:
 
 
 def _point_str(fs: FactorSystem, point: PointSpec) -> str:
+    """PRE(PERIOD)*, one character per label; over an alphabet with a label
+    longer than one character the labels are joined by commas and the
+    period ends with one, so that PRE/PERIOD always reads back as the point
+    (_parse_point)."""
     labels = fs.projection.target.labels
-    pre = "".join(labels[s] for s in point.preperiod)
-    per = "".join(labels[s] for s in point.period)
+    sep = "," if any(len(label) > 1 for label in labels) else ""
+    pre = sep.join(labels[s] for s in point.preperiod)
+    per = sep.join(labels[s] for s in point.period) + sep
     return f"{pre}({per})*" if pre else f"({per})*"
 
 

@@ -154,6 +154,20 @@ def expand_example(example_id: str, gamma: Optional[float] = None) -> dict:
     raise ModelError(f"unknown example {example_id!r}; choose from {EXAMPLES}")
 
 
+def _numeric_matrix(key: str, entries) -> np.ndarray:
+    """entries as a float array.  They are converted without a dtype, so that
+    strings (dtype kind U) and null or integers beyond 64 bits (kind O) are
+    refused: a float dtype would read "0.5" as a number and overflow on
+    10**400."""
+    try:
+        matrix = np.asarray(entries)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"matrices must be numeric arrays: {exc}") from exc
+    if matrix.dtype.kind not in "biuf":
+        raise ModelError(f"{key} entries must be JSON numbers, with integers of at most 64 bits")
+    return matrix.astype(float)
+
+
 def parse_model(doc: dict) -> FactorSystem:
     """Validate a model document and build the factor system."""
     if not isinstance(doc, dict):
@@ -169,11 +183,7 @@ def parse_model(doc: dict) -> FactorSystem:
     ):
         raise ModelError("alphabet must be a nonempty list of strings")
     alphabet = Alphabet(labels)
-    try:
-        incidence = np.asarray(doc["incidence"], dtype=float)
-        transition = np.asarray(doc["transition"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"matrices must be numeric arrays: {exc}") from exc
+    incidence, transition = (_numeric_matrix(key, doc[key]) for key in ("incidence", "transition"))
     # JSON true and false would otherwise read as 1.0 and 0.0, so only a
     # matrix holding a 0 or a 1 is scanned; one that is not two-dimensional
     # is refused below

@@ -127,6 +127,8 @@ class FactorSystem:
         self.fiber_marginal = tuple(
             model.stationary[list(projection.fibers[b])] for b in range(nb)
         )
+        # log_nu_cylinders(self, n) by depth n, taken once and shared by its readers
+        self.cylinder_logs: dict[int, dict[tuple[int, ...], float]] = {}
 
     @cached_property
     def h1(self) -> "H1Report":
@@ -405,7 +407,16 @@ def log_nu_cylinder(fs: FactorSystem, word) -> float:
 
 def log_nu_cylinders(fs: FactorSystem, max_length: int) -> dict[tuple[int, ...], float]:
     """log_nu_cylinder(fs, w) for every admissible word w of length 1 ..
-    max_length, bit for bit, from one backward pass over suffixes.
+    max_length, bit for bit, from one backward pass over suffixes
+    (_cylinder_pass), taken once per system and depth: later calls return
+    the same dict from fs.cylinder_logs, which its readers do not change."""
+    if max_length not in fs.cylinder_logs:
+        fs.cylinder_logs[max_length] = _cylinder_pass(fs, max_length)
+    return fs.cylinder_logs[max_length]
+
+
+def _cylinder_pass(fs: FactorSystem, max_length: int) -> dict[tuple[int, ...], float]:
+    """The masses of log_nu_cylinders, from one backward pass over suffixes.
 
     The words of one length are the words one shorter extended on the left;
     backward_step takes the normalized images of all of them at once, and

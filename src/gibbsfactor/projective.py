@@ -112,7 +112,9 @@ def contraction_coefficients(stack: np.ndarray) -> list[ContractionCoefficient]:
     the same bit for bit whatever else is in the stack: the logs are
     elementwise and the minima and maxima exact.  The matrices are taken in
     chunks whose log cross-ratio array holds at most
-    max(r*r*c, STACK_DOUBLES) doubles."""
+    max(r*r*c, STACK_DOUBLES) doubles; every chunk writes it into one buffer
+    allocated per call, as a fresh array per chunk would cost an allocation
+    of that size each time."""
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.size == 0:
         raise ModelError("contraction coefficient needs a nonempty matrix")
@@ -121,7 +123,8 @@ def contraction_coefficients(stack: np.ndarray) -> list[ContractionCoefficient]:
     if (stack < 0).any():
         raise ModelError("contraction coefficient is defined for nonnegative matrices")
     m, r, c = stack.shape
-    chunk = max(1, STACK_DOUBLES // (r * r * c))
+    chunk = min(m, max(1, STACK_DOUBLES // (r * r * c)))
+    buffer = np.empty((chunk, c, r, r))
     log_phi: list[float] = []
     # a zero entry T(e, c) makes M[e, e] = min_c (-inf - -inf), so log Phi is
     # nan exactly for the matrices with a zero entry, which get tau 1; + 0.0
@@ -130,7 +133,8 @@ def contraction_coefficients(stack: np.ndarray) -> list[ContractionCoefficient]:
         for start in range(0, m, chunk):
             logs = np.log(stack[start : start + chunk]).transpose(0, 2, 1)
             # M[e, f] = min_c (L[e, c] - L[f, c]), c the outer axis
-            mins = (logs[:, :, :, None] - logs[:, :, None, :]).min(axis=1)
+            diffs = np.subtract(logs[:, :, :, None], logs[:, :, None, :], out=buffer[: len(logs)])
+            mins = diffs.min(axis=1)
             log_phi += (mins + mins.transpose(0, 2, 1)).reshape(len(logs), -1).min(axis=1).tolist()
     tau_one = ContractionCoefficient(tau=1.0, phi=0.0)
     return [

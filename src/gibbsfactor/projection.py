@@ -72,7 +72,9 @@ class Projection:
     def from_labels(cls, source: Alphabet, label_map: dict) -> "Projection":
         """Build from {source label: target label}, which must name every
         source label and no other (all missing, then all unknown labels are
-        listed); target labels are str()ed and ordered by first use."""
+        listed); target labels are str()ed and ordered by first use, and
+        must be nonempty and hold no '/' or ',', the separators of a printed
+        point, so that every printed point reads back."""
         missing = [x for x in source.labels if x not in label_map]
         if missing:
             raise ModelError(f"projection misses source symbols {missing}")
@@ -80,7 +82,11 @@ class Projection:
         if extra:
             raise ModelError(f"projection names unknown source symbols {extra}")
         targets = [str(label_map[x]) for x in source.labels]
-        target = Alphabet(list(dict.fromkeys(targets)))
+        labels = list(dict.fromkeys(targets))
+        unreadable = [t for t in labels if not t or "/" in t or "," in t]
+        if unreadable:
+            raise ModelError(f"target labels must be nonempty and hold no '/' or ',': {unreadable}")
+        target = Alphabet(labels)
         return cls(source, target, [target.index(t) for t in targets])
 
     def __repr__(self) -> str:

@@ -7,7 +7,6 @@ integer indices internally; labels only appear at the API boundary.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -265,24 +264,3 @@ def enumerate_periodic(tmc: Tmc, p_max: int) -> list[PeriodicPoint]:
             pt.symbols = symbols
             points.append(pt)
     return points
-
-
-def sequence_metric(prefix_a: Sequence, prefix_b: Sequence, factor_size: int, *, equal: bool = False) -> float:
-    """Distance exp(-j / (2 (#B + 1))) where j is the first disagreement.
-
-    ``equal=True`` declares the two sequences equal and returns 0.0.  If the
-    prefixes agree on their whole common length without that declaration the
-    first disagreement cannot be located and an error is raised.
-    """
-    if factor_size < 2:
-        raise ModelError("factor alphabet size must be >= 2")
-    if equal:
-        return 0.0
-    common = min(len(prefix_a), len(prefix_b))
-    for j in range(common):
-        if prefix_a[j] != prefix_b[j]:
-            return math.exp(-j / (2.0 * (factor_size + 1)))
-    raise AdmissibilityError(
-        "prefixes agree on their common length; distance undetermined "
-        "(pass equal=True for equal sequences or supply longer prefixes)"
-    )

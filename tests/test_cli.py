@@ -731,6 +731,20 @@ def test_printed_single_character_points_read_back(model_paths, capsys):
     assert read_back(model_paths["fullshift4"], capsys, "/0") == ("(0)*", True)
 
 
+@pytest.mark.parametrize("label", ["x/y", "x,y", ""])
+def test_target_labels_that_would_not_read_back_are_refused(tmp_path, capsys, label):
+    # printed as (x/y,)*, (x,y,)* or ()*: the first two read back as other
+    # labels, and over "" two different points print alike
+    doc = expand_example("fullshift4")
+    doc["projection"] = {"a": label, "b": label, "c": "1", "d": "1"}
+    path = str(tmp_path / "labels.json")
+    dump_document(doc, path)
+    assert main(["periodic", path, "--max-period", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: target labels must be nonempty and hold no '/' or ',': [{label!r}]\n"
+
+
 @pytest.mark.parametrize("key", ["incidence", "transition"])
 @pytest.mark.parametrize("entry", [10**400, "0.5", "1", None])
 def test_non_numeric_model_entries_are_input_errors(tmp_path, capsys, key, entry):

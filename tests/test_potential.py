@@ -15,7 +15,6 @@ from gibbsfactor.potential import (
     _window_search,
     _psi_sequence,
     canonical_extension,
-    factorization_sequence,
     markov_approx,
     _cluster_values,
     perron_data,
@@ -693,37 +692,6 @@ def test_tail_completions_distinct_points_sharing_prefix(adhoc5):
     assert pts[0] != pts[1]
     for pt in pts:
         assert pt.symbols(1) == (0,)
-
-
-# --------------------------------------------------- factorization sequence
-
-
-def test_factorization_sequence_simple():
-    pairs = factorization_sequence((0, 1, 0, 2, 1, 1), 2)
-    # windows of length 3: (0,1,0) repeats symbol 0; (2,1,1) repeats symbol 1
-    assert pairs == ((0, 2), (4, 5))
-
-
-def test_factorization_sequence_rejects_short_prefix():
-    with pytest.raises(gf.AdmissibilityError):
-        factorization_sequence((0, 1), 2)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_factorization_sequence_pigeonhole_properties(data):
-    size = data.draw(st.integers(2, 4))
-    n = data.draw(st.integers(size + 1, 6 * size))
-    prefix = tuple(data.draw(st.integers(0, size - 1)) for _ in range(n))
-    pairs = factorization_sequence(prefix, size)
-    w = size + 1
-    assert len(pairs) == n // w
-    prev_l = -1
-    for k, (m, l) in enumerate(pairs):
-        assert k * w <= m < l < (k + 1) * w
-        assert prefix[m] == prefix[l]
-        assert m > prev_l  # consecutive pairs never overlap
-        prev_l = l
 
 
 # ------------------------------------------------------- variation sampling

@@ -41,6 +41,15 @@ def test_from_labels_orders_target_by_first_use():
     assert proj.fibers == ((0, 4), (1, 3), (2,))
 
 
+def test_from_labels_refuses_target_labels_a_point_name_cannot_hold():
+    source = gf.Alphabet(["a", "b", "c"])
+    with pytest.raises(gf.ModelError, match=r"^target labels must be nonempty and hold no '/' or ',': \['', 'x,y'\]$"):
+        gf.Projection.from_labels(source, {"a": "", "b": "x,y", "c": ""})
+    with pytest.raises(gf.ModelError, match=r"\['x/y'\]$"):
+        gf.Projection.from_labels(source, {"a": "0", "b": "x/y", "c": "0"})
+    assert gf.Projection.from_labels(source, {"a": "x.y", "b": " ", "c": " "}).target.labels == ("x.y", " ")
+
+
 def test_induced_incidence_adhoc5(adhoc5):
     # collapsing the five-symbol graph yields a -> {b, c}, b -> {a}, c -> {b}
     expected = np.array([[0, 1, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int8)

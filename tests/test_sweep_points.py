@@ -1,9 +1,13 @@
 """The points of the Gibbs and Hölder sweeps, built by table lookup, against
 the searches they replaced: the depth-first tail_completions walk and
 canonical_extension(fs, w).shifted(fs, j), kept below as reference oracles
-that build every point through the validating PointSpec constructor."""
+that build every point through the validating PointSpec constructor; and the
+sweeps' reports, read from index tables, against the per-key loops they
+replaced."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from gibbsfactor import gibbs, potential
 from gibbsfactor.gibbs import _extension_shifts
 from gibbsfactor.models import EXAMPLES
 from gibbsfactor.potential import PointSpec, _return_path, canonical_extension, tail_completions
+from gibbsfactor.projection import log_nu_cylinders
+from gibbsfactor.tmc import primitive_root
 
 from test_potential import sparse_model
 
@@ -111,9 +117,23 @@ def reducible_system():
     return gf.build_factor_system(model, proj)
 
 
+def split_system():
+    """Two closed source classes, {s0, s1} onto 0 and {s2, s3} onto 1: the
+    image is two fixed points, so no word has two tail completions and every
+    level of the Hölder sweep is empty."""
+    alph = gf.Alphabet([f"s{i}" for i in range(4)])
+    inc = np.zeros((4, 4), dtype=int)
+    inc[:2, :2] = 1
+    inc[2:, 2:] = 1
+    model = gf.MarkovModel(gf.Tmc(alph, inc), inc / 2.0, stationary=np.full(4, 0.25))
+    proj = gf.Projection.from_labels(alph, {"s0": "0", "s1": "0", "s2": "1", "s3": "1"})
+    return gf.build_factor_system(model, proj)
+
+
 SYSTEMS = {name: (lambda name=name: gf.example_system(name)) for name in EXAMPLES}
 SYSTEMS.update({f"sparse{seed}": (lambda seed=seed: sparse_model(seed)) for seed in range(40)})
 SYSTEMS["reducible"] = reducible_system
+SYSTEMS["split"] = split_system
 
 
 def words(fs, max_length=MAX_LENGTH):
@@ -138,16 +158,19 @@ def test_tail_completions_equal_the_depth_first_walk(name):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_extension_shifts_equal_the_shifted_extensions(name):
     fs = SYSTEMS[name]()
-    levels = _extension_shifts(fs, MAX_LENGTH - 1)
-    assert [[word.symbols for word, _ in level] for level in levels] == [
+    points, levels = _extension_shifts(fs, MAX_LENGTH - 1)
+    assert [level_words for level_words, _ in levels] == [
         [w for w in words(fs) if len(w) == n + 1] for n in range(MAX_LENGTH)
     ]
-    for n, level in enumerate(levels):
-        for word, got in level:
-            ext = oracle_canonical_extension(fs, word.symbols)
+    assert len(set(keys(points))) == len(points)
+    for n, (level_words, at) in enumerate(levels):
+        assert at.shape == (len(level_words), n + 1)
+        for w, row in zip(level_words, at):
+            got = [points[i].key() for i in row]
+            ext = oracle_canonical_extension(fs, w)
             want = [oracle_shifted(fs, ext, j) for j in range(n + 1)]
-            assert got == keys(want), word.symbols
-            assert keys(canonical_extension(fs, word.symbols).shifted(fs, j) for j in range(n + 1)) == got
+            assert got == keys(want), w
+            assert keys(canonical_extension(fs, w).shifted(fs, j) for j in range(n + 1)) == got
 
 
 @pytest.mark.parametrize("name", ["adhoc5", "converse_false", "reducible", "sparse3"])
@@ -222,3 +245,140 @@ def test_holder_batch_is_in_first_seen_order(monkeypatch, adhoc5, adhoc5_constan
                 want.setdefault(p.key())
     seen = batches(monkeypatch, potential, lambda: gf.holder_variation(adhoc5, adhoc5_constants, n_max))
     assert seen == [list(want)]
+
+
+# ------------------------------------------- the sweeps' per-key loops
+# bgi_sweep and holder_variation as they were before their points became
+# an index table: one (preperiod, period) key per shift or completion, a
+# cache from key to evaluation, and one Python loop per word and shift.
+
+
+def reference_extension_shifts(fs, n_max):
+    levels = []
+    for n in range(n_max + 1):
+        level = []
+        for word in gf.enumerate_words(fs.factor_tmc, n + 1):
+            w = word.symbols
+            period = primitive_root(w + _return_path(fs, w[-1], w[0]))
+            rotations = [((), period[r:] + period[:r]) for r in range(min(len(period), n + 1))]
+            level.append((word, [rotations[j % len(period)] for j in range(n + 1)]))
+        levels.append(level)
+    return levels
+
+
+def reference_bgi_sweep(fs, n_max, constants=None):
+    horizon = max(gibbs.PROXY_HORIZON_MIN, 2 * (n_max + 2))
+    levels = reference_extension_shifts(fs, n_max)
+    distinct = dict.fromkeys(k for level in levels for _, shift_keys in level for k in shift_keys)
+    unique = {k: PointSpec._absorbed(*k) for k in distinct}
+    cache = dict(zip(unique, gf.evaluate_many(fs, list(unique.values()), potential.DEFAULT_TARGET_ERROR, constants)))
+    diverged = [k for k, ev in cache.items() if ev.mode == "diverged"]
+    proxies = {k: gf.markov_approx(fs, unique[k].symbols(horizon + 1)) for k in diverged}
+    log_nu = log_nu_cylinders(fs, n_max + 1)
+    rows = []
+    for n, level in enumerate(levels):
+        log_r_min, log_r_max = math.inf, -math.inf
+        max_radius = 0.0
+        level_proxied = False
+        for word, shift_keys in level:
+            total = 0.0
+            for k in shift_keys:
+                if k in proxies:
+                    total += proxies[k]
+                    level_proxied = True
+                else:
+                    total += cache[k].value
+                    max_radius = max(max_radius, cache[k].error_radius)
+            log_r = log_nu[word.symbols] - total
+            log_r_min = min(log_r_min, log_r)
+            log_r_max = max(log_r_max, log_r)
+        k_emp = max(abs(log_r_min), abs(log_r_max))
+        if constants is not None and not level_proxied:
+            slack = (n + 1) * max_radius + constants.c_total / (1.0 - constants.theta)
+            k_cert = constants.k_gibbs
+            verdict = "pass" if k_emp <= k_cert + slack else "fail"
+        else:
+            slack = k_cert = math.nan
+            verdict = "uncertified"
+        rows.append(
+            gibbs.BgiRow(n, len(level), math.exp(log_r_min), math.exp(log_r_max), k_emp, k_cert, slack, verdict)
+        )
+    stand_in = f"potential diverges at some points; a depth-{horizon} finite-range stand-in was used there"
+    return gibbs.BgiReport(
+        rows=tuple(rows),
+        certified=constants is not None and all(r.verdict != "uncertified" for r in rows),
+        proxy_points=len(proxies),
+        notes=(stand_in,) if proxies else (),
+    )
+
+
+def reference_holder_variation(fs, constants, n_max):
+    tails = {b: tail_completions(fs, (b,), 2) for b in range(fs.target_size)}
+    levels = []
+    for n in range(n_max + 1):
+        ws = (word.symbols for word in gf.enumerate_words(fs.factor_tmc, n + 1))
+        pairs = ([PointSpec._absorbed(w[:-1] + t.preperiod, t.period) for t in tails[w[-1]]] for w in ws)
+        levels.append([pts for pts in pairs if len(pts) >= 2])
+    unique = {p.key(): p for pairs in levels for pts in pairs for p in pts}
+    cache = dict(zip(unique, gf.evaluate_many(fs, list(unique.values()), 1e-11, constants)))
+    level = []
+    max_radius = 0.0
+    for pairs in levels:
+        worst = 0.0
+        for pts in pairs:
+            ev = [cache[p.key()] for p in pts]
+            max_radius = max(max_radius, *(e.error_radius for e in ev))
+            worst = max(worst, abs(ev[0].value - ev[1].value))
+        level.append(worst)
+    var = list(level)
+    for n in range(n_max - 1, -1, -1):
+        var[n] = max(var[n], var[n + 1])
+    bound = [constants.c_total * constants.theta**n + 2.0 * max_radius for n in range(n_max + 1)]
+    floor = max(100.0 * max_radius, 1e-12)
+    pts = [(n, math.log(v)) for n, v in enumerate(var) if v > floor]
+    fitted = None
+    if len(pts) >= 3:
+        slope = np.polyfit(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]), 1)[0]
+        fitted = float(np.exp(slope))
+    return potential.HolderReport(
+        var=tuple(var),
+        level_spread=tuple(level),
+        bound=tuple(bound),
+        bound_ok=all(v <= b for v, b in zip(var, bound)),
+        fitted_rate=fitted,
+        theta=constants.theta,
+        exponent=constants.holder_exponent,
+        max_eval_radius=max_radius,
+    )
+
+
+def constants_or_none(fs):
+    try:
+        return gf.uniform_constants(fs)
+    except gf.CertificationError:
+        return None
+
+
+def outcome(sweep, *args):
+    """The repr of the sweep's report, or of the evaluation it refuses."""
+    try:
+        return repr(sweep(*args))
+    except gf.EvaluationRefused as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_sweeps_equal_the_per_key_loops(name):
+    fs = SYSTEMS[name]()
+    constants = constants_or_none(fs)
+    for n_max in (0, 3, 7):
+        assert outcome(gf.bgi_sweep, fs, n_max, constants) == outcome(reference_bgi_sweep, fs, n_max, constants)
+        if constants is not None:
+            got = outcome(gf.holder_variation, fs, constants, n_max)
+            assert got == outcome(reference_holder_variation, fs, constants, n_max)
+
+
+def test_fullshift4_sweeps_at_depth_10_equal_the_per_key_loops(fullshift4, fullshift4_constants):
+    fs, constants = fullshift4, fullshift4_constants
+    assert repr(gf.bgi_sweep(fs, 10, constants)) == repr(reference_bgi_sweep(fs, 10, constants))
+    assert repr(gf.holder_variation(fs, constants, 10)) == repr(reference_holder_variation(fs, constants, 10))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbsfactor as gf
-from gibbsfactor.tmc import PeriodicPoint, primitive_root, sequence_metric, word_symbols
+from gibbsfactor.tmc import PeriodicPoint, primitive_root, word_symbols
 
 
 def golden_mean_tmc():
@@ -151,32 +151,6 @@ def test_allows_is_the_incidence_entry():
                 allowed = tmc.allows(a, b)
                 assert type(allowed) is bool
                 assert allowed == bool(tmc.incidence[a, b])
-
-
-def test_sequence_metric_basics():
-    assert sequence_metric((0, 1), (1, 1), 2) == 1.0
-    d1 = sequence_metric((0, 1, 0), (0, 1, 1), 2)
-    d2 = sequence_metric((0, 1, 0, 1), (0, 1, 0, 0), 2)
-    assert d2 < d1 < 1.0
-    assert sequence_metric((0, 1), (0, 1), 2, equal=True) == 0.0
-
-
-def test_sequence_metric_refuses_undecided_prefixes():
-    with pytest.raises(gf.AdmissibilityError):
-        sequence_metric((0, 1), (0, 1, 0), 2)
-
-
-@given(st.integers(0, 50), st.integers(0, 50), st.integers(2, 6))
-def test_sequence_metric_is_ultrametric_scale(j, k, nb):
-    # agreement depth j gives exp(-j / (2 (nb+1))), decreasing in j
-    a = tuple([0] * j + [1])
-    b = tuple([0] * j + [2])
-    d = sequence_metric(a, b, nb)
-    assert d == pytest.approx(np.exp(-j / (2.0 * (nb + 1))))
-    if k > j:
-        a2 = tuple([0] * k + [1])
-        b2 = tuple([0] * k + [2])
-        assert sequence_metric(a2, b2, nb) < d
 
 
 @settings(max_examples=60)

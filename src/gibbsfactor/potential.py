@@ -23,19 +23,14 @@ from .errors import (
     EvaluationRefused,
     ModelError,
 )
-from .projection import (
-    FactorSystem,
-    backward_step,
-    backward_transfer,
-    forward_step,
-    gathered_step,
-)
+from .projection import FactorSystem, backward_step, backward_transfer, gathered_step
 from .projective import (
+    STACK_DOUBLES,
     contraction_coefficients,
     normalize_rows,
     projective_distances,
 )
-from .tmc import Word, enumerate_words, pattern_primitivity, primitive_root, word_symbols
+from .tmc import Word, check_primitivity, enumerate_words, pattern_primitivity, primitive_root, word_symbols
 
 DEFAULT_TARGET_ERROR = 1e-10
 # deepest level an evaluation route goes to
@@ -356,28 +351,25 @@ def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
 
 
 def _psi_sequence(fs: FactorSystem, point: PointSpec, n_hi: int) -> np.ndarray:
-    """psi_1 .. psi_n_hi via forward row accumulation with rescaling.
+    """psi_1 .. psi_n_hi via forward row accumulation with rescaling, on the
+    padded vectors and blocks of fs.padded_stack.
 
     Independent of the backward route; the two agree to rounding, which the
     tests use as a consistency check.
     """
+    blocks, marginals, ones = fs.padded_stack
+    x = point.symbols(n_hi + 2)
     out = np.empty(n_hi)
-    u = np.ones(len(fs.fiber_marginal[point.symbol_at(0)]))
-    u = u @ fs.weight(point.symbol_at(0), point.symbol_at(1))
-    u_log = math.log(u.sum())
-    u = u / u.sum()
-    w = np.ones(len(fs.fiber_marginal[point.symbol_at(1)]))
-    w_log = 0.0
+    u, u_log, w, w_log = ones[x[0]], 0.0, ones[x[1]], 0.0
     for n in range(1, n_hi + 1):
-        mu = fs.fiber_marginal[point.symbol_at(n)]
+        u = u @ blocks[x[n - 1], x[n]]
+        s = u.sum()
+        u_log += math.log(s)
+        u = u / s
+        mu = marginals[x[n]]
         out[n - 1] = (u_log + math.log(u @ mu)) - (w_log + math.log(w @ mu))
         if n < n_hi:
-            step = fs.weight(point.symbol_at(n), point.symbol_at(n + 1))
-            u = u @ step
-            s = u.sum()
-            u_log += math.log(s)
-            u = u / s
-            w = w @ step
+            w = w @ blocks[x[n], x[n + 1]]
             s = w.sum()
             w_log += math.log(s)
             w = w / s
@@ -570,10 +562,11 @@ def _result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
     for m in [q * k for k in range(1, 7)]:
         if m * samples * 2 > n_scan - t0:
             break
-        subs = [values[t0 + r :: m][-samples:] for r in range(m)]
-        if any(len(sub) < samples or sub.max() - sub.min() > 1e-9 for sub in subs):
+        # column j holds the last samples values of one residue mod m
+        block = values[-samples * m :].reshape(samples, m)
+        if (block.max(axis=0) - block.min(axis=0) > 1e-9).any():
             continue
-        clusters = _cluster_values([float(sub[-1]) for sub in subs])
+        clusters = _cluster_values(block[-1].tolist())
         if clusters is None:
             continue
         if len(clusters) >= 2:
@@ -659,14 +652,14 @@ def evaluate_many(
     psi_n of the certified and window-route points in one staggered
     backward pass (_lockstep_scales, one gathered product per pair of
     fiber-size classes and one row per shared tail), the value sequences of
-    the scan-route points in one forward pass with one row per distinct
-    point of the batch and of its shifts, whose logs are taken once at the
-    end (_lockstep_sequences).  The backward pass drops a point's row
-    once it repeats bit for bit at a lag of whole periods and takes it up
-    again at the last level of the repeat, so psi_n costs about the levels
-    before the repeat; the value and terms_used are those of the full depth
-    n.  Each point's evaluation is the same, bit for bit, whatever else is
-    in the batch.
+    the scan-route points in one forward pass with one padded row per
+    distinct point of the batch and of its shifts and one gathered product
+    per level, whose logs are taken once at the end (_lockstep_sequences).
+    The backward pass drops a point's row once it repeats bit for bit at a
+    lag of whole periods and takes it up again at the last level of the
+    repeat, so psi_n costs about the levels before the repeat; the value
+    and terms_used are those of the full depth n.  Each point's evaluation
+    is the same, bit for bit, whatever else is in the batch.
     """
     check_target_error(target_error)
     routes = _routes(fs, points, target_error, constants)
@@ -885,15 +878,16 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
 
 def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: Sequence[int]) -> list[np.ndarray]:
     """_psi_sequence(fs, p, n) for every point p and its length n, in one
-    forward pass to max(lengths) with one row per distinct point y of the
-    batch and of its shifts: ones on the fiber of y0 at level 0, stepped and
-    rescaled at each level.  With A(y, k) = log nu[y0..yk] read off level k,
-    psi_n(x) = A(x, n) - A(sx, n - 1) for the shift sx, whose row at level
-    n - 1 is _psi_sequence's w row of x at level n, from the same steps.
-    The logs are deferred: the row sums (1.0 at level 0) and marginal dots
-    go into (levels + 1, rows) arrays, math.log is taken per entry and
-    np.add.accumulate adds along the levels from 0.0 in _psi_sequence's
-    order, so the values agree bit for bit.  One point takes _psi_sequence."""
+    forward pass to max(lengths) with one padded row (fs.padded_stack) per
+    distinct point y of the batch and of its shifts: ones on the fiber of y0
+    at level 0, stepped by one gathered product per level (in chunks of at
+    most STACK_DOUBLES block doubles) and rescaled.  With A(y, k) =
+    log nu[y0..yk] read off level k, psi_n(x) = A(x, n) - A(sx, n - 1) for
+    the shift sx, whose row at level n - 1 is _psi_sequence's w row of x at
+    level n, from the same steps.  The logs are deferred: the row sums (1.0
+    at level 0) and marginal dots fill one row per level of two arrays,
+    math.log is taken per entry and np.add.accumulate adds along the levels
+    from 0.0 in _psi_sequence's order, so the values agree bit for bit."""
     if not points:
         return []
     if len(points) == 1:
@@ -901,20 +895,22 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     shifted = [p.shifted(fs) for p in points]
     row_of = {p: i for i, p in enumerate(dict.fromkeys([*points, *shifted]))}
     column = _symbol_column(list(row_of))
+    blocks, marginals, ones = fs.padded_stack
+    chunk = max(1, STACK_DOUBLES // blocks[0, 0].size)
     levels = max(lengths)
     sums = np.ones((levels + 1, len(row_of)))
     dots = np.empty((levels + 1, len(row_of)))
-    ids = [np.flatnonzero(column(0) == b) for b in range(fs.target_size)]
-    rows = [np.ones((len(i), len(mu))) for i, mu in zip(ids, fs.fiber_marginal)]
+    after = column(0)
+    rows = ones[after]
     for k in range(levels + 1):
         if k:
-            rows, ids = forward_step(fs, rows, ids, column(k))
-            for b, r in enumerate(rows):
-                s = r.sum(axis=1)
-                sums[k, ids[b]] = s
-                rows[b] = r / s[:, None]
-        for b, mu in enumerate(fs.fiber_marginal):
-            dots[k, ids[b]] = (rows[b][:, None, :] @ mu[:, None])[:, 0, 0]
+            before, after = after, column(k)
+            at = [slice(j, j + chunk) for j in range(0, len(rows), chunk)]
+            rows = np.concatenate([rows[j, None] @ blocks[before[j], after[j]] for j in at])[:, 0]
+            s = np.add.reduce(rows, axis=1)
+            rows = rows / s[:, None]
+            sums[k] = s
+        dots[k] = _dots(rows, marginals[after])
     logs = [np.fromiter(map(math.log, a.ravel().tolist()), float, a.size).reshape(a.shape) for a in (sums, dots)]
     total = np.add.accumulate(logs[0], axis=0) + logs[1]
     return [total[1 : n + 1, row_of[p]] - total[:n, row_of[sp]] for p, sp, n in zip(points, shifted, lengths)]
@@ -988,12 +984,15 @@ def _window_search(fs: FactorSystem) -> tuple[int, dict]:
 def uniform_constants(fs: FactorSystem) -> UniformConstants:
     """Certification constants valid at every point of the image shift.
 
-    Requires row-allowable fiber blocks and orbit-level positivity of short
+    Requires a primitive image incidence (on a reducible image k_gibbs can
+    read 0), row-allowable fiber blocks and orbit-level positivity of short
     cycle products.  Certification then searches for the smallest window
     length W (_window_search); tau is the worst Birkhoff coefficient over
     its positive blocks and all other constants follow the closed formulas;
     d_const is taken level by level over word suffixes.
     """
+    if not check_primitivity(fs.factor_tmc).primitive:
+        raise CertificationError("the image incidence is not primitive")
     h1 = fs.h1
     if not h1.passed:
         raise CertificationError(

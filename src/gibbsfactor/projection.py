@@ -12,9 +12,7 @@ all words of one length.  gathered_step takes it for all points of
 evaluate_many in lockstep, one depth level at a time and one stacked
 product per pair of fiber-size classes.  Both skip the levels over which a
 point's row repeats bit for bit, so their values equal backward_transfer's
-at the full depth.  forward_step is its mirror image,
-one row vector per point times a block, with which evaluate_many scans the
-value sequences of points without a positive tail window.  The two hypotheses
+at the full depth.  The two hypotheses
 checked here (row-allowability of every fiber block, and positivity of
 one-period products over short cycles) are what later certify that this
 induced measure admits a regular potential.
@@ -182,6 +180,23 @@ class FactorSystem:
         for (b0, b1), w in self.fiber_weight.items():
             stacks[class_of[b1]][class_of[b0]][slot[b0, b1]] = w
         return class_of, slot, stacks
+
+    @cached_property
+    def padded_stack(self) -> tuple:
+        """(blocks, marginals, ones) for the forward scan, built on first use,
+        each fiber vector zero-padded to the widest fiber's size S: W_{b0 b1}
+        at the top left of blocks[b0, b1] (all zeros if b0 -> b1 is not
+        allowed), fiber_marginal[b] in marginals[b], ones on fiber b in
+        ones[b].  Padded products round otherwise than unpadded ones in the
+        last bits where fibers differ in size."""
+        sizes = np.array([len(f) for f in self.projection.fibers])
+        blocks = np.zeros((len(sizes), len(sizes), sizes.max(), sizes.max()))
+        for (b0, b1), w in self.fiber_weight.items():
+            blocks[b0, b1, : sizes[b0], : sizes[b1]] = w
+        ones = (np.arange(sizes.max()) < sizes[:, None]).astype(float)
+        marginals = np.zeros_like(ones)
+        marginals[ones > 0] = np.concatenate(self.fiber_marginal)
+        return blocks, marginals, ones
 
     def word_product(self, symbols: Sequence[int], products: Optional[dict] = None) -> np.ndarray:
         """Product of fiber weight matrices along a factor word (length >= 2),
@@ -387,22 +402,6 @@ def gathered_step(fs: FactorSystem, rows: list, ids: list, before, after) -> tup
             taken[c0].append(i)
     rows = [p[0] if len(p) == 1 else np.concatenate(p) for p in parts]
     return rows, [t[0] if len(t) == 1 else np.concatenate(t) for t in taken]
-
-
-def forward_step(fs: FactorSystem, rows: list, ids: list, column) -> tuple:
-    """backward_step mirrored: rows[b] stacks the (m, len(fiber b)) row
-    vectors of the points ids[b], one row per point; the row of point i is
-    multiplied by W_{b column[i]} on the right and moves to fiber column[i],
-    with its id.  (V[:, None, :] @ W)[:, 0], one (1, s) @ (s, t) product per
-    row, repeats the one-point v @ W bit for bit.  Returns the new
-    (rows, ids), stacked in fs.fiber_weight order."""
-    parts: list[list[np.ndarray]] = [[] for _ in rows]
-    taken: list[list[np.ndarray]] = [[] for _ in rows]
-    for (b0, b1), w in fs.fiber_weight.items():
-        pick = column[ids[b0]] == b1
-        parts[b1].append((rows[b0][pick][:, None, :] @ w)[:, 0])
-        taken[b1].append(ids[b0][pick])
-    return [np.concatenate(p) for p in parts], [np.concatenate(t) for t in taken]
 
 
 def log_nu_cylinder(fs: FactorSystem, word) -> float:

@@ -25,7 +25,7 @@ from gibbsfactor.potential import (
     evaluate,
     evaluate_many,
 )
-from gibbsfactor.projection import backward_transfer, forward_step
+from gibbsfactor.projection import backward_transfer
 
 from test_golden_cli import wide12_document
 from test_potential import random_certified_system
@@ -187,9 +187,30 @@ def test_staggered_scales_equal_backward_transfer(name):
     assert scales.tolist() == [float(x) for x in expected]
 
 
-@pytest.mark.parametrize("name", ["adhoc5", "nongibbs6", "wide12"])
+def mixed13_document() -> dict:
+    """Full 13-shift onto 2 symbols with fibers of 10 and 3, in closed form:
+    P[i, j] is proportional to 1 + (5i + 3j) mod 7.  numpy's pairwise sum
+    adds a row wider than 8 in eight interleaved partial sums, not left to
+    right, so the rows of 10 pin that the batch's row sums add as the one
+    point's u.sum() does, and the 3-wide rows are padded to 10."""
+    labels = [f"s{i}" for i in range(13)]
+    rows = [[1.0 + (5 * i + 3 * j) % 7 for j in range(13)] for i in range(13)]
+    return {
+        "alphabet": labels,
+        "incidence": [[1] * 13 for _ in range(13)],
+        "transition": [[x / sum(row) for x in row] for row in rows],
+        "projection": {lab: "0" if i < 10 else "1" for i, lab in enumerate(labels)},
+    }
+
+
+def forward_system(name):
+    documents = {"wide12": wide12_document, "mixed13": mixed13_document}
+    return gf.parse_model(documents[name]()) if name in documents else gf.example_system(name)
+
+
+@pytest.mark.parametrize("name", ["adhoc5", "nongibbs6", "wide12", "mixed13"])
 def test_forward_lockstep_equals_psi_sequence(name):
-    fs = gf.parse_model(wide12_document()) if name == "wide12" else gf.example_system(name)
+    fs = forward_system(name)
     rng = np.random.default_rng(27)
     points = [random_point(fs, rng, int(rng.integers(0, 8))) for _ in range(30)]
     lengths = [int(n) for n in rng.integers(1, 120, size=len(points))]
@@ -257,18 +278,64 @@ def test_forward_lockstep_when_the_shift_is_much_shorter_or_longer(name):
 
 
 def test_shift_closed_batch_steps_one_row_per_point(monkeypatch):
+    # every row of the pass is a point whose symbols _symbol_column reads
     fs = gf.example_system("nongibbs6")
     points = periodic_batch(fs, 5)
-    stepped = []
+    tabled = []
 
-    def counted(fs, rows, ids, column):
-        # row vectors, whatever the stacking
-        stepped.append(sum(r.size // r.shape[-1] for r in rows))
-        return forward_step(fs, rows, ids, column)
+    def counted(rows):
+        tabled.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(potential, "forward_step", counted)
+    real = potential._symbol_column
+    monkeypatch.setattr(potential, "_symbol_column", counted)
     _lockstep_sequences(fs, points, [40] * len(points))
-    assert stepped == [len(points)] * 40
+    assert tabled == [len(points)]
+
+
+def reference_psi_sequence(fs, point, n_hi):
+    """_psi_sequence on unpadded vectors: the fiber weight blocks and
+    marginals as they are, one step per level."""
+    out = np.empty(n_hi)
+    u = np.ones(len(fs.fiber_marginal[point.symbol_at(0)]))
+    u = u @ fs.weight(point.symbol_at(0), point.symbol_at(1))
+    u_log = math.log(u.sum())
+    u = u / u.sum()
+    w = np.ones(len(fs.fiber_marginal[point.symbol_at(1)]))
+    w_log = 0.0
+    for n in range(1, n_hi + 1):
+        mu = fs.fiber_marginal[point.symbol_at(n)]
+        out[n - 1] = (u_log + math.log(u @ mu)) - (w_log + math.log(w @ mu))
+        if n < n_hi:
+            step = fs.weight(point.symbol_at(n), point.symbol_at(n + 1))
+            u = u @ step
+            s = u.sum()
+            u_log += math.log(s)
+            u = u / s
+            w = w @ step
+            s = w.sum()
+            w_log += math.log(s)
+            w = w / s
+    return out
+
+
+@pytest.mark.parametrize("name", ["fullshift4", "wide12", "converse_false", "adhoc5", "nongibbs6"])
+def test_padded_psi_sequence_equals_the_unpadded_one(name):
+    # equal fibers need no padding, so the values agree bit for bit; where
+    # fibers differ in size the padded products round differently
+    fs = forward_system(name)
+    rng = np.random.default_rng(32)
+    points = [random_point(fs, rng, int(rng.integers(0, 6))) for _ in range(12)]
+    points = [p for p in points if _refusal(fs, p) is None]
+    assert points
+    equal_fibers = len({len(f) for f in fs.projection.fibers}) == 1
+    assert equal_fibers == (name in ("fullshift4", "wide12", "converse_false"))
+    for p in points:
+        got, expected = _psi_sequence(fs, p, 300), reference_psi_sequence(fs, p, 300)
+        if equal_fibers:
+            assert got.tolist() == expected.tolist()
+        else:
+            assert (np.abs(got - expected) <= 1e-11 * np.maximum(1.0, np.abs(expected))).all()
 
 
 def _refusal(fs, point):
@@ -355,7 +422,8 @@ def test_single_scan_route_point_does_not_use_the_batch(nongibbs6, monkeypatch):
     points = [PointSpec(nongibbs6, (), (0,)), PointSpec(nongibbs6, (), (0, 1))]
     scan = [p for p, r in zip(points, _routes(nongibbs6, points, TARGET, None)) if not r.window]
     assert scan
-    monkeypatch.setattr(potential, "forward_step", refuse)
+    # the batch (and the backward batch) read the points' symbols through _symbol_column
+    monkeypatch.setattr(potential, "_symbol_column", refuse)
     for p in scan:
         assert evaluate(nongibbs6, p).terms_used >= 150
 

@@ -205,6 +205,18 @@ def test_the_reducible_image_is_reducible():
     assert canonical_extension(fs, (2, 1)) == PointSpec(fs, (), (2, 1))
 
 
+@pytest.mark.parametrize("name", ["reducible", "split"])
+def test_a_reducible_image_gets_no_uniform_constants(name):
+    # the closed formulas would give k_gibbs 0 there, against which every
+    # row of the Gibbs sweep read a certified fail
+    fs = SYSTEMS[name]()
+    with pytest.raises(gf.CertificationError, match="image incidence is not primitive"):
+        gf.uniform_constants(fs)
+    report = gf.bgi_sweep(fs, 3)
+    assert not report.certified
+    assert {row.verdict for row in report.rows} == {"uncertified"}
+
+
 # --------------------------------------------------- the sweeps' batches
 
 
@@ -376,6 +388,19 @@ def test_sweeps_equal_the_per_key_loops(name):
         if constants is not None:
             got = outcome(gf.holder_variation, fs, constants, n_max)
             assert got == outcome(reference_holder_variation, fs, constants, n_max)
+
+
+@pytest.mark.parametrize("name", ["reducible", "split"])
+def test_holder_sweep_of_a_reducible_image_equals_the_per_key_loop(name, adhoc5_constants):
+    # a reducible image has no constants of its own; the comparison only
+    # needs some.  No word of split has two tail completions, so its levels
+    # are empty and the constants enter only the bound
+    fs = SYSTEMS[name]()
+    for n_max in (0, 3, 7):
+        got = outcome(gf.holder_variation, fs, adhoc5_constants, n_max)
+        assert got == outcome(reference_holder_variation, fs, adhoc5_constants, n_max)
+    if name == "split":
+        assert gf.holder_variation(fs, adhoc5_constants, 7).level_spread == (0.0,) * 8
 
 
 def test_fullshift4_sweeps_at_depth_10_equal_the_per_key_loops(fullshift4, fullshift4_constants):

@@ -23,7 +23,7 @@ from .errors import (
     EvaluationRefused,
     ModelError,
 )
-from .projection import FactorSystem, backward_step, backward_transfer, gathered_step
+from .projection import FactorSystem, backward_step, backward_transfer
 from .projective import (
     STACK_DOUBLES,
     contraction_coefficients,
@@ -72,19 +72,24 @@ class PointSpec:
             Word(tmc, preperiod)
             if not tmc.allows(preperiod[-1], period[0]):
                 raise AdmissibilityError("preperiod does not connect to the period")
-        self.preperiod, self.period = PointSpec._absorbed(preperiod, primitive_root(period)).key()
+        self.preperiod, self.period = PointSpec._canonical_key(preperiod, primitive_root(period))
 
-    @classmethod
-    def _absorbed(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
-        """The point of admissible parts with a primitive period, not
-        validated again, in canonical form: any preperiod suffix that repeats
-        the tail absorbed into a rotation.  The one canonical-form routine:
-        callers with a period that may be a power pass its primitive_root."""
+    @staticmethod
+    def _canonical_key(preperiod: tuple[int, ...], period: tuple[int, ...]) -> tuple:
+        """The key() of the point of admissible parts with a primitive
+        period, in canonical form: any preperiod suffix that repeats the tail
+        absorbed into a rotation.  The one canonical-form routine: callers
+        with a period that may be a power pass its primitive_root."""
         while preperiod and preperiod[-1] == period[-1]:
             preperiod = preperiod[:-1]
             period = period[-1:] + period[:-1]
+        return preperiod, period
+
+    @classmethod
+    def _absorbed(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
+        """The point of _canonical_key(preperiod, period), not validated again."""
         point = object.__new__(cls)
-        point.preperiod, point.period = preperiod, period
+        point.preperiod, point.period = PointSpec._canonical_key(preperiod, period)
         return point
 
     @classmethod
@@ -650,11 +655,12 @@ def evaluate_many(
     The values are then taken in lockstep, one stacked step per level for
     all points instead of one matrix-vector product per point and level:
     psi_n of the certified and window-route points in one staggered
-    backward pass (_lockstep_scales, one gathered product per pair of
-    fiber-size classes and one row per shared tail), the value sequences of
-    the scan-route points in one forward pass with one padded row per
-    distinct point of the batch and of its shifts and one gathered product
-    per level, whose logs are taken once at the end (_lockstep_sequences).
+    backward pass (_lockstep_scales, one row per shared tail), the value
+    sequences of the scan-route points in one forward pass with one row per
+    distinct point of the batch and of its shifts, whose logs are taken once
+    at the end (_lockstep_sequences).  Both passes keep their rows in one
+    array zero-padded to the widest fiber (FactorSystem.padded_stack) and
+    take one gathered product per level (_gathered_product).
     The backward pass drops a point's row once it repeats bit for bit at a
     lag of whole periods and takes it up again at the last level of the
     repeat, so psi_n costs about the levels before the repeat; the value
@@ -718,13 +724,14 @@ def _next_checkpoint(level, window):
 
 
 def _scale(fs: FactorSystem, point: PointSpec, n: int) -> float:
-    """backward_transfer(fs, point.symbols(n + 1))[1]: _lockstep_scales for
-    one row, with the same checkpoints and cycle exit, and without the log
-    masses."""
+    """psi_n's scale at one point: _lockstep_scales for one row, on the same
+    padded vectors and blocks (fs.padded_stack), with the same checkpoints
+    and cycle exit, so a point gets the same bits alone as in any batch."""
     t0, q = len(point.preperiod), len(point.period)
     symbol = point.symbol_at
+    blocks, marginals, _ = fs.padded_stack
     b = symbol(n)
-    x = fs.fiber_marginal[b]
+    x = marginals[b]
     level, window = n, FIRST_WINDOW
     due = _next_checkpoint(n + 1, window)
     mark_level, mark_scale, mark = n, math.nan, b""
@@ -745,17 +752,32 @@ def _scale(fs: FactorSystem, point: PointSpec, n: int) -> float:
             due = _next_checkpoint(level, window)
         level -= 1
         b, after = symbol(level), b
-        x = fs.weight(b, after) @ (x / scale)
+        x = blocks[b, after] @ (x / scale)
+
+
+def _gathered_product(blocks: np.ndarray, rows: np.ndarray, before, after, left: bool = False) -> np.ndarray:
+    """blocks[before[i], after[i]] @ rows[i] (rows[i] @ that block when left)
+    for every row of the (m, S) array, as one gathered product per chunk of
+    at most STACK_DOUBLES block doubles; each row's product equals the
+    one-row product bit for bit."""
+    chunk = max(1, STACK_DOUBLES // blocks[0, 0].size)
+    at = [slice(j, j + chunk) for j in range(0, len(rows), chunk)]
+    if left:
+        return np.concatenate([rows[j, None] @ blocks[before[j], after[j]] for j in at])[:, 0]
+    return np.concatenate([blocks[before[j], after[j]] @ rows[j, :, None] for j in at])[..., 0]
 
 
 def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequence[int]) -> np.ndarray:
-    """backward_transfer(fs, p.symbols(n + 1))[1] for every point p and its
-    depth n >= 1, bit for bit, in one countdown over the levels: a point's
-    marginal row joins at level n and all rows present take one
-    gathered_step per level.  A single point takes _scale, which is cheaper
-    than a level of one row.  Points with one depth, preperiod length t0
-    and period share one row down to level t0, on which it depends alone,
-    and the others take copies of it there.
+    """_scale(fs, p, n) for every point p and its depth n >= 1, bit for bit,
+    in one countdown over the levels: a point's padded marginal row
+    (fs.padded_stack) joins at level n, and all rows present, kept in one
+    (rows, S) array beside one array of their point indices, take one
+    _gathered_product per level.  A single point takes _scale, which is
+    cheaper than a level of one row.  Points with one depth, preperiod
+    length t0 and period share one row down to level t0, on which it
+    depends alone, and the others take copies of it there.  Where fibers
+    are of one size the values are backward_transfer(fs, p.symbols(n + 1))[1]
+    bit for bit; elsewhere padding may move them in the last bits.
 
     The unnormalized row x_k at level k fixes every later step, and its sum
     is the answer at level 0.  In floating point the contraction of the
@@ -764,7 +786,7 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
     checkpoint (row, scale and level; see _next_checkpoint for when).  A row
     whose scale equals its checkpoint's, at a lag for which _cycle_exit
     allows a jump (only at levels >= t0), is compared bit for bit; if
-    equal, it leaves the stacks and joins again at the level _cycle_exit
+    equal, it leaves the array and joins again at the level _cycle_exit
     gives, as marginal rows join at their depth, and the countdown skips
     the levels with no row."""
     if not points:
@@ -784,93 +806,79 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
         if rest:
             splits.setdefault(t0[lead], {})[lead] = np.array(rest)
     column = _symbol_column(points)
-    class_of, _, stacks = fs.size_classes
-    marginal = fs.fiber_marginal
-    # entries[k]: the (class, ids, rows) that join at level k + 1, before
-    # the step to level k
-    entries: dict[int, list] = {}
-    joining: dict[tuple[int, int], list] = {}
+    blocks, marginals, _ = fs.padded_stack
+    # entries[k]: the (ids, rows) that join at level k + 1, before the step
+    # to level k; the marginal rows of one depth join as one entry, so that
+    # a level concatenates once however many points join there
+    joining: dict[int, list] = {}
     for lead, *_ in tails.values():
-        joining.setdefault((depths[lead], points[lead].symbol_at(depths[lead])), []).append(lead)
-    for (n, b), members in joining.items():
-        stack = np.repeat(marginal[b][None], len(members), axis=0)
-        entries.setdefault(n - 1, []).append((class_of[b], np.array(members), stack))
+        joining.setdefault(depths[lead], []).append(lead)
+    entries: dict[int, list] = {
+        n - 1: [(np.array(leads), marginals[[points[i].symbol_at(n) for i in leads]])] for n, leads in joining.items()
+    }
     # per point: the checkpoint, the window and the level of the next
     # checkpoint (-1 once the point has left, and for the copied points,
     # which join below the levels of any cycle exit)
     count = len(points)
     mark_scale = np.full(count, math.nan)
     mark_level = np.zeros(count, dtype=np.intp)
-    mark = np.zeros((count, max(len(mu) for mu in marginal)))
+    mark = np.zeros((count, marginals.shape[1]))
     window = np.full(count, FIRST_WINDOW)
     due = _next_checkpoint(np.asarray(depths, dtype=np.intp) + 1, FIRST_WINDOW)
     for rest in splits.values():
         due[np.concatenate(list(rest.values()))] = -1
     next_due = int(due.max())
     out = np.empty(count)
-    rows = [np.empty((0, into[0].shape[2])) for into in stacks]
-    ids = [np.empty(0, dtype=np.intp) for _ in rows]
-    k, live = max(entries), 0
+    rows, ids = marginals[:0], np.empty(0, dtype=np.intp)
+    k = max(entries)
     while True:
-        for c, new_ids, new_rows in entries.pop(k, ()):
-            rows[c] = np.concatenate([rows[c], new_rows])
-            ids[c] = np.concatenate([ids[c], new_ids])
-            live += len(new_ids)
+        if joined := entries.pop(k, ()):
+            ids = np.concatenate([ids, *(who for who, _ in joined)])
+            rows = np.concatenate([rows, *(r for _, r in joined)])
         level = k + 1
-        copies = splits.pop(level, {})
-        for c, who in enumerate(ids if copies else ()):
-            at = [(pos, copies[i]) for pos, i in enumerate(who.tolist()) if i in copies]
-            rows[c] = np.concatenate([rows[c]] + [np.repeat(rows[c][pos : pos + 1], len(rest), axis=0) for pos, rest in at])
-            ids[c] = np.concatenate([who] + [rest for _, rest in at])
-            live += sum(len(rest) for _, rest in at)
-        sums = [np.add.reduce(r, axis=1) for r in rows]
-        for c, (r, who, s) in enumerate(zip(rows, ids, sums)):
-            repeats = (s == mark_scale[who]).nonzero()[0]
-            if not repeats.size:
-                continue
-            exits: dict[int, list] = {}
-            for pos in repeats.tolist():
-                i = int(who[pos])
-                m = _cycle_exit(t0[i], q[i], level, int(mark_level[i]) - level)
-                if m < level and r[pos].tobytes() == mark[i, : r.shape[1]].tobytes():
-                    exits.setdefault(m, []).append(pos)
-            if not exits:
-                continue
+        if copies := splits.pop(level, None):
+            at = [(pos, copies[i]) for pos, i in enumerate(ids.tolist()) if i in copies]
+            rows = np.concatenate([rows] + [np.repeat(rows[pos : pos + 1], len(rest), axis=0) for pos, rest in at])
+            ids = np.concatenate([ids] + [rest for _, rest in at])
+        sums = np.add.reduce(rows, axis=1)
+        exits: dict[int, list] = {}
+        for pos in (sums == mark_scale[ids]).nonzero()[0].tolist():
+            i = int(ids[pos])
+            m = _cycle_exit(t0[i], q[i], level, int(mark_level[i]) - level)
+            if m < level and rows[pos].tobytes() == mark[i].tobytes():
+                exits.setdefault(m, []).append(pos)
+        if exits:
             for m, at in exits.items():
                 if m == 0:
-                    out[who[at]] = s[at]
+                    out[ids[at]] = sums[at]
                 else:
-                    entries.setdefault(m - 1, []).append((c, who[at], r[at]))
+                    entries.setdefault(m - 1, []).append((ids[at], rows[at]))
             gone = [pos for at in exits.values() for pos in at]
-            mark_scale[who[gone]] = math.nan
-            due[who[gone]] = -1
+            mark_scale[ids[gone]] = math.nan
+            due[ids[gone]] = -1
             next_due = int(due.max())
-            live -= len(gone)
-            keep = np.ones(len(r), dtype=bool)
+            keep = np.ones(len(ids), dtype=bool)
             keep[gone] = False
-            rows[c], ids[c], sums[c] = r[keep], who[keep], s[keep]
-        if not live:
+            rows, ids, sums = rows[keep], ids[keep], sums[keep]
+        if not len(ids):
             if not entries:
                 break
             k = max(entries)
             continue
         if level == next_due:
-            for r, who, s in zip(rows, ids, sums):
-                at = np.flatnonzero(due[who] == level)
-                mark[who[at], : r.shape[1]] = r[at]
-                mark_scale[who[at]] = s[at]
+            at = np.flatnonzero(due[ids] == level)
+            mark[ids[at]] = rows[at]
+            mark_scale[ids[at]] = sums[at]
             taken = np.flatnonzero(due == level)
             mark_level[taken] = level
             window[taken] *= 2
             due[taken] = _next_checkpoint(level, window[taken])
             next_due = int(due.max())
-        rows = [r / s[:, None] for r, s in zip(rows, sums)]
-        rows, ids = gathered_step(fs, rows, ids, column(k), column(k + 1))
+        rows = _gathered_product(blocks, rows / sums[:, None], column(k)[ids], column(k + 1)[ids])
         if k == 0:
             break
         k -= 1
-    for i, r in zip(ids, rows):
-        out[i] = r.sum(axis=1)
+    out[ids] = np.add.reduce(rows, axis=1)
     for lead, rest in splits.pop(0, {}).items():
         out[rest] = out[lead]
     return out
@@ -880,11 +888,10 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     """_psi_sequence(fs, p, n) for every point p and its length n, in one
     forward pass to max(lengths) with one padded row (fs.padded_stack) per
     distinct point y of the batch and of its shifts: ones on the fiber of y0
-    at level 0, stepped by one gathered product per level (in chunks of at
-    most STACK_DOUBLES block doubles) and rescaled.  With A(y, k) =
-    log nu[y0..yk] read off level k, psi_n(x) = A(x, n) - A(sx, n - 1) for
-    the shift sx, whose row at level n - 1 is _psi_sequence's w row of x at
-    level n, from the same steps.  The logs are deferred: the row sums (1.0
+    at level 0, stepped by one _gathered_product per level and rescaled.
+    With A(y, k) = log nu[y0..yk] read off level k, psi_n(x) = A(x, n) -
+    A(sx, n - 1) for the shift sx, whose row at level n - 1 is
+    _psi_sequence's w row of x at level n, from the same steps.  The logs are deferred: the row sums (1.0
     at level 0) and marginal dots fill one row per level of two arrays,
     math.log is taken per entry and np.add.accumulate adds along the levels
     from 0.0 in _psi_sequence's order, so the values agree bit for bit."""
@@ -896,7 +903,6 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     row_of = {p: i for i, p in enumerate(dict.fromkeys([*points, *shifted]))}
     column = _symbol_column(list(row_of))
     blocks, marginals, ones = fs.padded_stack
-    chunk = max(1, STACK_DOUBLES // blocks[0, 0].size)
     levels = max(lengths)
     sums = np.ones((levels + 1, len(row_of)))
     dots = np.empty((levels + 1, len(row_of)))
@@ -905,8 +911,7 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     for k in range(levels + 1):
         if k:
             before, after = after, column(k)
-            at = [slice(j, j + chunk) for j in range(0, len(rows), chunk)]
-            rows = np.concatenate([rows[j, None] @ blocks[before[j], after[j]] for j in at])[:, 0]
+            rows = _gathered_product(blocks, rows, before, after, left=True)
             s = np.add.reduce(rows, axis=1)
             rows = rows / s[:, None]
             sums[k] = s
@@ -1256,7 +1261,7 @@ def holder_variation(
     tails = {b: pts for b in range(fs.target_size) if len(pts := tail_completions(fs, (b,), 2)) == 2}
 
     def completions(w):
-        return [PointSpec._absorbed(w[:-1] + t.preperiod, t.period).key() for t in tails.get(w[-1], ())]
+        return [PointSpec._canonical_key(w[:-1] + t.preperiod, t.period) for t in tails.get(w[-1], ())]
 
     points, levels = _sweep_points(fs, n_max, completions)
     evs = evaluate_many(fs, points, 1e-11, constants)

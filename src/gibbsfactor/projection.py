@@ -5,14 +5,13 @@ alphabet.  Pushing a stationary Markov measure through it produces a hidden
 Markov measure: cylinder weights are computed by sandwiching products of
 weighted fiber matrices between a row of ones and the marginal vector of the
 last symbol.  backward_transfer evaluates that formula for one word:
-cylinder weights and the finite-range approximant read it off that kernel,
-and psi_n at one point repeats its steps.  backward_step is the same step
-on stacks of vectors, with which the d constant and log_nu_cylinders take
-all words of one length.  gathered_step takes it for all points of
-evaluate_many in lockstep, one depth level at a time and one stacked
-product per pair of fiber-size classes.  Both skip the levels over which a
-point's row repeats bit for bit, so their values equal backward_transfer's
-at the full depth.  The two hypotheses
+cylinder weights and the finite-range approximant read it off that kernel.
+backward_step is the same step on stacks of vectors, with which the d
+constant and log_nu_cylinders take all words of one length.  padded_stack
+holds the same blocks zero-padded to the widest fiber: evaluate_many steps
+the rows of many points on it in lockstep, and psi_n at one point steps
+its one row on it.  Where fibers differ in size, padded products may round
+otherwise than backward_transfer in the last bits.  The two hypotheses
 checked here (row-allowability of every fiber block, and positivity of
 one-period products over short cycles) are what later certify that this
 induced measure admits a regular potential.
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ModelError
 from .markov import MarkovModel, cylinder_measure, derive_potential
-from .projective import STACK_DOUBLES, SimplexPoint, is_row_allowable
+from .projective import SimplexPoint, is_row_allowable
 from .tmc import (
     Alphabet,
     PeriodicPoint,
@@ -164,31 +163,14 @@ class FactorSystem:
         return self.factor_tmc.word(labels)
 
     @cached_property
-    def size_classes(self) -> tuple:
-        """(class_of, slot, stacks) for gathered_step, built on first use: the
-        fibers of one size form a class, class_of[b] is fiber b's class, and
-        stacks[c1][c0] stacks the blocks W_{b0 b1} for b0 of class c0 and b1
-        of class c1 (zeros where b0 -> b1 is not allowed), W_{b0 b1} at slot
-        [b0, b1]."""
-        sizes = [len(f) for f in self.projection.fibers]
-        class_of = np.unique(sizes, return_inverse=True)[1]
-        members = [np.flatnonzero(class_of == c) for c in range(class_of.max() + 1)]
-        # local[b]: the number of fibers of b's class before b
-        local = np.array([(class_of[:b] == c).sum() for b, c in enumerate(class_of)])
-        slot = local[:, None] * np.bincount(class_of)[class_of] + local
-        stacks = [[np.zeros((len(m0) * len(m1), sizes[m0[0]], sizes[m1[0]])) for m0 in members] for m1 in members]
-        for (b0, b1), w in self.fiber_weight.items():
-            stacks[class_of[b1]][class_of[b0]][slot[b0, b1]] = w
-        return class_of, slot, stacks
-
-    @cached_property
     def padded_stack(self) -> tuple:
-        """(blocks, marginals, ones) for the forward scan, built on first use,
-        each fiber vector zero-padded to the widest fiber's size S: W_{b0 b1}
-        at the top left of blocks[b0, b1] (all zeros if b0 -> b1 is not
-        allowed), fiber_marginal[b] in marginals[b], ones on fiber b in
-        ones[b].  Padded products round otherwise than unpadded ones in the
-        last bits where fibers differ in size."""
+        """(blocks, marginals, ones) for the backward and forward lockstep
+        passes and their one-point routes, built on first use, each fiber
+        vector zero-padded to the widest fiber's size S: W_{b0 b1} at the top
+        left of blocks[b0, b1] (all zeros if b0 -> b1 is not allowed),
+        fiber_marginal[b] in marginals[b], ones on fiber b in ones[b].
+        Padded products round otherwise than unpadded ones in the last bits
+        where fibers differ in size."""
         sizes = np.array([len(f) for f in self.projection.fibers])
         blocks = np.zeros((len(sizes), len(sizes), sizes.max(), sizes.max()))
         for (b0, b1), w in self.fiber_weight.items():
@@ -373,35 +355,6 @@ def backward_step(fs: FactorSystem, rows: list) -> list:
     for (b0, b1), w in fs.fiber_weight.items():
         parts[b0].append((w[None] @ rows[b1][:, :, None])[..., 0])
     return [np.concatenate(p) for p in parts]
-
-
-def gathered_step(fs: FactorSystem, rows: list, ids: list, before, after) -> tuple:
-    """One step of backward_transfer on the rows of many points, by fiber-size
-    class (FactorSystem.size_classes): rows[c] stacks the vectors of class c
-    and ids[c] their point indices.  The row of point i, on fiber
-    b1 = after[i], becomes W_{b0 b1} @ row with b0 = before[i] and moves to
-    b0's class.  Each pair of classes takes one stacked product
-    (W[slot] @ V[:, :, None])[..., 0], gathered in chunks of at most
-    STACK_DOUBLES doubles, or with its one block broadcast; both repeat
-    backward_transfer's W @ v bit for bit.  Returns the new (rows, ids)."""
-    class_of, slot, stacks = fs.size_classes
-    parts: list[list[np.ndarray]] = [[] for _ in rows]
-    taken: list[list[np.ndarray]] = [[] for _ in rows]
-    for v, who, into in zip(rows, ids, stacks):
-        b0, v = before[who], v[:, :, None]
-        dest = class_of[b0] if len(rows) > 1 else None
-        for c0, w in enumerate(into):
-            pick = slice(None) if dest is None else dest == c0
-            x, i = v[pick], who[pick]
-            if len(w) == 1:
-                y = w @ x
-            else:
-                at, step = slot[b0[pick], after[i]], max(1, STACK_DOUBLES // w[0].size)
-                y = np.concatenate([w[at[j : j + step]] @ x[j : j + step] for j in range(0, max(1, len(x)), step)])
-            parts[c0].append(y[..., 0])
-            taken[c0].append(i)
-    rows = [p[0] if len(p) == 1 else np.concatenate(p) for p in parts]
-    return rows, [t[0] if len(t) == 1 else np.concatenate(t) for t in taken]
 
 
 def log_nu_cylinder(fs: FactorSystem, word) -> float:

@@ -408,9 +408,9 @@ def test_periodic_command_batches_its_fallback_points(tmp_path, monkeypatch):
 
 def test_single_point_does_not_use_the_batch(adhoc5, adhoc5_constants, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("single points go through backward_transfer")
+        raise AssertionError("single points go through _scale")
 
-    monkeypatch.setattr(potential, "gathered_step", refuse)
+    monkeypatch.setattr(potential, "_gathered_product", refuse)
     ev = evaluate(adhoc5, PointSpec(adhoc5, (), (0, 1)), constants=adhoc5_constants)
     assert ev.mode == "certified"
 

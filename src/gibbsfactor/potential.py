@@ -269,9 +269,10 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
     checks: the right and left power iterations, the normalization, the
     residuals and the 60-step deflated iteration for |lambda_2| all run on
     the whole stack.  A matrix leaves the deflated iteration on the step its
-    image vanishes (the only steps that filter the stack); the last growth
-    of the others is written after the loop.  The stacked products repeat
-    the one-matrix products bit for bit."""
+    image vanishes, or on a step 8j + 7 at which its iterate equals that of
+    step 8j + 5, after which its growths repeat with period 2; the last
+    growth of the others is written after the loop.  The stacked products
+    repeat the one-matrix products bit for bit."""
     right, rho, it_r = _power_stack(ts, tol, max_iter, left=False)
     left, _, it_l = _power_stack(ts, tol, max_iter, left=True)
     left = left / _dots(left, right)[:, None]
@@ -291,16 +292,24 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
     vanished = ~(norm > 1e-14)
     live = np.flatnonzero(~vanished)
     u, d, growth = u[live] / norm[live, None], deflated[live], second[live]
-    for _ in range(60):
+    mark = np.empty_like(right)
+    for step in range(1, 61):
         if not live.size:
             break
         w = (d @ u[..., None])[..., 0]
-        growth = np.abs(w).sum(axis=1)
+        growth, last = np.abs(w).sum(axis=1), growth
         gone = growth < 1e-250
         if gone.any():
             vanished[live[gone]] = True
-            live, d, w, growth = live[~gone], d[~gone], w[~gone], growth[~gone]
+            live, d, w, growth, last = live[~gone], d[~gone], w[~gone], growth[~gone], last[~gone]
         u = w / growth[:, None]
+        if step % 8 == 5:
+            mark[live] = u
+        elif step % 8 == 7:
+            cycled = (u == mark[live]).all(axis=1)
+            if cycled.any():  # step 60, an odd number of steps on, repeats the last growth
+                second[live[cycled]] = last[cycled]
+                live, d, u, growth = live[~cycled], d[~cycled], u[~cycled], growth[~cycled]
     second[live] = growth
     return [
         PerronData(
@@ -490,8 +499,9 @@ def _routes(
     nothing and is refused.  Without one the value sequence is scanned
     instead.
 
-    The phase search slices each point's closed word and shares a
-    pattern_primitivity memo and a word_product prefix memo over the batch.
+    The phase search tests each distinct phase word of the batch once (the
+    rotations of an orbit share their cyclic words), with a
+    pattern_primitivity memo and a word_product prefix memo.
     Windows of one shape then take tau_q and a* from one stacked
     _window_certificate, after the zero-row refusal of apply_normalized:
     bit for bit the one-matrix forms, so a route does not depend on the
@@ -505,6 +515,7 @@ def _routes(
         prefactor = constants.eq_radius_constant
         return [_Route(True, depth[t0], prefactor * constants.theta ** depth[t0], certified=True) for t0 in t0s]
     primitivity: dict = {}
+    phases: dict = {}
     products: dict = {}
     routes: list = []
     groups: dict[tuple, list] = {}
@@ -513,7 +524,10 @@ def _routes(
         base = max(1, t0)
         closed = point.symbols(base + 2 * q)
         for a0 in range(base, base + q):
-            prim = _primitivity(primitivity, fs.word_product(closed[a0 : a0 + q + 1], products))
+            word = closed[a0 : a0 + q + 1]
+            if word not in phases:
+                phases[word] = _primitivity(primitivity, fs.word_product(word, products))
+            prim = phases[word]
             if prim.primitive:
                 break
         else:
@@ -660,7 +674,7 @@ def evaluate_many(
     distinct point of the batch and of its shifts, whose logs are taken once
     at the end (_lockstep_sequences).  Both passes keep their rows in one
     array zero-padded to the widest fiber (FactorSystem.padded_stack) and
-    take one gathered product per level (_gathered_product).
+    gather their blocks per level (_gathered_product) or per run of levels.
     The backward pass drops a point's row once it repeats bit for bit at a
     lag of whole periods and takes it up again at the last level of the
     repeat, so psi_n costs about the levels before the repeat; the value
@@ -755,15 +769,12 @@ def _scale(fs: FactorSystem, point: PointSpec, n: int) -> float:
         x = blocks[b, after] @ (x / scale)
 
 
-def _gathered_product(blocks: np.ndarray, rows: np.ndarray, before, after, left: bool = False) -> np.ndarray:
-    """blocks[before[i], after[i]] @ rows[i] (rows[i] @ that block when left)
-    for every row of the (m, S) array, as one gathered product per chunk of
-    at most STACK_DOUBLES block doubles; each row's product equals the
-    one-row product bit for bit."""
+def _gathered_product(blocks: np.ndarray, rows: np.ndarray, before, after) -> np.ndarray:
+    """blocks[before[i], after[i]] @ rows[i] for every row of the (m, S)
+    array, as one gathered product per chunk of at most STACK_DOUBLES block
+    doubles; each row's product equals the one-row product bit for bit."""
     chunk = max(1, STACK_DOUBLES // blocks[0, 0].size)
     at = [slice(j, j + chunk) for j in range(0, len(rows), chunk)]
-    if left:
-        return np.concatenate([rows[j, None] @ blocks[before[j], after[j]] for j in at])[:, 0]
     return np.concatenate([blocks[before[j], after[j]] @ rows[j, :, None] for j in at])[..., 0]
 
 
@@ -888,34 +899,47 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     """_psi_sequence(fs, p, n) for every point p and its length n, in one
     forward pass to max(lengths) with one padded row (fs.padded_stack) per
     distinct point y of the batch and of its shifts: ones on the fiber of y0
-    at level 0, stepped by one _gathered_product per level and rescaled.
-    With A(y, k) = log nu[y0..yk] read off level k, psi_n(x) = A(x, n) -
-    A(sx, n - 1) for the shift sx, whose row at level n - 1 is
-    _psi_sequence's w row of x at level n, from the same steps.  The logs are deferred: the row sums (1.0
-    at level 0) and marginal dots fill one row per level of two arrays,
-    math.log is taken per entry and np.add.accumulate adds along the levels
-    from 0.0 in _psi_sequence's order, so the values agree bit for bit."""
+    at level 0, stepped and rescaled level by level.  The step blocks of a
+    run of at most 16 levels are gathered at once, blocks[cols[:-1],
+    cols[1:]] over the run's symbol columns, within STACK_DOUBLES doubles
+    (shorter runs, then chunks of rows); each level of the run writes its
+    rows into the run's buffer.  With A(y, k) = log nu[y0..yk] read off
+    level k, psi_n(x) = A(x, n) - A(sx, n - 1) for the shift sx, whose row
+    at level n - 1 is _psi_sequence's w row of x at level n.  The logs are
+    deferred: the row sums (1.0 at level 0) and the marginal dots (one _dots
+    call per run) fill one row per level of two arrays, math.log is taken
+    per entry and np.add.accumulate adds along the levels from 0.0 in
+    _psi_sequence's order, so the values agree bit for bit."""
     if not points:
         return []
     if len(points) == 1:
         return [_psi_sequence(fs, points[0], lengths[0])]
     shifted = [p.shifted(fs) for p in points]
     row_of = {p: i for i, p in enumerate(dict.fromkeys([*points, *shifted]))}
+    count = len(row_of)
     column = _symbol_column(list(row_of))
     blocks, marginals, ones = fs.padded_stack
+    run = max(1, min(16, STACK_DOUBLES // (count * blocks[0, 0].size)))
+    chunk = max(1, STACK_DOUBLES // (run * blocks[0, 0].size))
     levels = max(lengths)
-    sums = np.ones((levels + 1, len(row_of)))
-    dots = np.empty((levels + 1, len(row_of)))
-    after = column(0)
-    rows = ones[after]
-    for k in range(levels + 1):
-        if k:
-            before, after = after, column(k)
-            rows = _gathered_product(blocks, rows, before, after, left=True)
-            s = np.add.reduce(rows, axis=1)
-            rows = rows / s[:, None]
-            sums[k] = s
-        dots[k] = _dots(rows, marginals[after])
+    sums = np.ones((levels + 1, count))
+    dots = np.empty((levels + 1, count))
+    cols = column(0)[None]
+    # rows[0] holds the level before the run, rows[j] the run's level j
+    rows = np.empty((run + 1, count, marginals.shape[1]))
+    rows[0] = ones[cols[0]]
+    dots[0] = _dots(rows[0], marginals[cols[0]])
+    for k in range(1, levels + 1, run):
+        cols = np.stack([cols[-1], *map(column, range(k, min(k + run, levels + 1)))])
+        m = len(cols) - 1
+        for at in (slice(j, j + chunk) for j in range(0, count, chunk)):
+            steps = blocks[cols[:-1, at], cols[1:, at]]
+            for j in range(m):
+                x = (rows[j, at, None] @ steps[j])[:, 0]
+                sums[k + j, at] = s = np.add.reduce(x, axis=1)
+                np.divide(x, s[:, None], out=rows[j + 1, at])
+        dots[k : k + m] = _dots(rows[1 : m + 1].reshape(m * count, -1), marginals[cols[1:].ravel()]).reshape(m, count)
+        rows[0] = rows[m]
     logs = [np.fromiter(map(math.log, a.ravel().tolist()), float, a.size).reshape(a.shape) for a in (sums, dots)]
     total = np.add.accumulate(logs[0], axis=0) + logs[1]
     return [total[1 : n + 1, row_of[p]] - total[:n, row_of[sp]] for p, sp, n in zip(points, shifted, lengths)]

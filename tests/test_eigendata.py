@@ -305,14 +305,18 @@ def deflated_vanishing_step(t, max_iter):
     return None
 
 
+# shared by the stacks below that mix reasons to leave the iteration
+VANISHING = [np.array([[1.0, 1.0, 0.0], [3.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
+             np.array([[3.0, 3.0, 3.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])]
+STALLED = np.array([[1.0, 1e-3, 0.0], [1e-3, 1.0, 1e-3], [0.0, 1e-3, 1.0]])
+
+
 def test_stack_mixes_vanishing_live_and_unconverged_matrices():
     # two deflated images vanish part-way through the loop, at different
     # steps, between matrices that run all 60 deflated steps; one matrix
     # (spectral ratio about 0.9986) runs out of max_iter
     max_iter = 200
-    vanishing = [np.array([[1.0, 1.0, 0.0], [3.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
-                 np.array([[3.0, 3.0, 3.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])]
-    stalled = np.array([[1.0, 1e-3, 0.0], [1e-3, 1.0, 1e-3], [0.0, 1e-3, 1.0]])
+    vanishing, stalled = VANISHING, STALLED
     rng = np.random.default_rng(34)
     live = [rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(3)]
     mats = [live[0], vanishing[0], live[1], stalled, vanishing[1], live[2]]
@@ -324,6 +328,72 @@ def test_stack_mixes_vanishing_live_and_unconverged_matrices():
         assert_same_perron(g, oracle_perron_data(m, max_iter=max_iter))
     assert [g.iterations == max_iter for g in got] == [False, False, False, True, False, False]
     assert [g.second_modulus == 0.0 for g in got] == [False, True, False, False, True, False]
+
+
+def deflated_cycle(t, max_iter=100000):
+    """(s, differ) for the first step s of the oracle's 60-step deflated
+    iteration whose normalized iterate equals, bit for bit, the iterate of
+    step s - 2, with differ telling whether the growths of steps s and s - 1
+    differ; None when no iterate repeats so."""
+    pd = oracle_perron_data(t, max_iter=max_iter)
+    deflated = t - pd.rho * np.outer(pd.right, pd.left)
+    u = np.zeros(t.shape[0])
+    u[0] = 1.0
+    u = u - pd.right * (pd.left @ u)
+    iterates, growths = [u / np.abs(u).sum()], [0.0]
+    for step in range(1, 61):
+        w = deflated @ iterates[-1]
+        growths.append(np.abs(w).sum())
+        iterates.append(w / growths[-1])
+        if step > 1 and iterates[-1].tobytes() == iterates[-3].tobytes():
+            return step, growths[-1] != growths[-2]
+    return None
+
+
+def test_deflated_iteration_leaves_the_stack_when_its_iterate_cycles():
+    # positive lambda_2: the deflated iterate settles on a fixed point;
+    # negative lambda_2: it alternates, for some matrices with growths that
+    # alternate too, so the growth of step 60 depends on the parity of the
+    # step it is read at; a complex lambda_2 pair and a 40 x 40 matrix: no
+    # iterate repeats in 60 steps
+    rng = np.random.default_rng(35)
+    scales = rng.uniform(0.5, 2.0, size=4)
+    fixed = [np.array([[2.0, 1.0], [1.0, 3.0]]) * c for c in scales]
+    alternating = [np.array(m) * c for c in scales for m in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 3.0], [2.0, 0.5]])]
+    rotating = np.roll(np.eye(4), 1, axis=1) + 0.5 * np.eye(4)
+    wide = rng.uniform(0.5, 2.0, size=(40, 40))
+    assert (np.abs(np.linalg.eigvals(rotating).imag) > 0.5).sum() == 2
+    cycles = [deflated_cycle(t) for t in fixed + alternating]
+    # every 2 x 2 iterate repeats before the first test, at step 7
+    assert all(c is not None and c[0] <= 7 for c in cycles)
+    assert [differ for _, differ in cycles[: len(fixed)]] == [False] * len(fixed)
+    assert any(differ for _, differ in cycles[len(fixed) :])
+    assert deflated_cycle(rotating) is None and deflated_cycle(wide) is None
+    for mats in (fixed, alternating, fixed + alternating, [rotating], [wide]):
+        for g, m in zip(_perron_stack(np.stack(mats), 1e-13, 100000), mats):
+            assert_same_perron(g, oracle_perron_data(m))
+
+
+def test_deflated_iteration_mixes_cycling_vanishing_and_running_matrices():
+    # one 3 x 3 stack whose rows leave the deflated iteration at different
+    # steps for different reasons: a fixed point (step 7), an alternation
+    # found at a later test, two vanishing images, a complex lambda_2 pair,
+    # matrices that run all 60 steps, one of them after max_iter power steps
+    max_iter = 200
+    rng = np.random.default_rng(36)
+    fixed = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) * rng.uniform(0.5, 2.0)
+    alternating = np.array([[0.5, 3.0, 1.0], [2.0, 0.5, 1.0], [1.0, 1.0, 1.0]]) * 1.5
+    rotating = np.roll(np.eye(3), 1, axis=1) + 0.5 * np.eye(3)
+    live = rng.uniform(0.5, 2.0, size=(3, 3))
+    mats = [fixed, VANISHING[0], live, alternating, STALLED, rotating, VANISHING[1]]
+    cycles = [deflated_cycle(t, max_iter) if i not in (1, 6) else None for i, t in enumerate(mats)]
+    assert cycles[0][0] <= 7 and 7 < cycles[3][0] < 55
+    assert cycles[2] is cycles[4] is cycles[5] is None
+    assert 1 < deflated_vanishing_step(VANISHING[1], max_iter) < deflated_vanishing_step(VANISHING[0], max_iter) < 60
+    got = _perron_stack(np.stack(mats), 1e-13, max_iter)
+    for g, m in zip(got, mats):
+        assert_same_perron(g, oracle_perron_data(m, max_iter=max_iter))
+    assert [g.second_modulus == 0.0 for g in got] == [False, True, False, False, False, False, True]
 
 
 # ------------------------------------------------------------ the CLI and memo
@@ -431,3 +501,4 @@ def test_spectral_gap_checks_the_module_cap_and_not_max_iter():
     pd = perron_data(t, max_iter=3)
     assert pd.iterations == 3
     assert pd.spectral_gap == pd.second_modulus / pd.rho < 1.0
+

@@ -277,6 +277,34 @@ def test_forward_lockstep_when_the_shift_is_much_shorter_or_longer(name):
         assert_lockstep_equals_psi_sequence(fs, chain, lengths)
 
 
+@pytest.mark.parametrize("run", [1, 7, 16])
+def test_forward_runs_do_not_change_a_bit(run, monkeypatch):
+    # the step blocks of a run of levels are gathered at once: runs of one
+    # level, runs of 7 levels (which do not divide the 100 levels of the
+    # pass) and one run longer than a 10-level pass; the run length is set
+    # through STACK_DOUBLES and read off the marginal-dot calls, one per run
+    # and one for level 0
+    fs = gf.example_system("nongibbs6")
+    rng = np.random.default_rng(37)
+    points = periodic_batch(fs, 4) + [random_point(fs, rng, int(rng.integers(0, 5))) for _ in range(12)]
+    levels = 10 if run == 16 else 100
+    lengths = [levels] + [int(n) for n in rng.integers(1, levels + 1, size=len(points) - 1)]
+    rows = len(dict.fromkeys(points + [p.shifted(fs) for p in points]))
+    if run < 16:
+        monkeypatch.setattr(potential, "STACK_DOUBLES", run * rows * fs.padded_stack[0][0, 0].size)
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    real = potential._dots
+    monkeypatch.setattr(potential, "_dots", counted)
+    assert_lockstep_equals_psi_sequence(fs, points, lengths)
+    assert len(calls) == 1 + -(-levels // run)
+    assert calls[1] == min(run, levels) * rows
+
+
 def test_shift_closed_batch_steps_one_row_per_point(monkeypatch):
     # every row of the pass is a point whose symbols _symbol_column reads
     fs = gf.example_system("nongibbs6")
@@ -390,6 +418,37 @@ def test_batched_route_plan_equals_the_one_point_plan(name):
         with pytest.raises(gf.EvaluationRefused) as info:
             _routes(fs, points + refused, TARGET, None)
         assert str(info.value) == str(_refusal(fs, refused[0]))
+
+
+def test_routes_test_each_phase_word_once(monkeypatch):
+    # the rotations of one orbit test the same cyclic phase words, and the
+    # batch takes each word's product once; every window-route point then
+    # takes its window product once
+    fs = gf.example_system("nongibbs6")
+    points = periodic_batch(fs, 7)
+    expected = [_routes(fs, [p], TARGET, None)[0] for p in points]
+    tested, windows = [], []
+    for p in points:
+        q = len(p.period)
+        for a0 in range(1, 1 + q):
+            word = p.symbols(a0 + q + 1)[a0:]
+            tested.append(word)
+            prim = gf.pattern_primitivity(fs.word_product(word))
+            if prim.primitive:
+                windows.append(p.symbols(a0 + prim.exponent * q + 1)[a0:])
+                break
+    assert windows and len(windows) < len(points)
+    assert len(set(tested)) < len(tested)
+    calls = []
+    real = gf.FactorSystem.word_product
+
+    def counted(self, symbols, *args):
+        calls.append(tuple(symbols))
+        return real(self, symbols, *args)
+
+    monkeypatch.setattr(gf.FactorSystem, "word_product", counted)
+    assert _routes(fs, points, TARGET, None) == expected
+    assert sorted(calls) == sorted(list(dict.fromkeys(tested)) + windows)
 
 
 def test_periodic_command_batches_its_fallback_points(tmp_path, monkeypatch):

@@ -60,12 +60,15 @@ def expand_example(example_id: str, gamma: Optional[float] = None) -> dict:
 
     nongibbs6: six symbols, doubly stochastic transition with parameter
     gamma in (1/4, 1/3), two-symbol image.  The induced potential diverges
-    along the all-zeros tail, the standard non-Gibbs specimen.
+    along the all-zeros tail, the standard non-Gibbs specimen.  The only
+    example with a parameter: gamma for another is refused (ModelError).
 
     converse_false: four symbols, two-symbol image, fiber blocks with
     all-zero rows; the image is nevertheless a full shift to any inspected
     depth, showing the row condition is not necessary for a Markov image.
     """
+    if gamma is not None and example_id in EXAMPLES and example_id != "nongibbs6":
+        raise ModelError(f"gamma is a parameter of nongibbs6 only, not of {example_id}")
     if example_id == "adhoc5":
         labels = ["1", "2", "3", "4", "5"]
         edges = {

@@ -369,7 +369,8 @@ def _psi_sequence(fs: FactorSystem, point: PointSpec, n_hi: int) -> np.ndarray:
     padded vectors and blocks of fs.padded_stack.
 
     Independent of the backward route; the two agree to rounding, which the
-    tests use as a consistency check.
+    tests use as a consistency check.  No caller in the package: it is the
+    one-point reference that _lockstep_sequences equals bit for bit.
     """
     blocks, marginals, ones = fs.padded_stack
     x = point.symbols(n_hi + 2)
@@ -432,19 +433,6 @@ def _certified_depth(c: UniformConstants, t0: int, target_error: float) -> int:
     return n
 
 
-class _Route(NamedTuple):
-    """How a point is evaluated.  On a backward route (window=True) the
-    value is psi_depth, with the given radius and note, certified when the
-    radius comes from uniform constants; on the scan route depth is the
-    length of the scanned sequence psi_1 .. psi_depth."""
-
-    window: bool
-    depth: int
-    radius: float = math.inf
-    note: str = ""
-    certified: bool = False
-
-
 def _window_count(tau_q: float, a_star: float, target_error: float, most: int) -> tuple[int, float]:
     """The least k <= most (or most) with radius tau_q**k a_star / (1 - tau_q)
     <= target_error, and that radius.  The radius falls as k grows, so a log
@@ -482,22 +470,25 @@ def _routes(
     points: Sequence[PointSpec],
     target_error: float,
     constants: Optional[UniformConstants],
-) -> list[_Route]:
+) -> list[PotentialEvaluation]:
     """Refuse the first point with zero fiber rows along it, then plan each
-    point's evaluation.
+    point's evaluation: the evaluation it yields with value None, and on a
+    backward route the depth of psi_depth in terms_used.
 
     With uniform constants every point takes the certified backward route:
     its depth is _certified_depth (refused beyond MAX_DEPTH), taken once per
     preperiod length, and its radius (d_const c1 / (1-tau)) theta^depth.
     Without them the route comes from the point's own tail.  A tail phase
     whose whole-period window becomes strictly positive after
-    pattern-primitivity many repetitions gives the window route: its
-    contraction tau_q and the distance a* of the fiber marginal from its
-    image bound the radius after k more windows by tau_q^k a* / (1 - tau_q),
-    and the depth is the first such k with radius <= target_error
-    (_window_count); a window with a* > 0 whose tau_q rounds to 1 bounds
-    nothing and is refused.  Without one the value sequence is scanned
-    instead.
+    pattern-primitivity many repetitions gives the window route (mode
+    "adaptive", with a note): its contraction tau_q and the distance a* of
+    the fiber marginal from its image bound the radius after k more windows
+    by tau_q^k a* / (1 - tau_q), floored at FLOAT_NOISE_FLOOR, and the depth
+    is the first such k with radius <= target_error (_window_count); a
+    window with a* > 0 whose tau_q rounds to 1 bounds nothing and is
+    refused.  Without one the plan's mode is "scan", a marker that never
+    leaves evaluate_many, and terms_used the length of the value sequence
+    to scan.
 
     The phase search tests each distinct phase word of the batch once (the
     rotations of an orbit share their cyclic words), with a
@@ -510,14 +501,16 @@ def _routes(
     for point in points:
         _check_point_rows(fs, point)
     if constants is not None:
-        t0s = [len(p.preperiod) for p in points]
-        depth = {t0: _certified_depth(constants, t0, target_error) for t0 in dict.fromkeys(t0s)}
-        prefactor = constants.eq_radius_constant
-        return [_Route(True, depth[t0], prefactor * constants.theta ** depth[t0], certified=True) for t0 in t0s]
+        plan = {}
+        for t0 in dict.fromkeys(len(p.preperiod) for p in points):
+            n = _certified_depth(constants, t0, target_error)
+            radius = constants.eq_radius_constant * constants.theta**n
+            plan[t0] = PotentialEvaluation(None, radius, n, "certified", True)
+        return [plan[len(p.preperiod)] for p in points]
     primitivity: dict = {}
     phases: dict = {}
     products: dict = {}
-    routes: list = []
+    plans: list = []
     groups: dict[tuple, list] = {}
     for i, point in enumerate(points):
         t0, q = len(point.preperiod), len(point.period)
@@ -531,12 +524,13 @@ def _routes(
             if prim.primitive:
                 break
         else:
-            routes.append(_Route(window=False, depth=min(max(150, t0 + 30 * q, 12 * q), MAX_DEPTH)))
+            n_scan = min(max(150, t0 + 30 * q, 12 * q), MAX_DEPTH)
+            plans.append(PotentialEvaluation(None, math.inf, n_scan, "scan", False))
             continue
         big_q = prim.exponent * q
         window = fs.word_product(point.symbols(a0 + big_q + 1)[a0:], products)
         groups.setdefault(window.shape, []).append((i, a0, big_q, window, closed[a0]))
-        routes.append(None)
+        plans.append(None)
     hats = [fs.marginal_hat(b).coords for b in range(fs.target_size)]
     for group in groups.values():
         stack = np.stack([window for _, _, _, window, _ in group])
@@ -550,33 +544,18 @@ def _routes(
                 raise EvaluationRefused(message + ", so it bounds no radius")
             k, radius = _window_count(tau_q, a_star, target_error, (MAX_DEPTH - a0) // big_q)
             note = f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})"
-            routes[i] = _Route(True, max(2, a0 + k * big_q), max(radius, FLOAT_NOISE_FLOOR), note)
-    return routes
+            radius, depth = max(radius, FLOAT_NOISE_FLOOR), max(2, a0 + k * big_q)
+            plans[i] = PotentialEvaluation(None, radius, depth, "adaptive", False, notes=(note,))
+    return plans
 
 
-def _result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
-    """The evaluation a route yields: on a backward route values is
-    psi_depth; on the scan route it is the sequence psi_1 .. psi_depth, which
-    is either reported uncertified or declared divergent with its cluster
-    values when its subsequences mod a multiple of the period stabilize
-    apart."""
-    if route.window:
-        radius = route.radius
-        if route.certified:
-            # a certified radius never sits below what double precision
-            # resolves at the value (the window route's is floored already)
-            radius = max(radius, FLOAT_NOISE_FLOOR * max(1.0, abs(values)))
-        return PotentialEvaluation(
-            value=values,
-            error_radius=radius,
-            terms_used=route.depth,
-            mode="certified" if route.certified else "adaptive",
-            certified=route.certified,
-            notes=(route.note,) if route.note else (),
-        )
+def _scan_result(point: PointSpec, values: np.ndarray) -> PotentialEvaluation:
+    """The evaluation of a scanned value sequence psi_1 .. psi_n: reported
+    uncertified, or declared divergent with its cluster values when its
+    subsequences mod a multiple of the period stabilize apart."""
     t0 = len(point.preperiod)
     q = len(point.period)
-    n_scan = route.depth
+    n_scan = len(values)
     samples = 5
     for m in [q * k for k in range(1, 7)]:
         if m * samples * 2 > n_scan - t0:
@@ -596,10 +575,7 @@ def _result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
                 mode="diverged",
                 certified=False,
                 clusters=tuple(clusters),
-                notes=(
-                    f"subsequences mod {m} stabilize to {len(clusters)} "
-                    "distinct values",
-                ),
+                notes=(f"subsequences mod {m} stabilize to {len(clusters)} distinct values",),
             )
         spread = float(values[-2 * m :].max() - values[-2 * m :].min())
         return PotentialEvaluation(
@@ -608,10 +584,7 @@ def _result(point: PointSpec, route: _Route, values) -> PotentialEvaluation:
             terms_used=n_scan,
             mode="adaptive",
             certified=False,
-            notes=(
-                "no strictly positive tail window; observed convergence is "
-                "uncertified",
-            ),
+            notes=("no strictly positive tail window; observed convergence is uncertified",),
         )
     return PotentialEvaluation(
         value=float(values[-1]),
@@ -662,33 +635,42 @@ def evaluate_many(
     either reported uncertified or declared divergent with its cluster
     values.
 
-    Every point is checked and routed first, in order, so a refusal is the
-    first refused point's; one planner gives every route (_routes), with the
-    certified depth taken once per preperiod length and one stacked
-    Birkhoff coefficient and one stacked image per window shape.
-    The values are then taken in lockstep, one stacked step per level for
+    Every point is checked and planned first, in order, so a refusal is the
+    first refused point's: _routes gives each point's evaluation with value
+    None, with the certified depth taken once per preperiod length and one
+    stacked Birkhoff coefficient and one stacked image per window shape.
+    The plans are then filled in lockstep, one stacked step per level for
     all points instead of one matrix-vector product per point and level:
-    psi_n of the certified and window-route points in one staggered
-    backward pass (_lockstep_scales, one row per shared tail), the value
-    sequences of the scan-route points in one forward pass with one row per
-    distinct point of the batch and of its shifts, whose logs are taken once
-    at the end (_lockstep_sequences).  Both passes keep their rows in one
-    array zero-padded to the widest fiber (FactorSystem.padded_stack) and
-    gather their blocks per level (_gathered_product) or per run of levels.
-    The backward pass drops a point's row once it repeats bit for bit at a
-    lag of whole periods and takes it up again at the last level of the
-    repeat, so psi_n costs about the levels before the repeat; the value
-    and terms_used are those of the full depth n.  Each point's evaluation
-    is the same, bit for bit, whatever else is in the batch.
+    psi_n of the certified and window-route plans from one staggered
+    backward pass (_lockstep_scales, one row per shared tail), a certified
+    radius floored at what double precision resolves at the value
+    (FLOAT_NOISE_FLOOR max(1, |psi_n|)); each scan plan replaced by the
+    _scan_result of its value sequence, from one forward pass (a single
+    point included) with one row per distinct point of the batch and of its
+    shifts, whose logs are taken once at the end (_lockstep_sequences).
+    Both passes keep their rows in one array zero-padded to the widest fiber
+    (FactorSystem.padded_stack) and gather their blocks per level
+    (_gathered_product) or per run of levels.  The backward pass drops a
+    point's row once it repeats bit for bit at a lag of whole periods and
+    takes it up again at the last level of the repeat, so psi_n costs about
+    the levels before the repeat; the value and terms_used are those of the
+    full depth n.  Each point's evaluation is the same, bit for bit,
+    whatever else is in the batch.
     """
     check_target_error(target_error)
-    routes = _routes(fs, points, target_error, constants)
-    backward = [i for i, r in enumerate(routes) if r.window]
-    scan = [i for i, r in enumerate(routes) if not r.window]
-    scales = _lockstep_scales(fs, [points[i] for i in backward], [routes[i].depth for i in backward])
-    values = {i: float(np.log(x)) for i, x in zip(backward, scales)}
-    values.update(zip(scan, _lockstep_sequences(fs, [points[i] for i in scan], [routes[i].depth for i in scan])))
-    return [_result(points[i], r, values[i]) for i, r in enumerate(routes)]
+    plans = _routes(fs, points, target_error, constants)
+    scan = [i for i, plan in enumerate(plans) if plan.mode == "scan"]
+    backward = [i for i, plan in enumerate(plans) if plan.mode != "scan"]
+    scales = _lockstep_scales(fs, [points[i] for i in backward], [plans[i].terms_used for i in backward])
+    for i, x in zip(backward, scales):
+        value, radius = float(np.log(x)), plans[i].error_radius
+        if plans[i].certified:
+            radius = max(radius, FLOAT_NOISE_FLOOR * max(1.0, abs(value)))
+        plans[i] = plans[i]._replace(value=value, error_radius=radius)
+    sequences = _lockstep_sequences(fs, [points[i] for i in scan], [plans[i].terms_used for i in scan])
+    for i, values in zip(scan, sequences):
+        plans[i] = _scan_result(points[i], values)
+    return plans
 
 
 def _symbol_column(points: Sequence[PointSpec]):
@@ -896,24 +878,22 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
 
 
 def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: Sequence[int]) -> list[np.ndarray]:
-    """_psi_sequence(fs, p, n) for every point p and its length n, in one
-    forward pass to max(lengths) with one padded row (fs.padded_stack) per
-    distinct point y of the batch and of its shifts: ones on the fiber of y0
-    at level 0, stepped and rescaled level by level.  The step blocks of a
-    run of at most 16 levels are gathered at once, blocks[cols[:-1],
-    cols[1:]] over the run's symbol columns, within STACK_DOUBLES doubles
-    (shorter runs, then chunks of rows); each level of the run writes its
-    rows into the run's buffer.  With A(y, k) = log nu[y0..yk] read off
-    level k, psi_n(x) = A(x, n) - A(sx, n - 1) for the shift sx, whose row
-    at level n - 1 is _psi_sequence's w row of x at level n.  The logs are
-    deferred: the row sums (1.0 at level 0) and the marginal dots (one _dots
-    call per run) fill one row per level of two arrays, math.log is taken
-    per entry and np.add.accumulate adds along the levels from 0.0 in
-    _psi_sequence's order, so the values agree bit for bit."""
+    """_psi_sequence(fs, p, n) for every point p and its length n, a single
+    point included, in one forward pass to max(lengths) with one padded row
+    (fs.padded_stack) per distinct point y of the batch and of its shifts:
+    ones on the fiber of y0 at level 0, stepped and rescaled level by
+    level.  The step blocks of a run of at most 16 levels are gathered at
+    once, blocks[cols[:-1], cols[1:]] over the run's symbol columns, within
+    STACK_DOUBLES doubles (shorter runs, then chunks of rows); each level of
+    the run writes its rows into the run's buffer.  With A(y, k) = log
+    nu[y0..yk] read off level k, psi_n(x) = A(x, n) - A(sx, n - 1) for the
+    shift sx, whose row at level n - 1 is _psi_sequence's w row of x at level
+    n.  The logs are deferred: the row sums (1.0 at level 0) and the marginal
+    dots (one _dots call per run) fill one row per level of two arrays,
+    math.log is taken per entry and np.add.accumulate adds along the levels
+    from 0.0 in _psi_sequence's order, so the values agree bit for bit."""
     if not points:
         return []
-    if len(points) == 1:
-        return [_psi_sequence(fs, points[0], lengths[0])]
     shifted = [p.shifted(fs) for p in points]
     row_of = {p: i for i, p in enumerate(dict.fromkeys([*points, *shifted]))}
     count = len(row_of)

@@ -329,6 +329,15 @@ def test_example_bad_gamma_exit_code(capsys):
     assert "gamma" in err
 
 
+def test_example_gamma_for_another_example_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    code = main(["example", "fullshift4", "--gamma", "5", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", "error: gamma is a parameter of nongibbs6 only, not of fullshift4\n")
+    assert not path.exists()
+
+
 def test_missing_model_file_exit_code(capsys):
     code = main(["check", "/nonexistent/model.json"])
     err = capsys.readouterr().err

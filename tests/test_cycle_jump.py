@@ -136,9 +136,9 @@ def test_exits_cover_multiples_of_the_period_and_level_zero(exits):
 def test_batch_mixes_cycling_and_non_cycling_rows(nongibbs6, monkeypatch):
     fs = nongibbs6
     points = sweep_points(fs, 5)
-    routes = list(zip(points, _routes(fs, points, 1e-10, None)))
-    points = [p for p, r in routes if r.window]
-    depths = [r.depth for _, r in routes if r.window]
+    plans = list(zip(points, _routes(fs, points, 1e-10, None)))
+    points = [p for p, plan in plans if plan.mode != "scan"]
+    depths = [plan.terms_used for _, plan in plans if plan.mode != "scan"]
     symbols = []
     original = PointSpec.symbol_at
 

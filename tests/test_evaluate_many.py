@@ -141,8 +141,8 @@ def test_uncertified_batch_equals_evaluate_on_nongibbs6(gamma):
     points = sweep_points(fs, 5)
     evs = evaluate_many(fs, points, TARGET)
     assert evs == per_point(fs, points, TARGET)
-    routes = {r.window for r in _routes(fs, points, TARGET, None)}
-    assert routes == {True, False}
+    modes = {plan.mode for plan in _routes(fs, points, TARGET, None)}
+    assert modes == {"adaptive", "scan"}
     diverged = sum(ev.mode == "diverged" for ev in evs)
     assert diverged >= (2 if gamma == 0.30 else 1)
 
@@ -158,7 +158,7 @@ def test_uncertified_batch_equals_evaluate_on_random_points(name):
     assert any(p.preperiod for p in points) and any(not p.preperiod for p in points)
     assert evaluate_many(fs, points, TARGET) == per_point(fs, points, TARGET)
     if name == "nongibbs6":
-        assert {r.window for r in _routes(fs, points, TARGET, None)} == {True, False}
+        assert {plan.mode for plan in _routes(fs, points, TARGET, None)} == {"adaptive", "scan"}
 
 
 def test_batch_raises_the_first_refusal(converse_false):
@@ -375,7 +375,7 @@ def _refusal(fs, point):
 
 
 def one_point_route(fs, point, target_error):
-    """The route of one point planned with the one-matrix forms, symbol by
+    """The plan of one point made with the one-matrix forms, symbol by
     symbol: pattern_primitivity per phase, contraction_coefficient of the
     window, and apply_normalized plus projective_distance for a*."""
     t0, q = len(point.preperiod), len(point.period)
@@ -385,7 +385,8 @@ def one_point_route(fs, point, target_error):
         if prim.primitive:
             break
     else:
-        return potential._Route(False, min(max(150, t0 + 30 * q, 12 * q), potential.MAX_DEPTH))
+        n_scan = min(max(150, t0 + 30 * q, 12 * q), potential.MAX_DEPTH)
+        return gf.PotentialEvaluation(None, math.inf, n_scan, "scan", False)
     big_q = prim.exponent * q
     window = fs.word_product([point.symbol_at(i) for i in range(a0, a0 + big_q + 1)])
     tau_q = gf.contraction_coefficient(window).tau
@@ -397,7 +398,8 @@ def one_point_route(fs, point, target_error):
         k += 1
         radius = tau_q**k * a_star / (1.0 - tau_q)
     note = f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})"
-    return potential._Route(True, max(2, a0 + k * big_q), max(radius, potential.FLOAT_NOISE_FLOOR), note)
+    radius = max(radius, potential.FLOAT_NOISE_FLOOR)
+    return gf.PotentialEvaluation(None, radius, max(2, a0 + k * big_q), "adaptive", False, notes=(note,))
 
 
 @pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "nongibbs6", "converse_false", "wide12"])
@@ -411,9 +413,9 @@ def test_batched_route_plan_equals_the_one_point_plan(name):
     expected = [one_point_route(fs, p, TARGET) for p in points]
     assert _routes(fs, points, TARGET, None) == expected
     assert [_routes(fs, [p], TARGET, None)[0] for p in points] == expected
-    assert any(r.window for r in expected) == (name != "converse_false")
+    assert any(plan.mode != "scan" for plan in expected) == (name != "converse_false")
     if name == "nongibbs6":
-        assert len({r.window for r in expected}) == 2
+        assert len({plan.mode for plan in expected}) == 2
     if refused:
         with pytest.raises(gf.EvaluationRefused) as info:
             _routes(fs, points + refused, TARGET, None)
@@ -474,17 +476,47 @@ def test_single_point_does_not_use_the_batch(adhoc5, adhoc5_constants, monkeypat
     assert ev.mode == "certified"
 
 
-def test_single_scan_route_point_does_not_use_the_batch(nongibbs6, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("single points go through _psi_sequence")
+def test_single_scan_route_point_takes_the_one_point_batch(nongibbs6, monkeypatch):
+    # a scan-route point alone is a forward pass of one point and its
+    # shift, whose sequence is _psi_sequence's bit for bit
+    fs = nongibbs6
+    points = periodic_batch(fs, 7) + [PointSpec(fs, (1,), (0,)), PointSpec(fs, (0,), (1,))]
+    plans = _routes(fs, points, TARGET, None)
+    scan = [(p, plan.terms_used) for p, plan in zip(points, plans) if plan.mode == "scan"]
+    assert len(scan) == 63 and {p for p, _ in scan} >= set(points[-2:])
+    expected = []
+    for p, n in scan:
+        assert_lockstep_equals_psi_sequence(fs, [p], [n])
+        expected.append(potential._scan_result(p, _psi_sequence(fs, p, n)))
+    calls = []
 
-    points = [PointSpec(nongibbs6, (), (0,)), PointSpec(nongibbs6, (), (0, 1))]
-    scan = [p for p, r in zip(points, _routes(nongibbs6, points, TARGET, None)) if not r.window]
-    assert scan
-    # the batch (and the backward batch) read the points' symbols through _symbol_column
-    monkeypatch.setattr(potential, "_symbol_column", refuse)
-    for p in scan:
-        assert evaluate(nongibbs6, p).terms_used >= 150
+    def counted(fs, batch, lengths):
+        calls.append((batch, lengths))
+        return real(fs, batch, lengths)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single point takes the forward batch")
+
+    real = potential._lockstep_sequences
+    monkeypatch.setattr(potential, "_lockstep_sequences", counted)
+    monkeypatch.setattr(potential, "_psi_sequence", refuse)
+    for (p, n), want in zip(scan, expected):
+        calls.clear()
+        assert evaluate(fs, p) == want
+        assert calls == [([p], [n])]
+
+
+@pytest.mark.parametrize("name", ["nongibbs6", "converse_false"])
+def test_no_scan_plan_leaves_the_batch(name):
+    # "scan" marks a plan inside evaluate_many only
+    fs = gf.example_system(name)
+    points = [p for p in sweep_points(fs, 4) if _refusal(fs, p) is None]
+    evs = evaluate_many(fs, points, TARGET)
+    assert "scan" in {plan.mode for plan in _routes(fs, points, TARGET, None)}
+    assert "scan" not in {ev.mode for ev in evs}
+    results = gf.periodic_many(fs, periodic_batch(fs, 6))
+    fallback = [r[0] for r in results if not isinstance(r, gf.EvaluationRefused) and r[1] is None]
+    assert fallback and "scan" not in {ev.mode for ev in fallback}
 
 
 def _with_per_point_loop(monkeypatch, run):
@@ -600,15 +632,15 @@ def test_routes_with_constants_are_certified(certified_system):
     rng = np.random.default_rng(26)
     points = [random_point(fs, rng, int(rng.integers(0, 6))) for _ in range(20)]
     assert len({len(p.preperiod) for p in points}) >= 3
-    routes = _routes(fs, points, TARGET, c)
-    for p, route in zip(points, routes):
+    plans = _routes(fs, points, TARGET, c)
+    for p, plan in zip(points, plans):
         n = _certified_depth(c, len(p.preperiod), TARGET)
-        assert route == (True, n, c.eq_radius_constant * c.theta**n, "", True)
+        assert plan == gf.PotentialEvaluation(None, c.eq_radius_constant * c.theta**n, n, "certified", True)
     evs = evaluate_many(fs, points, TARGET, c)
     assert evs == [evaluate(fs, p, TARGET, c) for p in points]
-    for ev, route in zip(evs, routes):
+    for ev, plan in zip(evs, plans):
         assert (ev.mode, ev.certified, ev.notes) == ("certified", True, ())
-        assert (ev.terms_used, ev.error_radius) == (route.depth, route.radius)
+        assert (ev.terms_used, ev.error_radius) == (plan.terms_used, plan.error_radius)
 
 
 @pytest.mark.parametrize("theta", [1.0 - 2.0**-52, 1.0 - 1e-15, 1.0 - 1e-9])

@@ -40,6 +40,13 @@ def test_gamma_range_enforced():
     assert doc["options"]["gamma"] == 0.30
 
 
+@pytest.mark.parametrize("example_id", ["adhoc5", "fullshift4", "converse_false"])
+def test_gamma_refused_for_examples_without_it(example_id):
+    with pytest.raises(gf.ModelError, match=f"^gamma is a parameter of nongibbs6 only, not of {example_id}$"):
+        expand_example(example_id, gamma=0.3)
+    assert expand_example(example_id, gamma=None) == expand_example(example_id)
+
+
 def test_nongibbs6_rows_are_stochastic_and_doubly_stochastic():
     doc = expand_example("nongibbs6", gamma=0.28)
     t = np.asarray(doc["transition"])

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gibbsfactor as gf
+from gibbsfactor import potential
 from gibbsfactor.potential import (
     PointSpec,
     _d_const,
@@ -492,26 +493,60 @@ def test_frozen_value_on_three_cycle(adhoc5, adhoc5_constants):
     assert ev.value == pytest.approx(-0.980829253012, abs=FROZEN_ABS_TOL)
 
 
-def test_birkhoff_sum_over_orbit_is_log_spectral_radius(adhoc5, adhoc5_constants):
+def orbits_up_to(fs, p_max):
+    """Every orbit of period <= p_max whose steps have no zero fiber row, as
+    the list of its rotations, keyed by its least rotation; and the number
+    of orbits refused for a zero row."""
+    orbits, refused = {}, set()
+    for pp in gf.enumerate_periodic(fs.factor_tmc, p_max):
+        per = pp.symbols
+        key, point = min(per[k:] + per[:k] for k in range(len(per))), PointSpec(fs, (), per)
+        try:
+            potential._check_point_rows(fs, point)
+        except gf.EvaluationRefused:
+            refused.add(key)
+            continue
+        orbits.setdefault(key, []).append(point)
+    return orbits, len(refused)
+
+
+def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
     # summing psi over all rotations of a cycle telescopes the defining
     # ratios into nu[one full period shift], whose growth rate is the
-    # dominant eigenvalue of the one-period product
-    for period in [(0, 1), (0, 2, 1)]:
-        total = 0.0
-        radius = 0.0
-        for k in range(len(period)):
-            rot = period[k:] + period[:k]
-            ev = gf.evaluate(
-                adhoc5,
-                PointSpec(adhoc5, (), rot),
-                target_error=1e-12,
-                constants=adhoc5_constants,
-            )
-            total += ev.value
-            radius += ev.error_radius
-        product = one_period_product(adhoc5, gf.PeriodicPoint(adhoc5.factor_tmc, period))
-        rho = np.abs(np.linalg.eigvals(product)).max()
-        assert abs(total - math.log(rho)) <= radius + 1e-10
+    # dominant eigenvalue of the one-period product.  Checked through
+    # evaluate_many on the orbits whose every rotation takes the certified
+    # or window route, and through periodic_many on those whose every
+    # rotation takes the eigendata route; scan-route radii are observed,
+    # not proven, so those orbits are only counted
+    systems = [gf.example_system(name) for name in ("adhoc5", "fullshift4", "nongibbs6", "converse_false")]
+    systems += [sparse_model(seed) for seed in range(40)]
+    checked = {"backward": 0, "eigendata": 0, "scan": 0, "refused": 0}
+    for fs in systems:
+        try:
+            constants = gf.uniform_constants(fs)
+        except gf.CertificationError:
+            constants = None
+        orbits, refused = orbits_up_to(fs, 4)
+        checked["refused"] += refused
+        points = [p for rotations in orbits.values() for p in rotations]
+        plans = dict(zip(points, potential._routes(fs, points, 1e-12, constants)))
+        backward = dict(zip(points, gf.evaluate_many(fs, points, 1e-12, constants)))
+        eigendata = dict(zip(points, gf.periodic_many(fs, points, 1e-12)))
+        for period, rotations in orbits.items():
+            product = one_period_product(fs, gf.PeriodicPoint(fs.factor_tmc, period))
+            log_rho = math.log(np.abs(np.linalg.eigvals(product)).max())
+            routes = []
+            if all(plans[p].mode != "scan" for p in rotations):
+                routes.append(("backward", [backward[p] for p in rotations]))
+            else:
+                checked["scan"] += 1
+            if all(eigendata[p][1] is not None for p in rotations):
+                routes.append(("eigendata", [eigendata[p][0] for p in rotations]))
+            for route, evs in routes:
+                checked[route] += 1
+                total = math.fsum(ev.value for ev in evs)
+                assert abs(total - log_rho) <= sum(ev.error_radius for ev in evs) + 1e-10, (route, period)
+    assert checked == {"backward": 359, "eigendata": 190, "scan": 7, "refused": 6}
 
 
 def test_evaluation_refused_on_zero_row_step(converse_false):

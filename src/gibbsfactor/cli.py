@@ -26,6 +26,7 @@ from .potential import (
     PointSpec,
     UniformConstants,
     check_sweep_depth,
+    check_sweep_words,
     check_target_error,
     evaluate,
     finite_range_obstruction,
@@ -148,6 +149,7 @@ def cmd_potential(args) -> int:
 
 def cmd_periodic(args) -> int:
     fs = models.load_model(args.model)
+    check_sweep_words(fs, args.max_period)
     periodic = enumerate_periodic(fs.factor_tmc, args.max_period)
     # enumerate_periodic yields admissible, cyclically closed, primitive words
     points = [PointSpec._absorbed((), pp.symbols) for pp in periodic]
@@ -182,6 +184,7 @@ def cmd_periodic(args) -> int:
 def cmd_holder(args) -> int:
     check_sweep_depth(args.n_max)
     fs = models.load_model(args.model)
+    check_sweep_words(fs, args.n_max + 1)
     constants, reason = _try_constants(fs)
     if constants is None:
         print(f"holder report needs certification constants: {reason}")
@@ -206,10 +209,11 @@ def cmd_holder(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    # a bad tolerance or depth is refused before anything is printed
+    # a bad tolerance, depth or word count is refused before anything is printed
     check_target_error(args.tol)
     check_sweep_depth(args.n_max, least=1 if args.invariance else 0)
     fs = models.load_model(args.model)
+    check_sweep_words(fs, args.n_max + 1)
     constants, reason = _try_constants(fs)
     if constants is None:
         print(f"constants unavailable ({reason}); sweep is uncertified")

@@ -22,6 +22,7 @@ from .potential import (
     _return_path,
     _sweep_points,
     check_sweep_depth,
+    check_sweep_words,
     evaluate_many,
     markov_approx,
 )
@@ -79,7 +80,8 @@ def bgi_sweep(
     of distinct points (_extension_shifts), evaluated in one batch
     (evaluate_many); each word's Birkhoff sum adds its row of values left
     to right, and the cylinder masses come from one backward pass
-    (log_nu_cylinders).
+    (log_nu_cylinders).  Words past WORD_BUDGET are refused
+    (check_sweep_words).
 
     Where the potential diverges, the finite-range stand-in psi_m at a fixed
     even horizon m (markov_approx) takes its place; the fixed parity keeps
@@ -87,6 +89,7 @@ def bgi_sweep(
     the unbounded correction.
     """
     check_sweep_depth(n_max)
+    check_sweep_words(fs, n_max + 1)
     horizon = max(PROXY_HORIZON_MIN, 2 * (n_max + 2))
     points, levels = _extension_shifts(fs, n_max)
     evs = evaluate_many(fs, points, target_error, constants)

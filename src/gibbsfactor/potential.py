@@ -12,6 +12,7 @@ step assumes otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -35,7 +36,9 @@ from .tmc import Word, check_primitivity, enumerate_words, pattern_primitivity, 
 DEFAULT_TARGET_ERROR = 1e-10
 # deepest level an evaluation route goes to
 MAX_DEPTH = 500000
-# most admissible words (of lengths 2 to twice the window) d_const may visit
+# most admissible words a computation may visit, counted before any is built:
+# d_const's words of lengths 2 to twice the window, and a sweep's (gibbs,
+# holder, periodic) of lengths 1 to its longest
 WORD_BUDGET = 1 << 22
 # a backward row takes its first cycle-search checkpoint at a multiple of
 # this many levels, so that rows joining at different depths share the
@@ -370,7 +373,8 @@ def _psi_sequence(fs: FactorSystem, point: PointSpec, n_hi: int) -> np.ndarray:
 
     Independent of the backward route; the two agree to rounding, which the
     tests use as a consistency check.  No caller in the package: it is the
-    one-point reference that _lockstep_sequences equals bit for bit.
+    one-point reference whose last values _lockstep_sequences equals bit
+    for bit.
     """
     blocks, marginals, ones = fs.padded_stack
     x = point.symbols(n_hi + 2)
@@ -549,51 +553,53 @@ def _routes(
     return plans
 
 
-def _scan_result(point: PointSpec, values: np.ndarray) -> PotentialEvaluation:
-    """The evaluation of a scanned value sequence psi_1 .. psi_n: reported
-    uncertified, or declared divergent with its cluster values when its
-    subsequences mod a multiple of the period stabilize apart."""
-    t0 = len(point.preperiod)
-    q = len(point.period)
-    n_scan = len(values)
+def _scan_tail(t0: int, q: int, n: int) -> int:
+    """How many trailing values of psi_1 .. psi_n _scan_result reads at a
+    point with a preperiod of t0 symbols and a period of q: 5 m for the
+    largest multiple m = q k (k <= 6) of the period with 10 m <= n - t0,
+    else 1, the last value alone."""
+    k = min(6, (n - t0) // (10 * q))
+    return 5 * q * k if k > 0 else 1
+
+
+def _scan_result(point: PointSpec, tail: np.ndarray, n_scan: int) -> list[PotentialEvaluation]:
+    """The evaluations of scanned sequences psi_1 .. psi_n_scan at a group of
+    points with point's preperiod length and period, one per row of tail,
+    which ends in its sequence's last _scan_tail values: uncertified, or
+    divergent with its cluster values when its subsequences mod a multiple
+    m of the period stabilize apart.  Each m tests the spread of the last 5
+    values of every residue at all undecided rows at once, and
+    _cluster_values runs only where that test passes."""
+    t0, q = len(point.preperiod), len(point.period)
     samples = 5
+    out: list = [None] * len(tail)
+    last = tail[:, -1].tolist()
+    rows = list(range(len(tail)))  # the rows of tail still undecided
     for m in [q * k for k in range(1, 7)]:
-        if m * samples * 2 > n_scan - t0:
+        if not rows or m * samples * 2 > n_scan - t0:
             break
-        # column j holds the last samples values of one residue mod m
-        block = values[-samples * m :].reshape(samples, m)
-        if (block.max(axis=0) - block.min(axis=0) > 1e-9).any():
+        # axis 1 of block runs over the last samples values of one residue mod m
+        block = tail[:, -samples * m :].reshape(len(rows), samples, m)
+        settled = (~(block.max(axis=1) - block.min(axis=1) > 1e-9).any(axis=1)).nonzero()[0].tolist()
+        if not settled:
             continue
-        clusters = _cluster_values(block[-1].tolist())
-        if clusters is None:
-            continue
-        if len(clusters) >= 2:
-            return PotentialEvaluation(
-                value=None,
-                error_radius=math.inf,
-                terms_used=n_scan,
-                mode="diverged",
-                certified=False,
-                clusters=tuple(clusters),
-                notes=(f"subsequences mod {m} stabilize to {len(clusters)} distinct values",),
-            )
-        spread = float(values[-2 * m :].max() - values[-2 * m :].min())
-        return PotentialEvaluation(
-            value=float(values[-1]),
-            error_radius=max(spread, FLOAT_NOISE_FLOOR),
-            terms_used=n_scan,
-            mode="adaptive",
-            certified=False,
-            notes=("no strictly positive tail window; observed convergence is uncertified",),
-        )
-    return PotentialEvaluation(
-        value=float(values[-1]),
-        error_radius=math.inf,
-        terms_used=n_scan,
-        mode="adaptive",
-        certified=False,
-        notes=("value sequence did not stabilize within the scan depth",),
-    )
+        spreads = (tail[:, -2 * m :].max(axis=1) - tail[:, -2 * m :].min(axis=1)).tolist()
+        for j in settled:
+            clusters = _cluster_values(block[j, -1].tolist())
+            if clusters is None:
+                continue
+            i = rows[j]
+            if len(clusters) >= 2:
+                note = f"subsequences mod {m} stabilize to {len(clusters)} distinct values"
+                out[i] = PotentialEvaluation(None, math.inf, n_scan, "diverged", False, tuple(clusters), (note,))
+            else:
+                note = "no strictly positive tail window; observed convergence is uncertified"
+                radius = max(spreads[j], FLOAT_NOISE_FLOOR)
+                out[i] = PotentialEvaluation(last[i], radius, n_scan, "adaptive", False, (), (note,))
+        keep = [j for j, i in enumerate(rows) if out[i] is None]
+        tail, rows = tail[keep], [rows[j] for j in keep]
+    note = "value sequence did not stabilize within the scan depth"
+    return [ev or PotentialEvaluation(v, math.inf, n_scan, "adaptive", False, (), (note,)) for ev, v in zip(out, last)]
 
 
 def check_target_error(target_error: float) -> None:
@@ -642,12 +648,14 @@ def evaluate_many(
     The plans are then filled in lockstep, one stacked step per level for
     all points instead of one matrix-vector product per point and level:
     psi_n of the certified and window-route plans from one staggered
-    backward pass (_lockstep_scales, one row per shared tail), a certified
-    radius floored at what double precision resolves at the value
-    (FLOAT_NOISE_FLOOR max(1, |psi_n|)); each scan plan replaced by the
-    _scan_result of its value sequence, from one forward pass (a single
-    point included) with one row per distinct point of the batch and of its
-    shifts, whose logs are taken once at the end (_lockstep_sequences).
+    backward pass (_lockstep_scales, one row per shared tail), their logs
+    and the certified radii floored at what double precision resolves at
+    the value (FLOAT_NOISE_FLOOR max(1, |psi_n|)) taken as arrays; the
+    scan plans' sequences from one forward pass (a single point included)
+    with one row per distinct point of the batch and of its shifts, which
+    returns only the _scan_tail values a verdict reads and takes their logs
+    once at the end (_lockstep_sequences), and their evaluations from one
+    _scan_result per group of one preperiod length, period and length.
     Both passes keep their rows in one array zero-padded to the widest fiber
     (FactorSystem.padded_stack) and gather their blocks per level
     (_gathered_product) or per run of levels.  The backward pass drops a
@@ -661,15 +669,23 @@ def evaluate_many(
     plans = _routes(fs, points, target_error, constants)
     scan = [i for i, plan in enumerate(plans) if plan.mode == "scan"]
     backward = [i for i, plan in enumerate(plans) if plan.mode != "scan"]
-    scales = _lockstep_scales(fs, [points[i] for i in backward], [plans[i].terms_used for i in backward])
-    for i, x in zip(backward, scales):
-        value, radius = float(np.log(x)), plans[i].error_radius
-        if plans[i].certified:
-            radius = max(radius, FLOAT_NOISE_FLOOR * max(1.0, abs(value)))
-        plans[i] = plans[i]._replace(value=value, error_radius=radius)
-    sequences = _lockstep_sequences(fs, [points[i] for i in scan], [plans[i].terms_used for i in scan])
-    for i, values in zip(scan, sequences):
-        plans[i] = _scan_result(points[i], values)
+    values = np.log(_lockstep_scales(fs, [points[i] for i in backward], [plans[i].terms_used for i in backward]))
+    radii = np.array([plans[i].error_radius for i in backward])
+    floored = np.maximum(radii, FLOAT_NOISE_FLOOR * np.maximum(1.0, np.abs(values)))
+    radii = np.where([plans[i].certified for i in backward], floored, radii)
+    for i, value, radius in zip(backward, values.tolist(), radii.tolist()):
+        plans[i] = PotentialEvaluation(value, radius, *plans[i][2:])
+    groups: dict[tuple, list] = {}
+    for i in scan:
+        groups.setdefault((len(points[i].preperiod), len(points[i].period), plans[i].terms_used), []).append(i)
+    scan = [i for group in groups.values() for i in group]
+    lengths = [n for (_, _, n), group in groups.items() for _ in group]
+    tails = [_scan_tail(*key) for key, group in groups.items() for _ in group]
+    sequences = iter(_lockstep_sequences(fs, [points[i] for i in scan], lengths, tails))
+    for (_, _, n), group in groups.items():
+        tail = np.stack([next(sequences) for _ in group])
+        for i, evaluation in zip(group, _scan_result(points[group[0]], tail, n)):
+            plans[i] = evaluation
     return plans
 
 
@@ -756,6 +772,8 @@ def _gathered_product(blocks: np.ndarray, rows: np.ndarray, before, after) -> np
     array, as one gathered product per chunk of at most STACK_DOUBLES block
     doubles; each row's product equals the one-row product bit for bit."""
     chunk = max(1, STACK_DOUBLES // blocks[0, 0].size)
+    if len(rows) <= chunk:
+        return (blocks[before, after] @ rows[:, :, None])[..., 0]
     at = [slice(j, j + chunk) for j in range(0, len(rows), chunk)]
     return np.concatenate([blocks[before[j], after[j]] @ rows[j, :, None] for j in at])[..., 0]
 
@@ -877,31 +895,47 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
     return out
 
 
-def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: Sequence[int]) -> list[np.ndarray]:
-    """_psi_sequence(fs, p, n) for every point p and its length n, a single
-    point included, in one forward pass to max(lengths) with one padded row
-    (fs.padded_stack) per distinct point y of the batch and of its shifts:
-    ones on the fiber of y0 at level 0, stepped and rescaled level by
-    level.  The step blocks of a run of at most 16 levels are gathered at
-    once, blocks[cols[:-1], cols[1:]] over the run's symbol columns, within
-    STACK_DOUBLES doubles (shorter runs, then chunks of rows); each level of
-    the run writes its rows into the run's buffer.  With A(y, k) = log
+def _lockstep_sequences(
+    fs: FactorSystem, points: Sequence[PointSpec], lengths: Sequence[int], tails: Sequence[int]
+) -> list[np.ndarray]:
+    """The last t values psi_(n-t+1) .. psi_n of _psi_sequence(fs, p, n) for
+    every point p, its length n and its tail 1 <= t <= n, a single point
+    included, in one forward pass with one padded row (fs.padded_stack) per
+    distinct point y of the batch and of its shifts: ones on the fiber of
+    y0 at level 0, stepped and rescaled level by level.  With A(y, k) = log
     nu[y0..yk] read off level k, psi_n(x) = A(x, n) - A(sx, n - 1) for the
     shift sx, whose row at level n - 1 is _psi_sequence's w row of x at level
-    n.  The logs are deferred: the row sums (1.0 at level 0) and the marginal
-    dots (one _dots call per run) fill one row per level of two arrays,
-    math.log is taken per entry and np.add.accumulate adds along the levels
-    from 0.0 in _psi_sequence's order, so the values agree bit for bit."""
+    n.  A row's last level is n as a point and n - 1 as a shift (the larger
+    for a fixed point, which is both); rows are kept in order of falling
+    last level, and a run of levels steps only those not past theirs.  The
+    step blocks of a run of at most 16 levels are gathered at once,
+    blocks[cols[:-1], cols[1:]] over the run's symbol columns, within
+    STACK_DOUBLES doubles (shorter runs, then chunks of rows).  The logs are
+    deferred: the row sums (1.0 at level 0) and the marginal dots (one
+    _dots call per run) fill two (levels, rows) arrays, and math.log is
+    taken once per distinct value among the entries read, a row's sums up to
+    its last level and its dots from the first level a tail reads there on.
+    np.add.accumulate adds the sums' logs along the levels from 0.0 in
+    _psi_sequence's order, so the values read agree bit for bit."""
     if not points:
         return []
     shifted = [p.shifted(fs) for p in points]
-    row_of = {p: i for i, p in enumerate(dict.fromkeys([*points, *shifted]))}
-    count = len(row_of)
-    column = _symbol_column(list(row_of))
+    # the levels read at each row: values n - t + 1 .. n read its sums up to
+    # n and its dots from n - t + 1 as the point, and one level less as the shift
+    first, last = {}, {}
+    for p, sp, n, t in zip(points, shifted, lengths, tails):
+        for y, end in ((p, n), (sp, n - 1)):
+            first[y] = min(first.get(y, end), end - t + 1)
+            last[y] = max(last.get(y, 0), end)
+    order = sorted(last, key=last.__getitem__, reverse=True)
+    row_of = {y: i for i, y in enumerate(order)}
+    count = len(order)
+    starts, ends = np.array([first[y] for y in order]), np.array([last[y] for y in order])
+    column = _symbol_column(order)
     blocks, marginals, ones = fs.padded_stack
     run = max(1, min(16, STACK_DOUBLES // (count * blocks[0, 0].size)))
     chunk = max(1, STACK_DOUBLES // (run * blocks[0, 0].size))
-    levels = max(lengths)
+    levels = int(ends[0])
     sums = np.ones((levels + 1, count))
     dots = np.empty((levels + 1, count))
     cols = column(0)[None]
@@ -909,31 +943,61 @@ def _lockstep_sequences(fs: FactorSystem, points: Sequence[PointSpec], lengths: 
     rows = np.empty((run + 1, count, marginals.shape[1]))
     rows[0] = ones[cols[0]]
     dots[0] = _dots(rows[0], marginals[cols[0]])
-    for k in range(1, levels + 1, run):
+    # the rows a run from level k steps: those whose last level is k or more
+    lives = np.searchsorted(-ends, -np.arange(1, levels + 1, run), side="right").tolist()
+    for k, live in zip(range(1, levels + 1, run), lives):
         cols = np.stack([cols[-1], *map(column, range(k, min(k + run, levels + 1)))])
         m = len(cols) - 1
-        for at in (slice(j, j + chunk) for j in range(0, count, chunk)):
+        for at in (slice(j, min(j + chunk, live)) for j in range(0, live, chunk)):
             steps = blocks[cols[:-1, at], cols[1:, at]]
             for j in range(m):
                 x = (rows[j, at, None] @ steps[j])[:, 0]
                 sums[k + j, at] = s = np.add.reduce(x, axis=1)
                 np.divide(x, s[:, None], out=rows[j + 1, at])
-        dots[k : k + m] = _dots(rows[1 : m + 1].reshape(m * count, -1), marginals[cols[1:].ravel()]).reshape(m, count)
-        rows[0] = rows[m]
-    logs = [np.fromiter(map(math.log, a.ravel().tolist()), float, a.size).reshape(a.shape) for a in (sums, dots)]
+        stepped = rows[1 : m + 1, :live].reshape(m * live, -1)
+        dots[k : k + m, :live] = _dots(stepped, marginals[cols[1:, :live].ravel()]).reshape(m, live)
+        rows[0, :live] = rows[m, :live]
+    level = np.arange(levels + 1)[:, None]
+    read = [(level > 0) & (level <= ends), (level >= starts) & (level <= ends)]
+    # rows that settle into a cycle repeat their sums and dots bit for bit, so
+    # the distinct values are far fewer (1,222 of 16,666 entries read in the
+    # nongibbs6 example's 61 scanned periodic points up to period 7)
+    entries, at = np.unique(np.concatenate([sums[read[0]], dots[read[1]]]), return_inverse=True)
+    values = np.fromiter(map(math.log, entries.tolist()), float, len(entries))[at]
+    logs = np.zeros((2, levels + 1, count))
+    logs[0][read[0]], logs[1][read[1]] = np.split(values, [np.count_nonzero(read[0])])
     total = np.add.accumulate(logs[0], axis=0) + logs[1]
-    return [total[1 : n + 1, row_of[p]] - total[:n, row_of[sp]] for p, sp, n in zip(points, shifted, lengths)]
+    batch = zip(points, shifted, lengths, tails)
+    return [total[n - t + 1 : n + 1, row_of[p]] - total[n - t : n, row_of[sp]] for p, sp, n, t in batch]
+
+
+def _word_counts(fs: FactorSystem):
+    """The numbers of admissible words of lengths 1, 2, 3, ..., 1^T M^(n-1) 1
+    at length n, counted exactly in integers by first symbol."""
+    table = fs.factor_tmc.successor_table
+    starts = [1] * len(table)  # the words of the current length by first symbol
+    while True:
+        yield sum(starts)
+        starts = [sum(starts[b] for b in row) for row in table]
+
+
+def check_sweep_words(fs: FactorSystem, longest: int) -> None:
+    """Refuse a sweep over the admissible words of lengths 1..longest when
+    they number more than WORD_BUDGET (ModelError), counted (_word_counts)
+    before any is built and only up to the first length past the budget."""
+    total = 0
+    for n, count in enumerate(itertools.islice(_word_counts(fs), longest), 1):
+        total += count
+        if total > WORD_BUDGET:
+            message = f"a sweep over words of lengths up to {longest} would take at least {total:,} admissible words"
+            raise ModelError(message + f" (those up to length {n}), beyond the word budget of {WORD_BUDGET:,}")
 
 
 def _check_word_budget(fs: FactorSystem, gap: int) -> None:
     """Refuse a window whose d_const would take more than WORD_BUDGET
-    admissible words of lengths 2..gap, counted exactly as 1^T M^(n-1) 1 in
-    integers before any word is built; the window's own words are fewer."""
-    table = fs.factor_tmc.successor_table
-    starts, total = [len(row) for row in table], 0  # the words of length n by first symbol
-    for _ in range(gap - 1):
-        total += sum(starts)
-        starts = [sum(starts[b] for b in row) for row in table]
+    admissible words of lengths 2..gap (_word_counts); the window's own
+    words are fewer."""
+    total = sum(itertools.islice(_word_counts(fs), 1, gap))
     if total > WORD_BUDGET:
         message = f"d_const up to length {gap} would take {total:,} admissible words"
         raise CertificationError(message + f", beyond the word budget of {WORD_BUDGET:,}")
@@ -1259,8 +1323,9 @@ def holder_variation(
     two tail_completions of each word, joined from the completions of its
     last symbol: an index table into one list of distinct points
     (_sweep_points), evaluated in one batch (evaluate_many) to a target
-    error of 1e-11."""
+    error of 1e-11.  Words past WORD_BUDGET are refused (check_sweep_words)."""
     check_sweep_depth(n_max)
+    check_sweep_words(fs, n_max + 1)
     # a symbol with a single completion gives its words no pair
     tails = {b: pts for b in range(fs.target_size) if len(pts := tail_completions(fs, (b,), 2)) == 2}
 

@@ -183,8 +183,11 @@ class FactorSystem:
     def word_product(self, symbols: Sequence[int], products: Optional[dict] = None) -> np.ndarray:
         """Product of fiber weight matrices along a factor word (length >= 2),
         left to right.  products, when given, keeps the products of the
-        word's prefixes, shared by the words of one batch."""
+        word's prefixes, shared by the words of one batch; a word whose
+        product is kept there already is returned at once."""
         products = {} if products is None else products
+        if (out := products.get(tuple(symbols))) is not None:
+            return out
         out = self.fiber_weight[(symbols[0], symbols[1])]
         for j in range(2, len(symbols)):
             key = tuple(symbols[: j + 1])

@@ -626,6 +626,35 @@ def test_constants_of_the_full_eight_shift_stay_under_the_word_budget(tmp_path):
     assert 1_398_096 <= potential.WORD_BUDGET < 305_175_775
 
 
+def test_sweep_word_count_is_exact(adhoc5, monkeypatch):
+    # the count is enumerate_words' to the word, so a budget of exactly that
+    # many passes and one word fewer refuses
+    total = sum(len(gf.enumerate_words(adhoc5.factor_tmc, n)) for n in range(1, 8))
+    monkeypatch.setattr(potential, "WORD_BUDGET", total)
+    potential.check_sweep_words(adhoc5, 7)
+    monkeypatch.setattr(potential, "WORD_BUDGET", total - 1)
+    with pytest.raises(gf.ModelError, match=rf"at least {total:,} admissible words \(those up to length 7\)"):
+        potential.check_sweep_words(adhoc5, 7)
+
+
+@pytest.mark.parametrize(
+    "args", [["holder", "--n-max", "40"], ["gibbs", "--n-max", "40"], ["periodic", "--max-period", "40"]]
+)
+def test_sweeps_beyond_the_word_budget_are_refused_at_once(model_paths, capsys, args):
+    # fullshift4 has 2**n words of length n: holder ran out of memory here,
+    # and gibbs and periodic printed nothing for minutes.  The count stops at
+    # length 22, the first past the budget, and nothing else is printed
+    start = time.perf_counter()
+    assert main([args[0], model_paths["fullshift4"], *args[1:]]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: a sweep over words of lengths up to {40 if args[0] == 'periodic' else 41} would take at least "
+        f"8,388,606 admissible words (those up to length 22), beyond the word budget of {potential.WORD_BUDGET:,}\n"
+    )
+
+
 def test_deep_image_subshift_search_is_linear(model_paths, capsys):
     # the search keeps the witness-free states it has left, so depth 40 (an
     # exponential search would take hours) ends as fast as depth 12 and with

@@ -21,6 +21,8 @@ from gibbsfactor.potential import (
     _lockstep_sequences,
     _psi_sequence,
     _routes,
+    _scan_result,
+    _scan_tail,
     _window_count,
     evaluate,
     evaluate_many,
@@ -214,7 +216,7 @@ def test_forward_lockstep_equals_psi_sequence(name):
     rng = np.random.default_rng(27)
     points = [random_point(fs, rng, int(rng.integers(0, 8))) for _ in range(30)]
     lengths = [int(n) for n in rng.integers(1, 120, size=len(points))]
-    for p, n, seq in zip(points, lengths, _lockstep_sequences(fs, points, lengths)):
+    for p, n, seq in zip(points, lengths, _lockstep_sequences(fs, points, lengths, lengths)):
         assert seq.tolist() == _psi_sequence(fs, p, n).tolist()
 
 
@@ -249,7 +251,8 @@ def periodic_batch(fs, p_max):
 
 
 def assert_lockstep_equals_psi_sequence(fs, points, lengths):
-    sequences = _lockstep_sequences(fs, points, lengths)
+    # a tail of n values is the whole sequence
+    sequences = _lockstep_sequences(fs, points, lengths, lengths)
     assert len(sequences) == len(points)
     for p, n, seq in zip(points, lengths, sequences):
         expected = _psi_sequence(fs, p, n)
@@ -302,7 +305,10 @@ def test_forward_runs_do_not_change_a_bit(run, monkeypatch):
     monkeypatch.setattr(potential, "_dots", counted)
     assert_lockstep_equals_psi_sequence(fs, points, lengths)
     assert len(calls) == 1 + -(-levels // run)
-    assert calls[1] == min(run, levels) * rows
+    # the first run steps the rows read past level 0: every point, and the
+    # shift of every point longer than 1
+    stepped = len(dict.fromkeys(points + [p.shifted(fs) for p, n in zip(points, lengths) if n > 1]))
+    assert calls[1] == min(run, levels) * stepped
 
 
 def test_shift_closed_batch_steps_one_row_per_point(monkeypatch):
@@ -317,7 +323,7 @@ def test_shift_closed_batch_steps_one_row_per_point(monkeypatch):
 
     real = potential._symbol_column
     monkeypatch.setattr(potential, "_symbol_column", counted)
-    _lockstep_sequences(fs, points, [40] * len(points))
+    _lockstep_sequences(fs, points, [40] * len(points), [40] * len(points))
     assert tabled == [len(points)]
 
 
@@ -487,12 +493,12 @@ def test_single_scan_route_point_takes_the_one_point_batch(nongibbs6, monkeypatc
     expected = []
     for p, n in scan:
         assert_lockstep_equals_psi_sequence(fs, [p], [n])
-        expected.append(potential._scan_result(p, _psi_sequence(fs, p, n)))
+        expected.append(potential._scan_result(p, _psi_sequence(fs, p, n)[None], n)[0])
     calls = []
 
-    def counted(fs, batch, lengths):
-        calls.append((batch, lengths))
-        return real(fs, batch, lengths)
+    def counted(fs, batch, lengths, tails):
+        calls.append((batch, lengths, tails))
+        return real(fs, batch, lengths, tails)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a single point takes the forward batch")
@@ -503,7 +509,7 @@ def test_single_scan_route_point_takes_the_one_point_batch(nongibbs6, monkeypatc
     for (p, n), want in zip(scan, expected):
         calls.clear()
         assert evaluate(fs, p) == want
-        assert calls == [([p], [n])]
+        assert calls == [([p], [n], [potential._scan_tail(len(p.preperiod), len(p.period), n)])]
 
 
 @pytest.mark.parametrize("name", ["nongibbs6", "converse_false"])
@@ -661,3 +667,151 @@ def test_certified_depth_up_to_the_cap_is_kept(adhoc5_constants):
     theta = math.exp(math.log(TARGET / c.eq_radius_constant) / (potential.MAX_DEPTH // 2))
     n = _certified_depth(c._replace(theta=theta), 0, TARGET)
     assert abs(n - potential.MAX_DEPTH // 2) <= 1
+
+
+def h2_failing_model(seed):
+    """First seeded draw like test_potential.sparse_model (3 to 6 source
+    symbols onto 2 or 3, about 40 % of the transitions forbidden, seed key
+    77) that loads, passes H1 and fails H2: tails without a primitive phase
+    window, so scan-route points (no sparse_model draw has one up to period
+    7)."""
+    rng = np.random.default_rng([seed, 77])
+    while True:
+        n, nb = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        labels = [f"s{i}" for i in range(n)]
+        incidence = (rng.uniform(size=(n, n)) < 0.6).astype(int)
+        p = rng.uniform(0.05, 1.0, size=(n, n)) * incidence
+        p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+        mapping = list(range(nb)) + [int(x) for x in rng.integers(0, nb, size=n - nb)]
+        try:
+            fs = gf.parse_model({
+                "alphabet": labels,
+                "incidence": incidence.tolist(),
+                "transition": p.tolist(),
+                "projection": {lab: str(b) for lab, b in zip(labels, mapping)},
+            })
+        except gf.ModelError:
+            continue
+        if fs.h1.passed and not fs.h2.passed:
+            return fs
+
+
+def test_scan_tail_is_what_the_verdict_reads():
+    # the largest multiple m = q k (k <= 6) with 10 m <= n - t0 decides how
+    # far back the verdict reads, 5 m values; with none, the last value
+    assert [_scan_tail(0, 1, n) for n in (9, 10, 19, 20, 59, 60, 150)] == [1, 5, 5, 10, 25, 30, 30]
+    assert [_scan_tail(t0, 7, 150) for t0 in (0, 9, 10, 79, 80, 200)] == [70, 70, 70, 35, 35, 1]
+    assert _scan_tail(5, 30, 155) == 1 and _scan_tail(5, 15, 155) == 75
+
+
+def test_forward_lockstep_tails_equal_the_psi_sequence_tails(nongibbs6, monkeypatch):
+    # one pass cut at lengths 150, 180 and 210, with tails from 1 to the
+    # whole sequence: the fixed point (0)*, which is its own shift, read as
+    # a point at two lengths; 1(0)*, whose shift (0)* is in the batch; and
+    # two points of each period 1 to 7.  A row is stepped while some value
+    # read at it lies ahead, as a point up to its length n and as a shift
+    # up to n - 1: each run's marginal dots cover just those rows
+    fs = nongibbs6
+    by_period: dict = {}
+    for p in periodic_batch(fs, 7):
+        by_period.setdefault(len(p.period), []).append(p)
+    points = [PointSpec(fs, (), (0,)), PointSpec(fs, (1,), (0,))]
+    points += [p for q in sorted(by_period) for p in by_period[q][:2]] + points[:1]
+    assert len({len(p.period) for p in points}) == 7 and points[1].shifted(fs) == points[0]
+    rng = np.random.default_rng(47)
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    real = potential._dots
+    monkeypatch.setattr(potential, "_dots", counted)
+    for draw in range(4):
+        lengths = [int(n) for n in rng.choice([150, 180, 210], size=len(points))]
+        tails = [[1, n, n - 1, int(rng.integers(1, n + 1))][(draw + i) % 4] for i, n in enumerate(lengths)]
+        calls.clear()
+        sequences = _lockstep_sequences(fs, points, lengths, tails)
+        for p, n, t, seq in zip(points, lengths, tails, sequences):
+            assert seq.tobytes() == _psi_sequence(fs, p, n)[-t:].tobytes()
+        last: dict = {}
+        for p, n in zip(points, lengths):
+            last[p] = max(last.get(p, 0), n)
+            last[p.shifted(fs)] = max(last.get(p.shifted(fs), 0), n - 1)
+        runs = range(1, max(lengths) + 1, 16)
+        assert calls[1:] == [min(16, max(lengths) + 1 - k) * sum(end >= k for end in last.values()) for k in runs]
+
+
+def test_forward_pass_logs_each_distinct_value_read_once(nongibbs6, monkeypatch):
+    # the 61 scanned periodic points up to period 7, with their shifts: 61
+    # rows, 211 levels.  Reading only the tails takes 16,666 of the 2 x 211 x
+    # 61 = 25,742 sums and dots, and math.log runs once per distinct value
+    fs = nongibbs6
+    batch = periodic_batch(fs, 7)
+    scan = [(p, plan.terms_used) for p, plan in zip(batch, _routes(fs, batch, TARGET, None)) if plan.mode == "scan"]
+    points, lengths = [p for p, _ in scan], [n for _, n in scan]
+    tails = [_scan_tail(0, len(p.period), n) for p, n in scan]
+    read, logged = [], []
+
+    def unique(a, **kwargs):
+        read.append(a.copy())
+        return real_unique(a, **kwargs)
+
+    def log(x):
+        logged.append(x)
+        return math.log(x)
+
+    real_unique = np.unique
+    monkeypatch.setattr(potential.np, "unique", unique)
+    monkeypatch.setattr(potential, "math", type("math", (), {"log": staticmethod(log)}))
+    sequences = _lockstep_sequences(fs, points, lengths, tails)
+    monkeypatch.undo()
+    assert len(points) == 61 and max(lengths) == 210
+    assert len(read) == 1 and len(read[0]) == 16_666
+    assert sorted(logged) == sorted(set(read[0].tolist())) and len(logged) < len(read[0]) // 4
+    for p, n, t, seq in zip(points, lengths, tails, sequences):
+        assert seq.tobytes() == _psi_sequence(fs, p, n)[-t:].tobytes()
+
+
+SCAN_SYSTEMS = {
+    "nongibbs6": lambda: [gf.example_system("nongibbs6")],
+    "converse_false": lambda: [gf.example_system("converse_false")],
+    "h2_failing": lambda: [h2_failing_model(seed) for seed in range(12)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SYSTEMS))
+def test_scan_evaluations_equal_the_verdict_of_the_whole_sequence(name):
+    # every scan-route point of period <= 7, and on nongibbs6 points with
+    # preperiods too: evaluate_many, which scans the last _scan_tail values
+    # and decides each (preperiod length, period, length) group at once,
+    # gives the evaluation of the whole _psi_sequence; values the tail
+    # leaves out do not count, so they may as well be nan
+    rng = np.random.default_rng(48)
+    counts, modes = [], set()
+    for fs in SCAN_SYSTEMS[name]():
+        points = periodic_batch(fs, 7)
+        if name == "nongibbs6":
+            points += [random_point(fs, rng, int(rng.integers(1, 6)), per_max=7) for _ in range(60)]
+        points = [p for p in points if _refusal(fs, p) is None]
+        plans = _routes(fs, points, TARGET, None)
+        scan = [(i, plan.terms_used) for i, plan in enumerate(plans) if plan.mode == "scan"]
+        evs = evaluate_many(fs, points, TARGET)
+        for i, n in scan:
+            p = points[i]
+            values = _psi_sequence(fs, p, n)
+            assert evs[i] == _scan_result(p, values[None], n)[0]
+            poisoned = values.copy()
+            poisoned[: n - _scan_tail(len(p.preperiod), len(p.period), n)] = np.nan
+            assert _scan_result(p, poisoned[None], n)[0] == evs[i]
+            modes.add(evs[i].notes[0] if evs[i].mode == "adaptive" else evs[i].mode)
+        counts.append(len(scan))
+    if name == "nongibbs6":
+        assert counts[0] > 61 and modes == {
+            "diverged",
+            "no strictly positive tail window; observed convergence is uncertified",
+        }
+    elif name == "converse_false":
+        assert counts == [2]
+    else:
+        assert counts == [2, 2, 60, 0, 0, 2, 1, 1, 1, 0, 19, 34] and len(modes) == 3

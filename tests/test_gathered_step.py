@@ -142,11 +142,11 @@ def test_gathered_chunks_do_not_change_a_bit(doubles, monkeypatch):
     lengths = [int(n) for n in rng.integers(1, 120, size=len(points))]
     assert len(points) > 7
     scales = _lockstep_scales(fs, points, depths).tolist()
-    sequences = _lockstep_sequences(fs, points, lengths)
+    sequences = _lockstep_sequences(fs, points, lengths, lengths)
     assert_scales(scales, expected(fs, points, depths), MIXED_BOUND)
     monkeypatch.setattr(potential, "STACK_DOUBLES", doubles)
     assert _lockstep_scales(fs, points, depths).tolist() == scales
-    chunked = _lockstep_sequences(fs, points, lengths)
+    chunked = _lockstep_sequences(fs, points, lengths, lengths)
     assert [a.tobytes() for a in chunked] == [a.tobytes() for a in sequences]
 
 

@@ -351,6 +351,18 @@ def test_word_product_shares_prefixes_bit_for_bit(adhoc5):
     assert set(products) == {w[:j] for w in words for j in range(3, len(w) + 1)}
 
 
+def test_word_product_returns_a_kept_word_at_once(adhoc5):
+    # a word kept in the memo is returned as the same array object, without
+    # a walk over its prefixes (a kept word with no kept prefix shows it)
+    word = gf.enumerate_words(adhoc5.factor_tmc, 5)[3].symbols
+    products: dict = {}
+    product = adhoc5.word_product(word, products)
+    assert adhoc5.word_product(list(word), products) is product
+    kept = {word: product}
+    assert adhoc5.word_product(word, kept) is product and kept == {word: product}
+    assert np.array_equal(adhoc5.word_product(word), product)
+
+
 def test_from_labels_refuses_missing_and_unknown_source_labels():
     source = gf.Alphabet(["a", "b", "c"])
     with pytest.raises(gf.ModelError, match=r"^projection misses source symbols \['a', 'c'\]$"):

@@ -566,24 +566,31 @@ def test_a_refusal_reads_the_same_from_every_command(model_paths, capsys):
 def test_periodic_power_contraction_rounding_to_one_is_refused(tmp_path, capsys):
     # with rows log-uniform over [1e-60, 1] (draw 5; also 14, 37 and 46) the
     # strictly positive one-period product of (10) has a Birkhoff coefficient
-    # that rounds to 1.0, so its vector term bounds nothing (it was a
-    # ZeroDivisionError); the other points print as before
+    # that rounds to 1.0, so its own vector term bounds nothing (it was a
+    # ZeroDivisionError); it takes the vectors and radius of its orbit's
+    # base, (01), whose coefficient is below 1
     code = main(["periodic", log_uniform_fullshift4(tmp_path, 5, low=1e-60), "--max-period", "2"])
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
-    assert code == 1
+    assert code == 0
     assert captured.err == ""
     assert [line.split(":")[0] for line in lines] == ["(0)*", "(1)*", "(01)*", "(10)*"]
-    assert lines[3] == (
-        "(10)*: refused (power 1 of the one-period product has contraction 1 in double "
-        "precision, so it bounds no radius)"
-    )
-    assert all("eigendata" in line or "refused (power 1 " in line for line in lines)
-    # the power iterations of the other three ran all their MAX_POWER_STEPS
-    # steps, so no spectral gap is printed (it read 1, 1.0005654082 and
-    # 30.4815740775, and a ratio above 1 no dominant eigenvalue has)
-    for line in lines[:3]:
+    assert lines[3].split(", radius ")[1] == lines[2].split(", radius ")[1]
+    # the power iterations ran all their MAX_POWER_STEPS steps, so no
+    # spectral gap is printed (it read 1, 1.0005654082 and 30.4815740775,
+    # and a ratio above 1 no dominant eigenvalue has)
+    for line in lines:
         assert line.endswith(", eigendata certified, spectral gap |l2|/rho n/a")
+    # over [1e-100, 1] (draw 62) both rotations of (01) round to 1: the
+    # orbit has no base, and each rotation is refused
+    code = main(["periodic", log_uniform_fullshift4(tmp_path, 62, low=1e-100), "--max-period", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    for name, line in zip(("(01)*", "(10)*"), lines[2:]):
+        assert line == (
+            f"{name}: refused (power 1 of the one-period product has contraction 1 in double "
+            "precision, so it bounds no radius)"
+        )
 
 
 def full_shift_document(n_src, n_tgt, seed=1):
@@ -653,6 +660,29 @@ def test_sweeps_beyond_the_word_budget_are_refused_at_once(model_paths, capsys, 
         f"error: a sweep over words of lengths up to {40 if args[0] == 'periodic' else 41} would take at least "
         f"8,388,606 admissible words (those up to length 22), beyond the word budget of {potential.WORD_BUDGET:,}\n"
     )
+
+
+HUGE = "99999999999999999999"  # above sys.maxsize
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["periodic", "--max-period", "-1"], "maximal period must be >= 1"),
+        (["periodic", "--max-period", HUGE], f"a sweep over words of lengths up to {HUGE} would"),
+        (["gibbs", "--n-max", HUGE], f"a sweep over words of lengths up to {int(HUGE) + 1} would"),
+        (["holder", "--n-max", HUGE], f"a sweep over words of lengths up to {int(HUGE) + 1} would"),
+    ],
+    ids=["periodic-negative", "periodic-huge", "gibbs-huge", "holder-huge"],
+)
+def test_sweep_sizes_out_of_range_are_input_errors(model_paths, capsys, args, error):
+    # a negative size or one above sys.maxsize made the word count's
+    # itertools.islice raise ValueError, printed as a traceback with exit 1
+    assert main([args[0], model_paths["fullshift4"], *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}")
+    assert "Traceback" not in err
 
 
 def test_deep_image_subshift_search_is_linear(model_paths, capsys):

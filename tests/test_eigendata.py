@@ -1,11 +1,17 @@
-"""The batched eigendata route eigendata_many and the stacked Perron
-iteration against the one-point route they replaced, kept below as the
-reference oracle; the zero-pattern primitivity memo; the cylinder-mass pass
-log_nu_cylinders against log_nu_cylinder."""
+"""The batched eigendata route eigendata_many against its orbit route
+written out one matrix at a time, and against the one-point route it
+replaced, kept below as the reference oracle of the stacked Perron iteration
+and of each orbit's base; the zero-pattern primitivity memo; the
+cylinder-mass pass log_nu_cylinders against log_nu_cylinder."""
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +41,7 @@ from gibbsfactor.projective import (
 )
 from gibbsfactor.tmc import pattern_primitivity
 
+from test_cli import log_uniform_fullshift4
 from test_golden_cli import wide12_document
 from test_potential import random_certified_system
 
@@ -145,6 +152,57 @@ def oracle_slot(fs, point):
         return oracle_eigendata_potential(fs, point)
     except gf.EvaluationRefused as exc:
         return exc
+    except ZeroDivisionError:
+        # a power of contraction 1, which the oracle predates
+        exponent = pattern_primitivity(fs.word_product(point.period + point.period[:1])).exponent
+        message = f"power {exponent} of the one-period product has contraction 1 in double precision"
+        return gf.EvaluationRefused(message + ", so it bounds no radius")
+
+
+# The orbit route, one matrix at a time: the base is the first rotation,
+# counting from the least, whose per-point slot above is certified; the
+# other rotations carry its vectors around the cycle.
+
+
+def oracle_orbit_slot(fs, point):
+    slot = oracle_slot(fs, point)
+    if not isinstance(slot, tuple):
+        # a zero fiber row, a product that is not primitive, or a power of
+        # contraction 1, which refuses the point only if its orbit has no base
+        if not isinstance(slot, gf.EvaluationRefused) or "power" not in str(slot):
+            return slot
+    period = point.period
+    p = len(period)
+    rotations = [period[k:] + period[:k] for k in range(p)]
+    least = min(rotations)
+    words = [least[k:] + least[:k] for k in range(p)]
+    for b, word in enumerate(words):
+        base_slot = oracle_slot(fs, PointSpec(fs, (), word))
+        if isinstance(base_slot, tuple):
+            break
+    else:
+        return slot
+    j = (words.index(period) - b) % p
+    if j == 0:
+        return base_slot
+    evaluation, pd = base_slot
+    # on vectors and blocks zero-padded to the widest fiber
+    padded, _, ones = fs.padded_stack
+    word = words[b]
+    blocks = [padded[word[m], word[(m + 1) % p]] for m in range(p)]
+    rights, logs = {0: np.zeros(padded.shape[-1])}, {}
+    rights[0][: len(pd.right)] = pd.right
+    for m in range(p - 1, 0, -1):
+        v = blocks[m] @ rights[(m + 1) % p]
+        logs[m] = math.log(v.sum())
+        rights[m] = v / v.sum()
+    left = np.zeros(padded.shape[-1])
+    left[: len(pd.left)] = pd.left
+    for m in range(1, j + 1):
+        u = left @ blocks[m - 1]
+        left = u / (u @ rights[m])
+    n = int(ones[word[j]].sum())
+    return (evaluation._replace(value=logs[j]), pd._replace(right=rights[j][:n], left=left[:n]))
 
 
 # ------------------------------------------------------------- comparisons
@@ -188,8 +246,26 @@ SYSTEMS = {
 }
 
 
+def assert_overlapping_slot(got, want):
+    """got, a slot of the orbit route, against want, the per-point route's
+    slot at the same point: the same refusals and fallbacks, except that a
+    point refused for a power of contraction 1 may be certified through its
+    orbit's base, and intervals that overlap."""
+    if isinstance(want, gf.EvaluationRefused) and "power" in str(want) and isinstance(got, tuple):
+        return
+    if not isinstance(want, tuple):
+        assert_same_slot(got, want)
+        return
+    (ev, pd), (want_ev, want_pd) = got, want
+    assert abs(ev.value - want_ev.value) <= ev.error_radius + want_ev.error_radius
+    assert abs(math.log(pd.rho) - math.log(want_pd.rho)) <= ev.error_radius + want_ev.error_radius
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_batch_equals_per_point_oracle(name):
+    # the per-point route as a cross-check: every slot overlaps it, and the
+    # base of every orbit (its first certified rotation from the least)
+    # equals it bit for bit
     build, max_period = SYSTEMS[name]
     fs = build()
     points = periodic_points(fs, max_period)
@@ -197,9 +273,32 @@ def test_batch_equals_per_point_oracle(name):
     want = [oracle_slot(fs, p) for p in points]
     assert len(got) == len(want) == len(points)
     for g, w in zip(got, want):
-        assert_same_slot(g, w)
+        assert_overlapping_slot(g, w)
+    slots = dict(zip(points, zip(got, want)))
+    bases = 0
+    for p in points:
+        if p.period == min(p.period[k:] + p.period[:k] for k in range(len(p.period))):
+            rotations = [PointSpec(fs, (), p.period[k:] + p.period[:k]) for k in range(len(p.period))]
+            base = next((r for r in rotations if isinstance(slots[r][1], tuple)), None)
+            if base is not None:
+                assert_same_slot(*slots[base])
+                bases += 1
     if name != "converse_false":
-        assert any(isinstance(w, tuple) for w in want)
+        assert bases and any(isinstance(w, tuple) for w in want)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_batch_equals_orbit_oracle(name):
+    build, max_period = SYSTEMS[name]
+    fs = build()
+    points = periodic_points(fs, max_period)
+    got = eigendata_many(fs, points)
+    assert len(got) == len(points)
+    for g, p in zip(got, points):
+        assert_same_slot(g, oracle_orbit_slot(fs, p))
+    # every rotation one at a time: a lone rotation forms its orbit's base
+    for p in points:
+        assert_same_slot(eigendata_many(fs, [p])[0], oracle_orbit_slot(fs, p))
 
 
 def test_batch_holds_every_kind_of_slot():
@@ -215,13 +314,13 @@ def test_batch_in_any_order_and_with_repeats(adhoc5):
     rng = np.random.default_rng(31)
     shuffled = [points[i] for i in rng.permutation(len(points))] + points[:4]
     for g, p in zip(eigendata_many(adhoc5, shuffled), shuffled):
-        assert_same_slot(g, oracle_slot(adhoc5, p))
+        assert_same_slot(g, oracle_orbit_slot(adhoc5, p))
     assert eigendata_many(adhoc5, []) == []
 
 
 def test_single_point_route(adhoc5, converse_false):
     for p in periodic_points(adhoc5, 4):
-        assert_same_slot(eigendata_many(adhoc5, [p])[0], oracle_slot(adhoc5, p))
+        assert_same_slot(eigendata_many(adhoc5, [p])[0], oracle_orbit_slot(adhoc5, p))
     with pytest.raises(gf.AdmissibilityError):
         periodic_potential(adhoc5, PointSpec(adhoc5, (2,), (1, 0)))
     with pytest.raises(gf.AdmissibilityError):
@@ -233,6 +332,31 @@ def test_single_point_route(adhoc5, converse_false):
         periodic_potential(converse_false, refused[0])
     want = oracle_slot(converse_false, refused[0])
     assert (str(info.value), info.value.window) == (str(want), want.window)
+
+
+def test_base_passes_over_a_rotation_of_contraction_1(tmp_path, monkeypatch):
+    # rows log-uniform over [1e-60, 1], draw 66: the product of (01) has a
+    # Birkhoff coefficient that rounds to 1, so a second stacked pass takes
+    # (10) as the base, and (01), refused on its own, is carried from it
+    fs = gf.load_model(log_uniform_fullshift4(tmp_path, 66, low=1e-60))
+    points = [PointSpec(fs, (), (0, 1)), PointSpec(fs, (), (1, 0))]
+    own = [oracle_slot(fs, p) for p in points]
+    assert isinstance(own[0], gf.EvaluationRefused) and isinstance(own[1], tuple)
+    sizes = []
+
+    def counted_stack(ts, *args):
+        sizes.append(len(ts))
+        return _perron_stack(ts, *args)
+
+    monkeypatch.setattr(potential, "_perron_stack", counted_stack)
+    for batch in (points, points[:1], points[1:]):
+        sizes.clear()
+        for g, p in zip(eigendata_many(fs, batch), batch):
+            assert_same_slot(g, oracle_orbit_slot(fs, p))
+        assert sizes == [1, 1]
+    got = eigendata_many(fs, points)
+    assert_same_slot(got[1], own[1])
+    assert got[0][0].error_radius == own[1][0].error_radius
 
 
 # ------------------------------------------------------ the Perron iteration
@@ -412,6 +536,44 @@ def test_periodic_makes_one_eigendata_call(tmp_path, monkeypatch, capsys):
     assert cli.main(["periodic", str(path), "--max-period", "5"]) == 1
     assert calls == [len(gf.enumerate_periodic(gf.example_system("nongibbs6").factor_tmc, 5))]
     assert "eigendata certified" in capsys.readouterr().out
+
+
+def bench_workloads():
+    """bench/workloads.py, imported without writing bytecode under bench/."""
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+
+
+@pytest.mark.parametrize(
+    "workload, orbits, points", [("wide-fibers", 8, 22), ("sweep-fs4", 41, 232), ("divergent-ng6", 28, 171)]
+)
+def test_one_perron_computation_per_orbit(tmp_path, monkeypatch, workload, orbits, points):
+    # the periodic command of each benchmark script at seed 1: the stacked
+    # Perron iteration sees one product per orbit, where it saw one per
+    # eigendata point
+    manifest = bench_workloads().generate(workload, 1, str(tmp_path))
+    argv = next(argv for argv in manifest["script"] if argv[0] == "periodic")
+    sizes, slots = [], []
+
+    def counted_stack(ts, *args):
+        sizes.append(len(ts))
+        return _perron_stack(ts, *args)
+
+    def counted_many(fs, batch):
+        slots.extend(eigendata_many(fs, batch))
+        return slots[-len(batch):]
+
+    monkeypatch.setattr(potential, "_perron_stack", counted_stack)
+    monkeypatch.setattr(potential, "eigendata_many", counted_many)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    assert sum(sizes) == orbits
+    assert sum(isinstance(slot, tuple) for slot in slots) == points
 
 
 def counting_primitivity(monkeypatch):

@@ -520,7 +520,7 @@ def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
     # not proven, so those orbits are only counted
     systems = [gf.example_system(name) for name in ("adhoc5", "fullshift4", "nongibbs6", "converse_false")]
     systems += [sparse_model(seed) for seed in range(40)]
-    checked = {"backward": 0, "eigendata": 0, "scan": 0, "refused": 0}
+    checked = {"backward": 0, "eigendata": 0, "scan": 0, "refused": 0, "overlap": 0}
     for fs in systems:
         try:
             constants = gf.uniform_constants(fs)
@@ -532,6 +532,13 @@ def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
         plans = dict(zip(points, potential._routes(fs, points, 1e-12, constants)))
         backward = dict(zip(points, gf.evaluate_many(fs, points, 1e-12, constants)))
         eigendata = dict(zip(points, gf.periodic_many(fs, points, 1e-12)))
+        # every eigendata interval, at a base or carried, overlaps the
+        # evaluate_many interval; a diverged point has none to compare
+        for p in points:
+            (ev, pd), other = eigendata[p], backward[p]
+            if pd is not None and other.value is not None:
+                assert abs(ev.value - other.value) <= ev.error_radius + other.error_radius, p
+                checked["overlap"] += 1
         for period, rotations in orbits.items():
             product = one_period_product(fs, gf.PeriodicPoint(fs.factor_tmc, period))
             log_rho = math.log(np.abs(np.linalg.eigvals(product)).max())
@@ -542,11 +549,16 @@ def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
                 checked["scan"] += 1
             if all(eigendata[p][1] is not None for p in rotations):
                 routes.append(("eigendata", [eigendata[p][0] for p in rotations]))
+                # the carried values telescope into the base's tail, so they
+                # sum to the log of the base's rho, which every rotation holds
+                rhos = {eigendata[p][1].rho for p in rotations}
+                assert len(rhos) == 1
+                assert abs(math.fsum(eigendata[p][0].value for p in rotations) - math.log(rhos.pop())) <= 1e-12
             for route, evs in routes:
                 checked[route] += 1
                 total = math.fsum(ev.value for ev in evs)
                 assert abs(total - log_rho) <= sum(ev.error_radius for ev in evs) + 1e-10, (route, period)
-    assert checked == {"backward": 359, "eigendata": 190, "scan": 7, "refused": 6}
+    assert checked == {"backward": 359, "eigendata": 190, "scan": 7, "refused": 6, "overlap": 853}
 
 
 def test_evaluation_refused_on_zero_row_step(converse_false):

@@ -203,7 +203,8 @@ class UniformConstants(NamedTuple):
 
 
 class PerronData(NamedTuple):
-    """Dominant eigendata of a primitive nonnegative matrix.
+    """Dominant eigendata of a nonnegative matrix: of a primitive one, as
+    perron_data and _perron_stack take them.
 
     right is the l1-normalized eigenvector d_hat, left is scaled so that
     left . right = 1.  residual is the larger of the two relative
@@ -212,9 +213,10 @@ class PerronData(NamedTuple):
     of the right and left power iterations.  _perron_stack takes these for a
     stack of matrices at once, and each matrix stops iterating when it
     converges, so its data do not depend on the other matrices.  A record
-    that eigendata_many carries to a rotation other than its orbit's base
-    holds that rotation's right and left vectors and the base's rho,
-    second_modulus, residual and iterations.
+    that eigendata_many carries to a rotation of its orbit holds that
+    rotation's right and left vectors and the base's rho, second_modulus,
+    residual and iterations; the rotation's own product need not be
+    primitive, so its left vector can hold zeros.
     """
 
     rho: float
@@ -1111,31 +1113,35 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     """The potential at purely periodic points through dominant eigendata,
     with one Perron computation and one certificate per orbit.
 
-    For period p and one-period product T (cyclically, from the point's own
-    phase), psi = log rho(T) - log |M_(1:p) d_hat|_1, which reduces to
-    log rho for fixed points.  The error radius combines the min/max
-    eigenvalue inclusion with an a-posteriori bound on the eigenvector.
-    This runs at an orbit's base, its first rotation from the least whose T
-    is primitive and whose T^exponent has a Birkhoff coefficient below 1;
-    with W_j the block from rotation j of the base to j + 1, the others take
-    right_j = W_j right_(j+1) / c_j, value log c_j, left_(j+1) ∝ left_j W_j
-    and the base's radius (row-allowable W_j do not expand the Hilbert
-    metric, and |log 1^T W x - log 1^T W y| <= d(x, y)).  Slot i holds
-    (evaluation, eigendata) for points[i], None when its T is not pattern
-    primitive (tested only when a block of the cycle has a zero entry), or
-    the EvaluationRefused of a zero fiber row along it or of an orbit with
-    no base; AdmissibilityError is raised when a point has a preperiod.
-    A slot depends only on its orbit, bit for bit: the products come from
-    one prefix memo, each zero pattern is tested once, the bases' Perron
-    data and certificates run on stacks of one size (a candidate of
-    contraction 1 passes to the next in a further pass), the carried
-    vectors on padded stacks of one period.
+    An orbit's base is its first rotation, counting from the least, whose
+    one-period product T (cyclically, from that phase) is pattern primitive
+    and whose T^exponent, the word product over exponent periods, has a
+    Birkhoff coefficient below 1; a candidate is tested only when the search
+    reaches it, and one of contraction 1 passes to the next in a further
+    pass.  The base's radius combines the min/max eigenvalue inclusion of
+    its right Perron vector d_hat with an a-posteriori bound on that vector
+    (the _window_certificate of T^exponent at d_hat, for periods p >= 2).
+    With W_j the block from rotation j of the base to j + 1, one backward
+    pass around the cycle from right_0 = d_hat, for j = p - 1 .. 0, gives
+    every rotation, the base included, the scale c_j = |W_j right_(j+1)|_1,
+    value log c_j and the base's radius, and each other rotation its right
+    vector right_j = W_j right_(j+1) / c_j: row-allowable W_j do not expand
+    the Hilbert metric, |log 1^T W x - log 1^T W y| <= d(x, y), and for a
+    fixed point |T d_hat|_1 is a d_hat-weighted mean of the eigenvalue
+    inclusion's ratios.  Rotation j + 1's left vector is left_(j+1) ∝
+    left_j W_j.  Slot i holds (evaluation, eigendata) for points[i], None
+    when no rotation of its orbit has a primitive product, or the
+    EvaluationRefused of a zero fiber row along it or of an orbit whose
+    candidates all have contraction 1; AdmissibilityError is raised when a
+    point has a preperiod.  A slot depends only on its orbit, bit for bit:
+    the products come from one prefix memo, each zero pattern is tested
+    once, the bases' Perron data and certificates run on stacks of one
+    size, the carried vectors on padded stacks of one period.
     """
     if any(p.preperiod for p in points):
         raise AdmissibilityError("the eigendata route needs a purely periodic point")
     products: dict = {}
     primitivity: dict = {}
-    positive = {step for step, block in fs.fiber_weight.items() if block.all()}
     results: list = [None] * len(points)
     orbits: dict[tuple, list] = {}  # least rotation w -> [(slot, k)] of the points w[k:] + w[:k]
     for i, point in enumerate(points):
@@ -1149,98 +1155,82 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
         orbits.setdefault(least, []).append((i, -rotations.index(least) % len(least)))
 
     @functools.cache
-    def product(w: tuple, k: int) -> np.ndarray:
-        word = w[k:] + w[:k]
+    def product(w: tuple, k: int, periods: int) -> np.ndarray:
+        word = (w[k:] + w[:k]) * periods
         return fs.word_product(word + word[:1], products)
 
     @functools.cache
     def exponent(w: tuple, k: int) -> Optional[int]:
-        if positive.issuperset(zip(w, w[1:] + w[:1])):
-            return 1
-        prim = _primitivity(primitivity, product(w, k))
+        prim = _primitivity(primitivity, product(w, k, 1))
         return prim.exponent if prim.primitive else None
 
-    pending = [w for w, members in orbits.items() if any(exponent(w, k) for _, k in members)]
-    candidates = {w: [k for k in range(len(w)) if exponent(w, k)] for w in pending}
-    bases: dict = {}  # orbit -> (base rotation, evaluation, eigendata)
+    candidates = {w: filter(functools.partial(exponent, w), range(len(w))) for w in orbits}
+    bases: dict = {}  # orbit -> (base rotation, radius, eigendata)
+    refused: dict = {}  # orbit -> the exponent of its first candidate of contraction 1, named in its refusal
+    pending = list(orbits)
     while pending:
         by_size: dict[int, list] = {}
-        for w, k in ((w, candidates[w].pop(0)) for w in pending if candidates[w]):
-            by_size.setdefault(len(product(w, k)), []).append((w, k))
+        for w in pending:
+            if (k := next(candidates[w], None)) is not None:
+                by_size.setdefault(len(product(w, k, 1)), []).append((w, k))
         pending = []
         for group in by_size.values():
-            ts = np.stack([product(w, k) for w, k in group])
+            ts = np.stack([product(w, k, 1) for w, k in group])
             pds = _perron_stack(ts, PERRON_TOL, MAX_POWER_STEPS)
             right = np.stack([pd.right for pd in pds])
             ratios = (ts @ right[..., None])[..., 0] / right
             inclusions = [math.log(r) for r in (ratios.max(axis=1) / ratios.min(axis=1)).tolist()]
-            # the vector term of a period p >= 2: the _window_certificate of
-            # T^exponent at d_hat
             vector_terms = [0.0] * len(group)
-            exponents = np.array([exponent(w, k) if len(w) > 1 else 0 for w, k in group])
-            for e in sorted(set(exponents.tolist()) - {0}):
-                rows = np.flatnonzero(exponents == e)
-                power = np.linalg.matrix_power(ts[rows], e)
-                for row, tau, gap in zip(rows.tolist(), *_window_certificate(power, normalize_rows(right[rows]))):
+            rows = [row for row, (w, _) in enumerate(group) if len(w) > 1]
+            if rows:
+                powers = np.stack([product(w, k, exponent(w, k)) for w, k in (group[row] for row in rows)])
+                for row, tau, gap in zip(rows, *_window_certificate(powers, normalize_rows(right[rows]))):
                     vector_terms[row] = gap / (1.0 - tau) if tau < 1.0 else None
-            # the tails |M_(1:p) d_hat|_1 of periods p >= 2, one product per shape
-            tails = np.ones(len(group))
-            rests: dict = {}
-            for row, (w, k) in enumerate(group):
-                if len(w) > 1 and vector_terms[row] is not None:
-                    rest = fs.word_product(w[k + 1 :] + w[: k + 1], products)
-                    rests.setdefault(rest.shape, []).append((row, rest))
-            for pairs in rests.values():
-                rows, stack = [row for row, _ in pairs], np.stack([rest for _, rest in pairs])
-                tails[rows] = (stack @ right[rows][..., None])[..., 0].sum(axis=1)
-            for (w, k), pd, inclusion, vector_term, tail in zip(group, pds, inclusions, vector_terms, tails.tolist()):
+            for (w, k), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
                 if vector_term is None:
+                    refused.setdefault(w, exponent(w, k))
                     pending.append(w)
-                    continue
+                else:
+                    bases[w] = (k, inclusion + vector_term + FLOAT_NOISE_FLOOR, pd)
+    for w in refused.keys() - bases.keys():
+        message = f"power {refused[w]} of the one-period product has contraction 1 in double precision"
+        for i, _ in orbits[w]:
+            results[i] = EvaluationRefused(message + ", so it bounds no radius")
+    # rotation j of the base takes its right vector and value from rotation
+    # j + 1 and its left vector from j - 1, on the zero-padded vectors and
+    # blocks of fs.padded_stack, stacked over the orbits of one period
+    blocks = fs.padded_stack[0]
+    by_period: dict[int, list] = {}
+    for w, (b, _, _) in bases.items():
+        by_period.setdefault(len(w), []).append((w, w[b:] + w[:b]))
+    for p, group in by_period.items():
+        words = np.array([word for _, word in group])
+        rights, lefts = np.zeros((2, p, len(group), blocks.shape[-1]))
+        for row, (w, _) in enumerate(group):
+            pd = bases[w][2]
+            rights[0, row, : len(pd.right)], lefts[0, row, : len(pd.left)] = pd.right, pd.left
+        scales = np.empty((p, len(group)))
+        for j in range(p - 1, -1, -1):
+            v = _gathered_product(blocks, rights[(j + 1) % p], words[:, j], words[:, (j + 1) % p])
+            scales[j] = v.sum(axis=1)
+            if j:
+                rights[j] = v / scales[j][:, None]
+        for j in range(1, p):
+            u = (lefts[j - 1][:, None, :] @ blocks[words[:, j - 1], words[:, j]])[:, 0]
+            lefts[j] = u / _dots(u, rights[j])[:, None]
+        for row, (w, _) in enumerate(group):
+            b, radius, pd = bases[w]
+            for i, k in orbits[w]:
+                j, n = (k - b) % p, len(fs.projection.fibers[w[k]])
                 evaluation = PotentialEvaluation(
-                    value=math.log(pd.rho) - math.log(tail),
-                    error_radius=inclusion + vector_term + FLOAT_NOISE_FLOOR,
+                    value=math.log(scales[j, row]),
+                    error_radius=radius,
                     terms_used=pd.iterations,
                     mode="certified",
                     certified=True,
                     notes=("dominant eigendata at a periodic point",),
                 )
-                bases[w] = (k, evaluation, pd)
-    for w in orbits.keys() - bases.keys():
-        for i, k in orbits[w]:
-            if e := exponent(w, k):
-                message = f"power {e} of the one-period product has contraction 1 in double precision"
-                results[i] = EvaluationRefused(message + ", so it bounds no radius")
-    # rotation j of the base takes its right vector from rotation j + 1 and
-    # its left vector from j - 1, on the zero-padded vectors and blocks of
-    # fs.padded_stack, stacked over the orbits of one period
-    blocks = fs.padded_stack[0]
-    by_period: dict[int, list] = {}
-    for w, (b, _, pd) in bases.items():
-        by_period.setdefault(len(w), []).append((w, w[b:] + w[:b], pd))
-    for p, group in by_period.items():
-        words = np.array([word for _, word, _ in group])
-        steps = [blocks[words[:, j], words[:, (j + 1) % p]] for j in range(p)]
-        rights, lefts = np.zeros((2, p, len(group), blocks.shape[-1]))
-        for row, (_, _, pd) in enumerate(group):
-            rights[0, row, : len(pd.right)], lefts[0, row, : len(pd.left)] = pd.right, pd.left
-        scales = {}
-        for j in range(p - 1, 0, -1):
-            v = (steps[j] @ rights[(j + 1) % p][..., None])[..., 0]
-            scales[j] = v.sum(axis=1)
-            rights[j] = v / scales[j][:, None]
-        for j in range(1, p):
-            u = (lefts[j - 1][:, None, :] @ steps[j - 1])[:, 0]
-            lefts[j] = u / _dots(u, rights[j])[:, None]
-        for row, (w, _, _) in enumerate(group):
-            b, evaluation, pd = bases[w]
-            for i, k in orbits[w]:
-                j, n = (k - b) % p, len(fs.projection.fibers[w[k]])
-                if exponent(w, k):
-                    results[i] = (evaluation, pd) if j == 0 else (
-                        evaluation._replace(value=math.log(scales[j][row])),
-                        pd._replace(right=rights[j, row, :n], left=lefts[j, row, :n]),
-                    )
+                results[i] = (evaluation, pd._replace(right=rights[j, row, :n], left=lefts[j, row, :n]))
     return results
 
 
@@ -1250,9 +1240,9 @@ def periodic_many(
     """The potential at purely periodic points.  Slot i holds (evaluation,
     eigendata) for points[i], or the EvaluationRefused that eigendata_many
     puts there.  The points go through eigendata_many, one Perron
-    computation per orbit; those whose one-period product is not pattern
-    primitive then go through one evaluate_many batch (which may report
-    divergence), noted as such and with eigendata None.
+    computation per orbit; those of orbits where no rotation's one-period
+    product is pattern primitive then go through one evaluate_many batch
+    (which may report divergence), noted as such and with eigendata None.
     That batch checks target_error even when it is empty, so a bad target
     is refused whatever route the points take."""
     results = eigendata_many(fs, points)

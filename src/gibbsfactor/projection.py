@@ -40,6 +40,10 @@ from .tmc import (
 
 # default word length up to which check_topological_markov searches
 MARKOV_SEARCH_DEPTH = 12
+# the longest search it accepts: its stack and its table of witness-free
+# states grow with the depth; `check --depth 50000` on converse_false takes
+# 1.2 s with start-up on 2 vCPUs
+MAX_MARKOV_SEARCH_DEPTH = 50_000
 
 
 class Projection:
@@ -290,12 +294,15 @@ def check_topological_markov(fs: FactorSystem, depth: int = MARKOV_SEARCH_DEPTH)
     to lift, which settles the question.  Otherwise search words up to the
     given length for one with empty preimage (tracked by a reachable-fiber
     set); finding one refutes equality, exhausting the depth leaves it open.
+    A depth below 1 or above MAX_MARKOV_SEARCH_DEPTH is refused.
     A state (last symbol, reach) that held no witness with some steps left
     is skipped when it comes back with no more, so the first witness in
     lexicographic order is found at a cost linear in the depth.
     """
     if depth < 1:
         raise ModelError(f"search depth must be >= 1, got {depth}")
+    if depth > MAX_MARKOV_SEARCH_DEPTH:
+        raise ModelError(f"search depth {depth} is above the cap MAX_MARKOV_SEARCH_DEPTH {MAX_MARKOV_SEARCH_DEPTH}")
     if not fs.zero_row_blocks:
         return TopologicalMarkovVerdict("markov_certified", None, depth)
     allows = fs.model.tmc.allows

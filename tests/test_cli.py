@@ -13,6 +13,7 @@ import gibbsfactor as gf
 from gibbsfactor import cli, potential
 from gibbsfactor.cli import main
 from gibbsfactor.models import dump_document, expand_example
+from gibbsfactor.projection import MAX_MARKOV_SEARCH_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +122,11 @@ def test_periodic_lists_orbits(model_paths, capsys):
     assert "(ab)*" in out
     assert "(acb)*" in out
     assert "eigendata certified" in out
-    # the rotation with a degenerate one-period product takes the fallback
-    assert "iterative uncertified" in out
+    # the rotation with a degenerate one-period product is carried from its
+    # orbit's base, so no point takes the fallback
+    (bac,) = [line for line in out.splitlines() if line.startswith("(bac)*: ")]
+    assert ", eigendata certified, spectral gap" in bac
+    assert "iterative" not in out
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
@@ -204,6 +208,20 @@ def test_bad_check_depth_is_input_error(model_paths, capsys, model, depth):
 def test_check_depth_one_is_accepted(model_paths, capsys):
     assert main(["check", model_paths["converse_false"], "--depth", "1"]) == 1
     assert "no missing word up to depth 1 (undecided)" in capsys.readouterr().out
+
+
+def test_check_depth_is_capped(model_paths, capsys):
+    # the search's stack and its table of states grow with the depth, which
+    # is capped: the cap is searched, and a deeper search is refused before
+    # anything is printed
+    cap = MAX_MARKOV_SEARCH_DEPTH
+    assert main(["check", model_paths["converse_false"], "--depth", str(cap)]) == 1
+    assert f"no missing word up to depth {cap} (undecided)" in capsys.readouterr().out
+    for depth in (cap + 1, 10_000_000):
+        assert main(["check", model_paths["converse_false"], "--depth", str(depth)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: search depth {depth} is above the cap MAX_MARKOV_SEARCH_DEPTH {cap}\n"
 
 
 @pytest.mark.parametrize(

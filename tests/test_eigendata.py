@@ -11,6 +11,8 @@ import importlib
 import io
 import math
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +49,10 @@ from test_potential import random_certified_system
 
 # ------------------------------------------------------------------ oracle
 # The one-point perron_data and eigendata_potential as they were before the
-# eigendata route was batched, copied verbatim apart from their names and
-# the d_hat alias of right, which PerronData no longer has.
+# eigendata route was batched, copied verbatim apart from their names, the
+# d_hat alias of right, which PerronData no longer has, and two changes of
+# the route since: the value is that of oracle_backward's pass around the
+# cycle, and T^exponent is the word product over exponent periods.
 
 
 def oracle_power_vector(matrix, tol, max_iter):
@@ -120,19 +124,16 @@ def oracle_eigendata_potential(fs, point):
     ratios = (t @ pd.right) / pd.right
     inclusion = math.log(ratios.max() / ratios.min())
     if p == 1:
-        tail = 1.0
         vector_term = 0.0
     else:
-        rest = fs.word_product(point.period[1:] + (point.period[0],))
-        tail = float((rest @ pd.right).sum())
-        power = np.linalg.matrix_power(t, prim.exponent)
+        power = fs.word_product(point.period * prim.exponent + point.period[:1])
         tau_m = contraction_coefficient(power).tau
         x = SimplexPoint(pd.right, fiber=point.symbol_at(0))
         gap = projective_distance(
             apply_normalized(power, x, out_fiber=point.symbol_at(0)), x
         )
         vector_term = gap / (1.0 - tau_m)
-    value = math.log(pd.rho) - math.log(tail)
+    value = oracle_backward(fs, point.period, pd.right)[1][0]
     radius = inclusion + vector_term + FLOAT_NOISE_FLOOR
     return (
         PotentialEvaluation(
@@ -160,42 +161,48 @@ def oracle_slot(fs, point):
 
 
 # The orbit route, one matrix at a time: the base is the first rotation,
-# counting from the least, whose per-point slot above is certified; the
-# other rotations carry its vectors around the cycle.
+# counting from the least, whose per-point slot above is certified; every
+# rotation carries its vectors around the cycle.
+
+
+def oracle_backward(fs, word, right):
+    """The pass around the cycle word backward from the right vector of its
+    first rotation, on vectors and blocks zero-padded to the widest fiber:
+    the blocks, the right vectors of the other rotations and the logs of the
+    scales of every rotation's push."""
+    padded = fs.padded_stack[0]
+    p = len(word)
+    blocks = [padded[word[m], word[(m + 1) % p]] for m in range(p)]
+    rights, logs = {0: np.zeros(padded.shape[-1])}, {}
+    rights[0][: len(right)] = right
+    for m in range(p - 1, -1, -1):
+        v = blocks[m] @ rights[(m + 1) % p]
+        logs[m] = math.log(v.sum())
+        if m:
+            rights[m] = v / v.sum()
+    return blocks, logs, rights
 
 
 def oracle_orbit_slot(fs, point):
     slot = oracle_slot(fs, point)
-    if not isinstance(slot, tuple):
-        # a zero fiber row, a product that is not primitive, or a power of
-        # contraction 1, which refuses the point only if its orbit has no base
-        if not isinstance(slot, gf.EvaluationRefused) or "power" not in str(slot):
-            return slot
+    if isinstance(slot, gf.EvaluationRefused) and "power" not in str(slot):
+        return slot  # a zero fiber row, which every rotation shares
     period = point.period
     p = len(period)
     rotations = [period[k:] + period[:k] for k in range(p)]
     least = min(rotations)
     words = [least[k:] + least[:k] for k in range(p)]
-    for b, word in enumerate(words):
-        base_slot = oracle_slot(fs, PointSpec(fs, (), word))
-        if isinstance(base_slot, tuple):
-            break
-    else:
-        return slot
+    slots = [oracle_slot(fs, PointSpec(fs, (), word)) for word in words]
+    b = next((b for b, s in enumerate(slots) if isinstance(s, tuple)), None)
+    if b is None:
+        # no base: the orbit is refused for its first power of contraction
+        # 1, or left to the fallback when no rotation is primitive
+        return next((s for s in slots if s is not None), None)
     j = (words.index(period) - b) % p
-    if j == 0:
-        return base_slot
-    evaluation, pd = base_slot
-    # on vectors and blocks zero-padded to the widest fiber
-    padded, _, ones = fs.padded_stack
+    evaluation, pd = slots[b]
     word = words[b]
-    blocks = [padded[word[m], word[(m + 1) % p]] for m in range(p)]
-    rights, logs = {0: np.zeros(padded.shape[-1])}, {}
-    rights[0][: len(pd.right)] = pd.right
-    for m in range(p - 1, 0, -1):
-        v = blocks[m] @ rights[(m + 1) % p]
-        logs[m] = math.log(v.sum())
-        rights[m] = v / v.sum()
+    blocks, logs, rights = oracle_backward(fs, word, pd.right)
+    padded, _, ones = fs.padded_stack
     left = np.zeros(padded.shape[-1])
     left[: len(pd.left)] = pd.left
     for m in range(1, j + 1):
@@ -248,10 +255,12 @@ SYSTEMS = {
 
 def assert_overlapping_slot(got, want):
     """got, a slot of the orbit route, against want, the per-point route's
-    slot at the same point: the same refusals and fallbacks, except that a
-    point refused for a power of contraction 1 may be certified through its
-    orbit's base, and intervals that overlap."""
-    if isinstance(want, gf.EvaluationRefused) and "power" in str(want) and isinstance(got, tuple):
+    slot at the same point: the same refusals for a zero fiber row, and
+    intervals that overlap.  A point whose own product is not primitive, or
+    whose own power has contraction 1, takes its orbit's slot: certified
+    through a base, refused with the orbit, or left to the fallback."""
+    if want is None or (isinstance(want, gf.EvaluationRefused) and "power" in str(want)):
+        assert got is None or isinstance(got, tuple) or "power" in str(got)
         return
     if not isinstance(want, tuple):
         assert_same_slot(got, want)
@@ -357,6 +366,50 @@ def test_base_passes_over_a_rotation_of_contraction_1(tmp_path, monkeypatch):
     got = eigendata_many(fs, points)
     assert_same_slot(got[1], own[1])
     assert got[0][0].error_radius == own[1][0].error_radius
+
+
+def test_imprimitive_rotations_are_carried_from_their_base(adhoc5):
+    # (bac), (babac) and (bababac) have a zero column in their one-period
+    # products, so none is a base; each takes its slot from the pass around
+    # its cycle, and its interval overlaps the backward route's
+    imprimitive = [PointSpec(adhoc5, (), per) for per in ((1, 0, 2), (1, 0, 1, 0, 2), (1, 0, 1, 0, 1, 0, 2))]
+    for p in imprimitive:
+        assert not pattern_primitivity(adhoc5.word_product(p.period + p.period[:1])).primitive
+    points = periodic_points(adhoc5, 7)
+    assert set(imprimitive) <= set(points)
+    slots = dict(zip(points, eigendata_many(adhoc5, points)))
+    for p, other in zip(imprimitive, evaluate_many(adhoc5, imprimitive, 1e-12)):
+        ev, pd = slots[p]
+        assert ev.mode == "certified" and pd is not None
+        assert abs(ev.value - other.value) <= ev.error_radius + other.error_radius
+        # alone in its batch, the base it is carried from is outside the batch
+        assert_same_slot(eigendata_many(adhoc5, [p])[0], slots[p])
+
+
+def test_the_base_search_forms_the_products_it_reaches(monkeypatch):
+    # nongibbs6 to period 7: 232 points in 41 orbits.  Each orbit's search
+    # forms its rotations' one-period products from the least up to its base
+    # (or all of them when none is primitive), 89 in all, where testing every
+    # rotation's own product formed 232
+    fs = gf.example_system("nongibbs6")
+    points = periodic_points(fs, 7)
+    words = []
+    real = gf.FactorSystem.word_product
+
+    def counted(self, symbols, *args):
+        words.append(tuple(symbols))
+        return real(self, symbols, *args)
+
+    monkeypatch.setattr(gf.FactorSystem, "word_product", counted)
+    slots = eigendata_many(fs, points)
+    orbits = {min(p.period[k:] + p.period[:k] for k in range(len(p.period))) for p in points}
+    assert (len(points), len(orbits)) == (232, 41)
+    assert len(words) == len(set(words)) == 89
+    assert all(word[0] == word[-1] for word in words)
+    # the 61 points of the orbits with no primitive rotation are left to
+    # the fallback, the other 171 certified
+    assert [type(slot).__name__ for slot in slots].count("NoneType") == 61
+    assert sum(isinstance(slot, tuple) for slot in slots) == 171
 
 
 # ------------------------------------------------------ the Perron iteration
@@ -610,6 +663,82 @@ def test_single_evaluate_uses_a_fresh_memo(monkeypatch):
     assert calls >= 1
     assert gf.evaluate(fs, point) == first
     assert len(seen) == 2 * calls
+
+
+# ---------------------------------------------------------- exact reference
+
+
+def exact_fiber_data(fs):
+    """The fiber weights mu[a] P[a, a'] / mu[a'] of every allowed block and
+    the fiber marginals of mu, as 50-digit Decimals of exact Fractions: mu
+    solves, exactly from the model's float entries, the balance equations
+    with the normalization row in place of the last, as
+    stationary_distribution sets them up."""
+    p = [[Fraction(x) for x in row] for row in fs.model.transition.tolist()]
+    n = len(p)
+    rows = [[p[j][i] - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    rows.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    mu = [row[n] for row in rows]
+
+    def decimal(f):
+        return Decimal(f.numerator) / Decimal(f.denominator)
+
+    fibers, allows = fs.projection.fibers, fs.model.tmc.allows
+    with localcontext() as ctx:
+        ctx.prec = 50
+        weights = {
+            (b, b2): [[decimal(mu[a] * p[a][a2] / mu[a2]) if allows(a, a2) else Decimal(0) for a2 in fibers[b2]]
+                      for a in fibers[b]]
+            for b, b2 in fs.fiber_weight
+        }
+        marginals = [[decimal(mu[a]) for a in fiber] for fiber in fibers]
+    return weights, marginals
+
+
+def exact_psi(weights, marginals, period, depth=300):
+    """psi at period^infinity by the backward iteration over depth steps in
+    50-digit decimal: the fiber marginal of symbol depth, pushed back through
+    the weight blocks and normalized, then log |W_(x0 x1) x|_1."""
+    symbols = [period[m % len(period)] for m in range(depth + 1)]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = marginals[symbols[depth]]
+        for m in range(depth - 1, -1, -1):
+            y = [sum(w * v for w, v in zip(row, x)) for row in weights[(symbols[m], symbols[m + 1])]]
+            total = sum(y)
+            x = [v / total for v in y]
+        return total.ln()
+
+
+@pytest.mark.parametrize("name", ["sweep-fs4-seed3", "fullshift4"])
+def test_eigendata_radii_bound_the_exact_value(tmp_path, name):
+    # every eigendata slot of periodic --max-period 7 against psi from exact
+    # fiber weights; on 2 x 2 blocks the iteration has settled by depth 300
+    # (depth 400 gives the same 50 digits).  Before the base took its value
+    # from the pass around its cycle, (0001111)* and (0101111)* of the
+    # sweep-fs4 model missed by 5.6e-13 and 3.0e-13, radii 1.00e-13 and
+    # 1.03e-13
+    if name == "fullshift4":
+        fs = gf.example_system("fullshift4")
+    else:
+        fs = gf.load_model(bench_workloads().generate("sweep-fs4", 3, str(tmp_path))["model"])
+    weights, marginals = exact_fiber_data(fs)
+    points = periodic_points(fs, 7)
+    slots = eigendata_many(fs, points)
+    assert all(isinstance(slot, tuple) for slot in slots)
+    misses = []
+    for p, (ev, _) in zip(points, slots):
+        off = abs(Decimal(ev.value) - exact_psi(weights, marginals, p.period))
+        if off > Decimal(ev.error_radius):
+            misses.append((p.period, float(off), ev.error_radius))
+    assert misses == []
 
 
 # ------------------------------------------------------------ cylinder masses

@@ -549,8 +549,9 @@ def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
                 checked["scan"] += 1
             if all(eigendata[p][1] is not None for p in rotations):
                 routes.append(("eigendata", [eigendata[p][0] for p in rotations]))
-                # the carried values telescope into the base's tail, so they
-                # sum to the log of the base's rho, which every rotation holds
+                # the values of one pass around the cycle telescope into
+                # log |T d_hat|_1 at the base, within the inclusion term of
+                # the log of its rho, which every rotation holds
                 rhos = {eigendata[p][1].rho for p in rotations}
                 assert len(rhos) == 1
                 assert abs(math.fsum(eigendata[p][0].value for p in rotations) - math.log(rhos.pop())) <= 1e-12
@@ -558,7 +559,7 @@ def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
                 checked[route] += 1
                 total = math.fsum(ev.value for ev in evs)
                 assert abs(total - log_rho) <= sum(ev.error_radius for ev in evs) + 1e-10, (route, period)
-    assert checked == {"backward": 359, "eigendata": 190, "scan": 7, "refused": 6, "overlap": 853}
+    assert checked == {"backward": 359, "eigendata": 359, "scan": 7, "refused": 6, "overlap": 1024}
 
 
 def test_evaluation_refused_on_zero_row_step(converse_false):
@@ -691,14 +692,26 @@ def test_periodic_potential_fixed_point(fullshift4):
     assert ev.value == pytest.approx(math.log(pd.rho), abs=1e-13)
 
 
-def test_periodic_potential_falls_back_on_imprimitive_phase(adhoc5):
+def test_periodic_potential_carries_an_imprimitive_phase_from_its_base(adhoc5):
     # this rotation of the three-cycle has a zero column in its one-period
-    # product, so the eigendata route must defer to the iterative evaluator
+    # product, so it is not a base; alone in its batch, it takes its value
+    # and radius from the pass around the cycle of its orbit's base, and
+    # its carried left vector holds the zero of that column
     pt = PointSpec(adhoc5, (), (1, 0, 2))
+    assert not gf.pattern_primitivity(adhoc5.word_product((1, 0, 2, 1))).primitive
     ev, pd = gf.periodic_potential(adhoc5, pt)
-    assert pd is None
-    assert any("refused" in note for note in ev.notes)
-    assert abs(ev.value) <= 1e-13
+    assert pd is not None and ev.mode == "certified" and ev.certified
+    assert ev.notes == ("dominant eigendata at a periodic point",)
+    assert (pd.left == 0).any() and (pd.right > 0).all()
+    assert abs(ev.value) <= ev.error_radius
+
+
+def test_periodic_potential_falls_back_on_imprimitive_phase(nongibbs6):
+    # the one-period product of (0) is not primitive, and it is the orbit's
+    # only rotation, so the eigendata route defers to the iterative evaluator
+    ev, pd = gf.periodic_potential(nongibbs6, PointSpec(nongibbs6, (), (0,)))
+    assert pd is None and ev.mode == "diverged"
+    assert ev.notes[-1] == "one-period product is not primitive; eigendata route refused"
 
 
 @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])

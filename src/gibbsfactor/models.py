@@ -214,6 +214,8 @@ def load_model(path: str) -> FactorSystem:
             doc = json.load(fh)
     except OSError as exc:
         raise ModelError(f"cannot read model file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model file {path!r} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file {path!r} is not valid JSON: {exc}") from exc
     except RecursionError:

@@ -206,17 +206,15 @@ class PerronData(NamedTuple):
     """Dominant eigendata of a nonnegative matrix: of a primitive one, as
     perron_data and _perron_stack take them.
 
-    right is the l1-normalized eigenvector d_hat, left is scaled so that
-    left . right = 1.  residual is the larger of the two relative
-    eigen-equation residuals; second_modulus estimates |lambda_2| by
-    deflated power iteration.  iterations is the larger of the step counts
-    of the right and left power iterations.  _perron_stack takes these for a
-    stack of matrices at once, and each matrix stops iterating when it
-    converges, so its data do not depend on the other matrices.  A record
-    that eigendata_many carries to a rotation of its orbit holds that
-    rotation's right and left vectors and the base's rho, second_modulus,
-    residual and iterations; the rotation's own product need not be
-    primitive, so its left vector can hold zeros.
+    rho, right (the l1-normalized eigenvector d_hat), left (scaled so that
+    left . right = 1) and iterations (the larger step count of the two)
+    come from one power iteration on the matrix and its transpose, and
+    residual is the larger relative eigen-equation residual.  second_modulus
+    is |lambda_2|, the second-largest eigenvalue modulus (0.0 for a 1 x 1
+    matrix, nan when the eigenvalues do not converge).  A record that
+    eigendata_many carries to a rotation of its orbit holds that rotation's
+    right and left vectors and the base's other fields; the rotation's own
+    product need not be primitive, so its left vector can hold zeros.
     """
 
     rho: float
@@ -242,12 +240,12 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _power_stack(ts: np.ndarray, tol: float, max_iter: int, left: bool) -> tuple:
-    """Normalized power iteration w = T v / |T v|_1 (w = v T / |v T|_1 when
-    left) from the uniform vector, for every matrix of the (m, n, n) stack
-    ts.  A matrix's iterate w, rho = |T v|_1 and step count are written once:
-    when |w - v|_1 <= tol takes it out of the live set, or with its last
-    iterate and max_iter when max_iter runs out.  Returns (vectors, rhos, steps)."""
+def _power_stack(ts: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """Normalized power iteration w = T v / |T v|_1 from the uniform vector,
+    for every matrix of the (m, n, n) stack ts.  A matrix's iterate w,
+    rho = |T v|_1 and step count are written once: when |w - v|_1 <= tol
+    takes it out of the live set, or with its last iterate and max_iter when
+    max_iter runs out.  Returns (vectors, rhos, steps)."""
     m, n, _ = ts.shape
     vectors = np.full((m, n), 1.0 / n)
     rhos = np.ones(m)
@@ -255,7 +253,7 @@ def _power_stack(ts: np.ndarray, tol: float, max_iter: int, left: bool) -> tuple
     live = np.arange(m)
     t, v = ts, vectors
     for k in range(1, max_iter + 1):
-        w = (v[:, None, :] @ t)[:, 0] if left else (t @ v[..., None])[..., 0]
+        w = (t @ v[..., None])[..., 0]
         rho = w.sum(axis=1)
         if (rho <= 0).any():
             raise ModelError("power iteration collapsed; matrix is not primitive")
@@ -273,17 +271,32 @@ def _power_stack(ts: np.ndarray, tol: float, max_iter: int, left: bool) -> tuple
     return vectors, rhos, steps
 
 
+def _second_moduli(ts: np.ndarray) -> list[float]:
+    """The second-largest eigenvalue modulus of every matrix of the (m, n, n)
+    stack ts, from one np.linalg.eigvals call: 0.0 when n is 1, and nan for
+    a matrix whose eigenvalues do not converge (a failed stack is split so
+    that only that matrix's entry is nan)."""
+    try:
+        eigenvalues = np.linalg.eigvals(ts)
+    except np.linalg.LinAlgError:
+        if len(ts) == 1:
+            return [math.nan]
+        return [s for t in ts for s in _second_moduli(t[None])]
+    if ts.shape[1] == 1:
+        return [0.0] * len(ts)
+    return np.sort(np.abs(eigenvalues), axis=1)[:, -2].tolist()
+
+
 def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]:
     """perron_data of every matrix of the (m, n, n) stack ts, without the
-    checks: the right and left power iterations, the normalization, the
-    residuals and the 60-step deflated iteration for |lambda_2| all run on
-    the whole stack.  A matrix leaves the deflated iteration on the step its
-    image vanishes, or on a step 8j + 7 at which its iterate equals that of
-    step 8j + 5, after which its growths repeat with period 2; the last
-    growth of the others is written after the loop.  The stacked products
-    repeat the one-matrix products bit for bit."""
-    right, rho, it_r = _power_stack(ts, tol, max_iter, left=False)
-    left, _, it_l = _power_stack(ts, tol, max_iter, left=True)
+    checks: one power iteration on ts and its transposes gives the right
+    and left vectors, and one eigvals call |lambda_2|.  Each matrix stops
+    iterating when it converges, and the stacked products repeat the
+    one-matrix products bit for bit, so a record does not depend on the
+    other matrices."""
+    m = len(ts)
+    vectors, rhos, steps = _power_stack(np.concatenate([ts, ts.transpose(0, 2, 1)]), tol, max_iter)
+    right, left, rho = vectors[:m], vectors[m:], rhos[:m]
     left = left / _dots(left, right)[:, None]
     res_r = np.abs((ts @ right[..., None])[..., 0] - rho[:, None] * right).sum(axis=1) / (
         rho * right.sum(axis=1)
@@ -291,53 +304,28 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
     res_l = np.abs((left[:, None, :] @ ts)[:, 0] - rho[:, None] * left).sum(axis=1) / (
         rho * np.abs(left).sum(axis=1)
     )
-    # |lambda_2| from deflated power iteration, reporting only
-    deflated = ts - rho[:, None, None] * (right[:, :, None] * left[:, None, :])
-    u = np.zeros_like(right)
-    u[:, 0] = 1.0
-    u = u - right * _dots(left, u)[:, None]
-    norm = np.abs(u).sum(axis=1)
-    second = np.zeros(len(ts))
-    vanished = ~(norm > 1e-14)
-    live = np.flatnonzero(~vanished)
-    u, d, growth = u[live] / norm[live, None], deflated[live], second[live]
-    mark = np.empty_like(right)
-    for step in range(1, 61):
-        if not live.size:
-            break
-        w = (d @ u[..., None])[..., 0]
-        growth, last = np.abs(w).sum(axis=1), growth
-        gone = growth < 1e-250
-        if gone.any():
-            vanished[live[gone]] = True
-            live, d, w, growth, last = live[~gone], d[~gone], w[~gone], growth[~gone], last[~gone]
-        u = w / growth[:, None]
-        if step % 8 == 5:
-            mark[live] = u
-        elif step % 8 == 7:
-            cycled = (u == mark[live]).all(axis=1)
-            if cycled.any():  # step 60, an odd number of steps on, repeats the last growth
-                second[live[cycled]] = last[cycled]
-                live, d, u, growth = live[~cycled], d[~cycled], u[~cycled], growth[~cycled]
-    second[live] = growth
     return [
         PerronData(
             rho=rho[i],
             right=r,
             left=left[i],
-            second_modulus=0.0 if vanished[i] else second[i],
+            second_modulus=second,
             residual=float(max(res_r[i], res_l[i])),
-            iterations=int(max(it_r[i], it_l[i])),
+            iterations=int(max(steps[i], steps[m + i])),
         )
-        for i, r in enumerate(right)
+        for i, (r, second) in enumerate(zip(right, _second_moduli(ts)))
     ]
 
 
 def perron_data(matrix, tol: float = PERRON_TOL, max_iter: int = MAX_POWER_STEPS) -> PerronData:
-    """Power iteration for the dominant eigenvalue pair of a primitive matrix:
-    the checks, then the one-matrix call of the stacked iteration
-    _perron_stack.  Stops at |w - v|_1 <= tol or after max_iter steps; the
+    """Power iteration for the dominant eigenvalue pair of a primitive matrix,
+    with |lambda_2| from its eigenvalues: the checks, then the one-matrix call
+    of _perron_stack.  Stops at |w - v|_1 <= tol or after max_iter steps; the
     record's spectral_gap is nan when it ran MAX_POWER_STEPS steps."""
+    if not max_iter >= 1:
+        raise ModelError(f"Perron data needs max_iter >= 1, not {max_iter!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ModelError(f"Perron data needs a finite tol >= 0, not {tol!r}")
     t = np.asarray(matrix, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ModelError("Perron data needs a square matrix")

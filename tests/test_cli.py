@@ -363,6 +363,18 @@ def test_missing_model_file_exit_code(capsys):
     assert "error:" in err
 
 
+def test_model_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    # the decode error used to escape load_model as a traceback with exit 1
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: model file {str(path)!r} is not valid UTF-8: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["check"], ["potential", "--point", "0"], ["periodic"], ["holder"], ["gibbs"], ["obstruction"]],

@@ -50,9 +50,10 @@ from test_potential import random_certified_system
 # ------------------------------------------------------------------ oracle
 # The one-point perron_data and eigendata_potential as they were before the
 # eigendata route was batched, copied verbatim apart from their names, the
-# d_hat alias of right, which PerronData no longer has, and two changes of
+# d_hat alias of right, which PerronData no longer has, and three changes of
 # the route since: the value is that of oracle_backward's pass around the
-# cycle, and T^exponent is the word product over exponent periods.
+# cycle, T^exponent is the word product over exponent periods, and
+# |lambda_2| comes from eigenvalues, here those of the transpose.
 
 
 def oracle_power_vector(matrix, tol, max_iter):
@@ -80,27 +81,16 @@ def oracle_perron_data(matrix, tol=1e-13, max_iter=100000):
     if not pattern_primitivity(t).primitive:
         raise ModelError("Perron data needs a primitive matrix")
     right, rho_r, it_r = oracle_power_vector(t, tol, max_iter)
-    left, rho_l, it_l = oracle_power_vector(t.T, tol, max_iter)
+    # the left iteration on a C-ordered copy of the transpose, as the stacked
+    # iteration runs it: on the transposed view BLAS sums in another order
+    left, rho_l, it_l = oracle_power_vector(t.T.copy(), tol, max_iter)
     rho = rho_r
     left = left / (left @ right)
     res_r = np.abs(t @ right - rho * right).sum() / (rho * right.sum())
     res_l = np.abs(left @ t - rho * left).sum() / (rho * np.abs(left).sum())
-    deflated = t - rho * np.outer(right, left)
-    u = np.zeros(t.shape[0])
-    u[0] = 1.0
-    u = u - right * (left @ u)
-    second = 0.0
-    norm = np.abs(u).sum()
-    if norm > 1e-14:
-        u /= norm
-        for _ in range(60):
-            w = deflated @ u
-            growth = np.abs(w).sum()
-            if growth < 1e-250:
-                second = 0.0
-                break
-            second = growth
-            u = w / growth
+    # |lambda_2| by a path of its own: the eigenvalues of the transpose
+    moduli = sorted(abs(np.linalg.eigvals(t.T)))
+    second = float(moduli[-2]) if len(moduli) > 1 else 0.0
     return PerronData(
         rho=rho,
         right=right,
@@ -217,9 +207,12 @@ def oracle_orbit_slot(fs, point):
 
 def assert_same_perron(got, want):
     # repr of the scalars compares their bits and their types (np.float64
-    # against float), array_equal the vectors
-    for name in ("rho", "second_modulus", "residual", "iterations"):
+    # against float), array_equal the vectors; |lambda_2|, which the oracle
+    # takes from eigenvalues of its own, agrees within 1e-12 rho
+    for name in ("rho", "residual", "iterations"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert type(got.second_modulus) is float
+    assert abs(got.second_modulus - want.second_modulus) <= 1e-12 * want.rho
     for name in ("right", "left"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -451,126 +444,144 @@ def test_unconverged_iteration_keeps_its_last_iterate():
     assert_same_perron(pd, oracle_perron_data(t, max_iter=3))
 
 
-def test_deflation_exits_early_on_rank_one():
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [({"max_iter": 0}, "max_iter >= 1, not 0"), ({"max_iter": -5}, "max_iter >= 1, not -5"),
+     ({"tol": math.nan}, "tol >= 0, not nan"), ({"tol": -1.0}, "tol >= 0, not -1.0"),
+     ({"tol": math.inf}, "tol >= 0, not inf")],
+)
+def test_perron_data_refuses_a_bad_max_iter_or_tol(kwargs, named):
+    # max_iter 0 used to return rho 1.0 and the uniform vector, -5 gave
+    # iterations -5, and a nan or negative tol ran all MAX_POWER_STEPS steps
+    with pytest.raises(ModelError, match=named):
+        perron_data([[2.0, 1.0], [1.0, 3.0]], **kwargs)
+    # the defaults and the smallest accepted values
+    t = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert perron_data(t, max_iter=1).iterations == 1
+    assert_same_perron(perron_data(t, tol=0.0), oracle_perron_data(t, tol=0.0))
+
+
+def test_rank_one_second_modulus_is_rounding():
     t = np.outer([1.0, 2.0, 0.5], [0.3, 1.0, 2.0])
     pd = perron_data(t)
-    assert pd.second_modulus == 0.0 and type(pd.second_modulus) is float
+    assert type(pd.second_modulus) is float and pd.second_modulus <= 1e-15 * pd.rho
     assert_same_perron(pd, oracle_perron_data(t))
-    # beside a matrix that runs all 60 deflated steps
+    # beside a matrix whose lambda_2 is far from 0; a 1 x 1 matrix has none
     full = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.2], [0.3, 0.4, 1.5]])
     got = _perron_stack(np.stack([t, full, t]), 1e-13, 100000)
-    assert [g.second_modulus > 0 for g in got] == [False, True, False]
+    assert [g.second_modulus > 1e-15 * g.rho for g in got] == [False, True, False]
     for g, m in zip(got, (t, full, t)):
         assert_same_perron(g, oracle_perron_data(m))
+    assert repr(perron_data([[2.0]]).second_modulus) == "0.0"
 
 
-def deflated_vanishing_step(t, max_iter):
-    """The step of the oracle's 60-step deflated iteration at which the image
-    of t vanishes, or None when it never does."""
-    pd = oracle_perron_data(t, max_iter=max_iter)
-    deflated = t - pd.rho * np.outer(pd.right, pd.left)
-    u = np.zeros(t.shape[0])
-    u[0] = 1.0
-    u = u - pd.right * (pd.left @ u)
-    u /= np.abs(u).sum()
-    for step in range(1, 61):
-        w = deflated @ u
-        growth = np.abs(w).sum()
-        if growth < 1e-250:
-            return step
-        u = w / growth
-    return None
-
-
-# shared by the stacks below that mix reasons to leave the iteration
-VANISHING = [np.array([[1.0, 1.0, 0.0], [3.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
-             np.array([[3.0, 3.0, 3.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])]
+# shared by the stacks below: each has a double eigenvalue 0 in one Jordan
+# block, which eigvals places within about sqrt(eps) rho of 0
+NILPOTENT_REST = [np.array([[1.0, 1.0, 0.0], [3.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
+                  np.array([[3.0, 3.0, 3.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])]
+# eigenvalues 1 and 1 +- sqrt(2) 1e-3: a spectral ratio of about 0.9986
 STALLED = np.array([[1.0, 1e-3, 0.0], [1e-3, 1.0, 1e-3], [0.0, 1e-3, 1.0]])
 
 
+def assert_second_modulus(got, want, exact):
+    """got against the oracle's record want in every field but
+    second_modulus, which is exact within 1e-12 rho."""
+    assert_same_perron(got, want._replace(second_modulus=got.second_modulus))
+    assert abs(got.second_modulus - exact) <= 1e-12 * got.rho
+
+
+def assert_nilpotent_rest(got, want):
+    assert_same_perron(got, want._replace(second_modulus=got.second_modulus))
+    assert got.second_modulus <= 4 * math.sqrt(np.finfo(float).eps) * got.rho
+
+
 def test_stack_mixes_vanishing_live_and_unconverged_matrices():
-    # two deflated images vanish part-way through the loop, at different
-    # steps, between matrices that run all 60 deflated steps; one matrix
-    # (spectral ratio about 0.9986) runs out of max_iter
+    # two matrices whose lambda_2 is 0 between random ones, and one that
+    # runs out of max_iter; each row's record is its own
     max_iter = 200
-    vanishing, stalled = VANISHING, STALLED
     rng = np.random.default_rng(34)
     live = [rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(3)]
-    mats = [live[0], vanishing[0], live[1], stalled, vanishing[1], live[2]]
-    steps = [deflated_vanishing_step(t, max_iter) for t in mats]
-    assert steps[0] is steps[2] is steps[3] is steps[5] is None
-    assert 1 < steps[4] < steps[1] < 60
+    mats = [live[0], NILPOTENT_REST[0], live[1], STALLED, NILPOTENT_REST[1], live[2]]
     got = _perron_stack(np.stack(mats), 1e-13, max_iter)
-    for g, m in zip(got, mats):
-        assert_same_perron(g, oracle_perron_data(m, max_iter=max_iter))
+    want = [oracle_perron_data(m, max_iter=max_iter) for m in mats]
+    for i in (0, 2, 5):
+        assert_same_perron(got[i], want[i])
+    for i in (1, 4):
+        assert_nilpotent_rest(got[i], want[i])
+    assert_second_modulus(got[3], want[3], 1.0)
     assert [g.iterations == max_iter for g in got] == [False, False, False, True, False, False]
-    assert [g.second_modulus == 0.0 for g in got] == [False, True, False, False, True, False]
 
 
-def deflated_cycle(t, max_iter=100000):
-    """(s, differ) for the first step s of the oracle's 60-step deflated
-    iteration whose normalized iterate equals, bit for bit, the iterate of
-    step s - 2, with differ telling whether the growths of steps s and s - 1
-    differ; None when no iterate repeats so."""
-    pd = oracle_perron_data(t, max_iter=max_iter)
-    deflated = t - pd.rho * np.outer(pd.right, pd.left)
-    u = np.zeros(t.shape[0])
-    u[0] = 1.0
-    u = u - pd.right * (pd.left @ u)
-    iterates, growths = [u / np.abs(u).sum()], [0.0]
-    for step in range(1, 61):
-        w = deflated @ iterates[-1]
-        growths.append(np.abs(w).sum())
-        iterates.append(w / growths[-1])
-        if step > 1 and iterates[-1].tobytes() == iterates[-3].tobytes():
-            return step, growths[-1] != growths[-2]
-    return None
-
-
-def test_deflated_iteration_leaves_the_stack_when_its_iterate_cycles():
-    # positive lambda_2: the deflated iterate settles on a fixed point;
-    # negative lambda_2: it alternates, for some matrices with growths that
-    # alternate too, so the growth of step 60 depends on the parity of the
-    # step it is read at; a complex lambda_2 pair and a 40 x 40 matrix: no
-    # iterate repeats in 60 steps
+def test_second_modulus_is_exact_on_real_complex_and_wide_spectra():
+    # positive and negative lambda_2 of 2 x 2 matrices (|det T| / rho), the
+    # complex pair 0.5 +- i of a 4 x 4 rotation (modulus sqrt(5) / 2 above
+    # the real -0.5), and a 40 x 40 matrix against eig(T^T); alone and in
+    # any stack
     rng = np.random.default_rng(35)
     scales = rng.uniform(0.5, 2.0, size=4)
-    fixed = [np.array([[2.0, 1.0], [1.0, 3.0]]) * c for c in scales]
-    alternating = [np.array(m) * c for c in scales for m in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 3.0], [2.0, 0.5]])]
+    positive = [np.array([[2.0, 1.0], [1.0, 3.0]]) * c for c in scales]
+    negative = [np.array(m) * c for c in scales for m in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 3.0], [2.0, 0.5]])]
     rotating = np.roll(np.eye(4), 1, axis=1) + 0.5 * np.eye(4)
     wide = rng.uniform(0.5, 2.0, size=(40, 40))
-    assert (np.abs(np.linalg.eigvals(rotating).imag) > 0.5).sum() == 2
-    cycles = [deflated_cycle(t) for t in fixed + alternating]
-    # every 2 x 2 iterate repeats before the first test, at step 7
-    assert all(c is not None and c[0] <= 7 for c in cycles)
-    assert [differ for _, differ in cycles[: len(fixed)]] == [False] * len(fixed)
-    assert any(differ for _, differ in cycles[len(fixed) :])
-    assert deflated_cycle(rotating) is None and deflated_cycle(wide) is None
-    for mats in (fixed, alternating, fixed + alternating, [rotating], [wide]):
+    for mats in (positive, negative, positive + negative, [rotating], [wide]):
         for g, m in zip(_perron_stack(np.stack(mats), 1e-13, 100000), mats):
-            assert_same_perron(g, oracle_perron_data(m))
+            want = oracle_perron_data(m)
+            assert_same_perron(g, want)
+            if len(m) == 2:
+                assert_second_modulus(g, want, abs(np.linalg.det(m)) / g.rho)
+            elif len(m) == 4:
+                assert_second_modulus(g, want, math.sqrt(5.0) / 2.0)
+    assert (np.abs(np.linalg.eigvals(rotating).imag) > 0.5).sum() == 2
 
 
-def test_deflated_iteration_mixes_cycling_vanishing_and_running_matrices():
-    # one 3 x 3 stack whose rows leave the deflated iteration at different
-    # steps for different reasons: a fixed point (step 7), an alternation
-    # found at a later test, two vanishing images, a complex lambda_2 pair,
-    # matrices that run all 60 steps, one of them after max_iter power steps
+def test_second_moduli_of_a_mixed_3x3_stack():
+    # one 3 x 3 stack of a double lambda_2 (c), a lambda_2 of 0 twice, a
+    # random matrix, one with a negative lambda_2, a complex pair of modulus
+    # sqrt(3) / 2, and one that runs out of max_iter
     max_iter = 200
     rng = np.random.default_rng(36)
-    fixed = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) * rng.uniform(0.5, 2.0)
-    alternating = np.array([[0.5, 3.0, 1.0], [2.0, 0.5, 1.0], [1.0, 1.0, 1.0]]) * 1.5
+    c = rng.uniform(0.5, 2.0)
+    double = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) * c
+    negative = np.array([[0.5, 3.0, 1.0], [2.0, 0.5, 1.0], [1.0, 1.0, 1.0]]) * 1.5
     rotating = np.roll(np.eye(3), 1, axis=1) + 0.5 * np.eye(3)
     live = rng.uniform(0.5, 2.0, size=(3, 3))
-    mats = [fixed, VANISHING[0], live, alternating, STALLED, rotating, VANISHING[1]]
-    cycles = [deflated_cycle(t, max_iter) if i not in (1, 6) else None for i, t in enumerate(mats)]
-    assert cycles[0][0] <= 7 and 7 < cycles[3][0] < 55
-    assert cycles[2] is cycles[4] is cycles[5] is None
-    assert 1 < deflated_vanishing_step(VANISHING[1], max_iter) < deflated_vanishing_step(VANISHING[0], max_iter) < 60
+    mats = [double, NILPOTENT_REST[0], live, negative, STALLED, rotating, NILPOTENT_REST[1]]
     got = _perron_stack(np.stack(mats), 1e-13, max_iter)
-    for g, m in zip(got, mats):
-        assert_same_perron(g, oracle_perron_data(m, max_iter=max_iter))
-    assert [g.second_modulus == 0.0 for g in got] == [False, True, False, False, False, False, True]
+    want = [oracle_perron_data(m, max_iter=max_iter) for m in mats]
+    for i in (2, 3):
+        assert_same_perron(got[i], want[i])
+    assert np.linalg.eigvals(negative).real.min() < -0.5
+    for i in (1, 6):
+        assert_nilpotent_rest(got[i], want[i])
+    for i, exact in ((0, c), (4, 1.0), (5, math.sqrt(3.0) / 2.0)):
+        assert_second_modulus(got[i], want[i], exact)
+    assert [g.iterations == max_iter for g in got] == [False, False, False, False, True, False, False]
+
+
+def test_eigenvalues_that_do_not_converge_give_nan(monkeypatch):
+    # np.linalg.eigvals raises LinAlgError when LAPACK does not converge:
+    # that matrix's second_modulus is nan and its gap n/a, and every other
+    # record of the stack is the one it has without the failure
+    rng = np.random.default_rng(37)
+    mats = [rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(4)]
+    want = _perron_stack(np.stack(mats), 1e-13, 100000)
+    real = np.linalg.eigvals
+
+    def failing(a):
+        if any(np.array_equal(t, mats[2]) for t in a.reshape(-1, 3, 3)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    got = _perron_stack(np.stack(mats), 1e-13, 100000)
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i == 2:
+            assert math.isnan(g.second_modulus) and math.isnan(g.spectral_gap)
+            assert_same_perron(g._replace(second_modulus=w.second_modulus), w)
+        else:
+            assert_same_perron(g, w)
+            assert repr(g.second_modulus) == repr(w.second_modulus)
+    assert math.isnan(perron_data(mats[2]).second_modulus)
 
 
 # ------------------------------------------------------------ the CLI and memo
@@ -589,6 +600,65 @@ def test_periodic_makes_one_eigendata_call(tmp_path, monkeypatch, capsys):
     assert cli.main(["periodic", str(path), "--max-period", "5"]) == 1
     assert calls == [len(gf.enumerate_periodic(gf.example_system("nongibbs6").factor_tmc, 5))]
     assert "eigendata certified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "nongibbs6", "converse_false", "wide12"])
+def test_printed_gap_is_the_true_one(tmp_path, capsys, name):
+    # |lambda_2| / rho from the eigenvalues of the one-period product of the
+    # orbit's least rotation, which has the spectrum of every rotation but
+    # for zeros; the deflated iteration this replaced printed 0.0609582073768
+    # for wide12's (01)*, where the eigenvalues give 0.0508190
+    doc = wide12_document() if name == "wide12" else expand_example(name)
+    fs = gf.parse_model(doc)
+    path = tmp_path / f"{name}.json"
+    gf.models.dump_document(doc, str(path))
+    cli.main(["periodic", str(path), "--max-period", "4"])
+    gaps = {}  # period, as symbol indices -> printed gap
+    for line in capsys.readouterr().out.splitlines():
+        if "eigendata" in line:
+            label = line[line.index("(") + 1 : line.index(")")]
+            gaps[tuple(fs.projection.target.index(x) for x in label)] = float(line.rsplit(" ", 1)[1])
+    assert gaps or name == "converse_false"
+    orbits = {}
+    for period, gap in gaps.items():
+        least = min(period[k:] + period[:k] for k in range(len(period)))
+        orbits.setdefault(least, set()).add(gap)
+        t = fs.word_product(least + least[:1])
+        moduli = sorted(abs(np.linalg.eigvals(t)))
+        rho, want = moduli[-1], moduli[-2] / moduli[-1]
+        assert abs(gap - want) <= 1e-9 * want or max(gap, want) < 1e-12, period
+        if name == "fullshift4":
+            assert len(t) == 2 and abs(gap - abs(np.linalg.det(t)) / rho**2) <= 1e-9 * gap
+    # every rotation of an orbit prints one gap
+    assert all(len(printed) == 1 for printed in orbits.values())
+
+
+def test_periodic_prints_n_a_where_eigenvalues_do_not_converge(tmp_path, monkeypatch, capsys):
+    # a LinAlgError from np.linalg.eigvals on the base of (01) turns only
+    # the gaps of (01)* and (10)* into n/a: no traceback, the same exit
+    # code, every other byte as it was
+    path = tmp_path / "fs4.json"
+    gf.models.dump_document(expand_example("fullshift4"), str(path))
+    argv = ["periodic", str(path), "--max-period", "3"]
+    code = cli.main(argv)
+    before = capsys.readouterr()
+    bad = gf.example_system("fullshift4").word_product((0, 1, 0))
+    real = np.linalg.eigvals
+
+    def failing(a):
+        if any(np.array_equal(t, bad) for t in a.reshape((-1,) + a.shape[-2:])):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    assert cli.main(argv) == code
+    after = capsys.readouterr()
+    assert after.err == before.err == ""
+    moved = [(b, a) for b, a in zip(before.out.splitlines(), after.out.splitlines()) if b != a]
+    assert [a.split(":")[0] for _, a in moved] == ["(01)*", "(10)*"]
+    for b, a in moved:
+        assert a.endswith("spectral gap |l2|/rho n/a") and b.rsplit(" ", 1)[0] == a.rsplit(" ", 1)[0]
+    assert len(after.out.splitlines()) == len(before.out.splitlines())
 
 
 def bench_workloads():

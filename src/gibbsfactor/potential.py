@@ -149,10 +149,12 @@ class PointSpec:
 class PotentialEvaluation(NamedTuple):
     """Outcome of a potential evaluation at one point.
 
-    mode is one of "certified" (radius from uniform constants), "adaptive"
-    (radius from the point's own tail contraction; certified=False when no
-    strictly positive tail window exists) or "diverged" (no value; at least
-    two subsequence cluster values reported).
+    mode is one of "certified" (radius from uniform constants, or from the
+    eigendata of periodic_many), "adaptive" (without uniform constants:
+    radius from the dominant eigendata of the point's tail, or an observed
+    spread when no rotation of the tail has a primitive one-period product;
+    certified=False either way) or "diverged" (no value; at least two
+    subsequence cluster values reported).
     """
 
     value: Optional[float]
@@ -271,29 +273,34 @@ def _power_stack(ts: np.ndarray, tol: float, max_iter: int) -> tuple:
     return vectors, rhos, steps
 
 
-def _second_moduli(ts: np.ndarray) -> list[float]:
-    """The second-largest eigenvalue modulus of every matrix of the (m, n, n)
-    stack ts, from one np.linalg.eigvals call: 0.0 when n is 1, and nan for
-    a matrix whose eigenvalues do not converge (a failed stack is split so
-    that only that matrix's entry is nan)."""
+def _moduli(ts: np.ndarray) -> np.ndarray:
+    """The (m, 2) array of |lambda_2| and rho, the second-largest and the
+    largest eigenvalue modulus, of every matrix of the (m, n, n) stack ts,
+    from one np.linalg.eigvals call: |lambda_2| is 0.0 when n is 1, and a
+    matrix whose eigenvalues do not converge gets nan for both (a failed
+    stack is split so that only that matrix's row is nan)."""
     try:
         eigenvalues = np.linalg.eigvals(ts)
     except np.linalg.LinAlgError:
         if len(ts) == 1:
-            return [math.nan]
-        return [s for t in ts for s in _second_moduli(t[None])]
+            return np.full((1, 2), math.nan)
+        return np.concatenate([_moduli(t[None]) for t in ts])
+    moduli = np.sort(np.abs(eigenvalues), axis=1)
     if ts.shape[1] == 1:
-        return [0.0] * len(ts)
-    return np.sort(np.abs(eigenvalues), axis=1)[:, -2].tolist()
+        return np.hstack([np.zeros_like(moduli), moduli])
+    return moduli[:, -2:]
 
 
-def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]:
+def _perron_stack(ts: np.ndarray, tol: float, max_iter: int, moduli: Optional[np.ndarray] = None) -> list[PerronData]:
     """perron_data of every matrix of the (m, n, n) stack ts, without the
     checks: one power iteration on ts and its transposes gives the right
-    and left vectors, and one eigvals call |lambda_2|.  Each matrix stops
-    iterating when it converges, and the stacked products repeat the
-    one-matrix products bit for bit, so a record does not depend on the
-    other matrices."""
+    and left vectors, and |lambda_2| comes from moduli, the _moduli of ts
+    (taken here when the caller has not).  Each matrix stops iterating
+    when it converges, and the stacked products repeat the one-matrix
+    products bit for bit, so a record does not depend on the other
+    matrices."""
+    if moduli is None:
+        moduli = _moduli(ts)
     m = len(ts)
     vectors, rhos, steps = _power_stack(np.concatenate([ts, ts.transpose(0, 2, 1)]), tol, max_iter)
     right, left, rho = vectors[:m], vectors[m:], rhos[:m]
@@ -313,7 +320,7 @@ def _perron_stack(ts: np.ndarray, tol: float, max_iter: int) -> list[PerronData]
             residual=float(max(res_r[i], res_l[i])),
             iterations=int(max(steps[i], steps[m + i])),
         )
-        for i, (r, second) in enumerate(zip(right, _second_moduli(ts)))
+        for i, (r, second) in enumerate(zip(right, moduli[:, 0].tolist()))
     ]
 
 
@@ -431,28 +438,6 @@ def _certified_depth(c: UniformConstants, t0: int, target_error: float) -> int:
     return n
 
 
-def _window_count(tau_q: float, a_star: float, target_error: float, most: int) -> tuple[int, float]:
-    """The least k <= most (or most) with radius tau_q**k a_star / (1 - tau_q)
-    <= target_error, and that radius.  The radius falls as k grows, so a log
-    ratio and one corrective step give the k that counting up finds."""
-    if not a_star > 0:
-        return 0, 0.0
-
-    def radius(k: int) -> float:
-        return tau_q**k * a_star / (1.0 - tau_q)
-
-    k = 0
-    if radius(0) > target_error and most > 0:
-        # a rank-one window (tau_q 0) takes the radius to 0 in one step
-        logs = math.log(target_error) + math.log(1.0 - tau_q) - math.log(a_star)
-        k = min(max(math.ceil(logs / math.log(tau_q)) if tau_q else 1, 1), most)
-        if k > 1 and radius(k - 1) <= target_error:
-            k -= 1
-        elif k < most and radius(k) > target_error:
-            k += 1
-    return k, radius(k)
-
-
 def _window_certificate(stack: np.ndarray, x: np.ndarray) -> tuple[list[float], list[float]]:
     """The two numbers from which a strictly positive window bounds a radius,
     for each matrix T of the (m, n, n) stack and its row of x (simplex
@@ -463,6 +448,15 @@ def _window_certificate(stack: np.ndarray, x: np.ndarray) -> tuple[list[float], 
     return [c.tau for c in contraction_coefficients(stack)], projective_distances(x, image).tolist()
 
 
+def _scan_plan(point: PointSpec) -> PotentialEvaluation:
+    """The plan of a point whose tail has no rotation with a primitive
+    one-period product: mode "scan", a marker that never leaves
+    evaluate_many and periodic_many, and terms_used the length of the value
+    sequence to scan."""
+    t0, q = len(point.preperiod), len(point.period)
+    return PotentialEvaluation(None, math.inf, min(max(150, t0 + 30 * q, 12 * q), MAX_DEPTH), "scan", False)
+
+
 def _routes(
     fs: FactorSystem,
     points: Sequence[PointSpec],
@@ -470,31 +464,18 @@ def _routes(
     constants: Optional[UniformConstants],
 ) -> list[PotentialEvaluation]:
     """Refuse the first point with zero fiber rows along it, then plan each
-    point's evaluation: the evaluation it yields with value None, and on a
-    backward route the depth of psi_depth in terms_used.
+    point's evaluation.
 
     With uniform constants every point takes the certified backward route:
-    its depth is _certified_depth (refused beyond MAX_DEPTH), taken once per
-    preperiod length, and its radius (d_const c1 / (1-tau)) theta^depth.
-    Without them the route comes from the point's own tail.  A tail phase
-    whose whole-period window becomes strictly positive after
-    pattern-primitivity many repetitions gives the window route (mode
-    "adaptive", with a note): its contraction tau_q and the distance a* of
-    the fiber marginal from its image bound the radius after k more windows
-    by tau_q^k a* / (1 - tau_q), floored at FLOAT_NOISE_FLOOR, and the depth
-    is the first such k with radius <= target_error (_window_count); a
-    window with a* > 0 whose tau_q rounds to 1 bounds nothing and is
-    refused.  Without one the plan's mode is "scan", a marker that never
-    leaves evaluate_many, and terms_used the length of the value sequence
-    to scan.
-
-    The phase search tests each distinct phase word of the batch once (the
-    rotations of an orbit share their cyclic words), with a
-    pattern_primitivity memo and a word_product prefix memo.
-    Windows of one shape then take tau_q and a* from one stacked
-    _window_certificate, after the zero-row refusal of apply_normalized:
-    bit for bit the one-matrix forms, so a route does not depend on the
-    rest of the batch.
+    the plan is its evaluation with value None and the depth of psi_depth
+    in terms_used, _certified_depth (refused beyond MAX_DEPTH), taken once
+    per preperiod length, with radius (d_const c1 / (1-tau)) theta^depth.
+    Without them one eigendata_many call on the whole batch routes every
+    point by its tail's orbit: a slot with eigendata is the point's whole
+    evaluation, under mode "adaptive" and certified=False, with the power
+    iteration's step count in terms_used; a slot left None (no rotation of
+    the tail has a primitive one-period product) gives the _scan_plan; and
+    the first refused slot, in point order, is raised.
     """
     for point in points:
         _check_point_rows(fs, point)
@@ -505,46 +486,13 @@ def _routes(
             radius = constants.eq_radius_constant * constants.theta**n
             plan[t0] = PotentialEvaluation(None, radius, n, "certified", True)
         return [plan[len(p.preperiod)] for p in points]
-    primitivity: dict = {}
-    phases: dict = {}
-    products: dict = {}
-    plans: list = []
-    groups: dict[tuple, list] = {}
-    for i, point in enumerate(points):
-        t0, q = len(point.preperiod), len(point.period)
-        base = max(1, t0)
-        closed = point.symbols(base + 2 * q)
-        for a0 in range(base, base + q):
-            word = closed[a0 : a0 + q + 1]
-            if word not in phases:
-                phases[word] = _primitivity(primitivity, fs.word_product(word, products))
-            prim = phases[word]
-            if prim.primitive:
-                break
-        else:
-            n_scan = min(max(150, t0 + 30 * q, 12 * q), MAX_DEPTH)
-            plans.append(PotentialEvaluation(None, math.inf, n_scan, "scan", False))
-            continue
-        big_q = prim.exponent * q
-        window = fs.word_product(point.symbols(a0 + big_q + 1)[a0:], products)
-        groups.setdefault(window.shape, []).append((i, a0, big_q, window, closed[a0]))
-        plans.append(None)
-    hats = [fs.marginal_hat(b).coords for b in range(fs.target_size)]
-    for group in groups.values():
-        stack = np.stack([window for _, _, _, window, _ in group])
-        zero_rows = np.argwhere(~(stack > 0).any(axis=2))
-        if zero_rows.size:
-            raise ModelError(f"matrix row {zero_rows[0, 1]} is identically zero; action refused")
-        taus, a_stars = _window_certificate(stack, np.stack([hats[fiber] for *_, fiber in group]))
-        for (i, a0, big_q, _, _), tau_q, a_star in zip(group, taus, a_stars):
-            if tau_q == 1.0 and a_star > 0:
-                message = f"tail window of {big_q} steps from position {a0} has contraction 1 in double precision"
-                raise EvaluationRefused(message + ", so it bounds no radius")
-            k, radius = _window_count(tau_q, a_star, target_error, (MAX_DEPTH - a0) // big_q)
-            note = f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})"
-            radius, depth = max(radius, FLOAT_NOISE_FLOOR), max(2, a0 + k * big_q)
-            plans[i] = PotentialEvaluation(None, radius, depth, "adaptive", False, notes=(note,))
-    return plans
+    slots = eigendata_many(fs, points)
+    if refusal := next((slot for slot in slots if isinstance(slot, EvaluationRefused)), None):
+        raise refusal
+    return [
+        _scan_plan(point) if slot is None else slot[0]._replace(mode="adaptive", certified=False)
+        for point, slot in zip(points, slots)
+    ]
 
 
 def _scan_tail(t0: int, q: int, n: int) -> int:
@@ -628,50 +576,46 @@ def evaluate_many(
 
     With uniform constants the depth is chosen so the certified radius
     (d_const c1 / (1-tau)) theta^n falls below target_error, and a target
-    that needs a depth beyond MAX_DEPTH is refused.  Without them
-    the point's own tail is used: a strictly positive window spanning whole
-    periods gives an a-posteriori contraction bound; when no such window
-    exists the value sequence is examined for stabilizing subsequences and
-    either reported uncertified or declared divergent with its cluster
-    values.
+    that needs a depth beyond MAX_DEPTH is refused.  Without them the value
+    comes from the dominant eigendata of the point's tail (eigendata_many,
+    its preperiod included), and where no rotation of the tail has a
+    primitive one-period product the value sequence is examined for
+    stabilizing subsequences and either reported uncertified or declared
+    divergent with its cluster values.
 
     Every point is checked and planned first, in order, so a refusal is the
-    first refused point's: _routes gives each point's evaluation with value
-    None, with the certified depth taken once per preperiod length and one
-    stacked Birkhoff coefficient and one stacked image per window shape.
-    The plans are then filled in lockstep, one stacked step per level for
-    all points instead of one matrix-vector product per point and level:
-    psi_n of the certified and window-route plans from one staggered
-    backward pass (_lockstep_scales, one row per shared tail), their logs
-    and the certified radii floored at what double precision resolves at
-    the value (FLOAT_NOISE_FLOOR max(1, |psi_n|)) taken as arrays; the
-    scan plans' sequences from one forward pass (a single point included)
-    with one row per distinct point of the batch and of its shifts, which
-    returns only the _scan_tail values a verdict reads and takes their logs
-    once at the end (_lockstep_sequences), and their evaluations from one
-    _scan_result per group of one preperiod length, period and length.
-    Both passes keep their rows in one array zero-padded to the widest fiber
-    (FactorSystem.padded_stack) and gather their blocks per level
-    (_gathered_product) or per run of levels.  The backward pass drops a
-    point's row once it repeats bit for bit at a lag of whole periods and
-    takes it up again at the last level of the repeat, so psi_n costs about
-    the levels before the repeat; the value and terms_used are those of the
-    full depth n.  Each point's evaluation is the same, bit for bit,
-    whatever else is in the batch.
+    first refused point's (_routes).  The certified plans are then filled
+    in lockstep: psi_n from one staggered backward pass (_lockstep_scales,
+    one row per shared tail, zero-padded to the widest fiber), its logs and
+    the radii floored at what double precision resolves at the value
+    (FLOAT_NOISE_FLOOR max(1, |psi_n|)) taken as arrays; the scan plans by
+    _scanned.  The backward pass drops a point's row once it repeats bit
+    for bit at a lag of whole periods and takes it up again at the last
+    level of the repeat; the value and terms_used are those of the full
+    depth n.  Each point's evaluation is the same, bit for bit, whatever
+    else is in the batch.
     """
     check_target_error(target_error)
     plans = _routes(fs, points, target_error, constants)
-    scan = [i for i, plan in enumerate(plans) if plan.mode == "scan"]
-    backward = [i for i, plan in enumerate(plans) if plan.mode != "scan"]
+    backward = [i for i, plan in enumerate(plans) if plan.certified]
     values = np.log(_lockstep_scales(fs, [points[i] for i in backward], [plans[i].terms_used for i in backward]))
     radii = np.array([plans[i].error_radius for i in backward])
-    floored = np.maximum(radii, FLOAT_NOISE_FLOOR * np.maximum(1.0, np.abs(values)))
-    radii = np.where([plans[i].certified for i in backward], floored, radii)
+    radii = np.maximum(radii, FLOAT_NOISE_FLOOR * np.maximum(1.0, np.abs(values)))
     for i, value, radius in zip(backward, values.tolist(), radii.tolist()):
         plans[i] = PotentialEvaluation(value, radius, *plans[i][2:])
+    return _scanned(fs, points, plans)
+
+
+def _scanned(fs: FactorSystem, points: Sequence[PointSpec], plans: list) -> list:
+    """plans with every scan plan (_scan_plan) replaced by its evaluation:
+    the value sequences from one forward pass (_lockstep_sequences, a
+    single point included), which returns only the _scan_tail values a
+    verdict reads, and the evaluations from one _scan_result per group of
+    one preperiod length, period and length."""
     groups: dict[tuple, list] = {}
-    for i in scan:
-        groups.setdefault((len(points[i].preperiod), len(points[i].period), plans[i].terms_used), []).append(i)
+    for i, plan in enumerate(plans):
+        if plan.mode == "scan":
+            groups.setdefault((len(points[i].preperiod), len(points[i].period), plan.terms_used), []).append(i)
     scan = [i for group in groups.values() for i in group]
     lengths = [n for (_, _, n), group in groups.items() for _ in group]
     tails = [_scan_tail(*key) for key, group in groups.items() for _ in group]
@@ -1098,40 +1042,52 @@ def uniform_constants(fs: FactorSystem) -> UniformConstants:
 
 
 def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
-    """The potential at purely periodic points through dominant eigendata,
-    with one Perron computation and one certificate per orbit.
+    """The potential at eventually periodic points through the dominant
+    eigendata of their tails, with one Perron computation and one
+    certificate per orbit of tails.
 
     An orbit's base is its first rotation, counting from the least, whose
     one-period product T (cyclically, from that phase) is pattern primitive
     and whose T^exponent, the word product over exponent periods, has a
     Birkhoff coefficient below 1; a candidate is tested only when the search
     reaches it, and one of contraction 1 passes to the next in a further
-    pass.  The base's radius combines the min/max eigenvalue inclusion of
-    its right Perron vector d_hat with an a-posteriori bound on that vector
-    (the _window_certificate of T^exponent at d_hat, for periods p >= 2).
-    With W_j the block from rotation j of the base to j + 1, one backward
-    pass around the cycle from right_0 = d_hat, for j = p - 1 .. 0, gives
-    every rotation, the base included, the scale c_j = |W_j right_(j+1)|_1,
-    value log c_j and the base's radius, and each other rotation its right
-    vector right_j = W_j right_(j+1) / c_j: row-allowable W_j do not expand
-    the Hilbert metric, |log 1^T W x - log 1^T W y| <= d(x, y), and for a
-    fixed point |T d_hat|_1 is a d_hat-weighted mean of the eigenvalue
-    inclusion's ratios.  Rotation j + 1's left vector is left_(j+1) ∝
-    left_j W_j.  Slot i holds (evaluation, eigendata) for points[i], None
-    when no rotation of its orbit has a primitive product, or the
-    EvaluationRefused of a zero fiber row along it or of an orbit whose
-    candidates all have contraction 1; AdmissibilityError is raised when a
-    point has a preperiod.  A slot depends only on its orbit, bit for bit:
-    the products come from one prefix memo, each zero pattern is tested
-    once, the bases' Perron data and certificates run on stacks of one
-    size, the carried vectors on padded stacks of one period.
+    pass.  A base whose exact |lambda_2| / rho (one eigvals call per stack)
+    is at least PERRON_TOL ** (1 / MAX_POWER_STEPS) refuses its orbit before
+    the power iteration, which could not converge in MAX_POWER_STEPS steps;
+    the rotations share the spectrum, so no other candidate is tried.  The
+    base's radius combines the min/max eigenvalue inclusion of its right
+    Perron vector d_hat with an a-posteriori bound on that vector (the
+    _window_certificate of T^exponent at d_hat, for periods p >= 2).  With
+    W_j the block from rotation j of the base to j + 1, one backward pass
+    around the cycle from right_0 = d_hat, for j = p - 1 .. 0, gives every
+    rotation, the base included, the scale c_j = |W_j right_(j+1)|_1, value
+    log c_j and the base's radius, and each other rotation its right vector
+    right_j = W_j right_(j+1) / c_j: row-allowable W_j do not expand the
+    Hilbert metric, |log 1^T W x - log 1^T W y| <= d(x, y), and for a fixed
+    point |T d_hat|_1 is a d_hat-weighted mean of the eigenvalue inclusion's
+    ratios.  Rotation j + 1's left vector is left_(j+1) ∝ left_j W_j.  A
+    point with a preperiod pushes its tail rotation's right vector back
+    through its preperiod blocks, stacked per preperiod length, and its
+    value is the log of the last scale.  Its error is at most the Hilbert
+    distance of d_hat from the true vector, so its radius holds the vector
+    term at every period: a period-1 base computes it for such points only,
+    which are refused when its coefficient rounds to 1.  Its PerronData is
+    its tail rotation's.
+
+    Slot i holds (evaluation, eigendata) for points[i], None when no
+    rotation of its tail has a primitive product, or the EvaluationRefused
+    of a zero fiber row along it, of an orbit whose candidates all have
+    contraction 1, or of an orbit refused for its spectral ratio.  A slot
+    depends only on its point and orbit, bit for bit: the products come
+    from one prefix memo, each zero pattern is tested once, the bases'
+    Perron data and certificates run on stacks of one size, the carried
+    vectors on padded stacks of one period and of one preperiod length.
     """
-    if any(p.preperiod for p in points):
-        raise AdmissibilityError("the eigendata route needs a purely periodic point")
     products: dict = {}
     primitivity: dict = {}
     results: list = [None] * len(points)
-    orbits: dict[tuple, list] = {}  # least rotation w -> [(slot, k)] of the points w[k:] + w[:k]
+    # least rotation w of a tail -> [(slot, k)] of the points whose period is w[k:] + w[:k]
+    orbits: dict[tuple, list] = {}
     for i, point in enumerate(points):
         try:
             _check_point_rows(fs, point)
@@ -1141,6 +1097,7 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
         rotations = [point.period[k:] + point.period[:k] for k in range(len(point.period))]
         least = min(rotations)
         orbits.setdefault(least, []).append((i, -rotations.index(least) % len(least)))
+    carried = {w for w, members in orbits.items() if any(points[i].preperiod for i, _ in members)}
 
     @functools.cache
     def product(w: tuple, k: int, periods: int) -> np.ndarray:
@@ -1152,9 +1109,16 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
         prim = _primitivity(primitivity, product(w, k, 1))
         return prim.exponent if prim.primitive else None
 
+    def contraction_refusal(w: tuple, k: int) -> EvaluationRefused:
+        message = f"power {exponent(w, k)} of the one-period product has contraction 1 in double precision"
+        return EvaluationRefused(message + ", so it bounds no radius")
+
     candidates = {w: filter(functools.partial(exponent, w), range(len(w))) for w in orbits}
-    bases: dict = {}  # orbit -> (base rotation, radius, eigendata)
-    refused: dict = {}  # orbit -> the exponent of its first candidate of contraction 1, named in its refusal
+    # orbit -> (base rotation, radius, radius of a point with a preperiod or
+    # its refusal, eigendata)
+    bases: dict = {}
+    refused: dict = {}  # orbit -> its refusal, the first candidate of contraction 1 unless a spectral ratio
+    limit = PERRON_TOL ** (1.0 / MAX_POWER_STEPS)
     pending = list(orbits)
     while pending:
         by_size: dict[int, list] = {}
@@ -1164,38 +1128,53 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
         pending = []
         for group in by_size.values():
             ts = np.stack([product(w, k, 1) for w, k in group])
-            pds = _perron_stack(ts, PERRON_TOL, MAX_POWER_STEPS)
+            moduli = _moduli(ts)
+            live = []
+            for row, ((w, _), ratio) in enumerate(zip(group, (moduli[:, 0] / moduli[:, 1]).tolist())):
+                # a nan ratio, from eigenvalues that did not converge, is not refused
+                if ratio >= limit:
+                    message = f"the one-period product's |l2|/rho {ratio:.6g} is at least {limit:.6g}, so its power"
+                    refused[w] = EvaluationRefused(message + f" iteration cannot converge in {MAX_POWER_STEPS} steps")
+                else:
+                    live.append(row)
+            if not live:
+                continue
+            ts, group = ts[live], [group[row] for row in live]
+            pds = _perron_stack(ts, PERRON_TOL, MAX_POWER_STEPS, moduli[live])
             right = np.stack([pd.right for pd in pds])
             ratios = (ts @ right[..., None])[..., 0] / right
             inclusions = [math.log(r) for r in (ratios.max(axis=1) / ratios.min(axis=1)).tolist()]
             vector_terms = [0.0] * len(group)
-            rows = [row for row, (w, _) in enumerate(group) if len(w) > 1]
+            rows = [row for row, (w, _) in enumerate(group) if len(w) > 1 or w in carried]
             if rows:
                 powers = np.stack([product(w, k, exponent(w, k)) for w, k in (group[row] for row in rows)])
                 for row, tau, gap in zip(rows, *_window_certificate(powers, normalize_rows(right[rows]))):
                     vector_terms[row] = gap / (1.0 - tau) if tau < 1.0 else None
             for (w, k), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
-                if vector_term is None:
-                    refused.setdefault(w, exponent(w, k))
+                if vector_term is None and len(w) > 1:
+                    refused.setdefault(w, contraction_refusal(w, k))
                     pending.append(w)
-                else:
-                    bases[w] = (k, inclusion + vector_term + FLOAT_NOISE_FLOOR, pd)
+                    continue
+                tail = contraction_refusal(w, k) if vector_term is None else inclusion + vector_term + FLOAT_NOISE_FLOOR
+                # a fixed point's own radius needs no vector term
+                bases[w] = (k, tail if len(w) > 1 else inclusion + FLOAT_NOISE_FLOOR, tail, pd)
     for w in refused.keys() - bases.keys():
-        message = f"power {refused[w]} of the one-period product has contraction 1 in double precision"
         for i, _ in orbits[w]:
-            results[i] = EvaluationRefused(message + ", so it bounds no radius")
+            results[i] = refused[w]
     # rotation j of the base takes its right vector and value from rotation
     # j + 1 and its left vector from j - 1, on the zero-padded vectors and
     # blocks of fs.padded_stack, stacked over the orbits of one period
     blocks = fs.padded_stack[0]
     by_period: dict[int, list] = {}
-    for w, (b, _, _) in bases.items():
+    for w, (b, *_) in bases.items():
         by_period.setdefault(len(w), []).append((w, w[b:] + w[:b]))
+    preperiodic: dict[int, list] = {}  # preperiod length -> [(slot, tail right vector, radius, eigendata)]
+    periodic = ("dominant eigendata at a periodic point",)
     for p, group in by_period.items():
         words = np.array([word for _, word in group])
         rights, lefts = np.zeros((2, p, len(group), blocks.shape[-1]))
         for row, (w, _) in enumerate(group):
-            pd = bases[w][2]
+            pd = bases[w][3]
             rights[0, row, : len(pd.right)], lefts[0, row, : len(pd.left)] = pd.right, pd.left
         scales = np.empty((p, len(group)))
         for j in range(p - 1, -1, -1):
@@ -1207,36 +1186,49 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             u = (lefts[j - 1][:, None, :] @ blocks[words[:, j - 1], words[:, j]])[:, 0]
             lefts[j] = u / _dots(u, rights[j])[:, None]
         for row, (w, _) in enumerate(group):
-            b, radius, pd = bases[w]
+            b, radius, tail, pd = bases[w]
             for i, k in orbits[w]:
                 j, n = (k - b) % p, len(fs.projection.fibers[w[k]])
-                evaluation = PotentialEvaluation(
-                    value=math.log(scales[j, row]),
-                    error_radius=radius,
-                    terms_used=pd.iterations,
-                    mode="certified",
-                    certified=True,
-                    notes=("dominant eigendata at a periodic point",),
-                )
-                results[i] = (evaluation, pd._replace(right=rights[j, row, :n], left=lefts[j, row, :n]))
+                record = pd._replace(right=rights[j, row, :n], left=lefts[j, row, :n])
+                if points[i].preperiod:
+                    if isinstance(tail, EvaluationRefused):
+                        results[i] = tail
+                    else:
+                        preperiodic.setdefault(len(points[i].preperiod), []).append((i, rights[j, row], tail, record))
+                    continue
+                value = math.log(scales[j, row])
+                results[i] = (PotentialEvaluation(value, radius, pd.iterations, "certified", True, (), periodic), record)
+    note = "dominant eigendata of the periodic tail, carried through the preperiod"
+    for t0, group in preperiodic.items():
+        words = np.array([points[i].preperiod + points[i].period[:1] for i, *_ in group])
+        v = np.stack([right for _, right, _, _ in group])
+        for m in range(t0 - 1, -1, -1):
+            v = _gathered_product(blocks, v, words[:, m], words[:, m + 1])
+            scale = v.sum(axis=1)
+            v = v / scale[:, None]
+        for (i, _, radius, record), value in zip(group, map(math.log, scale.tolist())):
+            results[i] = (PotentialEvaluation(value, radius, record.iterations, "certified", True, (), (note,)), record)
     return results
 
 
 def periodic_many(
     fs: FactorSystem, points: Sequence[PointSpec], target_error: float = DEFAULT_TARGET_ERROR
 ) -> list:
-    """The potential at purely periodic points.  Slot i holds (evaluation,
-    eigendata) for points[i], or the EvaluationRefused that eigendata_many
-    puts there.  The points go through eigendata_many, one Perron
-    computation per orbit; those of orbits where no rotation's one-period
-    product is pattern primitive then go through one evaluate_many batch
-    (which may report divergence), noted as such and with eigendata None.
-    That batch checks target_error even when it is empty, so a bad target
-    is refused whatever route the points take."""
+    """The potential at purely periodic points (AdmissibilityError for a
+    preperiod).  Slot i holds (evaluation, eigendata) for points[i], or the
+    EvaluationRefused that eigendata_many puts there.  The points of orbits
+    where no rotation's one-period product is pattern primitive go straight
+    from eigendata_many to the forward scan (_scanned), which may report
+    divergence, noted as such and with eigendata None.  target_error is
+    checked, though no route here reads it."""
+    if any(p.preperiod for p in points):
+        raise AdmissibilityError("the eigendata route needs a purely periodic point")
+    check_target_error(target_error)
     results = eigendata_many(fs, points)
     fallback = [i for i, result in enumerate(results) if result is None]
+    scanned = _scanned(fs, [points[i] for i in fallback], [_scan_plan(points[i]) for i in fallback])
     note = "one-period product is not primitive; eigendata route refused"
-    for i, ev in zip(fallback, evaluate_many(fs, [points[i] for i in fallback], target_error)):
+    for i, ev in zip(fallback, scanned):
         results[i] = (ev._replace(notes=ev.notes + (note,)), None)
     return results
 

@@ -482,24 +482,51 @@ def log_uniform_fullshift4(tmp_path, draw, low=1e-25):
     return str(path)
 
 
+def stalled_refusal():
+    """The refusal of an orbit whose spectral ratio |l2|/rho rounds to 1 at
+    six digits, at least PERRON_TOL ** (1 / MAX_POWER_STEPS), about 0.999701."""
+    limit = potential.PERRON_TOL ** (1.0 / potential.MAX_POWER_STEPS)
+    return (
+        f"the one-period product's |l2|/rho 1 is at least {limit:.6g}, so its power iteration "
+        f"cannot converge in {potential.MAX_POWER_STEPS} steps"
+    )
+
+
 def test_window_contraction_rounding_to_one_is_refused(tmp_path, capsys):
     # the window of (1) is strictly positive, but its tau_q rounds to 1.0
-    # while a* > 0: it bounds no radius (it was a ZeroDivisionError)
+    # while a* > 0; the eigendata route that took over from the window
+    # route refuses it before its power iteration, whose |l2|/rho rounds to
+    # 1 (without that refusal it ran for 1.5 s and printed a radius of 9.7)
     code = main(["potential", log_uniform_fullshift4(tmp_path, 2), "--point", "1", "--adaptive"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: tail window of 1 steps from position 1 has contraction 1 in double "
-        "precision, so it bounds no radius"
-    ]
+    assert captured.err.splitlines() == [f"error: {stalled_refusal()}"]
 
 
-def test_rank_one_window_note_reads_contraction_0(tmp_path, capsys):
-    code = main(["potential", log_uniform_fullshift4(tmp_path, 1), "--point", "01", "--adaptive"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "note: tail window of 2 steps is strictly positive (contraction 0)\n" in out
+def test_refused_base_never_enters_the_power_iteration(tmp_path, monkeypatch):
+    # on the [1e-60, 1] draw 5 the bases of (0), (1) and (01) have |l2|/rho
+    # within rounding of 1, those of (001) and (011) far below it: only the
+    # latter two, and their transposes, reach _power_stack
+    fs = gf.load_model(log_uniform_fullshift4(tmp_path, 5, low=1e-60))
+    points = [potential.PointSpec(fs, (), pp.symbols) for pp in gf.enumerate_periodic(fs.factor_tmc, 3)]
+    stacks = []
+    real = potential._power_stack
+
+    def recorded(ts, *args):
+        stacks.append(ts.copy())
+        return real(ts, *args)
+
+    monkeypatch.setattr(potential, "_power_stack", recorded)
+    slots = potential.eigendata_many(fs, points)
+    refused = [p.period for p, slot in zip(points, slots) if isinstance(slot, gf.EvaluationRefused)]
+    assert refused == [(0,), (1,), (0, 1), (1, 0)]
+    assert all(str(slot) == stalled_refusal() for p, slot in zip(points, slots) if p.period in refused)
+    assert sum(isinstance(slot, tuple) for slot in slots) == 6
+    assert [len(ts) for ts in stacks] == [4]
+    for period in ((0,), (1,), (0, 1)):
+        t = fs.word_product(period + period[:1])
+        assert not any(np.array_equal(m, t) for ts in stacks for m in ts)
 
 
 @pytest.mark.parametrize(
@@ -597,20 +624,16 @@ def test_periodic_power_contraction_rounding_to_one_is_refused(tmp_path, capsys)
     # with rows log-uniform over [1e-60, 1] (draw 5; also 14, 37 and 46) the
     # strictly positive one-period product of (10) has a Birkhoff coefficient
     # that rounds to 1.0, so its own vector term bounds nothing (it was a
-    # ZeroDivisionError); it takes the vectors and radius of its orbit's
-    # base, (01), whose coefficient is below 1
+    # ZeroDivisionError)
     code = main(["periodic", log_uniform_fullshift4(tmp_path, 5, low=1e-60), "--max-period", "2"])
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
-    assert code == 0
+    assert code == 1
     assert captured.err == ""
-    assert [line.split(":")[0] for line in lines] == ["(0)*", "(1)*", "(01)*", "(10)*"]
-    assert lines[3].split(", radius ")[1] == lines[2].split(", radius ")[1]
-    # the power iterations ran all their MAX_POWER_STEPS steps, so no
-    # spectral gap is printed (it read 1, 1.0005654082 and 30.4815740775,
-    # and a ratio above 1 no dominant eigenvalue has)
-    for line in lines:
-        assert line.endswith(", eigendata certified, spectral gap |l2|/rho n/a")
+    # every one of these bases has |l2|/rho within rounding of 1, so each
+    # orbit is refused before its power iteration; the iterations used to
+    # run all their MAX_POWER_STEPS steps (1.3 s) and print radii up to 6.5e9
+    assert lines == [f"{name}: refused ({stalled_refusal()})" for name in ("(0)*", "(1)*", "(01)*", "(10)*")]
     # over [1e-100, 1] (draw 62) both rotations of (01) round to 1: the
     # orbit has no base, and each rotation is refused
     code = main(["periodic", log_uniform_fullshift4(tmp_path, 62, low=1e-100), "--max-period", "2"])

@@ -45,7 +45,7 @@ from gibbsfactor.tmc import pattern_primitivity
 
 from test_cli import log_uniform_fullshift4
 from test_golden_cli import wide12_document
-from test_potential import random_certified_system
+from test_potential import random_certified_system, sparse_model
 
 # ------------------------------------------------------------------ oracle
 # The one-point perron_data and eigendata_potential as they were before the
@@ -325,8 +325,9 @@ def test_single_point_route(adhoc5, converse_false):
         assert_same_slot(eigendata_many(adhoc5, [p])[0], oracle_orbit_slot(adhoc5, p))
     with pytest.raises(gf.AdmissibilityError):
         periodic_potential(adhoc5, PointSpec(adhoc5, (2,), (1, 0)))
-    with pytest.raises(gf.AdmissibilityError):
-        eigendata_many(adhoc5, [PointSpec(adhoc5, (), (0, 1)), PointSpec(adhoc5, (2,), (1, 0))])
+    # eigendata_many itself takes preperiods: c(ba)* is carried from (ba)*
+    slots = eigendata_many(adhoc5, [PointSpec(adhoc5, (), (0, 1)), PointSpec(adhoc5, (2,), (1, 0))])
+    assert [type(slot) for slot in slots] == [tuple, tuple]
     refused = [p for p in periodic_points(converse_false, 4)
                if isinstance(oracle_slot(converse_false, p), gf.EvaluationRefused)]
     assert refused
@@ -772,11 +773,11 @@ def exact_fiber_data(fs):
     return weights, marginals
 
 
-def exact_psi(weights, marginals, period, depth=300):
-    """psi at period^infinity by the backward iteration over depth steps in
-    50-digit decimal: the fiber marginal of symbol depth, pushed back through
-    the weight blocks and normalized, then log |W_(x0 x1) x|_1."""
-    symbols = [period[m % len(period)] for m in range(depth + 1)]
+def exact_psi(weights, marginals, period, depth=300, preperiod=()):
+    """psi at preperiod period^infinity by the backward iteration over depth
+    steps in 50-digit decimal: the fiber marginal of symbol depth, pushed
+    back through the weight blocks and normalized, then log |W_(x0 x1) x|_1."""
+    symbols = list(preperiod) + [period[m % len(period)] for m in range(depth + 1 - len(preperiod))]
     with localcontext() as ctx:
         ctx.prec = 50
         x = marginals[symbols[depth]]
@@ -809,6 +810,98 @@ def test_eigendata_radii_bound_the_exact_value(tmp_path, name):
         if off > Decimal(ev.error_radius):
             misses.append((p.period, float(off), ev.error_radius))
     assert misses == []
+
+
+def preperiodic_points(fs, max_preperiod, max_period):
+    """Every point u v^infinity with 1 <= |u| <= max_preperiod and a least
+    period |v| <= max_period, in canonical form, each once."""
+    tmc = fs.factor_tmc
+    points = {}
+    for per in periodic_points(fs, max_period):
+        for n in range(1, max_preperiod + 1):
+            for word in gf.enumerate_words(tmc, n):
+                if tmc.allows(word.symbols[-1], per.period[0]):
+                    point = PointSpec(fs, word.symbols, per.period)
+                    if point.preperiod:
+                        points.setdefault(point, None)
+    return list(points)
+
+
+@pytest.mark.parametrize("name", ["sweep-fs4-seed3", "fullshift4", "adhoc5"])
+def test_preperiodic_radii_bound_the_exact_value(tmp_path, name):
+    # every eigendata slot of a point with a preperiod of 1 or 2 symbols and
+    # a period up to 4, against psi from exact fiber weights: the right
+    # vector of the tail's rotation pushed through the preperiod moves the
+    # value by at most its Hilbert distance from the true vector, which the
+    # vector term bounds, also where the tail is a fixed point
+    if name == "sweep-fs4-seed3":
+        fs = gf.load_model(bench_workloads().generate("sweep-fs4", 3, str(tmp_path))["model"])
+    else:
+        fs = gf.example_system(name)
+    weights, marginals = exact_fiber_data(fs)
+    points = preperiodic_points(fs, 2, 4)
+    assert any(len(p.period) == 1 for p in points) == (name != "adhoc5")
+    assert {len(p.preperiod) for p in points} == {1, 2}
+    slots = eigendata_many(fs, points)
+    assert all(isinstance(slot, tuple) for slot in slots)
+    misses = []
+    for p, (ev, pd) in zip(points, slots):
+        assert ev.notes == ("dominant eigendata of the periodic tail, carried through the preperiod",)
+        assert ev.terms_used == pd.iterations
+        off = abs(Decimal(ev.value) - exact_psi(weights, marginals, p.period, preperiod=p.preperiod))
+        if off > Decimal(ev.error_radius):
+            misses.append((p.key(), float(off), ev.error_radius))
+    assert misses == []
+
+
+def test_eigendata_route_overlaps_the_certified_route():
+    # every system with uniform constants among the four examples and the
+    # 40 sparse_models (all but nongibbs6 and converse_false): at every
+    # point with a preperiod of at most 2 and a period of at most 4, the
+    # interval of evaluate_many without constants, which H2 sends down the
+    # eigendata route, overlaps the certified interval
+    systems = [gf.example_system(name) for name in ("adhoc5", "fullshift4", "nongibbs6", "converse_false")]
+    systems += [sparse_model(seed) for seed in range(40)]
+    counts = {"systems": 0, "points": 0, "preperiodic": 0}
+    for fs in systems:
+        try:
+            constants = gf.uniform_constants(fs)
+        except gf.CertificationError:
+            continue
+        points = periodic_points(fs, 4) + preperiodic_points(fs, 2, 4)
+        certified = evaluate_many(fs, points, 1e-12, constants)
+        for p, ev, other in zip(points, evaluate_many(fs, points, 1e-12), certified):
+            assert ev.notes[0].startswith("dominant eigendata") and other.mode == "certified"
+            assert abs(ev.value - other.value) <= ev.error_radius + other.error_radius, p
+        counts["systems"] += 1
+        counts["points"] += len(points)
+        counts["preperiodic"] += sum(bool(p.preperiod) for p in points)
+    assert counts == {"systems": 42, "points": 4912, "preperiodic": 3899}
+
+
+def test_uncertified_script_work(tmp_path, monkeypatch):
+    # divergent-ng6's benchmark script at seed 1: without constants no point
+    # reaches the backward lockstep, and the word products are those of the
+    # eigendata route (one eigendata_many call per batch) and of the sweeps
+    manifest = bench_workloads().generate("divergent-ng6", 1, str(tmp_path))
+    products, scaled = [], []
+    real_product, real_scales = gf.FactorSystem.word_product, potential._lockstep_scales
+
+    def counted(self, symbols, *args):
+        products.append(tuple(symbols))
+        return real_product(self, symbols, *args)
+
+    def recorded(fs, points, depths):
+        scaled.extend(points)
+        return real_scales(fs, points, depths)
+
+    monkeypatch.setattr(gf.FactorSystem, "word_product", counted)
+    monkeypatch.setattr(potential, "_lockstep_scales", recorded)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in manifest["script"]:
+            cli.main(argv)
+    assert scaled == []
+    assert len(products) == 192
 
 
 # ------------------------------------------------------------ cylinder masses

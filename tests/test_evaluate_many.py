@@ -8,8 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 import gibbsfactor as gf
 from gibbsfactor import cli, gibbs, potential
@@ -23,7 +21,7 @@ from gibbsfactor.potential import (
     _routes,
     _scan_result,
     _scan_tail,
-    _window_count,
+    eigendata_many,
     evaluate,
     evaluate_many,
 )
@@ -152,7 +150,7 @@ def test_uncertified_batch_equals_evaluate_on_nongibbs6(gamma):
 @pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "wide12", "nongibbs6"])
 def test_uncertified_batch_equals_evaluate_on_random_points(name):
     # preperiodic and purely periodic points, repeats included; on nongibbs6
-    # window-route and scan-route points are mixed in one batch
+    # eigendata-route and scan-route points are mixed in one batch
     fs = gf.parse_model(wide12_document()) if name == "wide12" else gf.example_system(name)
     rng = np.random.default_rng(25)
     points = [random_point(fs, rng, int(rng.integers(0, 6))) for _ in range(30)]
@@ -380,46 +378,32 @@ def _refusal(fs, point):
     return None
 
 
-def one_point_route(fs, point, target_error):
-    """The plan of one point made with the one-matrix forms, symbol by
-    symbol: pattern_primitivity per phase, contraction_coefficient of the
-    window, and apply_normalized plus projective_distance for a*."""
-    t0, q = len(point.preperiod), len(point.period)
-    base = max(1, t0)
-    for a0 in range(base, base + q):
-        prim = gf.pattern_primitivity(fs.word_product([point.symbol_at(i) for i in range(a0, a0 + q + 1)]))
-        if prim.primitive:
-            break
-    else:
+def one_point_route(fs, point):
+    """The plan of one point without constants: its eigendata_many slot
+    alone, as an uncertified adaptive evaluation, or the scan plan of a
+    tail with no primitive rotation."""
+    slot = eigendata_many(fs, [point])[0]
+    if slot is None:
+        t0, q = len(point.preperiod), len(point.period)
         n_scan = min(max(150, t0 + 30 * q, 12 * q), potential.MAX_DEPTH)
         return gf.PotentialEvaluation(None, math.inf, n_scan, "scan", False)
-    big_q = prim.exponent * q
-    window = fs.word_product([point.symbol_at(i) for i in range(a0, a0 + big_q + 1)])
-    tau_q = gf.contraction_coefficient(window).tau
-    mu_hat = fs.marginal_hat(point.symbol_at(a0))
-    a_star = gf.projective_distance(mu_hat, gf.apply_normalized(window, mu_hat, out_fiber=mu_hat.fiber))
-    k = 0
-    radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
-    while radius > target_error and a0 + (k + 1) * big_q <= potential.MAX_DEPTH:
-        k += 1
-        radius = tau_q**k * a_star / (1.0 - tau_q)
-    note = f"tail window of {big_q} steps is strictly positive (contraction {tau_q:.6g})"
-    radius = max(radius, potential.FLOAT_NOISE_FLOOR)
-    return gf.PotentialEvaluation(None, radius, max(2, a0 + k * big_q), "adaptive", False, notes=(note,))
+    return slot[0]._replace(mode="adaptive", certified=False)
 
 
 @pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "nongibbs6", "converse_false", "wide12"])
 def test_batched_route_plan_equals_the_one_point_plan(name):
-    # adhoc5 and nongibbs6 have fibers of different sizes, so their windows
+    # adhoc5 and nongibbs6 have fibers of different sizes, so their bases
     # fall into several stacks; converse_false has refused points
     fs = gf.parse_model(wide12_document()) if name == "wide12" else gf.example_system(name)
-    points = sweep_points(fs, 4)
+    rng = np.random.default_rng(50)
+    points = sweep_points(fs, 4) + [random_point(fs, rng, int(rng.integers(1, 5))) for _ in range(30)]
     refused = [p for p in points if _refusal(fs, p) is not None]
     points = [p for p in points if _refusal(fs, p) is None]
-    expected = [one_point_route(fs, p, TARGET) for p in points]
+    expected = [one_point_route(fs, p) for p in points]
     assert _routes(fs, points, TARGET, None) == expected
     assert [_routes(fs, [p], TARGET, None)[0] for p in points] == expected
     assert any(plan.mode != "scan" for plan in expected) == (name != "converse_false")
+    assert any(plan.mode != "scan" and p.preperiod for p, plan in zip(points, expected)) == (name != "converse_false")
     if name == "nongibbs6":
         assert len({plan.mode for plan in expected}) == 2
     if refused:
@@ -429,24 +413,13 @@ def test_batched_route_plan_equals_the_one_point_plan(name):
 
 
 def test_routes_test_each_phase_word_once(monkeypatch):
-    # the rotations of one orbit test the same cyclic phase words, and the
-    # batch takes each word's product once; every window-route point then
-    # takes its window product once
+    # without constants the planner forms no product of its own: the
+    # products it forms are those of one eigendata_many call on the batch,
+    # whose base search tests each phase word of an orbit once
     fs = gf.example_system("nongibbs6")
-    points = periodic_batch(fs, 7)
+    rng = np.random.default_rng(49)
+    points = periodic_batch(fs, 7) + [random_point(fs, rng, int(rng.integers(1, 4))) for _ in range(20)]
     expected = [_routes(fs, [p], TARGET, None)[0] for p in points]
-    tested, windows = [], []
-    for p in points:
-        q = len(p.period)
-        for a0 in range(1, 1 + q):
-            word = p.symbols(a0 + q + 1)[a0:]
-            tested.append(word)
-            prim = gf.pattern_primitivity(fs.word_product(word))
-            if prim.primitive:
-                windows.append(p.symbols(a0 + prim.exponent * q + 1)[a0:])
-                break
-    assert windows and len(windows) < len(points)
-    assert len(set(tested)) < len(tested)
     calls = []
     real = gf.FactorSystem.word_product
 
@@ -455,22 +428,39 @@ def test_routes_test_each_phase_word_once(monkeypatch):
         return real(self, symbols, *args)
 
     monkeypatch.setattr(gf.FactorSystem, "word_product", counted)
+    eigendata_many(fs, points)
+    words = list(calls)
+    calls.clear()
     assert _routes(fs, points, TARGET, None) == expected
-    assert sorted(calls) == sorted(list(dict.fromkeys(tested)) + windows)
+    assert calls == words and len(set(words)) == len(words)
 
 
 def test_periodic_command_batches_its_fallback_points(tmp_path, monkeypatch):
+    # one eigendata_many call, and the points of cycles with no primitive
+    # rotation go straight to one forward scan: no evaluate_many call, so no
+    # second eigendata_many call and no second phase search
     path = tmp_path / "ng6.json"
     gf.models.dump_document(expand_example("nongibbs6"), str(path))
-    calls = []
+    calls, scans = [], []
 
-    def counted(fs, points, *args, **kwargs):
+    def counted(fs, points):
         calls.append(len(points))
-        return evaluate_many(fs, points, *args, **kwargs)
+        return eigendata_many(fs, points)
 
-    monkeypatch.setattr(potential, "evaluate_many", counted)
+    def scanned(fs, points, *args):
+        scans.append(len(points))
+        return real(fs, points, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("periodic makes no evaluate_many call")
+
+    real = potential._lockstep_sequences
+    monkeypatch.setattr(potential, "eigendata_many", counted)
+    monkeypatch.setattr(potential, "_lockstep_sequences", scanned)
+    monkeypatch.setattr(potential, "evaluate_many", refuse)
     assert cli.main(["periodic", str(path), "--max-period", "5"]) == 1
-    assert len(calls) == 1 and calls[0] >= 5
+    assert calls == [len(periodic_batch(gf.example_system("nongibbs6"), 5))]
+    assert len(scans) == 1 and scans[0] >= 5
 
 
 def test_single_point_does_not_use_the_batch(adhoc5, adhoc5_constants, monkeypatch):
@@ -562,58 +552,6 @@ def test_shifted_equals_validated_point(name):
             pre = tuple(p.symbol_at(i) for i in range(j, j + t0))
             per = tuple(p.symbol_at(i) for i in range(j + t0, j + t0 + q))
             assert p.shifted(fs, j) == PointSpec(fs, pre, per)
-
-
-def counted_windows(tau_q, a_star, target_error, a0, big_q):
-    """The radius loop that _window_count replaced: k counts up one window
-    at a time while the radius is above target_error and the depth stays
-    within MAX_DEPTH."""
-    k = 0
-    radius = a_star / (1.0 - tau_q) if a_star > 0 else 0.0
-    while radius > target_error and (a0 + (k + 1) * big_q) <= potential.MAX_DEPTH:
-        k += 1
-        radius = tau_q**k * a_star / (1.0 - tau_q)
-    return k, radius
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.9999, 1.0, exclude_max=True)),
-    st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
-    st.one_of(st.floats(1e-300, 1.0), st.sampled_from([1e-10, 1e-11, 1e-300])),
-    st.integers(1, 40),
-    st.one_of(st.integers(1, 12), st.sampled_from([97, 5000, 499999, 600000])),
-)
-@example(0.999998, 1.3, 1e-10, 1, 1)  # capped at MAX_DEPTH
-@example(0.740743, 0.5, 1e-10, 1, 2)
-def test_window_count_equals_counting_up(tau_q, a_star, target_error, a0, big_q):
-    expected = counted_windows(tau_q, a_star, target_error, a0, big_q)
-    assert _window_count(tau_q, a_star, target_error, (potential.MAX_DEPTH - a0) // big_q) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(0.01, 0.999), st.floats(1e-3, 1e3), st.integers(1, 300), st.booleans())
-def test_window_count_at_a_radius_boundary(tau_q, a_star, k, below):
-    # target_error equal to a radius of the loop, or the double below it,
-    # where the log ratio lands next to an integer
-    target = tau_q**k * a_star / (1.0 - tau_q)
-    target = float(np.nextafter(target, 0.0)) if below else target
-    assume(target > 0)
-    assert _window_count(tau_q, a_star, target, potential.MAX_DEPTH - 1) == counted_windows(tau_q, a_star, target, 1, 1)
-
-
-@pytest.mark.parametrize(
-    "tau_q, a_star, target, off",
-    [
-        (0.3431215648898563, 0.3467038735465146, 1.7801889200613385e-14, 1),
-        (0.33500313953414623, 0.5260019290542263, 1.9173384394339735e-93, -1),
-    ],
-)
-def test_window_count_corrects_the_log_ratio_by_one(tau_q, a_star, target, off):
-    ratio = (math.log(target) + math.log(1.0 - tau_q) - math.log(a_star)) / math.log(tau_q)
-    k, radius = _window_count(tau_q, a_star, target, potential.MAX_DEPTH - 1)
-    assert math.ceil(ratio) - k == off
-    assert (k, radius) == counted_windows(tau_q, a_star, target, 1, 1)
 
 
 def test_certified_depth_is_taken_once_per_preperiod_length(monkeypatch):

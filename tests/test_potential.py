@@ -515,9 +515,10 @@ def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
     # ratios into nu[one full period shift], whose growth rate is the
     # dominant eigenvalue of the one-period product.  Checked through
     # evaluate_many on the orbits whose every rotation takes the certified
-    # or window route, and through periodic_many on those whose every
-    # rotation takes the eigendata route; scan-route radii are observed,
-    # not proven, so those orbits are only counted
+    # route or, without constants, the eigendata route, and through
+    # periodic_many on those whose every rotation takes the eigendata route;
+    # scan-route radii are observed, not proven, so those orbits are only
+    # counted
     systems = [gf.example_system(name) for name in ("adhoc5", "fullshift4", "nongibbs6", "converse_false")]
     systems += [sparse_model(seed) for seed in range(40)]
     checked = {"backward": 0, "eigendata": 0, "scan": 0, "refused": 0, "overlap": 0}

@@ -9,9 +9,12 @@ the model path, the exit code, stdout and stderr, and every evaluation the
 command made: evaluate_many and eigendata_many are wrapped where the potential
 and gibbs modules look them up, and each call's results are recorded in order
 with value, radius, terms, mode and clusters as JSON floats (which read back
-bit for bit), None for a point eigendata_many leaves to evaluate_many, and
-the message of a refusal; an eigendata_many slot also records its Perron
-data's rho, second_modulus, residual and iterations as JSON numbers.  Every
+bit for bit) and the notes, which name the route an evaluation took, None
+for a point eigendata_many leaves to the forward scan, and the message of a
+refusal; an eigendata_many slot also records its Perron data's rho,
+second_modulus, residual and iterations as JSON numbers.  Without constants
+evaluate_many routes its points through one eigendata_many call, which is
+recorded as a call of its own, just before the evaluate_many call.  Every
 uniform_constants result the CLI computes is recorded too: tau, theta, c1,
 d_const, c_total and k_gibbs as JSON floats, window and gap, or the message
 of a refusal.  Keys are sorted, so the output of two commits compares with
@@ -64,6 +67,7 @@ def evaluation(result) -> object:
         "terms": result.terms_used,
         "mode": result.mode,
         "clusters": list(result.clusters),
+        "notes": list(result.notes),
     }
     if eigendata is not None:
         record["eigendata"] = {

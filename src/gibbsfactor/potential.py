@@ -12,7 +12,6 @@ step assumes otherwise.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
@@ -26,12 +25,7 @@ from .errors import (
     ModelError,
 )
 from .projection import FactorSystem, backward_step, backward_transfer
-from .projective import (
-    STACK_DOUBLES,
-    contraction_coefficients,
-    normalize_rows,
-    projective_distances,
-)
+from .projective import STACK_DOUBLES, normalize_rows, projective_distances
 from .tmc import Word, check_primitivity, enumerate_words, pattern_primitivity, primitive_root, word_symbols
 
 DEFAULT_TARGET_ERROR = 1e-10
@@ -343,15 +337,6 @@ def perron_data(matrix, tol: float = PERRON_TOL, max_iter: int = MAX_POWER_STEPS
     return _perron_stack(t[None], tol, max_iter)[0]
 
 
-def _primitivity(memo: dict, matrix: np.ndarray):
-    """pattern_primitivity(matrix), tested once per zero pattern in memo."""
-    pattern = matrix != 0
-    key = (pattern.shape, pattern.tobytes())
-    if key not in memo:
-        memo[key] = pattern_primitivity(pattern)
-    return memo[key]
-
-
 def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
     """Refuse evaluation when a step matrix along the point has a zero row."""
     if not fs.zero_row_blocks:
@@ -438,16 +423,6 @@ def _certified_depth(c: UniformConstants, t0: int, target_error: float) -> int:
     return n
 
 
-def _window_certificate(stack: np.ndarray, x: np.ndarray) -> tuple[list[float], list[float]]:
-    """The two numbers from which a strictly positive window bounds a radius,
-    for each matrix T of the (m, n, n) stack and its row of x (simplex
-    coordinates): the Birkhoff coefficient tau of T
-    (contraction_coefficients), and the projective distance of x from its
-    normalized image T x.  Each caller refuses what it cannot bound."""
-    image = normalize_rows((stack @ x[..., None])[..., 0])
-    return [c.tau for c in contraction_coefficients(stack)], projective_distances(x, image).tolist()
-
-
 def _scan_plan(point: PointSpec) -> PotentialEvaluation:
     """The plan of a point whose tail has no rotation with a primitive
     one-period product: mode "scan", a marker that never leaves
@@ -475,7 +450,8 @@ def _routes(
     evaluation, under mode "adaptive" and certified=False, with the power
     iteration's step count in terms_used; a slot left None (no rotation of
     the tail has a primitive one-period product) gives the _scan_plan; and
-    the first refused slot, in point order, is raised.
+    the first refused slot, in point order, is raised.  An eigendata
+    radius above target_error, which that route cannot narrow, is noted.
     """
     for point in points:
         _check_point_rows(fs, point)
@@ -489,10 +465,14 @@ def _routes(
     slots = eigendata_many(fs, points)
     if refusal := next((slot for slot in slots if isinstance(slot, EvaluationRefused)), None):
         raise refusal
-    return [
-        _scan_plan(point) if slot is None else slot[0]._replace(mode="adaptive", certified=False)
-        for point, slot in zip(points, slots)
-    ]
+    above = "error radius {:.12g} is above the target {:g}; the eigendata route cannot narrow it"
+    plans = []
+    for point, slot in zip(points, slots):
+        ev = _scan_plan(point) if slot is None else slot[0]._replace(mode="adaptive", certified=False)
+        if target_error < ev.error_radius < math.inf:  # a scan plan's radius is inf
+            ev = ev._replace(notes=ev.notes + (above.format(ev.error_radius, target_error),))
+        plans.append(ev)
+    return plans
 
 
 def _scan_tail(t0: int, q: int, n: int) -> int:
@@ -962,28 +942,20 @@ def _window_search(fs: FactorSystem) -> tuple[int, dict]:
     product is strictly positive (tau < 1), and the tau of every block of
     the W-words: the blocks a word-by-word search visits, as each block met
     at a shorter length is a block of a W-word too (words extend to the
-    right).  Each length takes the products of its new blocks through one
-    word_product prefix memo and their tau from one contraction_coefficients
-    stack per shape; a zero entry gives tau 1.  A length is only tried when
-    the d_const it would need passes _check_word_budget.
+    right).  Each length reads its blocks' tau from the cycle table
+    (fs.word_taus), in which a zero entry gives tau 1.  A length is only
+    tried when the d_const it would need passes _check_word_budget.
     """
     nb = fs.target_size
     max_window = 3 * (nb + 1)
-    taus: dict[tuple[int, ...], float] = {}
-    products: dict = {}
     for w_len in range(nb + 1, max_window + 1):
         _check_word_budget(fs, 2 * w_len)
         word_blocks = [
             [symbols[m : l + 1] for l in range(1, w_len) for m in range(l) if symbols[m] == symbols[l]]
             for symbols in (word.symbols for word in enumerate_words(fs.factor_tmc, w_len))
         ]
-        by_shape: dict[tuple, list] = {}
-        for block in dict.fromkeys(b for blocks in word_blocks for b in blocks if b not in taus):
-            product = fs.word_product(block, products)
-            by_shape.setdefault(product.shape, []).append((block, product))
-        for group in by_shape.values():
-            coefficients = contraction_coefficients(np.stack([product for _, product in group]))
-            taus.update((block, coefficient.tau) for (block, _), coefficient in zip(group, coefficients))
+        blocks = list(dict.fromkeys(b for blocks in word_blocks for b in blocks))
+        taus = dict(zip(blocks, fs.word_taus(blocks)))
         if all(any(taus[block] < 1.0 for block in blocks) for blocks in word_blocks):
             return w_len, taus
     raise CertificationError(
@@ -1049,42 +1021,40 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     An orbit's base is its first rotation, counting from the least, whose
     one-period product T (cyclically, from that phase) is pattern primitive
     and whose T^exponent, the word product over exponent periods, has a
-    Birkhoff coefficient below 1; a candidate is tested only when the search
-    reaches it, and one of contraction 1 passes to the next in a further
-    pass.  A base whose exact |lambda_2| / rho (one eigvals call per stack)
-    is at least PERRON_TOL ** (1 / MAX_POWER_STEPS) refuses its orbit before
-    the power iteration, which could not converge in MAX_POWER_STEPS steps;
-    the rotations share the spectrum, so no other candidate is tried.  The
-    base's radius combines the min/max eigenvalue inclusion of its right
-    Perron vector d_hat with an a-posteriori bound on that vector (the
-    _window_certificate of T^exponent at d_hat, for periods p >= 2).  With
-    W_j the block from rotation j of the base to j + 1, one backward pass
-    around the cycle from right_0 = d_hat, for j = p - 1 .. 0, gives every
-    rotation, the base included, the scale c_j = |W_j right_(j+1)|_1, value
-    log c_j and the base's radius, and each other rotation its right vector
-    right_j = W_j right_(j+1) / c_j: row-allowable W_j do not expand the
-    Hilbert metric, |log 1^T W x - log 1^T W y| <= d(x, y), and for a fixed
-    point |T d_hat|_1 is a d_hat-weighted mean of the eigenvalue inclusion's
-    ratios.  Rotation j + 1's left vector is left_(j+1) ∝ left_j W_j.  A
-    point with a preperiod pushes its tail rotation's right vector back
-    through its preperiod blocks, stacked per preperiod length, and its
-    value is the log of the last scale.  Its error is at most the Hilbert
-    distance of d_hat from the true vector, so its radius holds the vector
-    term at every period: a period-1 base computes it for such points only,
-    which are refused when its coefficient rounds to 1.  Its PerronData is
-    its tail rotation's.
+    Birkhoff coefficient tau below 1; a candidate is tested only when the
+    search reaches it, and one of contraction 1 passes to the next in a
+    further pass.  A base whose exact |lambda_2| / rho (one eigvals call per
+    stack) is at least PERRON_TOL ** (1 / MAX_POWER_STEPS) refuses its orbit
+    before the power iteration, which could not converge in MAX_POWER_STEPS
+    steps; the rotations share the spectrum, so no other candidate is
+    tried.  The base's radius is the log of the min/max eigenvalue inclusion
+    of its right Perron vector d_hat plus, for periods p >= 2, the
+    a-posteriori vector term delta(d_hat, T^exponent d_hat) / (1 - tau).
+    With W_j the block from rotation j of the base to j + 1, one backward
+    pass around the cycle from right_0 = d_hat, for j = p - 1 .. 0, gives
+    every rotation the scale c_j = |W_j right_(j+1)|_1, value log c_j and
+    the base's radius, and right_j = W_j right_(j+1) / c_j: row-allowable
+    W_j do not expand the Hilbert metric, |log 1^T W x - log 1^T W y| <=
+    d(x, y), and for a fixed point |T d_hat|_1 is a d_hat-weighted mean of
+    the inclusion's ratios.  Rotation j + 1's left vector is left_(j+1) ∝
+    left_j W_j.  A point with a preperiod pushes its tail rotation's right
+    vector back through its preperiod blocks, stacked per preperiod length,
+    and its value is the log of the last scale.  Its error is at most the
+    Hilbert distance of d_hat from the true vector, so its radius holds the
+    vector term at every period (a period-1 base computes it for such
+    points only, refused when its tau rounds to 1); its PerronData is its
+    tail rotation's.
 
     Slot i holds (evaluation, eigendata) for points[i], None when no
     rotation of its tail has a primitive product, or the EvaluationRefused
     of a zero fiber row along it, of an orbit whose candidates all have
     contraction 1, or of an orbit refused for its spectral ratio.  A slot
-    depends only on its point and orbit, bit for bit: the products come
-    from one prefix memo, each zero pattern is tested once, the bases'
-    Perron data and certificates run on stacks of one size, the carried
-    vectors on padded stacks of one period and of one preperiod length.
+    depends only on its point and orbit, bit for bit: the products, their
+    exponents and the powers' tau come from the system's cycle table, each
+    formed once, the bases' Perron data and certificates run on stacks of
+    one size, the carried vectors on padded stacks of one period and of
+    one preperiod length.
     """
-    products: dict = {}
-    primitivity: dict = {}
     results: list = [None] * len(points)
     # least rotation w of a tail -> [(slot, k)] of the points whose period is w[k:] + w[:k]
     orbits: dict[tuple, list] = {}
@@ -1099,21 +1069,17 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
         orbits.setdefault(least, []).append((i, -rotations.index(least) % len(least)))
     carried = {w for w, members in orbits.items() if any(points[i].preperiod for i, _ in members)}
 
-    @functools.cache
-    def product(w: tuple, k: int, periods: int) -> np.ndarray:
-        word = (w[k:] + w[:k]) * periods
-        return fs.word_product(word + word[:1], products)
-
-    @functools.cache
-    def exponent(w: tuple, k: int) -> Optional[int]:
-        prim = _primitivity(primitivity, product(w, k, 1))
-        return prim.exponent if prim.primitive else None
+    def closed(w: tuple, k: int, periods: int = 1) -> tuple:
+        word = (w[k:] + w[:k]) * periods  # rotation k of w, closed by its first symbol
+        return word + word[:1]
 
     def contraction_refusal(w: tuple, k: int) -> EvaluationRefused:
-        message = f"power {exponent(w, k)} of the one-period product has contraction 1 in double precision"
-        return EvaluationRefused(message + ", so it bounds no radius")
+        message = f"power {fs.word_exponent(closed(w, k))} of the one-period product has contraction 1"
+        return EvaluationRefused(message + " in double precision, so it bounds no radius")
 
-    candidates = {w: filter(functools.partial(exponent, w), range(len(w))) for w in orbits}
+    # each orbit's pattern-primitive rotations, tested as the search reaches them
+    candidates = {w: filter(lambda k, w=w: fs.word_exponent(closed(w, k)), range(len(w))) for w in orbits}
+    products = fs.cycle_table.products  # holds every word word_exponent or word_taus has read
     # orbit -> (base rotation, radius, radius of a point with a preperiod or
     # its refusal, eigendata)
     bases: dict = {}
@@ -1124,10 +1090,10 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
         by_size: dict[int, list] = {}
         for w in pending:
             if (k := next(candidates[w], None)) is not None:
-                by_size.setdefault(len(product(w, k, 1)), []).append((w, k))
+                by_size.setdefault(len(products[closed(w, k)]), []).append((w, k))
         pending = []
         for group in by_size.values():
-            ts = np.stack([product(w, k, 1) for w, k in group])
+            ts = np.stack([products[closed(w, k)] for w, k in group])
             moduli = _moduli(ts)
             live = []
             for row, ((w, _), ratio) in enumerate(zip(group, (moduli[:, 0] / moduli[:, 1]).tolist())):
@@ -1147,8 +1113,11 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
             vector_terms = [0.0] * len(group)
             rows = [row for row, (w, _) in enumerate(group) if len(w) > 1 or w in carried]
             if rows:
-                powers = np.stack([product(w, k, exponent(w, k)) for w, k in (group[row] for row in rows)])
-                for row, tau, gap in zip(rows, *_window_certificate(powers, normalize_rows(right[rows]))):
+                words = [closed(w, k, fs.word_exponent(closed(w, k))) for w, k in (group[row] for row in rows)]
+                taus = fs.word_taus(words)
+                x = normalize_rows(right[rows])
+                image = normalize_rows((np.stack([products[w] for w in words]) @ x[..., None])[..., 0])
+                for row, tau, gap in zip(rows, taus, projective_distances(x, image).tolist()):
                     vector_terms[row] = gap / (1.0 - tau) if tau < 1.0 else None
             for (w, k), pd, inclusion, vector_term in zip(group, pds, inclusions, vector_terms):
                 if vector_term is None and len(w) > 1:

@@ -11,10 +11,12 @@ constant and log_nu_cylinders take all words of one length.  padded_stack
 holds the same blocks zero-padded to the widest fiber: evaluate_many steps
 the rows of many points on it in lockstep, and psi_n at one point steps
 its one row on it.  Where fibers differ in size, padded products may round
-otherwise than backward_transfer in the last bits.  The two hypotheses
-checked here (row-allowability of every fiber block, and positivity of
-one-period products over short cycles) are what later certify that this
-induced measure admits a regular potential.
+otherwise than backward_transfer in the last bits.  One table per system
+holds each word's product, exponent and tau, formed once for check_h2, the
+window search and the eigendata route.  The two hypotheses checked here
+(row-allowability of every fiber block, and positivity of one-period
+products over short cycles) are what later certify that this induced
+measure admits a regular potential.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ModelError
 from .markov import MarkovModel, cylinder_measure, derive_potential
-from .projective import SimplexPoint, is_row_allowable
+from .projective import SimplexPoint, contraction_coefficients, is_row_allowable
 from .tmc import (
     Alphabet,
     PeriodicPoint,
@@ -126,7 +128,9 @@ class FactorSystem:
                 block = m[ix]
                 if block.any():
                     induced[b, b2] = 1
-                    self.fiber_weight[(b, b2)] = np.where(block == 1, np.exp(phi[ix]), 0.0)
+                    weight = np.where(block == 1, np.exp(phi[ix]), 0.0)
+                    weight.flags.writeable = False
+                    self.fiber_weight[(b, b2)] = weight
         self.zero_row_blocks = frozenset(
             key for key, w in self.fiber_weight.items() if not is_row_allowable(w)[0]
         )
@@ -184,21 +188,63 @@ class FactorSystem:
         marginals[ones > 0] = np.concatenate(self.fiber_marginal)
         return blocks, marginals, ones
 
-    def word_product(self, symbols: Sequence[int], products: Optional[dict] = None) -> np.ndarray:
+    @cached_property
+    def cycle_table(self) -> "CycleTable":
+        """The one memo of word products, kept as long as the system; its
+        products start as the fiber weight blocks."""
+        return CycleTable(dict(self.fiber_weight), {}, {})
+
+    def word_product(self, symbols: Sequence[int]) -> np.ndarray:
         """Product of fiber weight matrices along a factor word (length >= 2),
-        left to right.  products, when given, keeps the products of the
-        word's prefixes, shared by the words of one batch; a word whose
-        product is kept there already is returned at once."""
-        products = {} if products is None else products
-        if (out := products.get(tuple(symbols))) is not None:
+        left to right, each prefix's formed once and kept read-only in
+        cycle_table, whose readers call this only for a word it lacks."""
+        products = self.cycle_table.products
+        word = tuple(symbols)
+        if (out := products.get(word)) is not None:
             return out
-        out = self.fiber_weight[(symbols[0], symbols[1])]
-        for j in range(2, len(symbols)):
-            key = tuple(symbols[: j + 1])
-            if key not in products:
-                products[key] = out @ self.fiber_weight[(symbols[j - 1], symbols[j])]
-            out = products[key]
+        out = products[word[:2]]
+        for j in range(3, len(word) + 1):
+            if (product := products.get(word[:j])) is None:
+                product = products[word[:j]] = out @ products[word[j - 2 : j]]
+                product.flags.writeable = False
+            out = product
         return out
+
+    def _kept_product(self, word: tuple[int, ...]) -> np.ndarray:
+        product = self.cycle_table.products.get(word)  # word_product on a miss only
+        return self.word_product(word) if product is None else product
+
+    def word_exponent(self, word: tuple[int, ...]) -> Optional[int]:
+        """pattern_primitivity(word_product(word)).exponent of a closed word,
+        tested once per zero pattern: 1 exactly for a strictly positive
+        product, None for a pattern that is not primitive."""
+        pattern = self._kept_product(word) != 0
+        key = (pattern.shape, pattern.tobytes())
+        if key not in self.cycle_table.patterns:
+            self.cycle_table.patterns[key] = pattern_primitivity(pattern).exponent
+        return self.cycle_table.patterns[key]
+
+    def word_taus(self, words: Sequence[tuple[int, ...]]) -> list[float]:
+        """The Birkhoff coefficient tau of each word's product, formed once:
+        the words the table lacks go through one contraction_coefficients
+        stack per shape, whose bits do not depend on the rest of the stack."""
+        taus = self.cycle_table.taus
+        by_shape: dict[tuple, list] = {}
+        for word in dict.fromkeys(w for w in words if w not in taus):
+            by_shape.setdefault(self._kept_product(word).shape, []).append(word)
+        for group in by_shape.values():
+            coefficients = contraction_coefficients(np.stack([self._kept_product(w) for w in group]))
+            taus.update((word, c.tau) for word, c in zip(group, coefficients))
+        return [taus[w] for w in words]
+
+
+class CycleTable(NamedTuple):
+    """FactorSystem.cycle_table: read-only products by word, the exponent
+    of a closed word's zero pattern by (shape, bytes), and taus by word."""
+
+    products: dict[tuple[int, ...], np.ndarray]
+    patterns: dict[tuple, Optional[int]]
+    taus: dict[tuple[int, ...], float]
 
 
 def build_factor_system(model: MarkovModel, projection: Projection) -> FactorSystem:
@@ -242,43 +288,27 @@ class H2Report(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def one_period_product(fs: FactorSystem, point: PeriodicPoint) -> np.ndarray:
-    """Product of fiber weight matrices once around the period, cyclically."""
-    symbols = point.symbols + (point.symbols[0],)
-    return fs.word_product(symbols)
-
-
 def check_h2(fs: FactorSystem) -> H2Report:
     """Positivity of one-period fiber products over all short periodic points.
 
     Checks every periodic point of the induced chain with period up to the
     target alphabet size.  The verdict is per orbit (some rotation positive);
     per-rotation products are all reported because later certification
-    needs to know exactly which phases are usable.
+    needs to know exactly which phases are usable.  Each witness holds its
+    closed word's product and exponent from the cycle table.
     """
-    warnings = []
-    prim = pattern_primitivity(fs.factor_tmc.incidence)
-    if not prim.primitive:
-        warnings.append("induced incidence is not primitive")
+    primitive = pattern_primitivity(fs.factor_tmc.incidence).primitive
+    warnings = () if primitive else ("induced incidence is not primitive",)
     witnesses = []
     orbits: dict[tuple[int, ...], bool] = {}
     for point in enumerate_periodic(fs.factor_tmc, fs.target_size):
-        product = one_period_product(fs, point)
-        positive = bool((product > 0).all())
-        witnesses.append(H2Witness(point=point, product=product, positive=positive))
+        closed = point.symbols + point.symbols[:1]
+        witnesses.append(H2Witness(point, fs.word_product(closed), fs.word_exponent(closed) == 1))
         key = point.canonical_rotation()
-        orbits[key] = orbits.get(key, False) or positive
+        orbits[key] = orbits.get(key, False) or witnesses[-1].positive
     labels = fs.projection.target.labels
-    orbit_failures = tuple(
-        tuple(labels[s] for s in key) for key, ok in sorted(orbits.items()) if not ok
-    )
-    return H2Report(
-        passed=not orbit_failures,
-        pointwise=all(w.positive for w in witnesses),
-        witnesses=tuple(witnesses),
-        orbit_failures=orbit_failures,
-        warnings=tuple(warnings),
-    )
+    failures = tuple(tuple(labels[s] for s in key) for key, ok in sorted(orbits.items()) if not ok)
+    return H2Report(not failures, all(w.positive for w in witnesses), tuple(witnesses), failures, warnings)
 
 
 class TopologicalMarkovVerdict(NamedTuple):

@@ -552,6 +552,22 @@ def test_decay_rate_rounding_to_one_is_not_certified(tmp_path, capsys, draw, tau
     assert "mode: adaptive (uncertified)\n" in captured.out
 
 
+def test_eigendata_radius_above_the_target_is_noted(tmp_path, capsys):
+    # without constants (draw 43's decay rate rounds to 1) the point takes
+    # the eigendata route, which cannot go deeper for a smaller radius: a
+    # radius above --tol is printed with a note, and the exit code stays 0
+    path = log_uniform_fullshift4(tmp_path, 43)
+    note = "note: error radius 6.49163645893e-10 is above the target 1e-10; the eigendata route cannot narrow it\n"
+    assert main(["potential", path, "--point", "01"]) == 0
+    captured = capsys.readouterr()
+    assert "error radius: 6.49163645893e-10\n" in captured.out
+    assert captured.out.endswith(note) and captured.err == ""
+    assert main(["potential", path, "--point", "01", "--tol", "1e-9"]) == 0
+    captured = capsys.readouterr()
+    assert "error radius: 6.49163645893e-10\n" in captured.out
+    assert "above the target" not in captured.out and captured.err == ""
+
+
 def test_gibbs_sweep_with_a_decay_rate_of_one_ends_in_one_error_line(tmp_path, capsys):
     code = main(["gibbs", log_uniform_fullshift4(tmp_path, 43), "--n-max", "2"])
     captured = capsys.readouterr()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import gibbsfactor as gf
-from gibbsfactor import cli, potential
+from gibbsfactor import cli, potential, projection
 from gibbsfactor.errors import ModelError
 from gibbsfactor.models import expand_example
 from gibbsfactor.potential import (
@@ -382,24 +382,38 @@ def test_imprimitive_rotations_are_carried_from_their_base(adhoc5):
 
 def test_the_base_search_forms_the_products_it_reaches(monkeypatch):
     # nongibbs6 to period 7: 232 points in 41 orbits.  Each orbit's search
-    # forms its rotations' one-period products from the least up to its base
-    # (or all of them when none is primitive), 89 in all, where testing every
-    # rotation's own product formed 232
+    # reads its rotations' one-period products from the least up to its base
+    # (or all of them when none is primitive), and its base's power, 89
+    # words in all, where testing every rotation's own product read 232.
+    # The table forms 87 of them, each once: the other two are fiber blocks
+    # or prefixes of words formed before them
     fs = gf.example_system("nongibbs6")
     points = periodic_points(fs, 7)
-    words = []
-    real = gf.FactorSystem.word_product
+    words, read = [], []
+    real, exponent, taus = gf.FactorSystem.word_product, gf.FactorSystem.word_exponent, gf.FactorSystem.word_taus
 
-    def counted(self, symbols, *args):
+    def counted(self, symbols):
         words.append(tuple(symbols))
-        return real(self, symbols, *args)
+        return real(self, symbols)
+
+    def read_exponent(self, word):
+        read.append(word)
+        return exponent(self, word)
+
+    def read_taus(self, batch):
+        read.extend(batch)
+        return taus(self, batch)
 
     monkeypatch.setattr(gf.FactorSystem, "word_product", counted)
+    monkeypatch.setattr(gf.FactorSystem, "word_exponent", read_exponent)
+    monkeypatch.setattr(gf.FactorSystem, "word_taus", read_taus)
     slots = eigendata_many(fs, points)
     orbits = {min(p.period[k:] + p.period[:k] for k in range(len(p.period))) for p in points}
     assert (len(points), len(orbits)) == (232, 41)
-    assert len(words) == len(set(words)) == 89
-    assert all(word[0] == word[-1] for word in words)
+    assert len(set(read)) == 89 and all(word[0] == word[-1] for word in read)
+    assert len(words) == len(set(words)) == 87 and set(words) <= set(read)
+    kept = set(fs.fiber_weight) | {w[:j] for w in words for j in range(3, len(w))}
+    assert set(read) - set(words) <= kept
     # the 61 points of the orbits with no primitive rotation are left to
     # the fallback, the other 171 certified
     assert [type(slot).__name__ for slot in slots].count("NoneType") == 61
@@ -701,8 +715,8 @@ def test_one_perron_computation_per_orbit(tmp_path, monkeypatch, workload, orbit
 
 
 def counting_primitivity(monkeypatch):
-    """Patch pattern_primitivity in potential to record every zero pattern
-    it is asked about."""
+    """Patch pattern_primitivity in projection, where the cycle table tests
+    the zero patterns, to record every zero pattern it is asked about."""
     seen = []
 
     def counted(mat):
@@ -710,7 +724,7 @@ def counting_primitivity(monkeypatch):
         seen.append((pattern.shape, pattern.tobytes()))
         return pattern_primitivity(mat)
 
-    monkeypatch.setattr(potential, "pattern_primitivity", counted)
+    monkeypatch.setattr(projection, "pattern_primitivity", counted)
     return seen
 
 
@@ -721,11 +735,16 @@ def test_each_zero_pattern_is_tested_once_per_batch(monkeypatch):
     eigendata_many(fs, points)
     assert seen and len(seen) == len(set(seen))
     seen.clear()
-    evaluate_many(fs, points + [p.shifted(fs, 0) for p in points], 1e-10)
+    fresh = gf.example_system("nongibbs6")
+    evaluate_many(fresh, points + [p.shifted(fresh, 0) for p in points], 1e-10)
     assert seen and len(seen) == len(set(seen))
+    # the system keeps its table: a second batch on it tests no pattern
+    seen.clear()
+    evaluate_many(fs, points, 1e-10)
+    assert seen == []
 
 
-def test_single_evaluate_uses_a_fresh_memo(monkeypatch):
+def test_a_second_evaluate_tests_no_pattern_again(monkeypatch):
     fs = gf.example_system("nongibbs6")
     point = PointSpec(fs, (), (0, 1))
     seen = counting_primitivity(monkeypatch)
@@ -733,7 +752,7 @@ def test_single_evaluate_uses_a_fresh_memo(monkeypatch):
     calls = len(seen)
     assert calls >= 1
     assert gf.evaluate(fs, point) == first
-    assert len(seen) == 2 * calls
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------- exact reference
@@ -881,15 +900,19 @@ def test_eigendata_route_overlaps_the_certified_route():
 
 def test_uncertified_script_work(tmp_path, monkeypatch):
     # divergent-ng6's benchmark script at seed 1: without constants no point
-    # reaches the backward lockstep, and the word products are those of the
-    # eigendata route (one eigendata_many call per batch) and of the sweeps
+    # reaches the backward lockstep, and the word products are those of H2
+    # and of the eigendata route (one eigendata_many call per batch).  Each
+    # command's system forms a word once; per-call memos made 192 calls on
+    # 187 distinct (system, word) pairs, and the table forms 184, as a word
+    # of length 2 is a fiber block and the prefix of a word formed before
+    # it is read from the table
     manifest = bench_workloads().generate("divergent-ng6", 1, str(tmp_path))
     products, scaled = [], []
     real_product, real_scales = gf.FactorSystem.word_product, potential._lockstep_scales
 
-    def counted(self, symbols, *args):
-        products.append(tuple(symbols))
-        return real_product(self, symbols, *args)
+    def counted(self, symbols):
+        products.append((self, tuple(symbols)))
+        return real_product(self, symbols)
 
     def recorded(fs, points, depths):
         scaled.extend(points)
@@ -901,7 +924,7 @@ def test_uncertified_script_work(tmp_path, monkeypatch):
         for argv in manifest["script"]:
             cli.main(argv)
     assert scaled == []
-    assert len(products) == 192
+    assert len(products) == len(set(products)) == 184
 
 
 # ------------------------------------------------------------ cylinder masses

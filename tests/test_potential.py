@@ -21,7 +21,7 @@ from gibbsfactor.potential import (
     perron_data,
     tail_completions,
 )
-from gibbsfactor.projection import backward_step, backward_transfer, one_period_product
+from gibbsfactor.projection import backward_step, backward_transfer
 from gibbsfactor.projective import normalize_rows
 
 FROZEN_ABS_TOL = 1e-9
@@ -541,7 +541,7 @@ def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
                 assert abs(ev.value - other.value) <= ev.error_radius + other.error_radius, p
                 checked["overlap"] += 1
         for period, rotations in orbits.items():
-            product = one_period_product(fs, gf.PeriodicPoint(fs.factor_tmc, period))
+            product = fs.word_product(period + period[:1])
             log_rho = math.log(np.abs(np.linalg.eigvals(product)).max())
             routes = []
             if all(plans[p].mode != "scan" for p in rotations):

@@ -12,8 +12,8 @@ from gibbsfactor.projection import (
     backward_transfer,
     check_h1,
     check_topological_markov,
+    check_h2,
     nu_preimage_sum,
-    one_period_product,
     preimage_words,
 )
 
@@ -147,7 +147,8 @@ def test_h2_pointwise_on_full_support(fullshift4):
 def test_one_period_product_closes_the_cycle(adhoc5):
     point = gf.PeriodicPoint(adhoc5.factor_tmc, (0, 1))
     direct = adhoc5.weight(0, 1) @ adhoc5.weight(1, 0)
-    assert np.abs(one_period_product(adhoc5, point) - direct).max() == 0.0
+    witness = next(w for w in check_h2(adhoc5).witnesses if w.point.symbols == point.symbols)
+    assert np.abs(witness.product - direct).max() == 0.0
 
 
 def test_topological_markov_certified_under_h1(adhoc5):
@@ -343,24 +344,30 @@ def test_check_h1_failures_are_the_zero_row_blocks(example):
     assert check_h1(fs).passed == (not fs.zero_row_blocks)
 
 
-def test_word_product_shares_prefixes_bit_for_bit(adhoc5):
-    products: dict = {}
-    words = [w.symbols for n in (2, 3, 5) for w in gf.enumerate_words(adhoc5.factor_tmc, n)]
-    for word in words + words:
-        assert np.array_equal(adhoc5.word_product(word, products), adhoc5.word_product(word))
-    assert set(products) == {w[:j] for w in words for j in range(3, len(w) + 1)}
+def test_word_product_shares_prefixes_bit_for_bit():
+    # a word asked again is the same array, with the bits of a system whose
+    # table was filled in the other order; the table holds the fiber blocks
+    # and the prefixes of length >= 3 of the words asked for, and no more
+    fs, other = gf.example_system("adhoc5"), gf.example_system("adhoc5")
+    words = [w.symbols for n in (2, 3, 5) for w in gf.enumerate_words(fs.factor_tmc, n)]
+    first = [fs.word_product(word) for word in words]
+    reversed_order = [other.word_product(word) for word in reversed(words)][::-1]
+    for word, product, again in zip(words, first, reversed_order):
+        assert fs.word_product(word) is product
+        assert product.tobytes() == again.tobytes()
+    prefixes = {w[:j] for w in words for j in range(3, len(w) + 1)}
+    assert set(fs.cycle_table.products) == set(fs.fiber_weight) | prefixes
 
 
-def test_word_product_returns_a_kept_word_at_once(adhoc5):
-    # a word kept in the memo is returned as the same array object, without
+def test_word_product_returns_a_kept_word_at_once():
+    # a word kept in the table is returned as the same array object, without
     # a walk over its prefixes (a kept word with no kept prefix shows it)
-    word = gf.enumerate_words(adhoc5.factor_tmc, 5)[3].symbols
-    products: dict = {}
-    product = adhoc5.word_product(word, products)
-    assert adhoc5.word_product(list(word), products) is product
-    kept = {word: product}
-    assert adhoc5.word_product(word, kept) is product and kept == {word: product}
-    assert np.array_equal(adhoc5.word_product(word), product)
+    fs = gf.example_system("adhoc5")
+    word = gf.enumerate_words(fs.factor_tmc, 5)[3].symbols
+    product = gf.example_system("adhoc5").word_product(word)
+    fs.cycle_table.products[word] = product
+    assert fs.word_product(list(word)) is product
+    assert set(fs.cycle_table.products) == set(fs.fiber_weight) | {word}
 
 
 def test_from_labels_refuses_missing_and_unknown_source_labels():

@@ -912,9 +912,11 @@ def check_sweep_words(fs: FactorSystem, longest: int) -> None:
 
 
 def _check_word_budget(fs: FactorSystem, gap: int) -> None:
-    """Refuse a window whose d_const would take more than WORD_BUDGET
-    admissible words of lengths 2..gap (_word_counts); the window's own
-    words are fewer."""
+    """Refuse a window of gap 2W when the admissible words of lengths
+    2..gap number more than WORD_BUDGET (_word_counts).  The count bounds
+    the window search's words (those of length W are fewer) and the rows
+    of d_const on fibers of three or more symbols; on fibers of at most
+    two d_const keeps at most 2 nb^2 rows per length."""
     total = sum(itertools.islice(_word_counts(fs), 1, gap))
     if total > WORD_BUDGET:
         message = f"d_const up to length {gap} would take {total:,} admissible words"
@@ -923,17 +925,46 @@ def _check_word_budget(fs: FactorSystem, gap: int) -> None:
 
 def _d_const(fs: FactorSystem, gap: int) -> float:
     """Worst delta(mu_hat(b0), x) over the backward images x of all words
-    b0..bn of length 2..gap, level by level over suffixes: rows[b] stacks the
-    images of the current length's words that start with b, and backward_step
-    takes the next level from all of them."""
+    b0..bn of length 2..gap, level by level over suffixes: rows[b] stacks
+    images of the current length's words that start with b, and
+    backward_step takes the next level from the rows _extreme_rows keeps
+    of them, after the level's distances are taken.
+
+    The kept rows lose nothing in real arithmetic.  A row on a two-symbol
+    fiber lies on the segment between the rows of least and greatest x1/x0,
+    and a nonnegative row-allowable map carries that segment onto the
+    segment between their images, so every image of every word at every
+    later length lies in the convex hull of the images taken.
+    delta(mu_hat(b0), .) has convex sublevel sets (Hilbert balls are
+    convex), so its maximum over that hull is at an image taken; and each
+    coordinate of a hull point lies between those of the images taken, so
+    the refusals of zero and sub-1e-300 coordinates still see the smallest.
+    Rows per level fall from the number of words to at most 2 nb^2 when no
+    fiber is wider than two, and every row taken is bit for bit the row the
+    full enumeration computes.
+    """
     hats = [fs.marginal_hat(b).coords for b in range(fs.target_size)]
     rows = [hat[None, :] for hat in hats]
     d_const = 0.0
     for _ in range(gap - 1):
-        rows = [normalize_rows(level) for level in backward_step(fs, rows)]
+        kept = [_extreme_rows(level) for level in rows]
+        rows = [normalize_rows(level) for level in backward_step(fs, kept)]
         for hat, level in zip(hats, rows):
             d_const = max(d_const, float(projective_distances(hat, level).max()))
     return d_const
+
+
+def _extreme_rows(level: np.ndarray) -> np.ndarray:
+    """The rows of one fiber that _d_const steps back: of more than two
+    rows on a fiber of two symbols, those of least and greatest x1/x0; of
+    more than two on a fiber of one symbol, whose rows are all (1,), one;
+    otherwise, and on wider fibers, every row."""
+    if len(level) <= 2 or level.shape[1] > 2:
+        return level
+    if level.shape[1] == 1:
+        return level[:1]
+    ratio = level[:, 1] / level[:, 0]
+    return level.take((ratio.argmin(), ratio.argmax()), axis=0)
 
 
 def _window_search(fs: FactorSystem) -> tuple[int, dict]:

@@ -6,9 +6,10 @@ Markov measure: cylinder weights are computed by sandwiching products of
 weighted fiber matrices between a row of ones and the marginal vector of the
 last symbol.  backward_transfer evaluates that formula for one word:
 cylinder weights and the finite-range approximant read it off that kernel.
-backward_step is the same step on stacks of vectors, with which the d
-constant and log_nu_cylinders take all words of one length.  padded_stack
-holds the same blocks zero-padded to the widest fiber: evaluate_many steps
+backward_step is the same step on stacks of vectors: log_nu_cylinders
+takes all words of one length with it, and the d constant the images it
+keeps of one length (two per fiber of two symbols).  padded_stack holds
+the same blocks zero-padded to the widest fiber: evaluate_many steps
 the rows of many points on it in lockstep, and psi_n at one point steps
 its one row on it.  Where fibers differ in size, padded products may round
 otherwise than backward_transfer in the last bits.  One table per system

@@ -57,19 +57,32 @@ def pattern_primitivity(mat: np.ndarray) -> PrimitivityResult:
     Wielandt bound (size-1)^2 + 1.
 
     Works on the zero pattern only, so it applies to any square nonnegative
-    matrix.
+    matrix.  Positivity of P^m is monotone in m, so the search squares the
+    pattern until a square is positive or its power passes the bound, then
+    descends in binary over the stored squares: about 2 log2(bound)
+    products in all, each taken in float (its counts are exact integers at
+    most size) and read back as a pattern.
     """
     pattern = np.asarray(mat) != 0
     size = pattern.shape[0]
     if pattern.shape != (size, size):
         raise ModelError("primitivity check needs a square matrix")
     bound = (size - 1) ** 2 + 1
-    power = pattern.copy()
-    for m in range(1, bound + 1):
-        if power.all():
-            return PrimitivityResult(True, m)
-        power = (power.astype(np.uint8) @ pattern.astype(np.uint8)) > 0
-    return PrimitivityResult(False, None)
+    squares = [pattern]  # squares[k] is the pattern of P^(2^k)
+    while not squares[-1].all():
+        if 2 ** (len(squares) - 1) >= bound:
+            return PrimitivityResult(False, None)
+        squares.append(np.matmul(squares[-1], squares[-1], dtype=float) > 0)
+    if len(squares) == 1:
+        return PrimitivityResult(True, 1)
+    # P^m is not positive at m = 2^(K-1) and positive at 2^K, K = len(squares) - 1:
+    # add each smaller power of two that leaves it not positive
+    power, m = squares[-2], 2 ** (len(squares) - 2)
+    for k in range(len(squares) - 3, -1, -1):
+        candidate = np.matmul(power, squares[k], dtype=float) > 0
+        if not candidate.all():
+            power, m = candidate, m + 2**k
+    return PrimitivityResult(True, m + 1)
 
 
 class Tmc:

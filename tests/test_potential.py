@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import gibbsfactor as gf
 from gibbsfactor import potential
 from gibbsfactor.potential import (
+    FLOAT_NOISE_FLOOR,
     PointSpec,
     _d_const,
     _lockstep_scales,
@@ -22,7 +25,7 @@ from gibbsfactor.potential import (
     tail_completions,
 )
 from gibbsfactor.projection import backward_step, backward_transfer
-from gibbsfactor.projective import normalize_rows
+from gibbsfactor.projective import normalize_rows, projective_distances
 
 FROZEN_ABS_TOL = 1e-9
 
@@ -234,19 +237,25 @@ def test_d_const_trie_matches_per_word_loop(seed, fibers):
         assert c.d_const == reference
 
 
+def full_shift_system(n, nb, seed):
+    """Full n-shift onto nb symbols with fibers of n // nb, transition rows
+    uniform over [0.01, 1] from np.random.default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    labels = [f"s{i}" for i in range(n)]
+    p = rng.uniform(0.01, 1.0, size=(n, n))
+    p /= p.sum(axis=1, keepdims=True)
+    return gf.parse_model({
+        "alphabet": labels,
+        "incidence": [[1] * n for _ in range(n)],
+        "transition": p.tolist(),
+        "projection": {lab: str(i // (n // nb)) for i, lab in enumerate(labels)},
+    })
+
+
 def test_d_const_trie_on_full_four_shift_target():
     # full 8-shift onto 4 symbols with fibers of 2: gap 10 means 4**10 words
     # of length 10, which the per-word loop takes minutes over
-    rng = np.random.default_rng(8)
-    labels = [f"s{i}" for i in range(8)]
-    p = rng.uniform(0.01, 1.0, size=(8, 8))
-    p /= p.sum(axis=1, keepdims=True)
-    fs = gf.parse_model({
-        "alphabet": labels,
-        "incidence": [[1] * 8 for _ in range(8)],
-        "transition": p.tolist(),
-        "projection": {lab: str(i // 2) for i, lab in enumerate(labels)},
-    })
+    fs = full_shift_system(8, 4, 8)
     short = _d_const(fs, 6)
     assert short == per_word_d_const(fs, 6)
     c = gf.uniform_constants(fs)
@@ -264,6 +273,79 @@ def test_d_const_trie_refuses_boundary_images(row_scale, message):
     fs.fiber_weight[(0, 1)] = fs.fiber_weight[(0, 1)] * np.array([[1.0], [row_scale]])
     with pytest.raises(gf.ModelError, match=message):
         _d_const(fs, 3)
+
+
+def enumerated_d_const(fs, gap):
+    """_d_const as it was before it kept only the extreme rows of two-symbol
+    fibers: the image of every word at every level."""
+    hats = [fs.marginal_hat(b).coords for b in range(fs.target_size)]
+    rows = [hat[None, :] for hat in hats]
+    d_const = 0.0
+    for _ in range(gap - 1):
+        rows = [normalize_rows(level) for level in backward_step(fs, rows)]
+        for hat, level in zip(hats, rows):
+            d_const = max(d_const, float(projective_distances(hat, level).max()))
+    return d_const
+
+
+@pytest.mark.parametrize("n, nb, seed", [(8, 4, 8), (6, 3, 33)])
+def test_d_const_keeps_at_most_two_rows_per_two_symbol_fiber(monkeypatch, n, nb, seed):
+    # gap 10 on the 8 -> 4 target: 1,398,096 rows enumerated, 272 kept
+    fs = full_shift_system(n, nb, seed)
+    c = gf.uniform_constants(fs)
+    assert c.gap == 2 * (nb + 1)
+    reference = enumerated_d_const(fs, c.gap)
+    levels = []
+
+    def counting_step(fs, rows):
+        out = backward_step(fs, rows)
+        levels.append(sum(len(level) for level in out))
+        return out
+
+    monkeypatch.setattr(potential, "backward_step", counting_step)
+    assert _d_const(fs, c.gap) == reference == c.d_const
+    assert len(levels) == c.gap - 1
+    assert max(levels) <= 2 * nb**2
+
+
+def exact_d_const(fs, gap):
+    """d_const of the model as given, without roundoff: along a word b0..bn,
+    x_i / mu_hat(b0)_i is, up to a factor common to all i, the i-th entry
+    of y = P_{b0 b1} ... P_{bn-1 bn} 1, with P_{b b'} the transition block
+    over fiber(b) x fiber(b') (the stationary factors of the weights
+    cancel), so delta(mu_hat(b0), x) is log(max y / min y).  The greatest ratio over the words of length
+    2..gap is taken in Fractions of the transition's floats and its log in
+    50-digit decimal."""
+    fibers = fs.projection.fibers
+    transition = [[Fraction(v) for v in row] for row in fs.model.transition.tolist()]
+    rows = [[[Fraction(1)] * len(fiber)] for fiber in fibers]
+    worst = Fraction(1)
+    for _ in range(gap - 1):
+        steps = [[] for _ in rows]
+        for b0, b1 in fs.fiber_weight:
+            block = [[transition[a][a1] for a1 in fibers[b1]] for a in fibers[b0]]
+            steps[b0] += [[sum(p * v for p, v in zip(row, y)) for row in block] for y in rows[b1]]
+        rows = steps
+        worst = max([worst] + [max(y) / min(y) for level in rows for y in level])
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float((decimal.Decimal(worst.numerator) / worst.denominator).ln())
+
+
+@pytest.mark.parametrize(
+    "model", [("example", "fullshift4"), ("example", "adhoc5"), ("sparse", 159), ("sparse", 190)]
+)
+def test_d_const_within_roundoff_of_the_exact_maximum(model):
+    # sparse seeds 159 and 190 are the two of seeds 0..199 where the kept
+    # rows and the enumeration differ (by 1 and 3 ulps); each sits a few
+    # ulps from the exact value there, so roundoff, not a dropped row, sets
+    # those bits
+    kind, key = model
+    fs = gf.example_system(key) if kind == "example" else sparse_model(key)
+    c = gf.uniform_constants(fs)
+    exact = exact_d_const(fs, c.gap)
+    for d_const in (c.d_const, enumerated_d_const(fs, c.gap)):
+        assert abs(d_const - exact) <= FLOAT_NOISE_FLOOR * exact
 
 
 def test_constants_need_metric_scale(adhoc5_constants):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbsfactor as gf
-from gibbsfactor.tmc import PeriodicPoint, primitive_root, word_symbols
+from gibbsfactor.tmc import PeriodicPoint, PrimitivityResult, primitive_root, word_symbols
 
 
 def golden_mean_tmc():
@@ -53,6 +53,75 @@ def test_pattern_primitivity_permutation_fails():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     res = gf.pattern_primitivity(swap)
     assert not res.primitive
+
+
+def power_loop_primitivity(mat):
+    """pattern_primitivity as one product per power up to the Wielandt
+    bound, counting in uint8 (which wraps at 256 paths)."""
+    pattern = np.asarray(mat) != 0
+    size = pattern.shape[0]
+    power = pattern.copy()
+    for m in range(1, (size - 1) ** 2 + 2):
+        if power.all():
+            return PrimitivityResult(True, m)
+        power = (power.astype(np.uint8) @ pattern.astype(np.uint8)) > 0
+    return PrimitivityResult(False, None)
+
+
+def test_pattern_primitivity_matches_the_power_loop():
+    rng = np.random.default_rng(33)
+    primitive = 0
+    for _ in range(3000):
+        size = int(rng.integers(1, 9))
+        pattern = (rng.uniform(size=(size, size)) < rng.uniform(0.1, 0.6)).astype(int)
+        got = gf.pattern_primitivity(pattern)
+        assert got == power_loop_primitivity(pattern), pattern
+        primitive += got.primitive
+    # both outcomes are well represented
+    assert 300 < primitive < 2700
+
+
+def wielandt_pattern(size):
+    # the cycle 0 -> 1 -> ... -> size-1 -> 0 with the chord size-1 -> 1
+    pattern = np.roll(np.eye(size), 1, axis=1)
+    pattern[size - 1, 1] = 1
+    return pattern
+
+
+def bipartite_pattern(size):
+    half = size // 2
+    pattern = np.zeros((size, size))
+    pattern[:half, half:] = pattern[half:, :half] = 1
+    return pattern
+
+
+def one_zero_pattern(size):
+    pattern = np.ones((size, size))
+    pattern[3, 5] = 0
+    return pattern
+
+
+@pytest.mark.parametrize(
+    "pattern, expected",
+    [
+        # 256 paths of length 2 per entry: uint8 counts wrapped to 0 here
+        (one_zero_pattern(257), (True, 2)),
+        (wielandt_pattern(300), (True, 299**2 + 1)),
+        (np.roll(np.eye(300), 1, axis=1), (False, None)),
+        (bipartite_pattern(300), (False, None)),
+    ],
+    ids=["one-zero-257", "wielandt-300", "cycle-300", "bipartite-300"],
+)
+def test_pattern_primitivity_on_large_patterns(pattern, expected):
+    assert tuple(gf.pattern_primitivity(pattern)) == expected
+
+
+def test_stationary_distribution_of_a_257_symbol_chain():
+    # refused as imprimitive while the pattern's powers counted in uint8
+    pattern = one_zero_pattern(257)
+    tmc = gf.Tmc(gf.Alphabet([f"s{i}" for i in range(257)]), pattern.astype(int))
+    mu = gf.stationary_distribution(tmc, pattern / pattern.sum(axis=1, keepdims=True))
+    assert mu.shape == (257,) and (mu > 0).all() and mu.sum() == pytest.approx(1.0)
 
 
 def test_enumerate_words_golden_mean_counts():

@@ -24,8 +24,8 @@ from .errors import (
     EvaluationRefused,
     ModelError,
 )
-from .projection import FactorSystem, backward_step, backward_transfer
-from .projective import STACK_DOUBLES, normalize_rows, projective_distances
+from .projection import FactorSystem, backward_transfer
+from .projective import MIN_COORDINATE, STACK_DOUBLES, normalize_rows, projective_distances
 from .tmc import Word, check_primitivity, enumerate_words, pattern_primitivity, primitive_root, word_symbols
 
 DEFAULT_TARGET_ERROR = 1e-10
@@ -925,10 +925,19 @@ def _check_word_budget(fs: FactorSystem, gap: int) -> None:
 
 def _d_const(fs: FactorSystem, gap: int) -> float:
     """Worst delta(mu_hat(b0), x) over the backward images x of all words
-    b0..bn of length 2..gap, level by level over suffixes: rows[b] stacks
-    images of the current length's words that start with b, and
-    backward_step takes the next level from the rows _extreme_rows keeps
-    of them, after the level's distances are taken.
+    b0..bn of length 2..gap, one stacked pass per level over suffixes.
+
+    rows[s] stacks the images on the fibers of s symbols fiber after fiber,
+    each fiber's in backward_step's order (pairs in fiber_weight order), and
+    keep[s] the rows they keep, kept[b] on fiber b.  One product per
+    successor b1 and size s0 steps the rows kept on b1 back to all its
+    predecessors of s0 symbols, each W @ x bit for bit backward_transfer's,
+    and no row is padded.  A fiber of at most two rows, or of three or more
+    symbols, keeps all; else a one-symbol fiber its first (its rows all read
+    (1,)), and a two-symbol fiber its rows of least and greatest x1/x0:
+    argmin's then argmax's over its rows padded with copies of its last, so
+    ties and copies keep what take((argmin, argmax)) keeps, and every row is
+    backward_step's.
 
     The kept rows lose nothing in real arithmetic.  A row on a two-symbol
     fiber lies on the segment between the rows of least and greatest x1/x0,
@@ -939,32 +948,82 @@ def _d_const(fs: FactorSystem, gap: int) -> float:
     convex), so its maximum over that hull is at an image taken; and each
     coordinate of a hull point lies between those of the images taken, so
     the refusals of zero and sub-1e-300 coordinates still see the smallest.
-    Rows per level fall from the number of words to at most 2 nb^2 when no
-    fiber is wider than two, and every row taken is bit for bit the row the
-    full enumeration computes.
     """
-    hats = [fs.marginal_hat(b).coords for b in range(fs.target_size)]
-    rows = [hat[None, :] for hat in hats]
-    d_const = 0.0
-    for _ in range(gap - 1):
-        kept = [_extreme_rows(level) for level in rows]
-        rows = [normalize_rows(level) for level in backward_step(fs, kept)]
-        for hat, level in zip(hats, rows):
-            d_const = max(d_const, float(projective_distances(hat, level).max()))
+    sizes = [len(fiber) for fiber in fs.projection.fibers]
+    classes = {s: [b for b, z in enumerate(sizes) if z == s] for s in dict.fromkeys(sizes)}
+    preds: dict[tuple[int, int], list] = {}
+    pieces: dict[int, list] = {s: [] for s in classes}  # (product, row) per pair, b0-major as fiber_weight
+    for b0, b1 in fs.fiber_weight:
+        pieces[sizes[b0]].append(((sizes[b0], b1), len(preds.setdefault((sizes[b0], b1), []))))
+        preds[sizes[b0], b1].append(b0)
+    blocks = {key: np.array([fs.fiber_weight[b0, key[1]] for b0 in bs])[:, None] for key, bs in preds.items()}
+    hats = {s: normalize_rows(np.array([fs.fiber_marginal[b] for b in bs])) for s, bs in classes.items()}
+    low, logs = any((hat < MIN_COORDINATE).any() for hat in hats.values()), {s: np.log(h) for s, h in hats.items()}
+    layout, keep, kept, plans, d_const = (sizes, classes, blocks, pieces), hats, (1,) * len(sizes), {}, 0.0
+    for level in range(2, gap + 1):
+        if kept not in plans:
+            plans[kept] = _d_const_plan(sizes, classes, list(fs.fiber_weight), kept)
+        spans, counts, owners, picks, kept = plans[kept]
+        rows = _d_const_step(layout, keep, spans, counts)
+        for s, x in rows.items():  # projective_distances against the log marginals, in chunks
+            if low or x.min() < MIN_COORDINATE:
+                raise ModelError("coordinates below 1e-300; distance would be unreliable")
+            chunk = STACK_DOUBLES // s
+            for j in range(0, len(x), chunk):
+                ratio = np.ascontiguousarray((logs[s][owners[s][j : j + chunk]] - np.log(x[j : j + chunk])).T)
+                d_const = max(d_const, float(np.ptp(ratio, axis=0).max()))  # max minus min
+        if level == gap:
+            break
+        keep = dict(rows)
+        for s, (start, c, every) in picks.items():  # of more than two rows, two (or one of (1,) rows)
+            ends = [(0,)] * len(c)
+            if s == 2:
+                ratio = (rows[2][:, 1] / rows[2][:, 0])[every]
+                ends = zip(ratio.argmin(axis=1).tolist(), ratio.argmax(axis=1).tolist())
+            keep[s] = rows[s][[a + j for a, n, e in zip(start, c, ends) for j in (e if n > 2 else range(n))]]
     return d_const
 
 
-def _extreme_rows(level: np.ndarray) -> np.ndarray:
-    """The rows of one fiber that _d_const steps back: of more than two
-    rows on a fiber of two symbols, those of least and greatest x1/x0; of
-    more than two on a fiber of one symbol, whose rows are all (1,), one;
-    otherwise, and on wider fibers, every row."""
-    if len(level) <= 2 or level.shape[1] > 2:
-        return level
-    if level.shape[1] == 1:
-        return level[:1]
-    ratio = level[:, 1] / level[:, 0]
-    return level.take((ratio.argmin(), ratio.argmax()), axis=0)
+def _d_const_plan(sizes: list, classes: dict, pairs: list, kept: tuple) -> tuple:
+    """The indices of a level of _d_const, which hang on kept[b], the rows
+    kept on fiber b, alone (so _d_const plans each kept once): each fiber's
+    slice of the kept rows; the next rows per fiber and the fiber of each;
+    per size s <= 2, each fiber's first next row and count, and for s = 2
+    its next rows padded with its last; and the next kept."""
+    spans, counts, owners, picks = {}, [0] * len(sizes), {}, {}
+    for b0, b1 in pairs:
+        counts[b0] += kept[b1]
+    for s, bs in classes.items():
+        firsts = itertools.accumulate([kept[b] for b in bs], initial=0)
+        spans.update((b, slice(f, f + kept[b])) for b, f in zip(bs, firsts))
+        c = [counts[b] for b in bs]
+        owners[s] = np.repeat(np.arange(len(bs), dtype=np.min_scalar_type(len(bs))), c)  # as long as the level
+        start = list(itertools.accumulate(c, initial=0))
+        if s == 2:
+            picks[s] = start, c, np.array([[a + min(j, n - 1) for j in range(max(c))] for a, n in zip(start, c)])
+        elif s == 1:
+            picks[s] = start, c, None
+    return spans, counts, owners, picks, tuple(n if n <= 2 or s > 2 else s for n, s in zip(counts, sizes))
+
+
+def _d_const_step(layout: tuple, keep: dict, spans: dict, counts: list) -> dict:
+    """The next level of _d_const, normalized: per (s0, b1) the product
+    W @ X[None, ..., None] of W, the blocks into b1 from its predecessors of
+    s0 symbols stacked as (P, 1, s0, s1), with X, the rows kept on b1; then
+    each size's rows pair by pair."""
+    sizes, classes, blocks, pieces = layout
+    y = {key: (w @ keep[sizes[key[1]]][spans[key[1]]][None, :, :, None])[..., 0] for key, w in blocks.items()}
+    raw = {s: np.concatenate([y[key][i] for key, i in run]) for s, run in pieces.items()}
+    del y  # the products go before the normalized rows come
+    try:
+        return {s: normalize_rows(x) for s, x in raw.items()}
+    except ModelError:  # the refusal that fiber by fiber, in order, meets first
+        start = {}
+        for bs in classes.values():
+            start.update(zip(bs, itertools.accumulate([counts[b] for b in bs], initial=0)))
+        for b, s in enumerate(sizes):
+            normalize_rows(raw[s][start[b] : start[b] + counts[b]])
+        raise
 
 
 def _window_search(fs: FactorSystem) -> tuple[int, dict]:

@@ -6,9 +6,8 @@ Markov measure: cylinder weights are computed by sandwiching products of
 weighted fiber matrices between a row of ones and the marginal vector of the
 last symbol.  backward_transfer evaluates that formula for one word:
 cylinder weights and the finite-range approximant read it off that kernel.
-backward_step is the same step on stacks of vectors: log_nu_cylinders
-takes all words of one length with it, and the d constant the images it
-keeps of one length (two per fiber of two symbols).  padded_stack holds
+backward_step is the same step on stacks of vectors, which
+log_nu_cylinders takes over all words of one length.  padded_stack holds
 the same blocks zero-padded to the widest fiber: evaluate_many steps
 the rows of many points on it in lockstep, and psi_n at one point steps
 its one row on it.  Where fibers differ in size, padded products may round
@@ -82,7 +81,8 @@ class Projection:
         missing = [x for x in source.labels if x not in label_map]
         if missing:
             raise ModelError(f"projection misses source symbols {missing}")
-        extra = [x for x in label_map if x not in source.labels]
+        known = set(source.labels)
+        extra = [x for x in label_map if x not in known]
         if extra:
             raise ModelError(f"projection names unknown source symbols {extra}")
         targets = [str(label_map[x]) for x in source.labels]
@@ -387,11 +387,10 @@ def backward_transfer(fs: FactorSystem, symbols: Sequence[int]) -> tuple[float, 
 
 
 def backward_step(fs: FactorSystem, rows: list) -> list:
-    """One step of backward_transfer on rows[b], the vectors on fiber b:
-    W_{b0 b1} takes all of rows[b1], so every word steps back to every
-    admissible symbol.  (W[None] @ V[:, :, None])[..., 0] repeats
-    backward_transfer's W @ v bit for bit.  Returns the new rows, stacked in
-    fs.fiber_weight order."""
+    """One step of backward_transfer on rows[b], the vectors on fiber b, for
+    _cylinder_pass: W_{b0 b1} takes all of rows[b1], so every word steps
+    back to every admissible symbol, bit for bit as backward_transfer's
+    W @ v.  Returns the new rows, stacked in fs.fiber_weight order."""
     parts: list[list[np.ndarray]] = [[] for _ in rows]
     for (b0, b1), w in fs.fiber_weight.items():
         parts[b0].append((w[None] @ rows[b1][:, :, None])[..., 0])

@@ -288,24 +288,118 @@ def enumerated_d_const(fs, gap):
     return d_const
 
 
-@pytest.mark.parametrize("n, nb, seed", [(8, 4, 8), (6, 3, 33)])
-def test_d_const_keeps_at_most_two_rows_per_two_symbol_fiber(monkeypatch, n, nb, seed):
-    # gap 10 on the 8 -> 4 target: 1,398,096 rows enumerated, 272 kept
-    fs = full_shift_system(n, nb, seed)
+@pytest.mark.parametrize(
+    "model", [("full", (8, 4, 8)), ("full", (6, 3, 33)), ("example", "adhoc5")], ids=["8-4-8", "6-3-33", "adhoc5"]
+)
+def test_d_const_keeps_at_most_two_rows_per_two_symbol_fiber(monkeypatch, model):
+    # gap 10 on the 8 -> 4 target: 1,398,096 rows enumerated, 272 kept;
+    # adhoc5 mixes fibers of two and one symbols.  Rows are counted in the
+    # levels _d_const_step returns
+    kind, key = model
+    fs = full_shift_system(*key) if kind == "full" else gf.example_system(key)
     c = gf.uniform_constants(fs)
-    assert c.gap == 2 * (nb + 1)
+    nb = fs.target_size
+    assert c.gap == (2 * (nb + 1) if kind == "full" else 10)
     reference = enumerated_d_const(fs, c.gap)
+    step = potential._d_const_step
     levels = []
 
-    def counting_step(fs, rows):
-        out = backward_step(fs, rows)
-        levels.append(sum(len(level) for level in out))
+    def counting_step(*args):
+        out = step(*args)
+        levels.append(sum(len(level) for level in out.values()))
         return out
 
-    monkeypatch.setattr(potential, "backward_step", counting_step)
+    monkeypatch.setattr(potential, "_d_const_step", counting_step)
     assert _d_const(fs, c.gap) == reference == c.d_const
     assert len(levels) == c.gap - 1
     assert max(levels) <= 2 * nb**2
+
+
+@pytest.mark.parametrize(
+    "model",
+    [("sparse", seed) for seed in range(40)]
+    + [("random", key) for key in [(1, (1, 3)), (2, (2, 3)), (4, (1, 2, 3)), (5, (3, 1, 2))]]
+    + [("example", "adhoc5"), ("example", "fullshift4")]
+    + [("blocked", ("aaabbbc", "bc")), ("blocked", ("aabb", "bb"))],
+)
+def test_stacked_d_const_equals_the_enumeration_and_the_per_word_loop(model):
+    # sparse seeds 0..39 hold fibers of 1, 2 and 3 symbols and forbid some
+    # pairs, so fibers of one size hold unequal row counts; the blocked
+    # models do so on fibers of three, and where only the last fiber misses
+    # its last successor; the per-word loop stops at length 7 (8 for the
+    # others) to stay short
+    kind, key = model
+    if kind == "random":
+        fs = random_certified_system(*key)[0]
+    elif kind == "blocked":
+        fs = blocked_model(*key, seed=34)
+    else:
+        fs = sparse_model(key) if kind == "sparse" else gf.example_system(key)
+    try:
+        gap = gf.uniform_constants(fs).gap
+    except gf.CertificationError:
+        gap = 8
+    gap = min(gap, 7 if kind == "sparse" else 8)
+    assert _d_const(fs, gap) == enumerated_d_const(fs, gap) == per_word_d_const(fs, gap)
+
+
+def test_d_const_keeps_the_first_of_tied_rows(monkeypatch):
+    # rows of one two-symbol fiber with equal x1/x0 but other bits: the
+    # pass keeps what take((argmin, argmax)) keeps, argmin's before argmax's
+    fs = gf.example_system("fullshift4")
+    tied = np.array([
+        [[0.3, 0.7], [1.0, 2.0], [0.25, 0.75], [2.0, 4.0]],
+        [[0.2, 0.8], [0.4, 0.6], [0.1, 0.4], [0.3, 0.7]],
+    ])
+    step = potential._d_const_step
+    seen = []
+
+    def tying_step(layout, keep, *args):
+        seen.append(keep)
+        rows = step(layout, keep, *args)
+        return {2: tied.reshape(rows[2].shape)} if len(seen) == 2 else rows
+
+    monkeypatch.setattr(potential, "_d_const_step", tying_step)
+    _d_const(fs, 4)
+    ratios = tied[..., 1] / tied[..., 0]
+    expected = [rows.take((ratio.argmin(), ratio.argmax()), axis=0) for rows, ratio in zip(tied, ratios)]
+    assert (seen[2][2] == np.concatenate(expected)).all()
+    assert (seen[2][2] == [[1.0, 2.0], [0.25, 0.75], [0.4, 0.6], [0.2, 0.8]]).all()
+
+
+def test_d_const_keeps_a_fiber_of_two_rows_in_order(monkeypatch):
+    # adhoc5 from the fourth level: fiber a holds 3 rows and fiber b 2; b
+    # keeps both rows as they stand, though its x1/x0 falls, while a keeps
+    # argmin's row, then argmax's
+    fs = gf.example_system("adhoc5")
+    crafted = np.array([[0.3, 0.7], [0.1, 0.9], [0.5, 0.5], [0.2, 0.8], [0.6, 0.4]])
+    step = potential._d_const_step
+    seen = []
+
+    def crafting_step(layout, keep, spans, counts):
+        seen.append(keep)
+        rows = step(layout, keep, spans, counts)
+        if len(seen) == 3:
+            assert counts[:2] == [3, 2] and rows[2].shape == crafted.shape
+            rows[2] = crafted
+        return rows
+
+    monkeypatch.setattr(potential, "_d_const_step", crafting_step)
+    _d_const(fs, 5)
+    assert (seen[3][2] == [[0.5, 0.5], [0.1, 0.9], [0.2, 0.8], [0.6, 0.4]]).all()
+
+
+@pytest.mark.parametrize(
+    "first, second, message", [(np.inf, 0.0, "must be finite"), (0.0, np.inf, "strictly positive")]
+)
+def test_d_const_refusal_is_the_first_fiber_by_fiber(first, second, message):
+    # one level stacks both fibers; the refusal is still the one that
+    # normalizing fiber 0, then fiber 1, meets first
+    fs = gf.example_system("fullshift4")
+    fs.fiber_weight[(0, 1)] = fs.fiber_weight[(0, 1)] * np.array([[1.0], [first]])
+    fs.fiber_weight[(1, 0)] = fs.fiber_weight[(1, 0)] * np.array([[1.0], [second]])
+    with pytest.raises(gf.ModelError, match=message):
+        _d_const(fs, 3)
 
 
 def exact_d_const(fs, gap):
@@ -443,6 +537,22 @@ def sparse_model(seed):
             continue
         if fs.h1.passed and fs.h2.passed:
             return fs
+
+
+def blocked_model(target, blocked, seed):
+    """Seeded source on len(target) symbols, symbol i onto target[i], with
+    every transition allowed but those from fiber blocked[0] to fiber
+    blocked[1]."""
+    rng = np.random.default_rng(seed)
+    labels = np.array(list(target))
+    incidence = 1 - np.outer(labels == blocked[0], labels == blocked[1]).astype(int)
+    p = rng.uniform(0.05, 1.0, size=incidence.shape) * incidence
+    return gf.parse_model({
+        "alphabet": [f"s{i}" for i in range(len(target))],
+        "incidence": incidence.tolist(),
+        "transition": (p / p.sum(axis=1, keepdims=True)).tolist(),
+        "projection": {f"s{i}": t for i, t in enumerate(target)},
+    })
 
 
 def log_uniform_fullshift4(draw):

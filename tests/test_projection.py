@@ -376,3 +376,19 @@ def test_from_labels_refuses_missing_and_unknown_source_labels():
         gf.Projection.from_labels(source, {"b": "0"})
     with pytest.raises(gf.ModelError, match=r"^projection names unknown source symbols \['z', 'y'\]$"):
         gf.Projection.from_labels(source, {"a": "0", "z": "1", "b": "1", "c": "1", "y": "0"})
+
+
+def test_from_labels_lists_missing_and_unknown_labels_of_a_wide_alphabet():
+    # membership is read from a set of the source labels, so 1,000 labels
+    # take no quadratic scan; the messages and the order of the labels are as
+    # before
+    source = gf.Alphabet([f"s{i}" for i in range(1000)])
+    label_map = {f"s{i}": str(i % 2) for i in range(1000) if i != 617}
+    label_map["t5"] = "0"
+    with pytest.raises(gf.ModelError, match=r"^projection misses source symbols \['s617'\]$"):
+        gf.Projection.from_labels(source, label_map)
+    label_map["s617"] = "1"
+    with pytest.raises(gf.ModelError, match=r"^projection names unknown source symbols \['t5'\]$"):
+        gf.Projection.from_labels(source, label_map)
+    del label_map["t5"]
+    assert gf.Projection.from_labels(source, label_map).fibers[1][308] == 617

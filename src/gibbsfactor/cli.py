@@ -153,7 +153,7 @@ def cmd_periodic(args) -> int:
     periodic = enumerate_periodic(fs.factor_tmc, args.max_period)
     # enumerate_periodic yields admissible, cyclically closed, primitive words
     points = [PointSpec._absorbed((), pp.symbols) for pp in periodic]
-    results = periodic_many(fs, points, target_error=args.tol)
+    results = periodic_many(fs, points)
     if not points:
         print(f"no periodic points with period <= {args.max_period}")
         return 0
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodic", help="potential at all periodic points up to a period")
     p.add_argument("model")
     p.add_argument("--max-period", type=int, default=3)
-    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_ERROR)
 
     p = sub.add_parser("holder", help="sampled variation of the potential with certified bound")
     p.add_argument("model")

@@ -109,7 +109,7 @@ class PointSpec:
         reps = max(0, n - len(self.preperiod)) // len(self.period) + 1
         return (self.preperiod + self.period * reps)[:n]
 
-    def shifted(self, fs: FactorSystem, j: int = 1) -> "PointSpec":
+    def shifted(self, j: int = 1) -> "PointSpec":
         """The point with the first j symbols dropped; a shift keeps a point
         admissible and a rotation of a primitive period primitive, so the
         result is neither validated nor root-searched again."""
@@ -323,13 +323,17 @@ def perron_data(matrix, tol: float = PERRON_TOL, max_iter: int = MAX_POWER_STEPS
     with |lambda_2| from its eigenvalues: the checks, then the one-matrix call
     of _perron_stack.  Stops at |w - v|_1 <= tol or after max_iter steps; the
     record's spectral_gap is nan when it ran MAX_POWER_STEPS steps."""
-    if not max_iter >= 1:
-        raise ModelError(f"Perron data needs max_iter >= 1, not {max_iter!r}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ModelError(f"Perron data needs an integer max_iter >= 1, not {max_iter!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ModelError(f"Perron data needs a finite tol >= 0, not {tol!r}")
     t = np.asarray(matrix, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ModelError("Perron data needs a square matrix")
+    if t.size == 0:
+        raise ModelError("Perron data needs a nonempty matrix")
+    if not np.isfinite(t).all():
+        raise ModelError("Perron data needs finite entries")
     if (t < 0).any():
         raise ModelError("Perron data needs a nonnegative matrix")
     if not pattern_primitivity(t).primitive:
@@ -568,21 +572,23 @@ def evaluate_many(
     in lockstep: psi_n from one staggered backward pass (_lockstep_scales,
     one row per shared tail, zero-padded to the widest fiber), its logs and
     the radii floored at what double precision resolves at the value
-    (FLOAT_NOISE_FLOOR max(1, |psi_n|)) taken as arrays; the scan plans by
-    _scanned.  The backward pass drops a point's row once it repeats bit
-    for bit at a lag of whole periods and takes it up again at the last
-    level of the repeat; the value and terms_used are those of the full
-    depth n.  Each point's evaluation is the same, bit for bit, whatever
-    else is in the batch.
+    (FLOAT_NOISE_FLOOR max(1, |psi_n|), noted where it is above the
+    target) taken as arrays; the scan plans by _scanned.  The backward pass
+    drops a point's row once it repeats bit for bit at a lag of whole
+    periods and takes it up again at the last level of the repeat; the
+    value and terms_used are those of the full depth n.  Each point's
+    evaluation is the same, bit for bit, whatever else is in the batch.
     """
     check_target_error(target_error)
     plans = _routes(fs, points, target_error, constants)
     backward = [i for i, plan in enumerate(plans) if plan.certified]
     values = np.log(_lockstep_scales(fs, [points[i] for i in backward], [plans[i].terms_used for i in backward]))
-    radii = np.array([plans[i].error_radius for i in backward])
-    radii = np.maximum(radii, FLOAT_NOISE_FLOOR * np.maximum(1.0, np.abs(values)))
-    for i, value, radius in zip(backward, values.tolist(), radii.tolist()):
-        plans[i] = PotentialEvaluation(value, radius, *plans[i][2:])
+    floors = FLOAT_NOISE_FLOOR * np.maximum(1.0, np.abs(values))
+    radii = np.maximum([plans[i].error_radius for i in backward], floors)
+    above = "error radius {:.12g} is above the target {:g}; double precision cannot narrow it"
+    for i, value, radius, floor in zip(backward, values.tolist(), radii.tolist(), floors.tolist()):
+        notes = (above.format(radius, target_error),) if floor > target_error else ()
+        plans[i] = PotentialEvaluation(value, radius, *plans[i][2:-1], notes)
     return _scanned(fs, points, plans)
 
 
@@ -837,7 +843,7 @@ def _lockstep_sequences(
     _psi_sequence's order, so the values read agree bit for bit."""
     if not points:
         return []
-    shifted = [p.shifted(fs) for p in points]
+    shifted = [p.shifted() for p in points]
     # the levels read at each row: values n - t + 1 .. n read its sums up to
     # n and its dots from n - t + 1 as the point, and one level less as the shift
     first, last = {}, {}
@@ -937,7 +943,7 @@ def _d_const(fs: FactorSystem, gap: int) -> float:
     (1,)), and a two-symbol fiber its rows of least and greatest x1/x0:
     argmin's then argmax's over its rows padded with copies of its last, so
     ties and copies keep what take((argmin, argmax)) keeps, and every row is
-    backward_step's.
+    backward_step's.  A bad coordinate refuses its level in one pass.
 
     The kept rows lose nothing in real arithmetic.  A row on a two-symbol
     fiber lies on the segment between the rows of least and greatest x1/x0,
@@ -959,12 +965,12 @@ def _d_const(fs: FactorSystem, gap: int) -> float:
     blocks = {key: np.array([fs.fiber_weight[b0, key[1]] for b0 in bs])[:, None] for key, bs in preds.items()}
     hats = {s: normalize_rows(np.array([fs.fiber_marginal[b] for b in bs])) for s, bs in classes.items()}
     low, logs = any((hat < MIN_COORDINATE).any() for hat in hats.values()), {s: np.log(h) for s, h in hats.items()}
-    layout, keep, kept, plans, d_const = (sizes, classes, blocks, pieces), hats, (1,) * len(sizes), {}, 0.0
+    layout, keep, kept, plans, d_const = (sizes, blocks, pieces), hats, (1,) * len(sizes), {}, 0.0
     for level in range(2, gap + 1):
         if kept not in plans:
             plans[kept] = _d_const_plan(sizes, classes, list(fs.fiber_weight), kept)
-        spans, counts, owners, picks, kept = plans[kept]
-        rows = _d_const_step(layout, keep, spans, counts)
+        spans, owners, picks, kept = plans[kept]
+        rows = _d_const_step(layout, keep, spans)
         for s, x in rows.items():  # projective_distances against the log marginals, in chunks
             if low or x.min() < MIN_COORDINATE:
                 raise ModelError("coordinates below 1e-300; distance would be unreliable")
@@ -987,9 +993,9 @@ def _d_const(fs: FactorSystem, gap: int) -> float:
 def _d_const_plan(sizes: list, classes: dict, pairs: list, kept: tuple) -> tuple:
     """The indices of a level of _d_const, which hang on kept[b], the rows
     kept on fiber b, alone (so _d_const plans each kept once): each fiber's
-    slice of the kept rows; the next rows per fiber and the fiber of each;
-    per size s <= 2, each fiber's first next row and count, and for s = 2
-    its next rows padded with its last; and the next kept."""
+    slice of the kept rows; the fiber of each next row; per size s <= 2,
+    each fiber's first next row and count, and for s = 2 its next rows
+    padded with its last; and the next kept."""
     spans, counts, owners, picks = {}, [0] * len(sizes), {}, {}
     for b0, b1 in pairs:
         counts[b0] += kept[b1]
@@ -1003,27 +1009,19 @@ def _d_const_plan(sizes: list, classes: dict, pairs: list, kept: tuple) -> tuple
             picks[s] = start, c, np.array([[a + min(j, n - 1) for j in range(max(c))] for a, n in zip(start, c)])
         elif s == 1:
             picks[s] = start, c, None
-    return spans, counts, owners, picks, tuple(n if n <= 2 or s > 2 else s for n, s in zip(counts, sizes))
+    return spans, owners, picks, tuple(n if n <= 2 or s > 2 else s for n, s in zip(counts, sizes))
 
 
-def _d_const_step(layout: tuple, keep: dict, spans: dict, counts: list) -> dict:
-    """The next level of _d_const, normalized: per (s0, b1) the product
-    W @ X[None, ..., None] of W, the blocks into b1 from its predecessors of
-    s0 symbols stacked as (P, 1, s0, s1), with X, the rows kept on b1; then
-    each size's rows pair by pair."""
-    sizes, classes, blocks, pieces = layout
+def _d_const_step(layout: tuple, keep: dict, spans: dict) -> dict:
+    """The next level of _d_const: per (s0, b1) the product W @ X[None, ...,
+    None] of W, the blocks into b1 from its predecessors of s0 symbols
+    stacked as (P, 1, s0, s1), with X, the rows kept on b1; then each size's
+    rows pair by pair, normalized at once (the first bad size refuses)."""
+    sizes, blocks, pieces = layout
     y = {key: (w @ keep[sizes[key[1]]][spans[key[1]]][None, :, :, None])[..., 0] for key, w in blocks.items()}
     raw = {s: np.concatenate([y[key][i] for key, i in run]) for s, run in pieces.items()}
     del y  # the products go before the normalized rows come
-    try:
-        return {s: normalize_rows(x) for s, x in raw.items()}
-    except ModelError:  # the refusal that fiber by fiber, in order, meets first
-        start = {}
-        for bs in classes.values():
-            start.update(zip(bs, itertools.accumulate([counts[b] for b in bs], initial=0)))
-        for b, s in enumerate(sizes):
-            normalize_rows(raw[s][start[b] : start[b] + counts[b]])
-        raise
+    return {s: normalize_rows(x) for s, x in raw.items()}
 
 
 def _window_search(fs: FactorSystem) -> tuple[int, dict]:
@@ -1270,19 +1268,15 @@ def eigendata_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     return results
 
 
-def periodic_many(
-    fs: FactorSystem, points: Sequence[PointSpec], target_error: float = DEFAULT_TARGET_ERROR
-) -> list:
+def periodic_many(fs: FactorSystem, points: Sequence[PointSpec]) -> list:
     """The potential at purely periodic points (AdmissibilityError for a
     preperiod).  Slot i holds (evaluation, eigendata) for points[i], or the
     EvaluationRefused that eigendata_many puts there.  The points of orbits
     where no rotation's one-period product is pattern primitive go straight
     from eigendata_many to the forward scan (_scanned), which may report
-    divergence, noted as such and with eigendata None.  target_error is
-    checked, though no route here reads it."""
+    divergence, noted as such and with eigendata None."""
     if any(p.preperiod for p in points):
         raise AdmissibilityError("the eigendata route needs a purely periodic point")
-    check_target_error(target_error)
     results = eigendata_many(fs, points)
     fallback = [i for i, result in enumerate(results) if result is None]
     scanned = _scanned(fs, [points[i] for i in fallback], [_scan_plan(points[i]) for i in fallback])
@@ -1292,11 +1286,9 @@ def periodic_many(
     return results
 
 
-def periodic_potential(
-    fs: FactorSystem, point: PointSpec, target_error: float = DEFAULT_TARGET_ERROR
-) -> tuple[PotentialEvaluation, Optional[PerronData]]:
+def periodic_potential(fs: FactorSystem, point: PointSpec) -> tuple[PotentialEvaluation, Optional[PerronData]]:
     """periodic_many at one point; raises the point's EvaluationRefused."""
-    result = periodic_many(fs, [point], target_error)[0]
+    result = periodic_many(fs, [point])[0]
     if isinstance(result, EvaluationRefused):
         raise result
     return result
@@ -1350,8 +1342,11 @@ def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int
     The walk starts from the last symbol alone: two completions are
     distinct exactly when their continuations from it are, so the points
     are symbols[:-1] joined to the completions of (symbols[-1],), which
-    holder_variation takes once per symbol.
+    holder_variation takes once per symbol.  A count below 1 is refused
+    (ModelError).
     """
+    if count < 1:
+        raise ModelError(f"tail completions need count >= 1, got {count}")
     symbols = word_symbols(fs.factor_tmc, symbols)
     depth = fs.target_size + 1
     tails: list[PointSpec] = []

@@ -19,7 +19,9 @@ from .errors import FiberMismatchError, ModelError
 
 # coordinates this small cannot be trusted in ratio computations
 MIN_COORDINATE = 1e-300
-# doubles in one chunk's log cross-ratio array in contraction_coefficients
+# doubles in one chunk of a stacked array: the log cross-ratios of
+# contraction_coefficients, the gathered blocks of potential's
+# _gathered_product and _lockstep_sequences, and _d_const's log ratios
 STACK_DOUBLES = 1 << 16
 
 

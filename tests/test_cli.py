@@ -135,8 +135,8 @@ def test_periodic_lists_orbits(model_paths, capsys):
     [
         ("potential", "adhoc5", "--point", "/ab"),
         ("potential", "nongibbs6", "--point", "/0"),
-        # every point of fullshift4 takes the eigendata route, some of
-        # nongibbs6 the iterative fallback; both must refuse the tolerance
+        # periodic takes no tolerance, so its parser refuses the option
+        # before the model (eigendata or fallback points) is read
         ("periodic", "fullshift4", "--max-period", "3"),
         ("periodic", "nongibbs6", "--max-period", "3"),
         ("gibbs", "adhoc5", "--n-max", "3"),
@@ -154,11 +154,40 @@ def test_periodic_lists_orbits(model_paths, capsys):
 )
 def test_bad_tol_is_input_error(model_paths, capsys, command, tol):
     name, model, *rest = command
-    code = main([name, model_paths[model], *rest, f"--tol={tol}"])
+    argv = [name, model_paths[model], *rest, f"--tol={tol}"]
+    if name == "periodic":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, message = exc.value.code, f"unrecognized arguments: --tol={tol}"
+    else:
+        code, message = main(argv), "target error must be finite and positive"
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "target error must be finite and positive" in captured.err
+    assert message in captured.err
+
+
+def test_periodic_takes_no_tol(model_paths, capsys):
+    # no periodic route reads a target error, so the option is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["periodic", model_paths["fullshift4"], "--tol", "1e-10"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "unrecognized arguments: --tol 1e-10" in captured.err
+
+
+def test_certified_radius_above_the_target_is_noted(model_paths, capsys):
+    # the certified radius is floored at FLOAT_NOISE_FLOOR max(1, |value|),
+    # which no depth narrows; the eigendata route notes the same case
+    path = model_paths["fullshift4"]
+    assert main(["potential", path, "--point", "/0", "--tol", "1e-300"]) == 0
+    out = capsys.readouterr().out
+    assert "error radius: 1e-13\n" in out
+    assert out.endswith("note: error radius 1e-13 is above the target 1e-300; double precision cannot narrow it\n")
+    assert main(["potential", path, "--point", "/0", "--tol", "1e-13"]) == 0
+    assert "note:" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

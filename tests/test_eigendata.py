@@ -463,11 +463,12 @@ def test_unconverged_iteration_keeps_its_last_iterate():
     "kwargs, named",
     [({"max_iter": 0}, "max_iter >= 1, not 0"), ({"max_iter": -5}, "max_iter >= 1, not -5"),
      ({"tol": math.nan}, "tol >= 0, not nan"), ({"tol": -1.0}, "tol >= 0, not -1.0"),
-     ({"tol": math.inf}, "tol >= 0, not inf")],
+     ({"tol": math.inf}, "tol >= 0, not inf"), ({"max_iter": 1.5}, "integer max_iter >= 1, not 1.5")],
 )
 def test_perron_data_refuses_a_bad_max_iter_or_tol(kwargs, named):
     # max_iter 0 used to return rho 1.0 and the uniform vector, -5 gave
-    # iterations -5, and a nan or negative tol ran all MAX_POWER_STEPS steps
+    # iterations -5, 1.5 raised TypeError, and a nan or negative tol ran all
+    # MAX_POWER_STEPS steps
     with pytest.raises(ModelError, match=named):
         perron_data([[2.0, 1.0], [1.0, 3.0]], **kwargs)
     # the defaults and the smallest accepted values
@@ -736,7 +737,7 @@ def test_each_zero_pattern_is_tested_once_per_batch(monkeypatch):
     assert seen and len(seen) == len(set(seen))
     seen.clear()
     fresh = gf.example_system("nongibbs6")
-    evaluate_many(fresh, points + [p.shifted(fresh, 0) for p in points], 1e-10)
+    evaluate_many(fresh, points + [p.shifted(0) for p in points], 1e-10)
     assert seen and len(seen) == len(set(seen))
     # the system keeps its table: a second batch on it tests no pattern
     seen.clear()

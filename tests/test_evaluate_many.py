@@ -127,7 +127,7 @@ def sweep_points(fs, n_max):
         for word in gf.enumerate_words(fs.factor_tmc, n + 1):
             ext = potential.canonical_extension(fs, word.symbols)
             for j in range(n + 1):
-                p = ext.shifted(fs, j)
+                p = ext.shifted(j)
                 seen[p.key()] = p
     for pp in gf.enumerate_periodic(fs.factor_tmc, n_max + 1):
         p = PointSpec(fs, (), pp.symbols)
@@ -231,11 +231,11 @@ def test_forward_lockstep_equals_psi_sequence_at_short_and_mixed_lengths(name):
     points = [p for p in points if _refusal(fs, p) is None]
     assert len(points) >= 5
     # converse_false refuses every point but its two fixed points
-    assert ({p.shifted(fs) for p in points} <= set(points)) == (name == "converse_false")
+    assert ({p.shifted() for p in points} <= set(points)) == (name == "converse_false")
     # a refused point's shifts are refused too, so the kept ones stay closed
     closed = [p for p in periodic_batch(fs, 6) if _refusal(fs, p) is None]
     assert len(closed) >= 2
-    assert {p.shifted(fs) for p in closed} == set(closed)
+    assert {p.shifted() for p in closed} == set(closed)
     for batch in (points, closed):
         mixed = [int(n) for n in rng.integers(1, 90, size=len(batch))]
         for lengths in ([1] * len(batch), [2] * len(batch), mixed):
@@ -273,7 +273,7 @@ def test_forward_lockstep_when_the_shift_is_much_shorter_or_longer(name):
     # one point and the denominators of another, at lengths far apart
     fs = gf.example_system(name)
     x = random_point(fs, np.random.default_rng(31), 4)
-    chain = [x.shifted(fs, j) for j in range(4)]
+    chain = [x.shifted(j) for j in range(4)]
     for lengths in ([150, 1, 2, 1], [1, 150, 1, 2], [2, 1, 150, 3]):
         assert_lockstep_equals_psi_sequence(fs, chain, lengths)
 
@@ -290,7 +290,7 @@ def test_forward_runs_do_not_change_a_bit(run, monkeypatch):
     points = periodic_batch(fs, 4) + [random_point(fs, rng, int(rng.integers(0, 5))) for _ in range(12)]
     levels = 10 if run == 16 else 100
     lengths = [levels] + [int(n) for n in rng.integers(1, levels + 1, size=len(points) - 1)]
-    rows = len(dict.fromkeys(points + [p.shifted(fs) for p in points]))
+    rows = len(dict.fromkeys(points + [p.shifted() for p in points]))
     if run < 16:
         monkeypatch.setattr(potential, "STACK_DOUBLES", run * rows * fs.padded_stack[0][0, 0].size)
     calls = []
@@ -305,7 +305,7 @@ def test_forward_runs_do_not_change_a_bit(run, monkeypatch):
     assert len(calls) == 1 + -(-levels // run)
     # the first run steps the rows read past level 0: every point, and the
     # shift of every point longer than 1
-    stepped = len(dict.fromkeys(points + [p.shifted(fs) for p, n in zip(points, lengths) if n > 1]))
+    stepped = len(dict.fromkeys(points + [p.shifted() for p, n in zip(points, lengths) if n > 1]))
     assert calls[1] == min(run, levels) * stepped
 
 
@@ -553,7 +553,7 @@ def test_shifted_equals_validated_point(name):
             # the same sequence: t0 symbols, then the period from position j + t0
             pre = tuple(p.symbol_at(i) for i in range(j, j + t0))
             per = tuple(p.symbol_at(i) for i in range(j + t0, j + t0 + q))
-            assert p.shifted(fs, j) == PointSpec(fs, pre, per)
+            assert p.shifted(j) == PointSpec(fs, pre, per)
 
 
 def test_certified_depth_is_taken_once_per_preperiod_length(monkeypatch):
@@ -657,7 +657,7 @@ def test_forward_lockstep_tails_equal_the_psi_sequence_tails(nongibbs6, monkeypa
         by_period.setdefault(len(p.period), []).append(p)
     points = [PointSpec(fs, (), (0,)), PointSpec(fs, (1,), (0,))]
     points += [p for q in sorted(by_period) for p in by_period[q][:2]] + points[:1]
-    assert len({len(p.period) for p in points}) == 7 and points[1].shifted(fs) == points[0]
+    assert len({len(p.period) for p in points}) == 7 and points[1].shifted() == points[0]
     rng = np.random.default_rng(47)
     calls = []
 
@@ -677,7 +677,7 @@ def test_forward_lockstep_tails_equal_the_psi_sequence_tails(nongibbs6, monkeypa
         last: dict = {}
         for p, n in zip(points, lengths):
             last[p] = max(last.get(p, 0), n)
-            last[p.shifted(fs)] = max(last.get(p.shifted(fs), 0), n - 1)
+            last[p.shifted()] = max(last.get(p.shifted(), 0), n - 1)
         runs = range(1, max(lengths) + 1, 16)
         assert calls[1:] == [min(16, max(lengths) + 1 - k) * sum(end >= k for end in last.values()) for k in runs]
 

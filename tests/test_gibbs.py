@@ -100,7 +100,7 @@ def test_bgi_proxies_are_the_diverged_points(nongibbs6):
         for n in range(n_max + 1)
         for w in gf.enumerate_words(nongibbs6.factor_tmc, n + 1)
         for p in (
-            gf.canonical_extension(nongibbs6, w.symbols).shifted(nongibbs6, j)
+            gf.canonical_extension(nongibbs6, w.symbols).shifted(j)
             for j in range(n + 1)
         )
     }

@@ -47,7 +47,7 @@ def test_point_spec_absorbs_repeating_preperiod(adhoc5):
 
 def test_point_spec_refuses_a_negative_shift(adhoc5):
     with pytest.raises(gf.AdmissibilityError, match="^shift must be nonnegative$"):
-        PointSpec(adhoc5, (2,), (1, 0)).shifted(adhoc5, -1)
+        PointSpec(adhoc5, (2,), (1, 0)).shifted(-1)
 
 
 def test_point_spec_symbols(adhoc5):
@@ -88,9 +88,9 @@ def test_point_spec_symbols_equal_a_symbol_at_walk(name, pre_len, per_len, seed)
 
 def test_point_spec_shift(adhoc5):
     pt = PointSpec(adhoc5, (2,), (1, 0))
-    assert pt.shifted(adhoc5, 1) == PointSpec(adhoc5, (), (1, 0))
-    assert pt.shifted(adhoc5, 2) == PointSpec(adhoc5, (), (0, 1))
-    assert pt.shifted(adhoc5, 0) == pt
+    assert pt.shifted(1) == PointSpec(adhoc5, (), (1, 0))
+    assert pt.shifted(2) == PointSpec(adhoc5, (), (0, 1))
+    assert pt.shifted(0) == pt
 
 
 def test_point_spec_rejects_bad_input(adhoc5):
@@ -126,6 +126,19 @@ def test_perron_data_known_matrix():
 def test_perron_data_rejects_imprimitive():
     with pytest.raises(gf.ModelError):
         perron_data(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [([[2.0, 1.0], [math.nan, 3.0]], "needs finite entries"), ([[2.0, 1.0], [math.inf, 3.0]], "needs finite entries"),
+     (np.zeros((0, 0)), "needs a nonempty matrix")],
+    ids=["nan", "inf", "empty"],
+)
+def test_perron_data_refuses_a_non_finite_or_empty_matrix(matrix, message):
+    # a non-finite matrix used to run all MAX_POWER_STEPS steps and return
+    # nans, and an empty one raised ZeroDivisionError
+    with pytest.raises(gf.ModelError, match=message):
+        perron_data(matrix)
 
 
 @settings(max_examples=40, deadline=None)
@@ -376,11 +389,11 @@ def test_d_const_keeps_a_fiber_of_two_rows_in_order(monkeypatch):
     step = potential._d_const_step
     seen = []
 
-    def crafting_step(layout, keep, spans, counts):
+    def crafting_step(layout, keep, spans):
         seen.append(keep)
-        rows = step(layout, keep, spans, counts)
+        rows = step(layout, keep, spans)
         if len(seen) == 3:
-            assert counts[:2] == [3, 2] and rows[2].shape == crafted.shape
+            assert rows[2].shape == crafted.shape
             rows[2] = crafted
         return rows
 
@@ -390,11 +403,12 @@ def test_d_const_keeps_a_fiber_of_two_rows_in_order(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "first, second, message", [(np.inf, 0.0, "must be finite"), (0.0, np.inf, "strictly positive")]
+    "first, second, message",
+    [(np.inf, 0.0, "strictly positive"), (0.0, np.inf, "strictly positive"), (1.0, np.inf, "must be finite")],
 )
-def test_d_const_refusal_is_the_first_fiber_by_fiber(first, second, message):
-    # one level stacks both fibers; the refusal is still the one that
-    # normalizing fiber 0, then fiber 1, meets first
+def test_d_const_refuses_a_level_with_a_bad_coordinate(first, second, message):
+    # one level stacks both fibers and normalizes them in one pass, which
+    # tests positivity over the whole stack before finiteness
     fs = gf.example_system("fullshift4")
     fs.fiber_weight[(0, 1)] = fs.fiber_weight[(0, 1)] * np.array([[1.0], [first]])
     fs.fiber_weight[(1, 0)] = fs.fiber_weight[(1, 0)] * np.array([[1.0], [second]])
@@ -724,7 +738,7 @@ def test_birkhoff_sum_over_orbit_is_log_spectral_radius():
         points = [p for rotations in orbits.values() for p in rotations]
         plans = dict(zip(points, potential._routes(fs, points, 1e-12, constants)))
         backward = dict(zip(points, gf.evaluate_many(fs, points, 1e-12, constants)))
-        eigendata = dict(zip(points, gf.periodic_many(fs, points, 1e-12)))
+        eigendata = dict(zip(points, gf.periodic_many(fs, points)))
         # every eigendata interval, at a base or carried, overlaps the
         # evaluate_many interval; a diverged point has none to compare
         for p in points:
@@ -907,16 +921,6 @@ def test_periodic_potential_falls_back_on_imprimitive_phase(nongibbs6):
     assert ev.notes[-1] == "one-period product is not primitive; eigendata route refused"
 
 
-@pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
-def test_periodic_potential_refuses_bad_target_on_the_eigendata_route(fullshift4, target):
-    pt = PointSpec(fullshift4, (), (0, 1))
-    assert gf.periodic_potential(fullshift4, pt)[1] is not None
-    with pytest.raises(gf.ModelError, match="finite and positive"):
-        gf.periodic_potential(fullshift4, pt, target_error=target)
-    with pytest.raises(gf.ModelError, match="finite and positive"):
-        gf.periodic_many(fullshift4, [], target_error=target)
-
-
 def test_periodic_potential_rejects_preperiod(adhoc5):
     with pytest.raises(gf.AdmissibilityError):
         gf.periodic_potential(adhoc5, PointSpec(adhoc5, (2,), (1, 0)))
@@ -945,6 +949,14 @@ def test_tail_completions_distinct_points_sharing_prefix(adhoc5):
     assert pts[0] != pts[1]
     for pt in pts:
         assert pt.symbols(1) == (0,)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_tail_completions_refuse_a_count_below_one(adhoc5, count):
+    # a count of 0 used to return one point
+    with pytest.raises(gf.ModelError, match=f"count >= 1, got {count}"):
+        tail_completions(adhoc5, (0,), count)
+    assert len(tail_completions(adhoc5, (0,), 1)) == 1
 
 
 # ------------------------------------------------------- variation sampling

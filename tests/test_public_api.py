@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
+import glob
 import os
 import re
 
 import gibbsfactor as gf
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+SOURCES = os.path.join(os.path.dirname(__file__), "..", "src", "gibbsfactor", "*.py")
 
 
 def test_every_all_name_resolves():
@@ -55,3 +58,24 @@ def test_every_record_is_a_named_tuple():
         "value", "error_radius", "terms_used", "mode", "certified", "clusters", "notes")
     assert potential.PotentialEvaluation._field_defaults == {"clusters": (), "notes": ()}
     assert projection.H2Report._field_defaults == {"warnings": ()}
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is an input the package accepts
+    # and ignores; self and cls are exempt, lambdas and nested functions not
+    unread = []
+    for path in sorted(glob.glob(SOURCES)):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            names = (n for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            where = f"{os.path.basename(path)}:{node.lineno} {getattr(node, 'name', '<lambda>')}"
+            unread += [f"{where}({p})" for p in sorted(set(params) - read - {"self", "cls"})]
+    assert len(glob.glob(SOURCES)) >= 10
+    assert unread == []

@@ -1,6 +1,6 @@
 """The points of the Gibbs and Hölder sweeps, built by table lookup, against
 the searches they replaced: the depth-first tail_completions walk and
-canonical_extension(fs, w).shifted(fs, j), kept below as reference oracles
+canonical_extension(fs, w).shifted(j), kept below as reference oracles
 that build every point through the validating PointSpec constructor; and the
 sweeps' reports, read from index tables, against the per-key loops they
 replaced."""
@@ -170,7 +170,7 @@ def test_extension_shifts_equal_the_shifted_extensions(name):
             ext = oracle_canonical_extension(fs, w)
             want = [oracle_shifted(fs, ext, j) for j in range(n + 1)]
             assert got == keys(want), w
-            assert keys(canonical_extension(fs, w).shifted(fs, j) for j in range(n + 1)) == got
+            assert keys(canonical_extension(fs, w).shifted(j) for j in range(n + 1)) == got
 
 
 @pytest.mark.parametrize("name", ["adhoc5", "converse_false", "reducible", "sparse3"])
@@ -179,7 +179,7 @@ def test_shifted_equals_the_root_searching_shift(name):
     for w in words(fs, 4):
         for point in oracle_tail_completions(fs, w, 3):
             for j in range(2 * len(w) + 3):
-                assert point.shifted(fs, j).key() == oracle_shifted(fs, point, j).key()
+                assert point.shifted(j).key() == oracle_shifted(fs, point, j).key()
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -20,7 +20,6 @@ from .potential import (
     PointSpec,
     UniformConstants,
     _return_path,
-    _sweep_points,
     check_sweep_depth,
     check_sweep_words,
     evaluate_many,
@@ -56,17 +55,20 @@ class BgiReport(NamedTuple):
 
 
 def _extension_shifts(fs: FactorSystem, n_max: int) -> tuple[list[PointSpec], list]:
-    """_sweep_points over the shifts j = 0 .. n of each word's
-    canonical_extension, the rotations of one primitive period, as an index
-    array of shape (words, n + 1) per depth n.  Each (last, first) pair's
-    return path is searched once."""
+    """One list of the distinct shifts j = 0 .. n of the canonical_extension
+    of every word of length n + 1, the rotations of one primitive period,
+    in first-seen order, and per depth n the words with an index array of
+    shape (words, n + 1) into the list.  Each (last, first) pair's return
+    path is searched once."""
     return_path = functools.cache(lambda last, first: _return_path(fs, last, first))
-
-    def shifts(w):
-        period = primitive_root(w + return_path(w[-1], w[0]))
-        return [((), period[j % len(period) :] + period[: j % len(period)]) for j in range(len(w))]
-
-    return _sweep_points(fs, n_max, shifts)
+    index: dict = {}
+    levels = []
+    for n in range(n_max + 1):
+        words = [word.symbols for word in enumerate_words(fs.factor_tmc, n + 1)]
+        periods = [primitive_root(w + return_path(w[-1], w[0])) for w in words]
+        rows = [[index.setdefault(p[j % len(p) :] + p[: j % len(p)], len(index)) for j in range(n + 1)] for p in periods]
+        levels.append((words, np.array(rows, dtype=np.intp)))
+    return [PointSpec._absorbed((), period) for period in index], levels
 
 
 def bgi_sweep(

@@ -70,24 +70,19 @@ class PointSpec:
             Word(tmc, preperiod)
             if not tmc.allows(preperiod[-1], period[0]):
                 raise AdmissibilityError("preperiod does not connect to the period")
-        self.preperiod, self.period = PointSpec._canonical_key(preperiod, primitive_root(period))
-
-    @staticmethod
-    def _canonical_key(preperiod: tuple[int, ...], period: tuple[int, ...]) -> tuple:
-        """The key() of the point of admissible parts with a primitive
-        period, in canonical form: any preperiod suffix that repeats the tail
-        absorbed into a rotation.  The one canonical-form routine: callers
-        with a period that may be a power pass its primitive_root."""
-        while preperiod and preperiod[-1] == period[-1]:
-            preperiod = preperiod[:-1]
-            period = period[-1:] + period[:-1]
-        return preperiod, period
+        self.preperiod, self.period = PointSpec._absorbed(preperiod, primitive_root(period)).key()
 
     @classmethod
     def _absorbed(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PointSpec":
-        """The point of _canonical_key(preperiod, period), not validated again."""
+        """The point of admissible parts with a primitive period, not
+        validated again, in canonical form: any preperiod suffix that repeats
+        the tail absorbed into a rotation.  The one canonical-form routine:
+        callers with a period that may be a power pass its primitive_root."""
+        while preperiod and preperiod[-1] == period[-1]:
+            preperiod = preperiod[:-1]
+            period = period[-1:] + period[:-1]
         point = object.__new__(cls)
-        point.preperiod, point.period = PointSpec._canonical_key(preperiod, period)
+        point.preperiod, point.period = preperiod, period
         return point
 
     @classmethod
@@ -341,6 +336,18 @@ def perron_data(matrix, tol: float = PERRON_TOL, max_iter: int = MAX_POWER_STEPS
     return _perron_stack(t[None], tol, max_iter)[0]
 
 
+def _zero_row_refusal(fs: FactorSystem, step: tuple[int, int], i: int) -> EvaluationRefused:
+    """The refusal of a point whose step at position i has a fiber block
+    with an all-zero row."""
+    labels = fs.projection.target.labels
+    return EvaluationRefused(
+        f"step {labels[step[0]]}->{labels[step[1]]} "
+        f"at position {i} has an all-zero fiber row; potential undefined "
+        "along this point",
+        window=(i, i + 1),
+    )
+
+
 def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
     """Refuse evaluation when a step matrix along the point has a zero row."""
     if not fs.zero_row_blocks:
@@ -348,13 +355,7 @@ def _check_point_rows(fs: FactorSystem, point: PointSpec) -> None:
     word = point.preperiod + point.period + point.period[:1]
     for i, step in enumerate(zip(word, word[1:])):
         if step in fs.zero_row_blocks:
-            labels = fs.projection.target.labels
-            raise EvaluationRefused(
-                f"step {labels[step[0]]}->{labels[step[1]]} "
-                f"at position {i} has an all-zero fiber row; potential undefined "
-                "along this point",
-                window=(i, i + 1),
-            )
+            raise _zero_row_refusal(fs, step, i)
 
 
 def _psi_sequence(fs: FactorSystem, point: PointSpec, n_hi: int) -> np.ndarray:
@@ -569,20 +570,22 @@ def evaluate_many(
 
     Every point is checked and planned first, in order, so a refusal is the
     first refused point's (_routes).  The certified plans are then filled
-    in lockstep: psi_n from one staggered backward pass (_lockstep_scales,
-    one row per shared tail, zero-padded to the widest fiber), its logs and
-    the radii floored at what double precision resolves at the value
-    (FLOAT_NOISE_FLOOR max(1, |psi_n|), noted where it is above the
-    target) taken as arrays; the scan plans by _scanned.  The backward pass
-    drops a point's row once it repeats bit for bit at a lag of whole
-    periods and takes it up again at the last level of the repeat; the
-    value and terms_used are those of the full depth n.  Each point's
-    evaluation is the same, bit for bit, whatever else is in the batch.
+    in lockstep: psi_n as the log of the sums of the level-0 rows of one
+    staggered backward pass (_lockstep_rows, one row per point,
+    zero-padded to the widest fiber), the radii floored at what double
+    precision resolves at the value (FLOAT_NOISE_FLOOR max(1, |psi_n|),
+    noted where it is above the target) taken as arrays; the scan plans by
+    _scanned.  The backward pass drops a point's row once it repeats bit
+    for bit at a lag of whole periods and takes it up again at the last
+    level of the repeat; the value and terms_used are those of the full
+    depth n.  Each point's evaluation is the same, bit for bit, whatever
+    else is in the batch, and holder_variation steps the same rows on.
     """
     check_target_error(target_error)
     plans = _routes(fs, points, target_error, constants)
     backward = [i for i, plan in enumerate(plans) if plan.certified]
-    values = np.log(_lockstep_scales(fs, [points[i] for i in backward], [plans[i].terms_used for i in backward]))
+    rows = _lockstep_rows(fs, [points[i] for i in backward], [plans[i].terms_used for i in backward])
+    values = np.log(np.add.reduce(rows, axis=1))
     floors = FLOAT_NOISE_FLOOR * np.maximum(1.0, np.abs(values))
     radii = np.maximum([plans[i].error_radius for i in backward], floors)
     above = "error radius {:.12g} is above the target {:g}; double precision cannot narrow it"
@@ -659,10 +662,11 @@ def _next_checkpoint(level, window):
     return (level - 1) // window * window
 
 
-def _scale(fs: FactorSystem, point: PointSpec, n: int) -> float:
-    """psi_n's scale at one point: _lockstep_scales for one row, on the same
-    padded vectors and blocks (fs.padded_stack), with the same checkpoints
-    and cycle exit, so a point gets the same bits alone as in any batch."""
+def _point_row(fs: FactorSystem, point: PointSpec, n: int) -> np.ndarray:
+    """psi_n's unnormalized level-0 row at one point, whose sum is psi_n's
+    scale: _lockstep_rows for one row, on the same padded vectors and
+    blocks (fs.padded_stack), with the same checkpoints and cycle exit, so
+    a point gets the same bits alone as in any batch."""
     t0, q = len(point.preperiod), len(point.period)
     symbol = point.symbol_at
     blocks, marginals, _ = fs.padded_stack
@@ -674,14 +678,14 @@ def _scale(fs: FactorSystem, point: PointSpec, n: int) -> float:
     while True:
         scale = x.sum()
         if scale <= 0.0:
-            return 0.0
+            return x
         if scale == mark_scale and x.tobytes() == mark:
             resume = _cycle_exit(t0, q, level, mark_level - level)
             if resume < level:
                 # a lag of whole periods keeps the symbol b at the new level
                 level, due, mark_scale = resume, -1, math.nan
         if level == 0:
-            return scale
+            return x
         if level == due:
             mark_level, mark_scale, mark = level, scale, x.tobytes()
             window *= 2
@@ -702,20 +706,19 @@ def _gathered_product(blocks: np.ndarray, rows: np.ndarray, before, after) -> np
     return np.concatenate([blocks[before[j], after[j]] @ rows[j, :, None] for j in at])[..., 0]
 
 
-def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequence[int]) -> np.ndarray:
-    """_scale(fs, p, n) for every point p and its depth n >= 1, bit for bit,
-    in one countdown over the levels: a point's padded marginal row
-    (fs.padded_stack) joins at level n, and all rows present, kept in one
-    (rows, S) array beside one array of their point indices, take one
-    _gathered_product per level.  A single point takes _scale, which is
-    cheaper than a level of one row.  Points with one depth, preperiod
-    length t0 and period share one row down to level t0, on which it
-    depends alone, and the others take copies of it there.  Where fibers
-    are of one size the values are backward_transfer(fs, p.symbols(n + 1))[1]
-    bit for bit; elsewhere padding may move them in the last bits.
+def _lockstep_rows(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequence[int]) -> np.ndarray:
+    """_point_row(fs, p, n) for every point p and its depth n >= 1, bit for
+    bit, as the rows of one (points, S) array, in one countdown over the
+    levels: a point's padded marginal row (fs.padded_stack) joins at level
+    n, and all rows present, kept in one (rows, S) array beside one array
+    of their point indices, take one _gathered_product per level.  A single
+    point takes _point_row, which is cheaper than a level of one row.  Where
+    fibers are of one size the row sums are
+    backward_transfer(fs, p.symbols(n + 1))[1] bit for bit; elsewhere
+    padding may move them in the last bits.
 
     The unnormalized row x_k at level k fixes every later step, and its sum
-    is the answer at level 0.  In floating point the contraction of the
+    is psi_n's scale at level 0.  In floating point the contraction of the
     backward maps makes the row of an eventually periodic point repeat,
     bit for bit, long before the certified depth, so each row keeps one
     checkpoint (row, scale and level; see _next_checkpoint for when).  A row
@@ -725,45 +728,32 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
     gives, as marginal rows join at their depth, and the countdown skips
     the levels with no row."""
     if not points:
-        return np.empty(0)
+        return fs.padded_stack[1][:0]
     if len(points) == 1:
-        return np.array([_scale(fs, points[0], depths[0])])
+        return _point_row(fs, points[0], depths[0])[None]
     t0 = [len(p.preperiod) for p in points]
     q = [len(p.period) for p in points]
-    # a point whose depth lies in its preperiod shares no row
-    tails: dict = {}
-    for i, (p, n) in enumerate(zip(points, depths)):
-        tails.setdefault((n, t0[i], p.period) if n >= t0[i] else i, []).append(i)
-    # the first point of a tail carries its row; splits[t0][i] holds the
-    # other points of point i's tail
-    splits: dict[int, dict] = {}
-    for lead, *rest in tails.values():
-        if rest:
-            splits.setdefault(t0[lead], {})[lead] = np.array(rest)
     column = _symbol_column(points)
     blocks, marginals, _ = fs.padded_stack
     # entries[k]: the (ids, rows) that join at level k + 1, before the step
     # to level k; the marginal rows of one depth join as one entry, so that
     # a level concatenates once however many points join there
     joining: dict[int, list] = {}
-    for lead, *_ in tails.values():
-        joining.setdefault(depths[lead], []).append(lead)
+    for i, n in enumerate(depths):
+        joining.setdefault(n, []).append(i)
     entries: dict[int, list] = {
-        n - 1: [(np.array(leads), marginals[[points[i].symbol_at(n) for i in leads]])] for n, leads in joining.items()
+        n - 1: [(np.array(ids), marginals[[points[i].symbol_at(n) for i in ids]])] for n, ids in joining.items()
     }
     # per point: the checkpoint, the window and the level of the next
-    # checkpoint (-1 once the point has left, and for the copied points,
-    # which join below the levels of any cycle exit)
+    # checkpoint (-1 once the point has left)
     count = len(points)
     mark_scale = np.full(count, math.nan)
     mark_level = np.zeros(count, dtype=np.intp)
     mark = np.zeros((count, marginals.shape[1]))
     window = np.full(count, FIRST_WINDOW)
     due = _next_checkpoint(np.asarray(depths, dtype=np.intp) + 1, FIRST_WINDOW)
-    for rest in splits.values():
-        due[np.concatenate(list(rest.values()))] = -1
     next_due = int(due.max())
-    out = np.empty(count)
+    out = np.empty((count, marginals.shape[1]))
     rows, ids = marginals[:0], np.empty(0, dtype=np.intp)
     k = max(entries)
     while True:
@@ -771,10 +761,6 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
             ids = np.concatenate([ids, *(who for who, _ in joined)])
             rows = np.concatenate([rows, *(r for _, r in joined)])
         level = k + 1
-        if copies := splits.pop(level, None):
-            at = [(pos, copies[i]) for pos, i in enumerate(ids.tolist()) if i in copies]
-            rows = np.concatenate([rows] + [np.repeat(rows[pos : pos + 1], len(rest), axis=0) for pos, rest in at])
-            ids = np.concatenate([ids] + [rest for _, rest in at])
         sums = np.add.reduce(rows, axis=1)
         exits: dict[int, list] = {}
         for pos in (sums == mark_scale[ids]).nonzero()[0].tolist():
@@ -785,7 +771,7 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
         if exits:
             for m, at in exits.items():
                 if m == 0:
-                    out[ids[at]] = sums[at]
+                    out[ids[at]] = rows[at]
                 else:
                     entries.setdefault(m - 1, []).append((ids[at], rows[at]))
             gone = [pos for at in exits.values() for pos in at]
@@ -813,9 +799,7 @@ def _lockstep_scales(fs: FactorSystem, points: Sequence[PointSpec], depths: Sequ
         if k == 0:
             break
         k -= 1
-    out[ids] = np.add.reduce(rows, axis=1)
-    for lead, rest in splits.pop(0, {}).items():
-        out[rest] = out[lead]
+    out[ids] = rows
     return out
 
 
@@ -1341,9 +1325,10 @@ def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int
     order and closes each into a cycle greedily, deduplicating the results.
     The walk starts from the last symbol alone: two completions are
     distinct exactly when their continuations from it are, so the points
-    are symbols[:-1] joined to the completions of (symbols[-1],), which
-    holder_variation takes once per symbol.  A count below 1 is refused
-    (ModelError).
+    are symbols[:-1] joined to the completions of (symbols[-1],):
+    holder_variation evaluates those of each symbol once and steps their
+    rows back through the words that end in it.  A count below 1 is
+    refused (ModelError).
     """
     if count < 1:
         raise ModelError(f"tail completions need count >= 1, got {count}")
@@ -1367,10 +1352,12 @@ def tail_completions(fs: FactorSystem, symbols: Word | Sequence[int], count: int
 class HolderReport(NamedTuple):
     """Sampled variation table of the potential.
 
-    var[n] is the largest observed |psi(b) - psi(b')| over sampled pairs
-    agreeing on at least the first n + 1 symbols (cumulative over deeper
-    levels, hence nonincreasing).  bound[n] is c_total theta^n plus twice the
-    worst evaluation radius.
+    level_spread[n] is the largest |psi(w t1) - psi(w t2)| over the words
+    w b of n + 1 symbols, t1 and t2 the two tail completions of b, each
+    value read at its tail's certified depth plus n; var[n] is the largest
+    level_spread at n or deeper, hence nonincreasing.  max_eval_radius is
+    the largest of the tails' radii and of the double-precision floor at
+    the values read, and bound[n] is c_total theta^n plus twice it.
     """
 
     var: tuple[float, ...]
@@ -1383,46 +1370,51 @@ class HolderReport(NamedTuple):
     max_eval_radius: float
 
 
-def _sweep_points(fs: FactorSystem, n_max: int, keys_of) -> tuple[list[PointSpec], list]:
-    """One list of the distinct points of a sweep, in first-seen order, and
-    per depth n the words w of length n + 1 whose keys_of(w), the key()s of
-    canonical points, is not empty, with an index array holding one row per
-    word: the indices of those points in the list."""
-    index: dict = {}
-    levels = []
-    for n in range(n_max + 1):
-        words, rows = [], []
-        for word in enumerate_words(fs.factor_tmc, n + 1):
-            if keys := keys_of(word.symbols):
-                words.append(word.symbols)
-                rows.append([index.setdefault(k, len(index)) for k in keys])
-        levels.append((words, np.array(rows, dtype=np.intp)))
-    return [PointSpec._absorbed(*k) for k in index], levels
-
-
 def holder_variation(
     fs: FactorSystem,
     constants: UniformConstants,
     n_max: int,
 ) -> HolderReport:
-    """Sample var_n psi over all words of each length up to n_max, at the
-    two tail_completions of each word, joined from the completions of its
-    last symbol: an index table into one list of distinct points
-    (_sweep_points), evaluated in one batch (evaluate_many) to a target
-    error of 1e-11.  Words past WORD_BUDGET are refused (check_sweep_words)."""
+    """Sample var_n psi over the words w b of each length n + 1 <= n_max + 1
+    at w t1 and w t2, t1 and t2 the two tail_completions of b, in one
+    backward level pass: the tails are evaluated once (evaluate_many to a
+    target error of 1e-11) and their level-0 rows taken at the depths in
+    terms_used (_lockstep_rows); each level reads psi as the logs of its
+    row sums, normalizes the rows and steps each back to every admissible
+    predecessor (_gathered_product).  A word reads psi at its tail's depth
+    plus n, and as row-allowable maps do not expand the Hilbert metric the
+    tails' radii hold there.  Refusals come in the order of the points:
+    tails with a zero fiber row, then the first word whose first step has
+    one, then a depth beyond MAX_DEPTH; words past WORD_BUDGET are refused
+    (check_sweep_words)."""
     check_sweep_depth(n_max)
     check_sweep_words(fs, n_max + 1)
     # a symbol with a single completion gives its words no pair
-    tails = {b: pts for b in range(fs.target_size) if len(pts := tail_completions(fs, (b,), 2)) == 2}
-
-    def completions(w):
-        return [PointSpec._canonical_key(w[:-1] + t.preperiod, t.period) for t in tails.get(w[-1], ())]
-
-    points, levels = _sweep_points(fs, n_max, completions)
-    evs = evaluate_many(fs, points, 1e-11, constants)
-    values = np.array([ev.value for ev in evs])
-    max_radius = max((ev.error_radius for ev in evs), default=0.0)
-    level = [float(np.ptp(values[at].reshape(-1, 2), axis=1).max(initial=0.0)) for _, at in levels]
+    tails = [t for b in range(fs.target_size) if len(pts := tail_completions(fs, (b,), 2)) == 2 for t in pts]
+    # each word's first symbol; a word's two rows are its rows 2i and 2i + 1
+    first = np.array([t.symbol_at(0) for t in tails[::2]], dtype=np.intp)
+    for point in tails:
+        _check_point_rows(fs, point)
+    # a symbol has two completions exactly when its future branches, and so
+    # does every symbol that leads to it: a word's first step into one with
+    # a zero fiber row shows first in the words of two symbols
+    if n_max and (bad := [step for step in sorted(fs.zero_row_blocks) if step[1] in first]):
+        raise _zero_row_refusal(fs, bad[0], 0)
+    evs = evaluate_many(fs, tails, 1e-11, constants)
+    rows = _lockstep_rows(fs, tails, [ev.terms_used for ev in evs])
+    level, top = [], 0.0
+    for n in range(n_max + 1):
+        sums = np.add.reduce(rows, axis=1)
+        values = np.log(sums)
+        level.append(float(np.abs(values[::2] - values[1::2]).max(initial=0.0)))
+        top = max(top, float(np.abs(values).max(initial=0.0)))
+        if n < n_max:
+            before, word = np.nonzero(fs.factor_tmc.incidence[:, first])
+            at = (2 * word[:, None] + np.arange(2)).ravel()
+            rows = (rows / sums[:, None])[at]
+            rows = _gathered_product(fs.padded_stack[0], rows, before.repeat(2), first[word].repeat(2))
+            first = before
+    max_radius = max([ev.error_radius for ev in evs] + [FLOAT_NOISE_FLOOR * max(1.0, top)]) if evs else 0.0
     var = list(level)
     for n in range(n_max - 1, -1, -1):
         var[n] = max(var[n], var[n + 1])

@@ -1,7 +1,8 @@
-"""The cycle exit of the backward scale route: _lockstep_scales, in a batch
-and at one point, equals backward_transfer while it skips the levels over
-which a row repeats: bit for bit on equal fibers and the examples, within
-MIXED_BOUND on the synthetic systems with fibers of different sizes."""
+"""The cycle exit of the backward scale route: the row sums of
+_lockstep_rows, in a batch and at one point, equal backward_transfer's
+scales while the countdown skips the levels over which a row repeats: bit
+for bit on equal fibers and the examples, within MIXED_BOUND on the
+synthetic systems with fibers of different sizes."""
 
 from __future__ import annotations
 
@@ -11,11 +12,12 @@ import pytest
 import gibbsfactor as gf
 from gibbsfactor import cli, potential
 from gibbsfactor.models import dump_document, expand_example
-from gibbsfactor.potential import PointSpec, _cycle_exit, _lockstep_scales, _routes
+from gibbsfactor.potential import PointSpec, _cycle_exit, _routes
 from gibbsfactor.projection import backward_transfer
 
 from test_evaluate_many import random_point, sweep_points
 from test_golden_cli import wide12_document
+from test_potential import _lockstep_scales
 
 
 def seeded_full_shift(seed, fibers):
@@ -151,8 +153,8 @@ def test_batch_mixes_cycling_and_non_cycling_rows(nongibbs6, monkeypatch):
     cycled = []
     for p, n in zip(points, depths):
         symbols.clear()
-        potential._scale(fs, p, n)
-        # _scale reads the symbol at depth n, then one symbol per step
+        potential._point_row(fs, p, n)
+        # _point_row reads the symbol at depth n, then one symbol per step
         cycled.append(len(symbols) - 1 < n)
     monkeypatch.undo()
     assert set(cycled) == {True, False}
@@ -183,6 +185,6 @@ def test_deep_certified_point_takes_few_steps(tmp_path, capsys, monkeypatch):
     assert cli.main(["potential", str(path), "--point", "/01", "--tol", "1e-300"]) == 0
     out = capsys.readouterr().out
     # the value is psi_n at the nominal depth, reached after a few hundred steps at most
-    # (_scale reads the symbol at the depth, then one symbol per step)
+    # (_point_row reads the symbol at the depth, then one symbol per step)
     assert "terms: 4492" in out
     assert 0 < len(symbols) - 1 <= 300

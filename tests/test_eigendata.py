@@ -909,7 +909,7 @@ def test_uncertified_script_work(tmp_path, monkeypatch):
     # it is read from the table
     manifest = bench_workloads().generate("divergent-ng6", 1, str(tmp_path))
     products, scaled = [], []
-    real_product, real_scales = gf.FactorSystem.word_product, potential._lockstep_scales
+    real_product, real_rows = gf.FactorSystem.word_product, potential._lockstep_rows
 
     def counted(self, symbols):
         products.append((self, tuple(symbols)))
@@ -917,10 +917,10 @@ def test_uncertified_script_work(tmp_path, monkeypatch):
 
     def recorded(fs, points, depths):
         scaled.extend(points)
-        return real_scales(fs, points, depths)
+        return real_rows(fs, points, depths)
 
     monkeypatch.setattr(gf.FactorSystem, "word_product", counted)
-    monkeypatch.setattr(potential, "_lockstep_scales", recorded)
+    monkeypatch.setattr(potential, "_lockstep_rows", recorded)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in manifest["script"]:
             cli.main(argv)

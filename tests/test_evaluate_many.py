@@ -15,7 +15,6 @@ from gibbsfactor.models import expand_example
 from gibbsfactor.potential import (
     PointSpec,
     _certified_depth,
-    _lockstep_scales,
     _lockstep_sequences,
     _psi_sequence,
     _routes,
@@ -28,7 +27,7 @@ from gibbsfactor.potential import (
 from gibbsfactor.projection import backward_transfer
 
 from test_golden_cli import wide12_document
-from test_potential import random_certified_system
+from test_potential import _lockstep_scales, random_certified_system
 
 TARGET = 1e-10
 
@@ -467,7 +466,7 @@ def test_periodic_command_batches_its_fallback_points(tmp_path, monkeypatch):
 
 def test_single_point_does_not_use_the_batch(adhoc5, adhoc5_constants, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("single points go through _scale")
+        raise AssertionError("single points go through _point_row")
 
     monkeypatch.setattr(potential, "_gathered_product", refuse)
     ev = evaluate(adhoc5, PointSpec(adhoc5, (), (0, 1)), constants=adhoc5_constants)

@@ -1,9 +1,9 @@
-"""The gathered backward lockstep: _lockstep_scales steps its rows in one
-array padded to the widest fiber (FactorSystem.padded_stack), with one row
-per shared tail down to the preperiods.  It equals the one-row _scale bit
-for bit on every system, and backward_transfer bit for bit on equal fibers
-and the examples, within MIXED_BOUND on the synthetic systems with fibers
-of different sizes."""
+"""The gathered backward lockstep: _lockstep_rows steps its rows in one
+array padded to the widest fiber (FactorSystem.padded_stack), one row per
+point, even where points share a tail.  Its row sums equal the one-row
+_point_row's bit for bit on every system, and backward_transfer's scales
+bit for bit on equal fibers and the examples, within MIXED_BOUND on the
+synthetic systems with fibers of different sizes."""
 
 from __future__ import annotations
 
@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 import gibbsfactor as gf
 from gibbsfactor import potential
-from gibbsfactor.potential import PointSpec, _lockstep_scales, _lockstep_sequences, _scale
+from gibbsfactor.potential import PointSpec, _lockstep_sequences
 from gibbsfactor.projection import backward_transfer
 
 from test_cycle_jump import MIXED_BOUND, assert_scales, seeded_full_shift
 from test_evaluate_many import _refusal, random_point
-from test_potential import random_certified_system
+from test_potential import _lockstep_scales, _scale, random_certified_system
 
 SYSTEMS = {
     "adhoc5": lambda: gf.example_system("adhoc5"),
@@ -150,23 +150,6 @@ def test_gathered_chunks_do_not_change_a_bit(doubles, monkeypatch):
     assert [a.tobytes() for a in chunked] == [a.tobytes() for a in sequences]
 
 
-def test_shared_tail_steps_one_row_down_to_its_preperiod(monkeypatch):
-    fs = seeded_full_shift(11, (2, 2))
-    period = (0, 1, 1)
-    points = [PointSpec(fs, pre, period) for pre in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]]
-    rows = []
-    original = potential._gathered_product
-
-    def counted(blocks, step_rows, *args, **kwargs):
-        rows.append(len(step_rows))
-        return original(blocks, step_rows, *args, **kwargs)
-
-    monkeypatch.setattr(potential, "_gathered_product", counted)
-    assert _lockstep_scales(fs, points, [40] * 4).tolist() == expected(fs, points, [40] * 4)
-    # one row above level 3, four rows for the three steps into the preperiods
-    assert rows[-3:] == [4, 4, 4] and set(rows[:-3]) == {1}
-
-
 BATCH_SYSTEMS = {name: SYSTEMS[name]() for name in ("adhoc5", "nongibbs6", "full22", "full112")}
 
 
@@ -183,25 +166,3 @@ def test_mixed_batches_equal_backward_transfer(name, seed, depth, duplicates, si
     points, depths = shared_tail_batch(fs, np.random.default_rng(seed), depth, duplicates, singletons)
     bound = MIXED_BOUND if name in MIXED else 0.0
     assert_scales(_lockstep_scales(fs, points, depths), expected(fs, points, depths), bound)
-
-
-def test_copied_rows_add_no_level(system, monkeypatch):
-    # a tail's other points join below every cycle exit and take no
-    # checkpoint, so the batch steps the levels its leads alone step
-    rng = np.random.default_rng(45)
-    points, depths = shared_tail_batch(system, rng, 500, singletons=3)
-    leads = {}
-    for p, n in zip(points, depths):
-        leads.setdefault((n, len(p.preperiod), p.period) if n >= len(p.preperiod) else object(), (p, n))
-    levels = []
-    original = potential._gathered_product
-
-    def counted(*args, **kwargs):
-        levels.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(potential, "_gathered_product", counted)
-    _lockstep_scales(system, points, depths)
-    batch, levels[:] = len(levels), []
-    _lockstep_scales(system, [p for p, _ in leads.values()], [n for _, n in leads.values()])
-    assert batch == len(levels)

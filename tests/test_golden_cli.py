@@ -59,6 +59,8 @@ CASES = {
     "periodic-converse_false": ["periodic", "{converse_false}", "--max-period", "4"],
     "holder-fullshift4": ["holder", "{fullshift4}", "--n-max", "6"],
     "holder-adhoc5": ["holder", "{adhoc5}", "--n-max", "5"],
+    "holder-fullshift4-12": ["holder", "{fullshift4}", "--n-max", "12"],
+    "holder-adhoc5-12": ["holder", "{adhoc5}", "--n-max", "12"],
     "gibbs-adhoc5-invariance": ["gibbs", "{adhoc5}", "--n-max", "5", "--invariance"],
     "gibbs-nongibbs6": ["gibbs", "{nongibbs6}", "--n-max", "5"],
     "gibbs-nongibbs6-6": ["gibbs", "{nongibbs6}", "--n-max", "6"],

@@ -15,7 +15,8 @@ from gibbsfactor.potential import (
     FLOAT_NOISE_FLOOR,
     PointSpec,
     _d_const,
-    _lockstep_scales,
+    _lockstep_rows,
+    _point_row,
     _window_search,
     _psi_sequence,
     canonical_extension,
@@ -28,6 +29,17 @@ from gibbsfactor.projection import backward_step, backward_transfer
 from gibbsfactor.projective import normalize_rows, projective_distances
 
 FROZEN_ABS_TOL = 1e-9
+
+
+def _lockstep_scales(fs, points, depths):
+    """psi_n's scales at the points at their depths: the sums of the
+    level-0 rows of the backward lockstep, as evaluate_many takes them."""
+    return np.add.reduce(_lockstep_rows(fs, points, depths), axis=1)
+
+
+def _scale(fs, point, n):
+    """psi_n's scale at one point: the sum of its one-point level-0 row."""
+    return _point_row(fs, point, n).sum()
 
 
 # ---------------------------------------------------------------- PointSpec

@@ -1,9 +1,12 @@
-"""The points of the Gibbs and Hölder sweeps, built by table lookup, against
-the searches they replaced: the depth-first tail_completions walk and
+"""The points of the Gibbs and Hölder sweeps against the searches they
+replaced: the depth-first tail_completions walk and
 canonical_extension(fs, w).shifted(j), kept below as reference oracles
-that build every point through the validating PointSpec constructor; and the
-sweeps' reports, read from index tables, against the per-key loops they
-replaced."""
+that build every point through the validating PointSpec constructor.  The
+Gibbs sweep's report, read from an index table, against the per-key loop
+it replaced; the Hölder sweep's, one backward level pass from its tails,
+bit for bit against every point evaluated on its own at the tail's depth
+plus n, and within twice its radius of the per-key loop at each point's
+own certified depth."""
 
 from __future__ import annotations
 
@@ -136,6 +139,28 @@ SYSTEMS["reducible"] = reducible_system
 SYSTEMS["split"] = split_system
 
 
+def zero_row_system():
+    """First seeded draw over fibers of 1, 1, 2 and 2, each source
+    transition forbidden with probability 3/10, that loads and has a fiber
+    block with an all-zero row: the step 2 -> 1.  No tail completion takes
+    that step, but the words of two symbols or more that start with it do,
+    so a Hölder sweep past depth 0 must refuse them."""
+    rng = np.random.default_rng(5)
+    labels = [f"s{i}" for i in range(6)]
+    target = dict(zip(labels, "012233"))
+    while True:
+        incidence = (rng.uniform(size=(6, 6)) > 0.3).astype(int)
+        p = rng.uniform(0.05, 1.0, size=(6, 6)) * incidence
+        p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+        doc = {"alphabet": labels, "incidence": incidence.tolist(), "transition": p.tolist(), "projection": target}
+        try:
+            fs = gf.parse_model(doc)
+        except gf.ModelError:
+            continue
+        if fs.zero_row_blocks:
+            return fs
+
+
 def words(fs, max_length=MAX_LENGTH):
     return [w.symbols for n in range(1, max_length + 1) for w in gf.enumerate_words(fs.factor_tmc, n)]
 
@@ -247,22 +272,24 @@ def test_bgi_sweep_batch_is_in_first_seen_order(monkeypatch, name):
     assert batches(monkeypatch, gibbs, lambda: gf.bgi_sweep(fs, n_max)) == [list(want)]
 
 
-def test_holder_batch_is_in_first_seen_order(monkeypatch, adhoc5, adhoc5_constants):
-    n_max = 5
-    want = {}
-    for n in range(n_max + 1):
-        for word in gf.enumerate_words(adhoc5.factor_tmc, n + 1):
-            pts = oracle_tail_completions(adhoc5, word.symbols, 2)
-            for p in pts if len(pts) >= 2 else ():
-                want.setdefault(p.key())
-    seen = batches(monkeypatch, potential, lambda: gf.holder_variation(adhoc5, adhoc5_constants, n_max))
-    assert seen == [list(want)]
+@pytest.mark.parametrize("name", ["adhoc5", "fullshift4", "split"])
+def test_holder_evaluates_exactly_the_tails(monkeypatch, name, adhoc5_constants):
+    # the two completions of each symbol that has two, in symbol order, and
+    # no other point: the words' values come from stepping the tails' rows
+    fs = SYSTEMS[name]()
+    pairs = (oracle_tail_completions(fs, (b,), 2) for b in range(fs.target_size))
+    want = [p.key() for pts in pairs if len(pts) == 2 for p in pts]
+    seen = batches(monkeypatch, potential, lambda: gf.holder_variation(fs, adhoc5_constants, 5))
+    assert seen == [want]
+    assert len(want) == {"adhoc5": 6, "fullshift4": 4, "split": 0}[name]
 
 
 # ------------------------------------------- the sweeps' per-key loops
 # bgi_sweep and holder_variation as they were before their points became
 # an index table: one (preperiod, period) key per shift or completion, a
 # cache from key to evaluation, and one Python loop per word and shift.
+# holder_variation now reads each word at its tail's depth plus n, which
+# reference_holder_at_tail_depth takes point by point.
 
 
 def reference_extension_shifts(fs, n_max):
@@ -324,24 +351,9 @@ def reference_bgi_sweep(fs, n_max, constants=None):
     )
 
 
-def reference_holder_variation(fs, constants, n_max):
-    tails = {b: tail_completions(fs, (b,), 2) for b in range(fs.target_size)}
-    levels = []
-    for n in range(n_max + 1):
-        ws = (word.symbols for word in gf.enumerate_words(fs.factor_tmc, n + 1))
-        pairs = ([PointSpec._absorbed(w[:-1] + t.preperiod, t.period) for t in tails[w[-1]]] for w in ws)
-        levels.append([pts for pts in pairs if len(pts) >= 2])
-    unique = {p.key(): p for pairs in levels for pts in pairs for p in pts}
-    cache = dict(zip(unique, gf.evaluate_many(fs, list(unique.values()), 1e-11, constants)))
-    level = []
-    max_radius = 0.0
-    for pairs in levels:
-        worst = 0.0
-        for pts in pairs:
-            ev = [cache[p.key()] for p in pts]
-            max_radius = max(max_radius, *(e.error_radius for e in ev))
-            worst = max(worst, abs(ev[0].value - ev[1].value))
-        level.append(worst)
+def holder_report(constants, level, max_radius):
+    """The HolderReport of the level spreads and the largest radius."""
+    n_max = len(level) - 1
     var = list(level)
     for n in range(n_max - 1, -1, -1):
         var[n] = max(var[n], var[n + 1])
@@ -362,6 +374,60 @@ def reference_holder_variation(fs, constants, n_max):
         exponent=constants.holder_exponent,
         max_eval_radius=max_radius,
     )
+
+
+def reference_holder_variation(fs, constants, n_max):
+    tails = {b: tail_completions(fs, (b,), 2) for b in range(fs.target_size)}
+    levels = []
+    for n in range(n_max + 1):
+        ws = (word.symbols for word in gf.enumerate_words(fs.factor_tmc, n + 1))
+        pairs = ([PointSpec._absorbed(w[:-1] + t.preperiod, t.period) for t in tails[w[-1]]] for w in ws)
+        levels.append([pts for pts in pairs if len(pts) >= 2])
+    unique = {p.key(): p for pairs in levels for pts in pairs for p in pts}
+    cache = dict(zip(unique, gf.evaluate_many(fs, list(unique.values()), 1e-11, constants)))
+    level = []
+    max_radius = 0.0
+    for pairs in levels:
+        worst = 0.0
+        for pts in pairs:
+            ev = [cache[p.key()] for p in pts]
+            max_radius = max(max_radius, *(e.error_radius for e in ev))
+            worst = max(worst, abs(ev[0].value - ev[1].value))
+        level.append(worst)
+    return holder_report(constants, level, max_radius)
+
+
+def reference_holder_at_tail_depth(fs, constants, n_max):
+    """holder_variation point by point: psi at w[:-1] t for each word w of
+    length n + 1 and completion t of its last symbol, from the point's own
+    row of the backward lockstep at the depth of t plus n; the radius is the
+    largest of the tails' and of the noise floors at the values read.  Every
+    point is checked for zero fiber rows first, in the order of the former
+    batch of points, and only then are the tails evaluated."""
+    tails = {b: pts for b in range(fs.target_size) if len(pts := tail_completions(fs, (b,), 2)) == 2}
+    levels = []
+    for n in range(n_max + 1):
+        ws = [word.symbols for word in gf.enumerate_words(fs.factor_tmc, n + 1) if word.symbols[-1] in tails]
+        levels.append([(PointSpec._absorbed(w[:-1] + t.preperiod, t.period), t) for w in ws for t in tails[w[-1]]])
+    for points in levels:
+        for point, _ in points:
+            potential._check_point_rows(fs, point)
+    flat = [t for pts in tails.values() for t in pts]
+    evs = dict(zip(flat, gf.evaluate_many(fs, flat, 1e-11, constants)))
+    level, radii = [], [ev.error_radius for ev in evs.values()]
+    for n, points in enumerate(levels):
+        rows = potential._lockstep_rows(fs, [p for p, _ in points], [evs[t].terms_used + n for _, t in points])
+        values = np.log(np.add.reduce(rows, axis=1)).tolist()
+        level.append(max((abs(a - b) for a, b in zip(values[::2], values[1::2])), default=0.0))
+        radii += [potential.FLOAT_NOISE_FLOOR * max(1.0, abs(v)) for v in values]
+    return holder_report(constants, level, max(radii, default=0.0))
+
+
+def assert_holder_near_the_per_key_loop(fs, constants, n_max):
+    """var_n within twice the reported radius of the per-key loop, which
+    reads each point at its own certified depth."""
+    report, reference = gf.holder_variation(fs, constants, n_max), reference_holder_variation(fs, constants, n_max)
+    assert all(abs(a - b) <= 2.0 * report.max_eval_radius for a, b in zip(report.var, reference.var))
 
 
 def constants_or_none(fs):
@@ -387,7 +453,8 @@ def test_sweeps_equal_the_per_key_loops(name):
         assert outcome(gf.bgi_sweep, fs, n_max, constants) == outcome(reference_bgi_sweep, fs, n_max, constants)
         if constants is not None:
             got = outcome(gf.holder_variation, fs, constants, n_max)
-            assert got == outcome(reference_holder_variation, fs, constants, n_max)
+            assert got == outcome(reference_holder_at_tail_depth, fs, constants, n_max)
+            assert_holder_near_the_per_key_loop(fs, constants, n_max)
 
 
 @pytest.mark.parametrize("name", ["reducible", "split"])
@@ -398,12 +465,40 @@ def test_holder_sweep_of_a_reducible_image_equals_the_per_key_loop(name, adhoc5_
     fs = SYSTEMS[name]()
     for n_max in (0, 3, 7):
         got = outcome(gf.holder_variation, fs, adhoc5_constants, n_max)
-        assert got == outcome(reference_holder_variation, fs, adhoc5_constants, n_max)
+        assert got == outcome(reference_holder_at_tail_depth, fs, adhoc5_constants, n_max)
+        assert_holder_near_the_per_key_loop(fs, adhoc5_constants, n_max)
     if name == "split":
         assert gf.holder_variation(fs, adhoc5_constants, 7).level_spread == (0.0,) * 8
+
+
+@pytest.mark.parametrize("name", ["converse_false", "zero_rows"])
+def test_holder_sweep_refuses_a_step_with_a_zero_fiber_row(name, adhoc5_constants):
+    # fiber blocks with all-zero rows, swept under another system's
+    # constants: the sweep refuses the first point of the former batch that
+    # steps through one, as the per-key loop does, and never reads a value
+    # through it.  A tail of converse_false takes the step 0 -> 1 at its
+    # position 2; no tail of zero_rows takes the step 2 -> 1, but the words
+    # of depth 1 or more that start with it do
+    fs = zero_row_system() if name == "zero_rows" else SYSTEMS[name]()
+    for n_max in (0, 3, 7):
+        got = outcome(gf.holder_variation, fs, adhoc5_constants, n_max)
+        assert got == outcome(reference_holder_at_tail_depth, fs, adhoc5_constants, n_max)
+        if "Refused" in got:
+            assert got == outcome(reference_holder_variation, fs, adhoc5_constants, n_max)
+        else:
+            assert_holder_near_the_per_key_loop(fs, adhoc5_constants, n_max)
+    refused = {"converse_false": [(0, "0->1", 2)], "zero_rows": [(3, "2->1", 0), (7, "2->1", 0)]}[name]
+    for n_max, step, i in refused:
+        with pytest.raises(gf.EvaluationRefused) as info:
+            gf.holder_variation(fs, adhoc5_constants, n_max)
+        assert str(info.value).startswith(f"step {step} at position {i} has an all-zero fiber row")
+        assert info.value.window == (i, i + 1)
+    if name == "zero_rows":
+        assert len(gf.holder_variation(fs, adhoc5_constants, 0).var) == 1
 
 
 def test_fullshift4_sweeps_at_depth_10_equal_the_per_key_loops(fullshift4, fullshift4_constants):
     fs, constants = fullshift4, fullshift4_constants
     assert repr(gf.bgi_sweep(fs, 10, constants)) == repr(reference_bgi_sweep(fs, 10, constants))
-    assert repr(gf.holder_variation(fs, constants, 10)) == repr(reference_holder_variation(fs, constants, 10))
+    assert repr(gf.holder_variation(fs, constants, 10)) == repr(reference_holder_at_tail_depth(fs, constants, 10))
+    assert_holder_near_the_per_key_loop(fs, constants, 10)
